@@ -114,22 +114,18 @@
 //!   arm** (default 2.0 — the win is one RTT per window instead of
 //!   one per request; if it can't clear 2× over loopback the window
 //!   is not actually in flight).
-//! * `serving_batch_fusion` — the PR 10 one-flag A/B: identical
-//!   drain-rate replays against servers with `fuse_batches` on (BATCH
-//!   frames partitioned by shard, sorted, and executed through
-//!   `execute_batch`, so wire batches inherit the finger-anchored
-//!   descent) vs off (the same ops unrolled one at a time through the
-//!   per-shard handles), run as interleaved pairs and compared on
-//!   median Mops/s. The cell serves the BATCH shape fusion targets:
-//!   high-occupancy frames (the replay's `coalesce`/`coalesce_ops`
-//!   knobs fill and cap them at `NMBST_FUSION_OPS`, default 768
-//!   ops/frame) over a dense 2^14 key range, where sorted per-shard
-//!   runs actually land on adjacent leaves. **The process exits non-zero
-//!   if the fused arm trails the unrolled arm by more than
-//!   `NMBST_FUSION_TOLERANCE`** (relative, default 0.05), **or if the
-//!   fused servers recorded zero `finger_hits`** — the end-to-end
-//!   proof that sorted per-shard runs arriving over TCP actually
-//!   anchor on the finger, not just in-process batches.
+//! * `serving_batch_fusion` — drain-rate replays of the BATCH shape
+//!   shard fusion targets (frames partitioned by shard, sorted, and
+//!   executed through `execute_batch`, so wire batches inherit the
+//!   finger-anchored descent), median Mops/s of three: high-occupancy
+//!   frames (the replay's `coalesce`/`coalesce_ops` knobs fill and cap
+//!   them at 768 ops/frame) over a dense 2^14 key range, where sorted
+//!   per-shard runs actually land on adjacent leaves. **The process
+//!   exits non-zero if the median trails the baseline cell's
+//!   `fused_mops` by more than `NMBST_FUSION_TOLERANCE`** (relative,
+//!   default 0.05), **or if the servers recorded zero `finger_hits`**
+//!   — the end-to-end proof that sorted per-shard runs arriving over
+//!   TCP actually anchor on the finger, not just in-process batches.
 //!
 //! On any gate failure the harness writes the slow-op records captured
 //! during the serving replay (server slow-frame ring + tree rings,
@@ -975,7 +971,7 @@ fn main() {
         arrival_rate: f64::INFINITY,
         ..replay_cfg.clone()
     };
-    let calib = serving_replay_run(&calib_cfg, serve_workers, true).report;
+    let calib = serving_replay_run(&calib_cfg, serve_workers).report;
     let max_rate = calib.sessions_per_sec();
     let max_mops = calib.mops();
     println!("  peak capacity      {max_rate:.0} sessions/s  ({max_mops:.3} Mops/s)");
@@ -984,7 +980,7 @@ fn main() {
         ..replay_cfg.clone()
     };
     let mut serve_runs: Vec<ServeRun> = (0..REPEATS)
-        .map(|_| serving_replay_run(&paced_cfg, serve_workers, true))
+        .map(|_| serving_replay_run(&paced_cfg, serve_workers))
         .collect();
     serve_runs.sort_by_key(|r| r.report.percentile_ns(99.9));
     let run = &serve_runs[REPEATS / 2];
@@ -1233,25 +1229,17 @@ fn main() {
     ));
     let pipeline_gate_ok = check_pipeline_gate(serial_mops, pipelined_mops);
 
-    // The PR 10 batch-fusion A/B: identical replay workloads at drain
-    // rate against fresh servers that differ in one flag —
-    // `fuse_batches` on (BATCH frames partitioned by shard, sorted,
-    // and run through `execute_batch`, inheriting the finger-anchored
-    // descent) vs off (the same ops unrolled one at a time through the
-    // per-shard handles). Interleaved pairs so machine drift cancels.
+    // Shard-fused BATCH serving at drain rate against fresh servers.
     // The frame shape is the one fusion targets — high-occupancy BATCH
-    // frames (the `coalesce` / new `coalesce_ops` replay knobs fill
-    // and cap them) over a serving-resident key range dense enough
-    // that sorted per-shard runs land on adjacent leaves; the default
-    // replay shape (96–192-op frames over 2^20 keys) leaves the tree
-    // such a small slice of loopback wall time that the A/B measures
-    // syscall jitter, not execution strategy.
+    // frames (the `coalesce` / `coalesce_ops` replay knobs fill and cap
+    // them) over a serving-resident key range dense enough that sorted
+    // per-shard runs land on adjacent leaves; the default replay shape
+    // (96–192-op frames over 2^20 keys) leaves the tree such a small
+    // slice of loopback wall time that the cell would measure syscall
+    // jitter, not execution.
     let fusion_workers = 2;
     let fusion_sessions = (sessions / 4).max(1_000);
-    let fusion_ops_cap = std::env::var("NMBST_FUSION_OPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(768);
+    let fusion_ops_cap = 768;
     let fusion_cfg = ReplayConfig {
         sessions: fusion_sessions,
         clients: fusion_workers,
@@ -1263,31 +1251,22 @@ fn main() {
         ..ReplayConfig::default()
     };
     println!(
-        "== serving batch fusion ({fusion_sessions} sessions, {fusion_workers} workers, ≤{fusion_ops_cap} ops/frame, drain rate, median of {REPEATS} interleaved pairs) =="
+        "== serving batch fusion ({fusion_sessions} sessions, {fusion_workers} workers, ≤{fusion_ops_cap} ops/frame, drain rate, median of {REPEATS}) =="
     );
-    let mut fusion_mops: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    let mut fusion_mops: Vec<f64> = Vec::new();
     let mut fused_finger_hits = 0u64;
     let mut fused_finger_misses = 0u64;
     let mut fused_ops_total = 0u64;
-    let mut single_ops_total = 0u64;
     for _ in 0..REPEATS {
-        for fused in [false, true] {
-            let run = serving_replay_run(&fusion_cfg, fusion_workers, fused);
-            fusion_mops[fused as usize].push(run.report.mops());
-            if fused {
-                fused_finger_hits += run.snap.finger_hits;
-                fused_finger_misses += run.snap.finger_misses;
-                fused_ops_total += run.batch_fused_ops;
-            } else {
-                single_ops_total += run.batch_single_ops;
-            }
-        }
+        let run = serving_replay_run(&fusion_cfg, fusion_workers);
+        fusion_mops.push(run.report.mops());
+        fused_finger_hits += run.snap.finger_hits;
+        fused_finger_misses += run.snap.finger_misses;
+        fused_ops_total += run.batch_fused_ops;
     }
-    let unfused_mops = median(&mut fusion_mops[0]);
-    let fused_mops = median(&mut fusion_mops[1]);
+    let fused_mops = median(&mut fusion_mops);
     println!(
-        "  unrolled {unfused_mops:.3} Mops/s\n  fused    {fused_mops:.3} Mops/s  ({:.2}x)  finger hits {fused_finger_hits} / misses {fused_finger_misses}",
-        fused_mops / unfused_mops
+        "  fused {fused_mops:.3} Mops/s  finger hits {fused_finger_hits} / misses {fused_finger_misses}"
     );
     cells.push(json::cell(
         "serving_batch_fusion",
@@ -1307,22 +1286,13 @@ fn main() {
             ("repeats", Json::from(REPEATS)),
         ]),
         Json::obj([
-            ("unfused_mops", Json::Num(unfused_mops)),
             ("fused_mops", Json::Num(fused_mops)),
-            ("speedup", Json::Num(fused_mops / unfused_mops)),
             ("fused_finger_hits", Json::from(fused_finger_hits)),
             ("fused_finger_misses", Json::from(fused_finger_misses)),
             ("batch_fused_ops", Json::from(fused_ops_total)),
-            ("batch_single_ops", Json::from(single_ops_total)),
         ]),
     ));
-    let fusion_gate_ok = check_fusion_gate(
-        unfused_mops,
-        fused_mops,
-        fused_finger_hits,
-        fused_ops_total,
-        single_ops_total,
-    );
+    let fusion_gate_ok = check_fusion_gate(fused_mops, fused_finger_hits, fused_ops_total);
 
     let path = std::path::Path::new(&out_path);
     json::write_bench_file(path, &cells).expect("write bench json");
@@ -1535,10 +1505,8 @@ struct ServeRun {
     worker_ops: Vec<u64>,
     batch_wire: Histogram,
     slow: Vec<SlowOp>,
-    /// BATCH ops executed shard-fused through `execute_batch` vs
-    /// unrolled one at a time — the fusion cell's attribution pair.
+    /// BATCH ops executed shard-fused through `execute_batch`.
     batch_fused_ops: u64,
-    batch_single_ops: u64,
 }
 
 /// One fresh-server replay run: bind on loopback, connect one client
@@ -1546,13 +1514,9 @@ struct ServeRun {
 /// workers flushes every pinned handle) before snapshotting metrics.
 /// Request timing is read through [`Server::stats_arc`] *after*
 /// `shutdown` so every frame's record is certainly published.
-/// `fuse_batches: false` is the fusion cell's control arm: the same
-/// server unrolls each BATCH op through the per-shard handles instead
-/// of routing it through `execute_batch`.
-fn serving_replay_run(cfg: &ReplayConfig, workers: usize, fuse_batches: bool) -> ServeRun {
+fn serving_replay_run(cfg: &ReplayConfig, workers: usize) -> ServeRun {
     let server = Server::start(ServerConfig {
         workers,
-        fuse_batches,
         ..ServerConfig::default()
     })
     .expect("bind loopback server");
@@ -1579,7 +1543,6 @@ fn serving_replay_run(cfg: &ReplayConfig, workers: usize, fuse_batches: bool) ->
         batch_wire,
         slow,
         batch_fused_ops: stats.batch_fused_ops(),
-        batch_single_ops: stats.batch_single_ops(),
     }
 }
 
@@ -1789,23 +1752,14 @@ fn check_pipeline_gate(serial_mops: f64, pipelined_mops: f64) -> bool {
     pass
 }
 
-/// The batch-fusion gate. The fused arm must not trail the unrolled
-/// arm by more than `NMBST_FUSION_TOLERANCE` (relative, default 0.05 —
-/// fusion exists to *win* on sorted same-shard runs, but on one core
-/// the A/B mostly measures the shared decode/encode path, so the gate
-/// is a no-regression floor, not a speedup demand). Hard-fails if the
-/// fused servers recorded **zero finger hits** (the sorted per-shard
-/// runs never anchored — fusion silently degraded to root descents),
-/// if the fused arm executed zero ops through `execute_batch` (the
-/// flag is not reaching the engine), or if the control arm leaked ops
-/// into the fused counter's path (the A/B is not actually an A/B).
-fn check_fusion_gate(
-    unfused_mops: f64,
-    fused_mops: f64,
-    fused_finger_hits: u64,
-    fused_ops: u64,
-    single_ops: u64,
-) -> bool {
+/// The batch-fusion gate. The fused serving median must not trail the
+/// baseline's `serving_batch_fusion.fused_mops` by more than
+/// `NMBST_FUSION_TOLERANCE` (relative, default 0.05; skipped when no
+/// baseline has the cell). Hard-fails if the servers recorded **zero
+/// finger hits** (the sorted per-shard runs never anchored — fusion
+/// silently degraded to root descents) or executed zero ops through
+/// `execute_batch` (BATCH frames are not reaching the fused path).
+fn check_fusion_gate(fused_mops: f64, fused_finger_hits: u64, fused_ops: u64) -> bool {
     let tolerance = std::env::var("NMBST_FUSION_TOLERANCE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
@@ -1813,15 +1767,8 @@ fn check_fusion_gate(
     let mut ok = true;
     if fused_ops == 0 {
         eprintln!(
-            "error: fused arm executed zero ops through execute_batch — \
-             fuse_batches is not reaching the serve engine"
-        );
-        ok = false;
-    }
-    if single_ops == 0 {
-        eprintln!(
-            "error: control arm executed zero unrolled ops — \
-             the fusion A/B has no working control"
+            "error: serving runs executed zero ops through execute_batch — \
+             BATCH frames are not reaching the fused path"
         );
         ok = false;
     }
@@ -1833,21 +1780,47 @@ fn check_fusion_gate(
         );
         ok = false;
     }
-    let floor = unfused_mops * (1.0 - tolerance);
+    let Some(base) = baseline_cell_metric("serving_batch_fusion", "fused_mops") else {
+        println!("  fusion gate: no serving_batch_fusion baseline cell — ratio skipped, finger hits {fused_finger_hits}  [{}]",
+            if ok { "ok" } else { "FAIL" });
+        return ok;
+    };
+    let floor = base * (1.0 - tolerance);
     let pass = fused_mops >= floor;
     println!(
-        "  fusion gate: fused {fused_mops:.3} vs unrolled {unfused_mops:.3} Mops/s (floor {floor:.3}), finger hits {fused_finger_hits}  [{}]",
+        "  fusion gate: fused {fused_mops:.3} vs baseline {base:.3} Mops/s (floor {floor:.3}), finger hits {fused_finger_hits}  [{}]",
         if pass && ok { "ok" } else { "FAIL" }
     );
     if !pass {
         eprintln!(
-            "error: fused batch execution trails unrolled by more than {:.1}% \
-             ({fused_mops:.3} vs {unfused_mops:.3} Mops/s; NMBST_FUSION_TOLERANCE={tolerance})",
+            "error: fused batch serving trails the baseline by more than {:.1}% \
+             ({fused_mops:.3} vs {base:.3} Mops/s; NMBST_FUSION_TOLERANCE={tolerance})",
             tolerance * 100.0
         );
         ok = false;
     }
     ok
+}
+
+/// `metric` of the `bench` cell in the `NMBST_BASELINE_JSON` file, or
+/// `None` when no baseline is set or it has no such cell. Unreadable or
+/// unparseable baselines are already fatal in `check_against_baseline`,
+/// so they read as `None` here rather than being reported twice.
+fn baseline_cell_metric(bench: &str, metric: &str) -> Option<f64> {
+    let path = std::env::var("NMBST_BASELINE_JSON")
+        .ok()
+        .filter(|p| !p.is_empty())?;
+    let baseline = Json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+    baseline
+        .get("cells")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .find_map(|c| {
+            (c.get("bench")?.as_str()? == bench)
+                .then(|| c.get("metrics")?.get(metric)?.as_f64())
+                .flatten()
+        })
 }
 
 /// The serving gate. Hard-fails if any worker routed zero ops through
@@ -1865,36 +1838,12 @@ fn check_serving_gate(max_mops: f64, worker_ops: &[u64]) -> bool {
             pass = false;
         }
     }
-    let Some(baseline_path) = std::env::var("NMBST_BASELINE_JSON")
-        .ok()
-        .filter(|p| !p.is_empty())
-    else {
-        return pass;
-    };
     let tolerance = std::env::var("NMBST_SERVE_TOLERANCE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(0.25);
-    // Unreadable/unparseable baselines are already fatal in
-    // `check_against_baseline`; don't double-report here.
-    let Ok(text) = std::fs::read_to_string(&baseline_path) else {
-        return pass;
-    };
-    let Ok(baseline) = Json::parse(&text) else {
-        return pass;
-    };
-    let base = baseline
-        .get("cells")
-        .and_then(Json::as_arr)
-        .unwrap_or_default()
-        .iter()
-        .find_map(|c| {
-            (c.get("bench")?.as_str()? == "serving_replay")
-                .then(|| c.get("metrics")?.get("max_mops")?.as_f64())
-                .flatten()
-        });
-    let Some(base) = base else {
-        println!("  serving baseline: no serving_replay cell in {baseline_path} — skipped");
+    let Some(base) = baseline_cell_metric("serving_replay", "max_mops") else {
+        println!("  serving baseline: no serving_replay baseline cell — skipped");
         return pass;
     };
     let floor = base * (1.0 - tolerance);

@@ -301,20 +301,18 @@ where
     /// assert_eq!(h.get(&42), Some(84));
     /// ```
     pub fn insert_batch(&mut self, items: impl IntoIterator<Item = (K, V)>) -> usize {
-        // Whole-call timing: one clock pair amortized over the batch.
-        let t = self.tree.metrics.call_timer();
+        // Whole-call timing: the run's one clock pair covers the sort too.
+        let mut run = self.batch_run();
         let mut items: Vec<(K, V)> = items.into_iter().collect();
         // Already-ascending input — the common bulk-ingest shape — skips
         // the sort; equal neighbors are fine (first one wins either way).
         if !items.windows(2).all(|w| w[0].0 <= w[1].0) {
             items.sort_by(|a, b| a.0.cmp(&b.0));
         }
-        let mut added = 0;
-        for (key, value) in items {
-            added += usize::from(self.insert_fingered(key, value));
-        }
-        self.tree.metrics.op_finish(OpClass::Batch, t);
-        added
+        items
+            .into_iter()
+            .map(|(key, value)| usize::from(run.insert(key, value)))
+            .sum()
     }
 
     /// Removes every key of `keys`, returning how many were present.
@@ -324,17 +322,12 @@ where
     /// finger hit rate is workload-dependent (a survivor that is a leaf
     /// cannot anchor a descent and the next op pays a root seek).
     pub fn remove_batch(&mut self, keys: impl IntoIterator<Item = K>) -> usize {
-        let t = self.tree.metrics.call_timer();
+        let mut run = self.batch_run();
         let mut keys: Vec<K> = keys.into_iter().collect();
         if !keys.is_sorted() {
             keys.sort();
         }
-        let mut removed = 0;
-        for key in &keys {
-            removed += usize::from(self.remove_fingered(key));
-        }
-        self.tree.metrics.op_finish(OpClass::Batch, t);
-        removed
+        keys.iter().map(|key| usize::from(run.remove(key))).sum()
     }
 
     /// Looks up every key of `keys`, returning the values **in input
@@ -344,23 +337,20 @@ where
     where
         V: Clone,
     {
-        let t = self.tree.metrics.call_timer();
+        let mut run = self.batch_run();
         let keys: Vec<K> = keys.into_iter().collect();
-        let out = if keys.is_sorted() {
+        if keys.is_sorted() {
             // Already-ascending input: sorted order *is* input order, so
             // skip the index pairing and the result scatter entirely.
-            keys.iter().map(|key| self.get_fingered(key)).collect()
-        } else {
-            let mut order: Vec<(usize, &K)> = keys.iter().enumerate().collect();
-            order.sort_by(|a, b| a.1.cmp(b.1));
-            let mut out: Vec<Option<V>> = Vec::new();
-            out.resize_with(order.len(), || None);
-            for (idx, key) in order {
-                out[idx] = self.get_fingered(key);
-            }
-            out
-        };
-        self.tree.metrics.op_finish(OpClass::Batch, t);
+            return keys.iter().map(|key| run.get(key)).collect();
+        }
+        let mut order: Vec<(usize, &K)> = keys.iter().enumerate().collect();
+        order.sort_by(|a, b| a.1.cmp(b.1));
+        let mut out: Vec<Option<V>> = Vec::new();
+        out.resize_with(order.len(), || None);
+        for (idx, key) in order {
+            out[idx] = run.get(key);
+        }
         out
     }
 

@@ -29,7 +29,7 @@ use crate::tree::{NmTreeMap, TreeConfig, TreeShape};
 use crate::MapHandle;
 use nmbst_reclaim::{Ebr, Reclaim};
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, RangeBounds};
+use std::ops::{Bound, ControlFlow, RangeBounds};
 
 /// Shard count used by [`ShardedMap::new`] / [`ShardedSet::new`]. Eight
 /// matches the metrics facade's counter striping: enough that a
@@ -276,15 +276,36 @@ where
     where
         V: Clone,
     {
+        self.range_collect_limit(range, usize::MAX)
+    }
+
+    /// The first `limit` pairs of `range`, ascending — what
+    /// [`Self::range_collect`] returns, truncated, without materializing
+    /// the rest: each shard's walk stops after `limit` pairs. Shards
+    /// partition the key space, so the global first `limit` keys are
+    /// among the per-shard first `limit`.
+    pub fn range_collect_limit<Q: RangeBounds<K>>(&self, range: Q, limit: usize) -> Vec<(K, V)>
+    where
+        V: Clone,
+    {
         let lo: Bound<K> = range.start_bound().cloned();
         let hi: Bound<K> = range.end_bound().cloned();
         let mut merged: Vec<(K, V)> = Vec::new();
         for tree in self.shards.iter() {
-            merged.extend(tree.range_collect((lo.clone(), hi.clone())));
+            let mut taken = 0;
+            tree.range_walk((lo.clone(), hi.clone()), |k, v| {
+                if taken == limit {
+                    return ControlFlow::Break(());
+                }
+                merged.push((k.clone(), v.clone()));
+                taken += 1;
+                ControlFlow::Continue(())
+            });
         }
         // Shards partition the key space, so per-shard ascending runs
         // never share keys; an unstable sort by key is a pure merge.
         merged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        merged.truncate(limit);
         merged
     }
 
@@ -527,64 +548,57 @@ where
         self.route(key).with_value(key, f)
     }
 
-    /// Partitions `items` by shard and runs each shard's
-    /// [`MapHandle::insert_batch`] (finger-anchored within a shard).
-    /// Returns how many keys were newly added.
-    pub fn insert_batch(&mut self, items: impl IntoIterator<Item = (K, V)>) -> usize {
-        let mut routed: Vec<Vec<(K, V)>> = (0..self.handles.len()).map(|_| Vec::new()).collect();
-        for (k, v) in items {
-            routed[self.map.shard_of(&k)].push((k, v));
-        }
-        routed
-            .into_iter()
-            .enumerate()
-            .filter(|(_, batch)| !batch.is_empty())
-            .map(|(i, batch)| self.handles[i].insert_batch(batch))
-            .sum()
+    /// [`Self::execute_batch`] over one `Insert` per pair. Returns how
+    /// many keys were newly added.
+    pub fn insert_batch(&mut self, items: impl IntoIterator<Item = (K, V)>) -> usize
+    where
+        V: Clone,
+    {
+        let verdicts = self.execute_owned(items.into_iter().map(|(k, v)| BatchCmd::Insert(k, v)));
+        verdicts
+            .iter()
+            .filter(|r| matches!(r, BatchVerdict::Added(true)))
+            .count()
     }
 
-    /// Partitions `keys` by shard and runs each shard's
-    /// [`MapHandle::remove_batch`]. Returns how many keys were removed.
-    pub fn remove_batch(&mut self, keys: impl IntoIterator<Item = K>) -> usize {
-        let mut routed: Vec<Vec<K>> = (0..self.handles.len()).map(|_| Vec::new()).collect();
-        for k in keys {
-            routed[self.map.shard_of(&k)].push(k);
-        }
-        routed
-            .into_iter()
-            .enumerate()
-            .filter(|(_, batch)| !batch.is_empty())
-            .map(|(i, batch)| self.handles[i].remove_batch(batch))
-            .sum()
+    /// [`Self::execute_batch`] over one `Remove` per key. Returns how
+    /// many keys were removed.
+    pub fn remove_batch(&mut self, keys: impl IntoIterator<Item = K>) -> usize
+    where
+        V: Clone,
+    {
+        let verdicts = self.execute_owned(keys.into_iter().map(BatchCmd::Remove));
+        verdicts
+            .iter()
+            .filter(|r| matches!(r, BatchVerdict::Removed(true)))
+            .count()
     }
 
-    /// Partitions `keys` by shard, runs each shard's
-    /// [`MapHandle::get_batch`], and scatters the results back into the
-    /// callers' order.
+    /// [`Self::execute_batch`] over one `Get` per key; the values come
+    /// back in the caller's order.
     pub fn get_batch(&mut self, keys: impl IntoIterator<Item = K>) -> Vec<Option<V>>
     where
         V: Clone,
     {
-        let mut routed: Vec<(Vec<usize>, Vec<K>)> = (0..self.handles.len())
-            .map(|_| (Vec::new(), Vec::new()))
-            .collect();
-        let mut n = 0;
-        for (pos, k) in keys.into_iter().enumerate() {
-            let (positions, batch) = &mut routed[self.map.shard_of(&k)];
-            positions.push(pos);
-            batch.push(k);
-            n = pos + 1;
-        }
-        let mut out = vec![None; n];
-        for (i, (positions, batch)) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let results = self.handles[i].get_batch(batch);
-            for (pos, r) in positions.into_iter().zip(results) {
-                out[pos] = r;
-            }
-        }
+        let verdicts = self.execute_owned(keys.into_iter().map(BatchCmd::Get));
+        verdicts
+            .into_iter()
+            .map(|r| match r {
+                BatchVerdict::Found(v) => Some(v),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// [`Self::execute_batch`] with call-local buffers, for the
+    /// homogeneous wrappers.
+    fn execute_owned(&mut self, cmds: impl Iterator<Item = BatchCmd<K, V>>) -> Vec<BatchVerdict<V>>
+    where
+        V: Clone,
+    {
+        let cmds: Vec<BatchCmd<K, V>> = cmds.collect();
+        let mut out = Vec::new();
+        self.execute_batch(&cmds, &mut BatchScratch::new(), &mut out);
         out
     }
 

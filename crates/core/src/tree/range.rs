@@ -6,7 +6,7 @@ use super::NmTreeMap;
 use crate::key::Key;
 use crate::node::{prefetch_wide, Node};
 use nmbst_reclaim::Reclaim;
-use std::ops::{Bound, RangeBounds};
+use std::ops::{Bound, ControlFlow, RangeBounds};
 
 /// Inline capacity of [`TraversalStack`]. A DFS stack never holds more
 /// than one pending sibling per level of the current path, so 64 slots
@@ -97,6 +97,19 @@ where
     /// assert_eq!(hits, vec![10, 11, 12]);
     /// ```
     pub fn range_for_each<Q: RangeBounds<K>>(&self, range: Q, mut f: impl FnMut(&K, &V)) {
+        self.range_walk(range, |k, v| {
+            f(k, v);
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// The traversal behind [`range_for_each`](Self::range_for_each):
+    /// visits in-range pairs in ascending order until `f` breaks.
+    pub(crate) fn range_walk<Q: RangeBounds<K>>(
+        &self,
+        range: Q,
+        mut f: impl FnMut(&K, &V) -> ControlFlow<()>,
+    ) {
         let _guard = self.reclaim.pin();
         // Whole-call timing (one clock pair amortized over the scan).
         let t = self.metrics.call_timer();
@@ -118,7 +131,7 @@ where
         };
         let arena = self.arena();
         let mut stack = TraversalStack::new(self.s_node());
-        while let Some(node) = stack.pop() {
+        'walk: while let Some(node) = stack.pop() {
             // The scan visits (and block-scans) every node it pops, so
             // fetching both the header line and the entry lines of the
             // *next* frame overlaps this frame's work.
@@ -130,8 +143,8 @@ where
                     // Leaf block: entries are sorted, so the in-range ones
                     // form a contiguous run.
                     for (k, v) in (*node).entry_keys().iter().zip((*node).entry_vals()) {
-                        if range.contains(k) {
-                            f(k, v);
+                        if range.contains(k) && f(k, v).is_break() {
+                            break 'walk;
                         }
                     }
                 } else {

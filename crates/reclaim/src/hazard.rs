@@ -1,11 +1,9 @@
-//! Hazard pointers (Michael, TPDS 2004), built from scratch.
+//! Hazard eras (Ramalhete & Correia, DISC 2017 brief announcement),
+//! built from scratch: the hazard-pointer machinery of Michael (TPDS
+//! 2004) — per-thread records, published slots, scan-before-free —
+//! protecting an *era* instead of an address.
 //!
-//! A thread *protects* a pointer by publishing it in one of its hazard
-//! slots before dereferencing, then re-validating that the source still
-//! holds it. A retiring thread may only free an allocation after a scan
-//! of **all** published slots shows nobody protects it.
-//!
-//! # Why the tree does not use these
+//! # Why not per-address hazard pointers
 //!
 //! The paper remarks (§3.2) that reclamation "can be derived using the
 //! well-known notion of hazard pointers". For the NM-BST as published,
@@ -15,51 +13,37 @@
 //! ancestor/successor pair), so the validation step "source still points
 //! to the protected node" fails spuriously and, worse, cannot distinguish
 //! a node that merely *will* be unlinked from one that already has been.
-//! Making hazard pointers sound for this algorithm requires restarting
-//! seeks from checkpoints whose own protection is validated transitively —
-//! a follow-up line of work (e.g. NBR, HP-trees) beyond this paper. We
-//! therefore ship the tree on [`Ebr`](crate::Ebr) and provide hazard
-//! pointers as a tested, reusable substrate;
-//! [`TreiberStack`](crate::TreiberStack) demonstrates them on a
-//! structure where validation is sound.
+//! Making per-address hazard pointers sound for this algorithm requires
+//! restarting seeks from checkpoints whose own protection is validated
+//! transitively — a follow-up line of work (e.g. NBR, HP-trees) beyond
+//! this paper. The tree therefore ships on [`Ebr`](crate::Ebr), and this
+//! module keeps only the record machinery in the form the tree *can*
+//! use: era protection needs no validation step, so [`HazardEras`] is
+//! sound for the tree — see its type docs.
 //!
-//! This module also hosts [`HazardEras`]: the same record machinery
-//! publishing an *era* instead of an address. Era protection needs no
-//! validation step, so it **is** sound for the tree — see its type docs.
-//!
-//! # Usage
-//!
-//! Unlike [`Ebr`](crate::Ebr), participation is explicit: each thread
-//! [`register`](HazardDomain::register)s to obtain a [`HazardLocal`]
-//! with a fixed number of slots. ([`HazardEras`] participation is
-//! implicit, like `Ebr`: it implements [`Reclaim`].)
+//! Participation is implicit, like `Ebr`: [`HazardEras`] implements
+//! [`Reclaim`].
 
 use crate::{Deferred, Reclaim, RetireGuard};
 use nmbst_sync::SpinLock;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::rc::Rc;
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Hazard slots per registered thread. The tree-free structures in this
-/// workspace need at most two simultaneously protected pointers.
-pub const HP_SLOTS: usize = 4;
-
-/// Scan (and free unprotected retirees) once this many retirements have
-/// accumulated on a thread.
-const SCAN_THRESHOLD: usize = 64;
-
+/// One thread's published state: whether a live thread owns the record,
+/// and the era it announced (0 = unpinned).
 struct HpRecord {
     active: AtomicBool,
-    slots: [AtomicUsize; HP_SLOTS],
+    era: AtomicUsize,
 }
 
 impl HpRecord {
     fn new() -> Self {
         HpRecord {
             active: AtomicBool::new(true),
-            slots: [const { AtomicUsize::new(0) }; HP_SLOTS],
+            era: AtomicUsize::new(0),
         }
     }
 }
@@ -115,187 +99,6 @@ impl Drop for DomainInner {
     }
 }
 
-/// A hazard-pointer domain: the set of threads whose published hazards
-/// must be consulted before freeing a retiree. One per data structure.
-#[derive(Clone)]
-pub struct HazardDomain {
-    inner: Arc<DomainInner>,
-}
-
-impl HazardDomain {
-    /// Creates an empty domain.
-    pub fn new() -> Self {
-        HazardDomain {
-            inner: Arc::new(DomainInner::new()),
-        }
-    }
-
-    /// Registers the calling thread, reusing the record of an exited
-    /// thread when one is available.
-    pub fn register(&self) -> HazardLocal {
-        let record = self.inner.acquire_record();
-        HazardLocal {
-            domain: Arc::clone(&self.inner),
-            record,
-            retired: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Number of registered (live) participants; diagnostics only.
-    pub fn participants(&self) -> usize {
-        self.inner
-            .records
-            .lock()
-            .iter()
-            .filter(|r| r.active.load(Ordering::Relaxed))
-            .count()
-    }
-}
-
-impl Default for HazardDomain {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for HazardDomain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HazardDomain")
-            .field("participants", &self.participants())
-            .finish()
-    }
-}
-
-/// A thread's participation in a [`HazardDomain`]: [`HP_SLOTS`] hazard
-/// slots plus a private list of retired-but-not-yet-freed allocations.
-pub struct HazardLocal {
-    domain: Arc<DomainInner>,
-    record: Arc<HpRecord>,
-    retired: RefCell<Vec<(usize, Deferred)>>,
-}
-
-impl HazardLocal {
-    /// Protects the pointer currently stored in `src`: publishes it in
-    /// hazard slot `index` and re-reads until the publication provably
-    /// happened before any retirement scan that could free it.
-    ///
-    /// Returns the protected pointer (possibly null, which needs no
-    /// protection). The protection lasts until the slot is overwritten
-    /// by the next `protect`/[`clear`](HazardLocal::clear) on `index`.
-    pub fn protect<T>(&self, index: usize, src: &AtomicPtr<T>) -> *mut T {
-        let mut ptr = src.load(Ordering::Relaxed);
-        loop {
-            if ptr.is_null() {
-                self.record.slots[index].store(0, Ordering::Release);
-                return ptr;
-            }
-            self.record.slots[index].store(ptr as usize, Ordering::Release);
-            // Order the publication before the validating re-read; pairs
-            // with the fence in `scan`.
-            fence(Ordering::SeqCst);
-            let current = src.load(Ordering::Acquire);
-            if current == ptr {
-                return ptr;
-            }
-            ptr = current;
-        }
-    }
-
-    /// Clears hazard slot `index`.
-    #[inline]
-    pub fn clear(&self, index: usize) {
-        self.record.slots[index].store(0, Ordering::Release);
-    }
-
-    /// Retires `ptr`: it will be freed by a later scan, once no published
-    /// hazard equals it.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`RetireGuard::retire`]:
-    /// `Box::into_raw` provenance, already unlinked, retired once.
-    pub unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        // SAFETY: forwarded caller contract.
-        let deferred = unsafe { Deferred::drop_box(ptr) };
-        let mut retired = self.retired.borrow_mut();
-        retired.push((ptr as usize, deferred));
-        if retired.len() >= SCAN_THRESHOLD {
-            drop(retired);
-            self.scan();
-        }
-    }
-
-    /// Frees every retired allocation no published hazard protects.
-    pub fn scan(&self) {
-        // Adopt orphaned retirees first so they are not stranded.
-        {
-            let mut stash = self.domain.stash.lock();
-            self.retired.borrow_mut().append(&mut stash);
-        }
-        // Pairs with the fence in `protect`: any protection not visible
-        // to the loads below was published after this fence, hence after
-        // the retiree was unlinked — such a protect's validation re-read
-        // cannot return the retired pointer.
-        fence(Ordering::SeqCst);
-        let mut hazards: Vec<usize> = Vec::new();
-        {
-            let records = self.domain.records.lock();
-            for record in records.iter() {
-                for slot in &record.slots {
-                    let h = slot.load(Ordering::Acquire);
-                    if h != 0 {
-                        hazards.push(h);
-                    }
-                }
-            }
-        }
-        hazards.sort_unstable();
-        let retired = std::mem::take(&mut *self.retired.borrow_mut());
-        let mut kept = Vec::new();
-        for (addr, deferred) in retired {
-            if hazards.binary_search(&addr).is_ok() {
-                kept.push((addr, deferred));
-            } else {
-                deferred.call();
-            }
-        }
-        *self.retired.borrow_mut() = kept;
-    }
-
-    /// Number of allocations retired on this thread and not yet freed.
-    pub fn retired_count(&self) -> usize {
-        self.retired.borrow().len()
-    }
-}
-
-impl Drop for HazardLocal {
-    fn drop(&mut self) {
-        for slot in &self.record.slots {
-            slot.store(0, Ordering::Release);
-        }
-        self.scan();
-        let leftovers = std::mem::take(&mut *self.retired.borrow_mut());
-        if !leftovers.is_empty() {
-            self.domain.stash.lock().extend(leftovers);
-        }
-        self.record.active.store(false, Ordering::Release);
-    }
-}
-
-impl std::fmt::Debug for HazardLocal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HazardLocal")
-            .field("retired", &self.retired_count())
-            .finish()
-    }
-}
-
-// --- Hazard eras -----------------------------------------------------
-
-/// Which hazard slot of a record holds the published era. The eras scheme
-/// needs exactly one slot per thread; the remaining [`HP_SLOTS`] stay 0.
-const ERA_SLOT: usize = 0;
-
 /// Retirements accumulated on a thread before its next unpin scans.
 const ERA_SCAN_THRESHOLD: usize = 32;
 
@@ -305,9 +108,8 @@ struct ErasInner {
     /// Global era clock. Starts at 1 so a published 0 means "unpinned";
     /// bumped on every retirement.
     era: AtomicUsize,
-    /// Same record registry + orphan stash the address-based scheme uses;
-    /// a record's [`ERA_SLOT`] holds an era instead of a pointer, and
-    /// stashed retirees carry their retirement era instead of an address.
+    /// Record registry + orphan stash; stashed retirees carry their
+    /// retirement era.
     domain: DomainInner,
     /// Set when the owning [`HazardEras`] is dropped: no guards can exist
     /// any more, so registry entries may be evicted.
@@ -330,7 +132,7 @@ impl ErasLocal {
         let count = self.guard_count.get();
         if count == 0 {
             let era = self.inner.era.load(Ordering::SeqCst);
-            self.record.slots[ERA_SLOT].store(era, Ordering::SeqCst);
+            self.record.era.store(era, Ordering::SeqCst);
             // Publish the era before any shared read; pairs with the
             // fence in `scan`.
             fence(Ordering::SeqCst);
@@ -343,7 +145,7 @@ impl ErasLocal {
         let count = self.guard_count.get() - 1;
         self.guard_count.set(count);
         if count == 0 {
-            self.record.slots[ERA_SLOT].store(0, Ordering::Release);
+            self.record.era.store(0, Ordering::Release);
             if self.retired.borrow().len() >= ERA_SCAN_THRESHOLD {
                 self.scan();
             }
@@ -367,7 +169,7 @@ impl ErasLocal {
         {
             let records = self.inner.domain.records.lock();
             for record in records.iter() {
-                let e = record.slots[ERA_SLOT].load(Ordering::Acquire);
+                let e = record.era.load(Ordering::Acquire);
                 if e != 0 && e < min_era {
                     min_era = e;
                 }
@@ -389,7 +191,7 @@ impl ErasLocal {
 impl Drop for ErasLocal {
     fn drop(&mut self) {
         debug_assert_eq!(self.guard_count.get(), 0, "thread exited while pinned");
-        self.record.slots[ERA_SLOT].store(0, Ordering::Release);
+        self.record.era.store(0, Ordering::Release);
         self.scan();
         let leftovers = std::mem::take(&mut *self.retired.borrow_mut());
         if !leftovers.is_empty() {
@@ -578,7 +380,7 @@ impl std::fmt::Debug for HazardErasGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize as Counter;
+    use std::sync::atomic::{AtomicPtr, AtomicUsize as Counter};
 
     struct DropCounter(Arc<Counter>);
     impl Drop for DropCounter {
@@ -587,94 +389,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn protect_returns_current_pointer() {
-        let domain = HazardDomain::new();
-        let local = domain.register();
-        let boxed = Box::into_raw(Box::new(5u32));
-        let src = AtomicPtr::new(boxed);
-        let p = local.protect(0, &src);
-        assert_eq!(p, boxed);
-        assert_eq!(unsafe { *p }, 5);
-        local.clear(0);
-        drop(unsafe { Box::from_raw(boxed) });
-    }
-
-    #[test]
-    fn protect_null_needs_no_slot() {
-        let domain = HazardDomain::new();
-        let local = domain.register();
-        let src: AtomicPtr<u32> = AtomicPtr::new(std::ptr::null_mut());
-        assert!(local.protect(0, &src).is_null());
-    }
-
-    #[test]
-    fn protected_pointer_survives_scan() {
-        let drops = Arc::new(Counter::new(0));
-        let domain = HazardDomain::new();
-        let protector = domain.register();
-        let retirer = domain.register();
-
-        let ptr = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
-        let src = AtomicPtr::new(ptr);
-        let protected = protector.protect(0, &src);
-        assert_eq!(protected, ptr);
-
-        // Unlink, then retire from the other participant.
-        src.store(std::ptr::null_mut(), Ordering::Release);
-        unsafe { retirer.retire(ptr) };
-        retirer.scan();
-        assert_eq!(drops.load(Ordering::Relaxed), 0, "freed while protected");
-        assert_eq!(retirer.retired_count(), 1);
-
-        protector.clear(0);
-        retirer.scan();
-        assert_eq!(drops.load(Ordering::Relaxed), 1);
-        assert_eq!(retirer.retired_count(), 0);
-    }
-
-    #[test]
-    fn threshold_triggers_scan() {
-        let drops = Arc::new(Counter::new(0));
-        let domain = HazardDomain::new();
-        let local = domain.register();
-        for _ in 0..SCAN_THRESHOLD {
-            let ptr = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
-            unsafe { local.retire(ptr) };
-        }
-        assert_eq!(drops.load(Ordering::Relaxed), SCAN_THRESHOLD);
-    }
-
-    #[test]
-    fn orphaned_retirees_adopted_or_freed_at_domain_drop() {
-        let drops = Arc::new(Counter::new(0));
-        let domain = HazardDomain::new();
-        {
-            let local = domain.register();
-            let ptr = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
-            // Protect it ourselves so our own drop-scan cannot free it...
-            let src = AtomicPtr::new(ptr);
-            let other = domain.register();
-            other.protect(0, &src);
-            unsafe { local.retire(ptr) };
-            drop(local); // stashes the (still protected) retiree
-            assert_eq!(drops.load(Ordering::Relaxed), 0);
-            drop(other);
-        }
-        drop(domain);
-        assert_eq!(drops.load(Ordering::Relaxed), 1);
-    }
-
+    /// Threads that exit hand their record back; the next thread to
+    /// register claims it instead of growing the registry.
     #[test]
     fn record_reuse_after_exit() {
-        let domain = HazardDomain::new();
+        let he = Arc::new(HazardEras::new());
         for _ in 0..5 {
-            let l = domain.register();
-            assert_eq!(domain.participants(), 1);
-            drop(l);
+            let he = Arc::clone(&he);
+            std::thread::spawn(move || drop(he.pin())).join().unwrap();
         }
-        assert_eq!(domain.participants(), 0);
-        assert_eq!(domain.inner.records.lock().len(), 1);
+        let records = he.inner.domain.records.lock();
+        assert_eq!(records.len(), 1);
+        assert!(!records[0].active.load(Ordering::Relaxed));
+    }
+
+    /// A thread that exits while its retiree is still covered by another
+    /// pin stashes it; dropping the collector frees it.
+    #[test]
+    fn orphaned_retirees_freed_at_collector_drop() {
+        let drops = Arc::new(Counter::new(0));
+        let he = Arc::new(HazardEras::new());
+        let outer = he.pin();
+        {
+            let (he, drops) = (Arc::clone(&he), Arc::clone(&drops));
+            std::thread::spawn(move || eras_retire_counter(&he, &drops))
+                .join()
+                .unwrap();
+        }
+        assert_eq!(he.inner.domain.stash.lock().len(), 1, "exit stashes");
+        drop(outer);
+        assert_eq!(drops.load(Ordering::Relaxed), 0);
+        drop(he);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
     }
 
     fn eras_retire_counter(he: &HazardEras, drops: &Arc<Counter>) {
@@ -811,59 +557,6 @@ mod tests {
             }
             std::thread::sleep(std::time::Duration::from_micros(100));
         }
-        assert_eq!(
-            drops.load(Ordering::Relaxed),
-            allocs.load(Ordering::Relaxed),
-            "every allocation freed exactly once"
-        );
-    }
-
-    #[test]
-    fn concurrent_protect_retire_stress() {
-        const ITERS: usize = 2_000;
-        let drops = Arc::new(Counter::new(0));
-        let allocs = Arc::new(Counter::new(0));
-        let domain = HazardDomain::new();
-        let shared: AtomicPtr<DropCounter> = AtomicPtr::new(std::ptr::null_mut());
-
-        std::thread::scope(|s| {
-            // Writer: repeatedly swaps in a new allocation and retires
-            // the one it displaced.
-            for _ in 0..2 {
-                s.spawn(|| {
-                    let local = domain.register();
-                    for _ in 0..ITERS {
-                        allocs.fetch_add(1, Ordering::Relaxed);
-                        let fresh = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
-                        let old = shared.swap(fresh, Ordering::AcqRel);
-                        if !old.is_null() {
-                            unsafe { local.retire(old) };
-                        }
-                    }
-                });
-            }
-            // Readers: protect and dereference.
-            for _ in 0..2 {
-                s.spawn(|| {
-                    let local = domain.register();
-                    for _ in 0..ITERS {
-                        let p = local.protect(0, &shared);
-                        if !p.is_null() {
-                            // Dereference under protection: must not be freed.
-                            let _ = unsafe { &(*p).0 };
-                        }
-                        local.clear(0);
-                    }
-                });
-            }
-        });
-
-        // Free the last published element.
-        let last = shared.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if !last.is_null() {
-            drop(unsafe { Box::from_raw(last) });
-        }
-        drop(domain);
         assert_eq!(
             drops.load(Ordering::Relaxed),
             allocs.load(Ordering::Relaxed),

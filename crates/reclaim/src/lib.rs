@@ -9,16 +9,15 @@
 //! * [`Ebr`] — epoch-based reclamation (global epoch, per-thread
 //!   participant slots, deferred-destruction bags). This is the scheme
 //!   the tree ships with.
-//! * [`HazardDomain`] / [`HazardLocal`] — Michael-style hazard pointers.
-//!   Provided and fully tested as a substrate (see [`TreiberStack`]), but
-//!   *not* used for the tree: NM-BST seeks may traverse nodes whose
-//!   incoming edge is already marked, and a plain per-node hazard pointer
-//!   cannot be validated against such a path (the paper waves at hazard
-//!   pointers; published follow-up work restructures the traversal to
-//!   make them sound — out of scope here, documented in `hazard`).
-//! * [`HazardEras`] — the hazard-record machinery protecting an *era*
-//!   instead of an address. Needs no per-node validation, so the tree can
-//!   (and its whitebox helping-path tests do) run on it.
+//! * [`HazardEras`] — hazard-pointer record machinery protecting an
+//!   *era* instead of an address. Needs no per-node validation, so the
+//!   tree can (and its whitebox helping-path tests do) run on it.
+//!   Per-address (Michael-style) hazard pointers are not provided: NM-BST
+//!   seeks traverse nodes whose incoming edge is already marked, and a
+//!   plain per-node hazard pointer cannot be validated against such a
+//!   path (the paper waves at hazard pointers; published follow-up work
+//!   restructures the traversal to make them sound — out of scope here,
+//!   documented in `hazard`).
 //! * [`Leaky`] — the paper-faithful no-op reclaimer used by the benchmark
 //!   harness so that Figure 4 is measured under the paper's conditions.
 //!
@@ -41,14 +40,12 @@ pub mod ebr;
 pub mod hazard;
 mod leaky;
 mod pool;
-mod stack;
 
 pub use deferred::Deferred;
 pub use ebr::{Ebr, EbrGuard};
-pub use hazard::{HazardDomain, HazardEras, HazardErasGuard, HazardLocal};
+pub use hazard::{HazardEras, HazardErasGuard};
 pub use leaky::{Leaky, LeakyGuard};
 pub use pool::{NodePool, PoolStats};
-pub use stack::TreiberStack;
 
 /// Point-in-time reclamation health gauges (see [`Reclaim::gauges`]).
 ///

@@ -57,10 +57,7 @@ use crate::conn::{Conn, FillOutcome, NextFrame};
 use crate::sys::{
     set_nonblocking, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use crate::wire::{
-    self, op_name, BatchOp, BatchReply, MetricsFormat, Request, Response, OP_BATCH, OP_COUNT,
-    STATUS_OK,
-};
+use crate::wire::{self, op_name, MetricsFormat, Request, Response, OP_BATCH, OP_COUNT, STATUS_OK};
 use nmbst::obs::slow::SlowRing;
 use nmbst::obs::{Histogram, ServeGauges, SlowOp, SLOW_EVENTS};
 use nmbst::{BatchCmd, BatchScratch, BatchVerdict, Ebr, ShardedMap, ShardedMapHandle, TreeConfig};
@@ -104,13 +101,6 @@ pub struct ServerConfig {
     /// The buffer may overshoot by one response (responses are queued
     /// whole), so this is a watermark, not a hard cap. Default 256 KiB.
     pub write_budget: usize,
-    /// Execute BATCH frames shard-fused: partition by shard, sort each
-    /// shard's run by key, run it through that shard's finger-anchored
-    /// handle, and scatter replies back to request order (default).
-    /// `false` unrolls each batch op through the routing handle in
-    /// request order — the pre-fusion behaviour, kept for A/B
-    /// attribution (the `serving_batch_fusion` perf cell).
-    pub fuse_batches: bool,
 }
 
 impl Default for ServerConfig {
@@ -123,7 +113,6 @@ impl Default for ServerConfig {
             flush_every: 1024,
             slow_frame_ns: 1_000_000,
             write_budget: 256 * 1024,
-            fuse_batches: true,
         }
     }
 }
@@ -214,7 +203,6 @@ pub struct ServerStats {
     frames: AtomicU64,
     wire_errors: AtomicU64,
     batch_fused_ops: AtomicU64,
-    batch_single_ops: AtomicU64,
     encode_bytes: Box<[AtomicU64]>,
     timing: Box<[Mutex<WorkerTiming>]>,
     serve: Box<[CachePadded<WorkerServe>]>,
@@ -238,7 +226,6 @@ impl ServerStats {
             frames: AtomicU64::new(0),
             wire_errors: AtomicU64::new(0),
             batch_fused_ops: AtomicU64::new(0),
-            batch_single_ops: AtomicU64::new(0),
             encode_bytes: (0..OP_COUNT).map(|_| AtomicU64::new(0)).collect(),
             timing: (0..workers)
                 .map(|_| Mutex::new(WorkerTiming::new()))
@@ -355,12 +342,6 @@ impl ServerStats {
     /// hard-fails if a fused server serves a replay with this at zero.
     pub fn batch_fused_ops(&self) -> u64 {
         self.batch_fused_ops.load(Ordering::Relaxed)
-    }
-
-    /// BATCH ops executed unrolled in request order through the routing
-    /// handle (`fuse_batches: false`, the A/B control arm).
-    pub fn batch_single_ops(&self) -> u64 {
-        self.batch_single_ops.load(Ordering::Relaxed)
     }
 
     /// Response-frame bytes encoded per opcode (body + 4-byte length
@@ -486,7 +467,6 @@ impl Server {
                 let rr = Arc::clone(&rr);
                 let flush_every = config.flush_every.max(1);
                 let write_budget = config.write_budget.max(1);
-                let fuse_batches = config.fuse_batches;
                 std::thread::Builder::new()
                     .name(format!("nmbst-worker-{w}"))
                     .spawn(move || {
@@ -500,7 +480,6 @@ impl Server {
                             &stop,
                             flush_every,
                             write_budget,
-                            fuse_batches,
                         )
                     })
             })
@@ -604,7 +583,6 @@ fn worker_loop(
     stop: &AtomicBool,
     flush_every: u32,
     write_budget: usize,
-    fuse_batches: bool,
 ) {
     let epoll = match Epoll::new() {
         Ok(e) => e,
@@ -631,7 +609,7 @@ fn worker_loop(
         rr,
         stats,
         stop,
-        engine: Engine::new(idx, store, stats, fuse_batches, flush_every),
+        engine: Engine::new(idx, store, stats, flush_every),
         slab: Vec::new(),
         free: Vec::new(),
         write_budget,
@@ -939,7 +917,6 @@ struct Engine<'a> {
     store: &'a Store,
     stats: &'a ServerStats,
     handle: ShardedMapHandle<'a, u64, u64, Ebr>,
-    fuse_batches: bool,
     flush_every: u32,
     ops_since_flush: u32,
     batch_cmds: Vec<BatchCmd<u64, u64>>,
@@ -952,7 +929,6 @@ impl<'a> Engine<'a> {
         worker: usize,
         store: &'a Store,
         stats: &'a ServerStats,
-        fuse_batches: bool,
         flush_every: u32,
     ) -> Engine<'a> {
         Engine {
@@ -960,7 +936,6 @@ impl<'a> Engine<'a> {
             store,
             stats,
             handle: store.handle(),
-            fuse_batches,
             flush_every: flush_every.max(1),
             ops_since_flush: 0,
             batch_cmds: Vec::new(),
@@ -994,19 +969,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The BATCH fast path: decode into scratch, execute (fused or
-    /// unrolled per config), encode verdicts in request order.
+    /// The BATCH fast path: decode into scratch, execute shard-fused,
+    /// encode verdicts in request order.
     fn serve_batch(&mut self, body: &[u8], wbuf: &mut Vec<u8>) -> bool {
         let t0 = Instant::now();
         self.batch_cmds.clear();
         let cmds = &mut self.batch_cmds;
-        let decoded = wire::decode_batch_ops(body, |op| {
-            cmds.push(match op {
-                BatchOp::Get(k) => BatchCmd::Get(k),
-                BatchOp::Insert(k, v) => BatchCmd::Insert(k, v),
-                BatchOp::Remove(k) => BatchCmd::Remove(k),
-            })
-        });
+        let decoded = wire::decode_batch_ops(body, |op| cmds.push(op));
         let t1 = Instant::now();
         if let Err(e) = decoded {
             return self.wire_error(&e, wbuf);
@@ -1014,47 +983,20 @@ impl<'a> Engine<'a> {
         let n_ops = self.batch_cmds.len() as u64;
         self.stats.worker_ops[self.worker].fetch_add(n_ops, Ordering::Relaxed);
         self.ops_since_flush = self.ops_since_flush.saturating_add(n_ops as u32);
-        if self.fuse_batches {
-            self.handle.execute_batch(
-                &self.batch_cmds,
-                &mut self.batch_scratch,
-                &mut self.batch_out,
-            );
-            self.stats
-                .batch_fused_ops
-                .fetch_add(n_ops, Ordering::Relaxed);
-        } else {
-            // A/B control arm: request order through the routing handle,
-            // exactly what `execute` did before fusion.
-            self.batch_out.clear();
-            for cmd in &self.batch_cmds {
-                self.batch_out.push(match cmd {
-                    BatchCmd::Get(k) => match self.handle.get(k) {
-                        Some(v) => BatchVerdict::Found(v),
-                        None => BatchVerdict::Missing,
-                    },
-                    BatchCmd::Insert(k, v) => BatchVerdict::Added(self.handle.insert(*k, *v)),
-                    BatchCmd::Remove(k) => BatchVerdict::Removed(self.handle.remove(k)),
-                });
-            }
-            self.stats
-                .batch_single_ops
-                .fetch_add(n_ops, Ordering::Relaxed);
-        }
+        self.handle.execute_batch(
+            &self.batch_cmds,
+            &mut self.batch_scratch,
+            &mut self.batch_out,
+        );
+        self.stats
+            .batch_fused_ops
+            .fetch_add(n_ops, Ordering::Relaxed);
         let t2 = Instant::now();
         let mark = wire::begin_frame(wbuf);
         wbuf.push(STATUS_OK);
         wbuf.extend_from_slice(&(self.batch_out.len() as u32).to_le_bytes());
-        for v in &self.batch_out {
-            wire::encode_batch_reply(
-                wbuf,
-                match *v {
-                    BatchVerdict::Found(x) => BatchReply::Found(x),
-                    BatchVerdict::Missing => BatchReply::Missing,
-                    BatchVerdict::Added(b) => BatchReply::Added(b),
-                    BatchVerdict::Removed(b) => BatchReply::Removed(b),
-                },
-            );
+        for &v in &self.batch_out {
+            wire::encode_batch_reply(wbuf, v);
         }
         let frame_bytes = wire::end_frame(wbuf, mark) as u64 + 4;
         self.stats.note_encode(OP_BATCH, frame_bytes);
@@ -1120,30 +1062,24 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Tree operations a request will route through the worker's handle.
+/// Tree operations a non-BATCH request routes through the worker's
+/// handle: one for a point op. SCAN/METRICS/PING/SLOWLOG read through
+/// the store front end, not the pinned handle.
 fn op_count(req: &Request) -> u64 {
-    match req {
-        Request::Get(_) | Request::Insert(..) | Request::Remove(_) => 1,
-        Request::Batch(ops) => ops.len() as u64,
-        // SCAN/METRICS/PING/SLOWLOG read through the store front end,
-        // not the pinned handle; they don't count toward handle-routed
-        // ops.
-        Request::Scan { .. } | Request::Metrics(_) | Request::Ping | Request::SlowLog { .. } => 0,
-    }
+    u64::from(matches!(
+        req,
+        Request::Get(_) | Request::Insert(..) | Request::Remove(_)
+    ))
 }
 
 /// The key a slow-frame record carries: the op's target when the
-/// request has one obvious key, else 0. A batch frame reports its first
-/// op's key — enough to find the offending trace in a replay log.
+/// request has one obvious key, else 0. (BATCH frames report their
+/// first op's key from `Engine::serve_batch`.)
 fn slow_key(req: &Request) -> u64 {
     match req {
         Request::Get(k) | Request::Insert(k, _) | Request::Remove(k) => *k,
-        Request::Batch(ops) => match ops.first() {
-            Some(BatchOp::Get(k) | BatchOp::Insert(k, _) | BatchOp::Remove(k)) => *k,
-            None => 0,
-        },
         Request::Scan { lo, .. } => *lo,
-        Request::Metrics(_) | Request::Ping | Request::SlowLog { .. } => 0,
+        _ => 0,
     }
 }
 
@@ -1157,28 +1093,11 @@ fn execute(
         Request::Get(k) => Response::Get(handle.get(k)),
         Request::Insert(k, v) => Response::Insert(handle.insert(*k, *v)),
         Request::Remove(k) => Response::Remove(handle.remove(k)),
-        Request::Batch(ops) => {
-            // Not reached from the reactor: BATCH frames are
-            // intercepted by first byte and served through the engine's
-            // fused scratch path before a `Request` is built. Kept so
-            // `execute` stays total over `Request` for any future
-            // non-reactor caller; executes in request order.
-            let replies = ops
-                .iter()
-                .map(|op| match op {
-                    BatchOp::Get(k) => match handle.get(k) {
-                        Some(v) => BatchReply::Found(v),
-                        None => BatchReply::Missing,
-                    },
-                    BatchOp::Insert(k, v) => BatchReply::Added(handle.insert(*k, *v)),
-                    BatchOp::Remove(k) => BatchReply::Removed(handle.remove(k)),
-                })
-                .collect();
-            Response::Batch(replies)
-        }
+        Request::Batch(_) => unreachable!("BATCH frames are served by Engine::serve_batch"),
         Request::Scan { lo, hi, max } => {
-            let mut entries = store.range_collect(*lo..=*hi);
             let cap = if *max == 0 { usize::MAX } else { *max as usize };
+            // One entry past the cap is enough to tell whether it cut.
+            let mut entries = store.range_collect_limit(*lo..=*hi, cap.saturating_add(1));
             let truncated = entries.len() > cap;
             entries.truncate(cap);
             Response::Scan { entries, truncated }
@@ -1244,7 +1163,7 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
                 .collect();
             format!(
                 "{{\"tree\":{},\"server\":{{\"connections\":{},\"frames\":{},\
-                 \"wire_errors\":{},\"batch_fused_ops\":{},\"batch_single_ops\":{},\
+                 \"wire_errors\":{},\"batch_fused_ops\":{},\
                  \"worker_ops\":[{}],\"encode_bytes\":{{{}}},\"timing\":{{{}}},\
                  \"slow_frames\":{},\"serve\":{{\"open_connections\":[{}],\
                  \"read_paused_connections\":[{}],\"write_buffered_bytes\":[{}],\
@@ -1254,7 +1173,6 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
                 stats.frames(),
                 stats.wire_errors(),
                 stats.batch_fused_ops(),
-                stats.batch_single_ops(),
                 ops.join(","),
                 encoded.join(","),
                 timing.join(","),
@@ -1290,15 +1208,6 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
             out.push_str(&format!(
                 "nmbst_server_batch_fused_ops_total {}\n",
                 stats.batch_fused_ops()
-            ));
-            out.push_str(
-                "# HELP nmbst_server_batch_single_ops_total BATCH ops executed unrolled in \
-                 request order (fusion disabled).\n",
-            );
-            out.push_str("# TYPE nmbst_server_batch_single_ops_total counter\n");
-            out.push_str(&format!(
-                "nmbst_server_batch_single_ops_total {}\n",
-                stats.batch_single_ops()
             ));
             // Encode-bytes counters: one labelled series per opcode that
             // has encoded a response; header only when at least one
@@ -1443,15 +1352,11 @@ pub mod testing {
     /// Slow-frame capture is disabled (threshold 0) and the stats flush
     /// interval is effectively infinite, so `serve` does only what a
     /// steady-state reactor frame does.
-    pub fn with_local_engine<T>(
-        shards: usize,
-        fuse_batches: bool,
-        f: impl FnOnce(&mut LocalEngine<'_>) -> T,
-    ) -> T {
+    pub fn with_local_engine<T>(shards: usize, f: impl FnOnce(&mut LocalEngine<'_>) -> T) -> T {
         let store = Store::with_config(shards.max(1), TreeConfig::default());
         let stats = ServerStats::new(1, 0);
         let mut local = LocalEngine {
-            engine: Engine::new(0, &store, &stats, fuse_batches, u32::MAX),
+            engine: Engine::new(0, &store, &stats, u32::MAX),
         };
         f(&mut local)
     }

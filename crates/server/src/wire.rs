@@ -109,29 +109,14 @@ pub enum MetricsFormat {
     Prometheus,
 }
 
-/// One operation inside a BATCH request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchOp {
-    /// Point lookup.
-    Get(u64),
-    /// Insert key → value (rejected if the key exists).
-    Insert(u64, u64),
-    /// Remove a key.
-    Remove(u64),
-}
+/// One operation inside a BATCH request: the store's own batch command,
+/// so decoded frames feed [`nmbst::ShardedMapHandle::execute_batch`]
+/// without conversion.
+pub type BatchOp = nmbst::BatchCmd<u64, u64>;
 
-/// One reply inside a BATCH response, request order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchReply {
-    /// GET hit, with the value.
-    Found(u64),
-    /// GET miss.
-    Missing,
-    /// INSERT outcome: `true` = key added.
-    Added(bool),
-    /// REMOVE outcome: `true` = key was present.
-    Removed(bool),
-}
+/// One reply inside a BATCH response, request order: the store's own
+/// batch verdict, encoded as it comes out of `execute_batch`.
+pub type BatchReply = nmbst::BatchVerdict<u64>;
 
 /// A decoded request frame.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -42,7 +42,7 @@ fn decode_reply(frame: &[u8], for_op: u8) -> Response {
 /// losing it.
 #[test]
 fn forced_batch_finger_abandons_keep_replies_correct() {
-    with_local_engine(2, true, |eng| {
+    with_local_engine(2, |eng| {
         let inserts: Vec<BatchOp> = (0..64).map(|k| BatchOp::Insert(k, k * 3)).collect();
         let mut out = Vec::new();
         assert!(eng.serve(&encode_req(&Request::Batch(inserts)), &mut out));
@@ -98,7 +98,7 @@ fn forced_batch_finger_abandons_keep_replies_correct() {
 /// engine layer where it is deterministic.
 #[test]
 fn fused_batches_hit_the_finger_without_injection() {
-    with_local_engine(2, true, |eng| {
+    with_local_engine(2, |eng| {
         let inserts: Vec<BatchOp> = (0..256).map(|k| BatchOp::Insert(k, k)).collect();
         let mut out = Vec::new();
         assert!(eng.serve(&encode_req(&Request::Batch(inserts)), &mut out));

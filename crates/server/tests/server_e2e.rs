@@ -372,8 +372,9 @@ fn malformed_frame_drops_connection_not_server() {
 /// deliberately interleaved in request order: the fused engine
 /// partitions by shard, sorts each run by key, executes per shard, and
 /// must scatter every reply back to its request slot — plus exact
-/// fused-counter accounting (every batched op counted fused, none
-/// unrolled).
+/// fused-counter accounting. A second frame interleaves the same-key
+/// sequence insert, get, remove, get on one key per shard: the
+/// per-shard sort must keep each key's ops in request order.
 #[test]
 fn batch_spanning_all_shards_scatters_to_request_order() {
     const SHARDS: usize = 4;
@@ -432,47 +433,37 @@ fn batch_spanning_all_shards_scatters_to_request_order() {
         ops.len() as u64,
         "every batched op accounted to the fused path"
     );
-    assert_eq!(stats.batch_single_ops(), 0);
     let encode = stats.encode_bytes();
     let batch_bytes = encode.iter().find(|(op, _)| *op == "batch").unwrap().1;
     // 1 status + 4 count + n inserts/removes at 1 byte + n gets at 9 +
     // 1 miss at 1, plus the 4-byte length prefix.
     assert_eq!(batch_bytes, (5 + 2 * n + (9 * n + 1) + 4) as u64);
-    drop(c);
-    server.shutdown();
-}
 
-/// `fuse_batches: false` — the A/B control arm — serves identical
-/// replies through the unrolled request-order path and accounts them
-/// to `batch_single_ops`.
-#[test]
-fn unfused_batches_account_single_ops() {
-    let server = Server::start(ServerConfig {
-        workers: 1,
-        fuse_batches: false,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let mut c = Client::connect(server.addr()).unwrap();
-    let replies = c
-        .batch(&[
-            BatchOp::Insert(1, 10),
-            BatchOp::Get(1),
-            BatchOp::Remove(1),
-            BatchOp::Get(1),
-        ])
-        .unwrap();
+    // Same-key sequences, one key per shard, interleaved step by step.
+    let same_key: Vec<u64> = per_shard.iter().map(|v| v[0]).collect();
+    let (mut seq, mut expected) = (Vec::new(), Vec::new());
+    for step in 0..4 {
+        for &k in &same_key {
+            let (op, reply) = match step {
+                0 => (BatchOp::Insert(k, k + 7), BatchReply::Added(true)),
+                1 => (BatchOp::Get(k), BatchReply::Found(k + 7)),
+                2 => (BatchOp::Remove(k), BatchReply::Removed(true)),
+                _ => (BatchOp::Get(k), BatchReply::Missing),
+            };
+            seq.push(op);
+            expected.push(reply);
+        }
+    }
     assert_eq!(
-        replies,
-        vec![
-            BatchReply::Added(true),
-            BatchReply::Found(10),
-            BatchReply::Removed(true),
-            BatchReply::Missing,
-        ]
+        c.batch(&seq).unwrap(),
+        expected,
+        "same-key replies in request order"
     );
-    assert_eq!(server.stats().batch_single_ops(), 4);
-    assert_eq!(server.stats().batch_fused_ops(), 0);
+    assert_eq!(
+        stats.batch_fused_ops(),
+        (ops.len() + seq.len()) as u64,
+        "every batched op accounted to the fused path"
+    );
     drop(c);
     server.shutdown();
 }

@@ -10,19 +10,34 @@
 //! hits/misses, duplicate inserts, removes of absent keys) so the
 //! node pool cannot legitimately grow mid-measurement — what's being
 //! measured is the serve path, not the tree's amortized pool growth.
+//!
+//! The same allocator bounds SCAN: a capped scan over a large store
+//! allocates in proportion to the cap, not to the store.
 
 use nmbst_server::testing::with_local_engine;
-use nmbst_server::wire::{BatchOp, Request};
+use nmbst_server::wire::{split_frame, BatchOp, FrameSplit, Request, Response, OP_SCAN};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Per thread, so tests running in parallel (and the harness thread
+    // reporting them) do not count into each other's windows. The
+    // engine serves on the calling thread. Const-initialized and
+    // drop-free, so reading them never allocates.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,7 +62,7 @@ fn encode_req(req: &Request) -> Vec<u8> {
 
 #[test]
 fn steady_state_batch_round_trip_allocates_nothing() {
-    with_local_engine(2, true, |eng| {
+    with_local_engine(2, |eng| {
         // Populate even keys 0..512 — outside the measured window.
         let seed: Vec<BatchOp> = (0..256).map(|i| BatchOp::Insert(i * 2, i)).collect();
         let mut out = Vec::new();
@@ -78,14 +93,14 @@ fn steady_state_batch_round_trip_allocates_nothing() {
             assert!(eng.serve(&get_miss, &mut out));
         }
 
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = ALLOCS.get();
         for _ in 0..32 {
             out.clear();
             assert!(eng.serve(&batch_frame, &mut out));
             assert!(eng.serve(&get_hit, &mut out));
             assert!(eng.serve(&get_miss, &mut out));
         }
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = ALLOCS.get();
 
         assert_eq!(
             after - before,
@@ -95,5 +110,48 @@ fn steady_state_batch_round_trip_allocates_nothing() {
             after - before
         );
         assert!(!out.is_empty(), "responses were actually produced");
+    });
+}
+
+/// `SCAN max=10` over the whole key space of a 100k-key store must stop
+/// each shard's walk after the cap, not collect the store and truncate.
+#[test]
+fn capped_scan_allocates_in_proportion_to_the_cap() {
+    const KEYS: u64 = 100_000;
+    with_local_engine(2, |eng| {
+        let mut out = Vec::new();
+        let ks: Vec<u64> = (0..KEYS).collect();
+        for chunk in ks.chunks(1024) {
+            let fill = chunk.iter().map(|&k| BatchOp::Insert(k, k)).collect();
+            assert!(eng.serve(&encode_req(&Request::Batch(fill)), &mut out));
+        }
+        let scan = encode_req(&Request::Scan {
+            lo: 0,
+            hi: u64::MAX,
+            max: 10,
+        });
+        out.clear();
+        let before = BYTES.get();
+        assert!(eng.serve(&scan, &mut out));
+        let bytes = BYTES.get() - before;
+
+        let FrameSplit::Frame { body_len } = split_frame(&out) else {
+            panic!("one complete frame");
+        };
+        let reply = Response::decode(OP_SCAN, &out[4..4 + body_len]).unwrap();
+        let expected: Vec<(u64, u64)> = (0..10).map(|k| (k, k)).collect();
+        assert_eq!(
+            reply,
+            Response::Scan {
+                entries: expected,
+                truncated: true
+            }
+        );
+        // The store holds 1.6 MB of (key, value) pairs; the reply 160 B.
+        let store_bytes = KEYS as usize * 16;
+        assert!(
+            bytes < store_bytes / 100,
+            "SCAN max=10 allocated {bytes} B over a {store_bytes} B store"
+        );
     });
 }

@@ -3,15 +3,14 @@
 //!
 //! The paper assumes removed nodes are never reclaimed (§3.2) and its
 //! evaluation leaks in all implementations (§4). This example shows the
-//! three schemes a real deployment chooses from, and the Treiber stack
-//! that demonstrates hazard pointers where they *are* sound.
+//! schemes a real deployment chooses from.
 //!
 //! ```text
 //! cargo run --release --example reclamation_tour
 //! ```
 
 use nmbst::NmTreeSet;
-use nmbst_reclaim::{Ebr, Leaky, Reclaim, RetireGuard, TreiberStack};
+use nmbst_reclaim::{Ebr, Leaky, Reclaim, RetireGuard};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -67,30 +66,4 @@ fn main() {
     drop(guard);
     drop(ebr); // frees everything pending
     println!("raw EBR: pin / retire / drop cycle ok");
-
-    // ---------- 4. Hazard pointers, where they are sound ---------------
-    // (Not the tree: NM-BST seeks walk through marked nodes, which plain
-    // hazard validation cannot handle — see nmbst_reclaim::hazard docs.)
-    let stack = TreiberStack::new();
-    std::thread::scope(|s| {
-        for t in 0..4 {
-            let stack = &stack;
-            s.spawn(move || {
-                let handle = stack.register();
-                for i in 0..50_000 {
-                    stack.push(t * 50_000 + i);
-                    if i % 2 == 0 {
-                        stack.pop(&handle);
-                    }
-                }
-            });
-        }
-    });
-    let handle = stack.register();
-    let mut drained = 0;
-    while stack.pop(&handle).is_some() {
-        drained += 1;
-    }
-    println!("hazard-pointer Treiber stack: drained {drained} remaining elements");
-    assert_eq!(drained, 4 * 25_000);
 }

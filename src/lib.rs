@@ -5,13 +5,13 @@
 //! crates for the real content:
 //!
 //! * [`nmbst`] — the paper's lock-free external BST (set + map).
-//! * [`nmbst_reclaim`] — epoch-based reclamation, hazard pointers, leaky.
+//! * [`nmbst_reclaim`] — epoch-based reclamation, hazard eras, leaky.
 //! * [`nmbst_baselines`] — EFRB, HJ, BCCO comparators.
 //! * [`nmbst_harness`] — workload generation and throughput running.
 //! * [`nmbst_lincheck`] — linearizability checking.
 
 pub use nmbst::{Key, NmTreeMap, NmTreeSet, TagMode, TreeShape};
-pub use nmbst_reclaim::{Ebr, HazardDomain, Leaky, Reclaim, RetireGuard, TreiberStack};
+pub use nmbst_reclaim::{Ebr, Leaky, Reclaim, RetireGuard};
 
 /// The workspace version.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
