@@ -28,6 +28,10 @@ use nmbst_reclaim::{Ebr, Reclaim};
 /// making the pin cost ~1.5% of its per-op price.
 pub const DEFAULT_REPIN_EVERY: u32 = 64;
 
+/// Keys a multi-get ([`MapHandle::get_many`]) looks up under one guard
+/// before it may re-pin: long calls still let reclamation advance.
+pub(crate) const MANY_CHUNK: usize = 256;
+
 /// A pin-amortizing cursor over an [`NmTreeMap`].
 ///
 /// Obtained from [`NmTreeMap::handle`]. All operations take `&mut self`:
@@ -170,6 +174,19 @@ where
             self.repin();
         }
         self.ops_since_repin += 1;
+    }
+
+    /// Charges `n` searches against the re-pin budget and the search
+    /// counter at once, (re)pinning first if the guard is missing or
+    /// expired: the guard a multi-get's interleaved descents run under.
+    #[inline]
+    pub(crate) fn charge_searches(&mut self, n: usize) {
+        if self.guard.is_none() || self.ops_since_repin >= self.repin_every {
+            self.repin();
+        }
+        let n32 = u32::try_from(n).unwrap_or(u32::MAX);
+        self.ops_since_repin = self.ops_since_repin.saturating_add(n32);
+        self.pending.searches += n as u64;
     }
 
     /// [`NmTreeMap::insert`] through this handle's guard.
@@ -352,6 +369,57 @@ where
             out[idx] = run.get(key);
         }
         out
+    }
+
+    /// Looks up every key of `keys` with interleaved descents: `out` is
+    /// cleared and receives one answer per key, in input order.
+    ///
+    /// Up to 16 descents advance round-robin, one tree level per turn,
+    /// and each prefetches the child it reads next, so the cache misses
+    /// of different keys overlap instead of queueing one behind another
+    /// (DESIGN.md §16). Each answer is what [`get`](Self::get) would
+    /// return at some instant inside the call; each key counts as one
+    /// search in the tree's metrics, and the whole call is one
+    /// [`OpClass::Batch`] latency sample. Unlike
+    /// [`get_batch`](Self::get_batch), nothing is sorted, no finger is
+    /// used, and nothing is allocated beyond `out`'s capacity.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nmbst::NmTreeMap;
+    ///
+    /// let map: NmTreeMap<u64, u64> = NmTreeMap::new();
+    /// let mut h = map.handle();
+    /// h.insert(1, 10);
+    /// h.insert(3, 30);
+    /// let mut out = Vec::new();
+    /// h.get_many(&[3, 2, 1], &mut out);
+    /// assert_eq!(out, vec![Some(30), None, Some(10)]);
+    /// ```
+    pub fn get_many(&mut self, keys: &[K], out: &mut Vec<Option<V>>)
+    where
+        V: Clone,
+    {
+        out.clear();
+        out.resize_with(keys.len(), || None);
+        let timer = self.tree.metrics.call_timer();
+        for chunk in (0..keys.len()).step_by(MANY_CHUNK) {
+            let keys = &keys[chunk..keys.len().min(chunk + MANY_CHUNK)];
+            self.charge_searches(keys.len());
+            let tree = self.tree;
+            let out = &mut out[chunk..];
+            // SAFETY: `charge_searches` left this tree's reclaimer pinned
+            // by `self.guard`, which nothing drops before the call ends.
+            unsafe {
+                crate::tree::search_many(
+                    keys.len(),
+                    |i| (tree, &keys[i]),
+                    |i, v| out[i] = v.cloned(),
+                )
+            };
+        }
+        self.tree.metrics.op_finish(OpClass::Batch, timer);
     }
 
     /// Starts a mixed-op, finger-anchored batch run: a scoped cursor
@@ -627,6 +695,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use super::MANY_CHUNK;
     use crate::{NmTreeMap, NmTreeSet};
     use nmbst_reclaim::{Ebr, Leaky};
 
@@ -687,6 +756,47 @@ mod tests {
                     assert_eq!(got, model.contains(&key), "contains {key}");
                 }
             }
+        }
+    }
+
+    /// The interleaved multi-get answers every key like `get`, in input
+    /// order: hits, misses, duplicates, an empty tree, an empty call, a
+    /// call longer than one guard's chunk, fat and one-key leaves. Each
+    /// key counts as one search.
+    #[test]
+    fn get_many_matches_get_in_input_order() {
+        for leaf_cap in [1, crate::LEAF_CAP] {
+            let map: NmTreeMap<u64, u64, Ebr> =
+                NmTreeMap::with_config(crate::TreeConfig::default().with_leaf_cap(leaf_cap));
+            let mut h = map.handle();
+            let mut out = vec![Some(7)];
+            h.get_many(&[1, 2], &mut out);
+            assert_eq!(out, vec![None, None], "empty tree");
+            let mut state = 0x2545_F491_4F6C_DD1D_u64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for _ in 0..3_000 {
+                let k = next() % 8_192;
+                h.insert(k, k * 3);
+            }
+            let keys: Vec<u64> = (0..MANY_CHUNK * 3 + 17).map(|_| next() % 10_000).collect();
+            let before = {
+                h.flush_stats();
+                map.metrics().searches
+            };
+            h.get_many(&keys, &mut out);
+            let expect: Vec<Option<u64>> = keys.iter().map(|k| map.get(k)).collect();
+            assert_eq!(out, expect, "leaf_cap {leaf_cap}");
+            assert!(out.iter().any(Option::is_none) && out.iter().any(Option::is_some));
+            h.flush_stats();
+            // `map.get` above counted one search per key as well.
+            assert_eq!(map.metrics().searches - before, 2 * keys.len() as u64);
+            h.get_many(&[], &mut out);
+            assert!(out.is_empty());
         }
     }
 

@@ -377,7 +377,8 @@ pub struct LatencySnapshot {
     /// `remove`/`remove_get` calls (sampled).
     pub remove: Histogram,
     /// Whole batch-API calls (`insert_batch`/`remove_batch`/
-    /// `get_batch`/`contains_batch`; one sample per call, every call).
+    /// `get_batch`/`contains_batch`/`MapHandle::get_many`; one sample
+    /// per call, every call).
     pub batch: Histogram,
     /// Whole range-traversal calls (`range_for_each` and everything on
     /// top of it; one sample per call, every call).

@@ -65,8 +65,8 @@ pub enum OpClass {
     Insert = 1,
     /// `remove` / `remove_get`.
     Remove = 2,
-    /// A whole `insert_batch` / `remove_batch` / `get_batch` call
-    /// (timed per call, not per key).
+    /// A whole `insert_batch` / `remove_batch` / `get_batch` call, or a
+    /// `MapHandle::get_many` call (timed per call, not per key).
     Batch = 3,
     /// A whole `range_for_each` / `range_collect` call.
     Range = 4,

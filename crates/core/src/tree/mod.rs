@@ -12,6 +12,7 @@ mod write;
 
 pub use validate::TreeShape;
 
+pub(crate) use read::search_many;
 pub(crate) use seek::SeekRecord;
 
 use crate::handle::MapHandle;

@@ -2,7 +2,131 @@
 //! and weakly consistent traversal.
 
 use super::{NmTreeMap, SeekRecord};
-use nmbst_reclaim::Reclaim;
+use crate::node::{prefetch, Node};
+use nmbst_reclaim::{NodePool, Reclaim};
+
+/// Descents an interleaved multi-get keeps in flight (see
+/// [`search_many`]). A descent waits on one cache miss per level, so
+/// `G` of them advanced round-robin overlap up to `G` misses. In the
+/// sweep in EXPERIMENTS.md, 32 beats 16 only on calls of more than 16
+/// keys; the GET runs the server forms average under 10.
+pub(crate) const SEARCH_LANES: usize = 16;
+
+/// One in-flight descent of [`search_many`].
+struct Lane<'m, K, V> {
+    /// The arena of the tree this descent walks (lanes of one call may
+    /// walk different trees).
+    arena: &'m NodePool,
+    key: &'m K,
+    /// Position of the key in the caller's query order.
+    idx: usize,
+    /// The node this lane reads next, prefetched when it was reached.
+    node: *mut Node<K, V>,
+}
+
+/// The paper's search (Algorithm 2, lines 34–39) for `n` keys at once:
+/// up to [`SEARCH_LANES`] root-to-leaf descents advanced round-robin,
+/// one level per turn, each issuing a prefetch for the child it will
+/// read on its next turn. A lone descent stalls on every level's miss;
+/// interleaved descents keep that many misses in flight. A search only
+/// loads, so interleaving needs no synchronisation, and each key's
+/// answer is exactly what a lone [`contains`](NmTreeMap::contains)
+/// descent at some instant inside the call would return.
+///
+/// `query(i)` names the tree and key of query `i` and is called once per
+/// `i`, in order. `found(i, value)` reports each answer, in completion
+/// order; `value` borrows the leaf block and is valid only during the
+/// call.
+///
+/// # Safety
+///
+/// Every tree `query` returns must have its reclaimer pinned by a guard
+/// held across the whole call.
+pub(crate) unsafe fn search_many<'m, K, V, R>(
+    n: usize,
+    mut query: impl FnMut(usize) -> (&'m NmTreeMap<K, V, R>, &'m K),
+    mut found: impl FnMut(usize, Option<&V>),
+) where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + 'm,
+{
+    let mut next = 0;
+    let mut lanes: [Option<Lane<'m, K, V>>; SEARCH_LANES] = [const { None }; SEARCH_LANES];
+    let mut live = 0;
+    for slot in lanes.iter_mut() {
+        // SAFETY: forwarded contract.
+        *slot = unsafe { launch(n, &mut next, &mut query, &mut found) };
+        live += usize::from(slot.is_some());
+    }
+    while live > 0 {
+        for slot in lanes.iter_mut() {
+            let Some(lane) = slot else { continue };
+            // SAFETY: `lane.node` was read from a live edge of a pinned
+            // tree.
+            let node = unsafe { &*lane.node };
+            let child = node.child_for_fin(lane.key).load(lane.arena).ptr();
+            if child.is_null() {
+                // `node` is the leaf; published blocks are immutable.
+                found(
+                    lane.idx,
+                    node.find(lane.key).ok().map(|pos| &node.entry_vals()[pos]),
+                );
+                // SAFETY: forwarded contract.
+                *slot = unsafe { launch(n, &mut next, &mut query, &mut found) };
+                live -= usize::from(slot.is_none());
+            } else {
+                prefetch(child);
+                lane.node = child;
+            }
+        }
+    }
+}
+
+/// Starts the descent of the next unanswered query of [`search_many`],
+/// or returns `None` once all `n` have started. A tree whose user area
+/// is one sentinel leaf answers at once (`found(i, None)`), and the next
+/// query is tried instead.
+///
+/// # Safety
+///
+/// As [`search_many`].
+unsafe fn launch<'m, K, V, R>(
+    n: usize,
+    next: &mut usize,
+    query: &mut impl FnMut(usize) -> (&'m NmTreeMap<K, V, R>, &'m K),
+    found: &mut impl FnMut(usize, Option<&V>),
+) -> Option<Lane<'m, K, V>>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + 'm,
+{
+    while *next < n {
+        let idx = *next;
+        *next += 1;
+        let (tree, key) = query(idx);
+        let arena = tree.arena();
+        // SAFETY: pinned per the contract; the sentinel prefix is
+        // hardcoded exactly as in `search_leaf`.
+        let node = unsafe {
+            let top = (*tree.s_node()).left.load(arena).ptr();
+            (*top).left.load(arena).ptr()
+        };
+        if node.is_null() {
+            found(idx, None);
+            continue;
+        }
+        prefetch(node);
+        return Some(Lane {
+            arena,
+            key,
+            idx,
+            node,
+        });
+    }
+    None
+}
 
 impl<K, V, R> NmTreeMap<K, V, R>
 where

@@ -83,6 +83,39 @@ fn handle_agrees_with_plain_front_end() {
     assert_eq!(map.len(), 510);
 }
 
+/// The sharded multi-get interleaves descents across shards and answers
+/// in input order, exactly like routed `get`; each key is one search in
+/// its shard's counters.
+#[test]
+fn get_many_interleaves_across_shards_in_input_order() {
+    let map: ShardedMap<u64, u64, Ebr> = ShardedMap::with_shards(4);
+    let mut h = map.handle();
+    let mut out = Vec::new();
+    h.get_many(&[5, 6], &mut out);
+    assert_eq!(out, vec![None, None], "empty shards");
+    for k in (0..4_000).step_by(3) {
+        h.insert(k, k + 1);
+    }
+    let mut rng = Rng(11);
+    let keys: Vec<u64> = (0..1_000).map(|_| rng.next() % 4_200).collect();
+    assert!(
+        (0..4).all(|s| keys.iter().any(|k| map.shard_of(k) == s)),
+        "keys in every shard"
+    );
+    h.flush_stats();
+    let before = map.metrics().searches;
+    h.get_many(&keys, &mut out);
+    h.flush_stats();
+    assert_eq!(map.metrics().searches - before, keys.len() as u64);
+    let expect: Vec<Option<u64>> = keys.iter().map(|k| map.get(k)).collect();
+    assert_eq!(out, expect);
+    assert_eq!(
+        h.get_batch(keys.iter().copied()),
+        expect,
+        "get_batch wraps it"
+    );
+}
+
 #[test]
 fn bulk_extend_routes_and_keeps_first_duplicate() {
     let mut map: ShardedMap<u64, u64, Ebr> = ShardedMap::with_shards(5);

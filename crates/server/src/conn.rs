@@ -38,8 +38,8 @@ use std::net::TcpStream;
 
 use crate::wire::{split_frame, FrameSplit};
 
-/// Read chunk size. One syscall per chunk; big enough that a burst of
-/// pipelined GETs (17-byte frames) arrives in one read.
+/// Free space offered to each read syscall; big enough that a burst of
+/// pipelined GETs (13-byte frames) arrives in one read.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// What [`Conn::fill`] observed on the socket.
@@ -76,11 +76,15 @@ pub(crate) enum NextFrame {
 /// One client connection owned by a reactor worker.
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
-    /// Partial-frame assembly buffer: bytes read but not yet consumed
-    /// as frames. `rpos` is the parse cursor; consumed bytes are
-    /// compacted away between readiness events, not on every frame.
+    /// Partial-frame assembly buffer: `rbuf[rpos..rend]` holds bytes
+    /// read but not yet consumed as frames, and `rbuf[rend..]` is free
+    /// space the socket reads into directly. `rpos` is the parse cursor;
+    /// consumed bytes are compacted away between readiness events, not
+    /// on every frame. The buffer only grows (zero-filled once) when its
+    /// free tail is shorter than `READ_CHUNK`.
     rbuf: Vec<u8>,
     rpos: usize,
+    rend: usize,
     /// Not-yet-written response bytes: whole length-prefixed frames,
     /// encoded in place. `wpos` is the flush cursor — `flush` advances
     /// it instead of draining the front, and the buffer is reset (not
@@ -104,6 +108,7 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             rpos: 0,
+            rend: 0,
             wbuf: Vec::new(),
             wpos: 0,
             read_paused: false,
@@ -112,15 +117,21 @@ impl Conn {
         }
     }
 
-    /// Reads until `WouldBlock` or EOF. Returns `Err` only on fatal
-    /// socket errors (reset, etc.) — the caller drops the connection.
+    /// Reads until `WouldBlock` or EOF, straight into the assembly
+    /// buffer's free tail. Returns `Err` only on fatal socket errors
+    /// (reset, etc.) — the caller drops the connection.
     pub(crate) fn fill(&mut self) -> io::Result<FillOutcome> {
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            match self.stream.read(&mut chunk) {
+            if self.rbuf.len() - self.rend < READ_CHUNK {
+                self.compact();
+                if self.rbuf.len() - self.rend < READ_CHUNK {
+                    self.rbuf.resize(self.rend + READ_CHUNK, 0);
+                }
+            }
+            match self.stream.read(&mut self.rbuf[self.rend..]) {
                 Ok(0) => return Ok(FillOutcome::Eof),
                 Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    self.rend += n;
                     // A short read usually means the socket is drained;
                     // loop anyway — the next read returns WouldBlock
                     // and settles it (level-triggered epoll would also
@@ -139,7 +150,7 @@ impl Conn {
     /// loop after `fill` — pipelined peers deliver many frames per
     /// readiness event.
     pub(crate) fn next_frame(&mut self) -> NextFrame {
-        match split_frame(&self.rbuf[self.rpos..]) {
+        match split_frame(&self.rbuf[self.rpos..self.rend]) {
             FrameSplit::Frame { body_len } => {
                 let start = self.rpos + 4;
                 self.rpos = start + body_len;
@@ -165,13 +176,20 @@ impl Conn {
         (&self.rbuf[start..start + len], &mut self.wbuf)
     }
 
-    /// Drops consumed bytes from the front of the assembly buffer. Runs
+    /// The write buffer alone, for responses not tied to a frame range
+    /// (the engine's pending GET run).
+    pub(crate) fn wbuf(&mut self) -> &mut Vec<u8> {
+        &mut self.wbuf
+    }
+
+    /// Moves unconsumed bytes to the front of the assembly buffer. Runs
     /// when parsing pauses (no complete frame / backpressure), so the
     /// common fast path — many whole frames in one buffer — pays one
     /// memmove per readiness event, not per frame.
     pub(crate) fn compact(&mut self) {
         if self.rpos > 0 {
-            self.rbuf.drain(..self.rpos);
+            self.rbuf.copy_within(self.rpos..self.rend, 0);
+            self.rend -= self.rpos;
             self.rpos = 0;
         }
     }
@@ -278,12 +296,12 @@ mod tests {
             // Wait for the byte to land so each fill sees exactly one.
             loop {
                 match conn.fill().unwrap() {
-                    FillOutcome::Open if conn.rbuf.len() > conn.rpos => break,
+                    FillOutcome::Open if conn.rend > conn.rpos => break,
                     FillOutcome::Open => std::thread::yield_now(),
                     FillOutcome::Eof => panic!("peer alive"),
                 }
             }
-            if conn.rbuf.len() - conn.rpos < wire.len() {
+            if conn.rend - conn.rpos < wire.len() {
                 assert_eq!(next_body(&mut conn), None);
             }
         }
@@ -299,7 +317,7 @@ mod tests {
         tx.write_all(&wire).unwrap();
         loop {
             conn.fill().unwrap();
-            if conn.rbuf.len() - conn.rpos >= wire.len() {
+            if conn.rend - conn.rpos >= wire.len() {
                 break;
             }
             std::thread::yield_now();
@@ -321,7 +339,7 @@ mod tests {
         tx.write_all(&(MAX_FRAME as u32 + 1).to_le_bytes()).unwrap();
         loop {
             conn.fill().unwrap();
-            if conn.rbuf.len() >= 4 {
+            if conn.rend >= 4 {
                 break;
             }
             std::thread::yield_now();

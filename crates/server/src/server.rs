@@ -57,7 +57,9 @@ use crate::conn::{Conn, FillOutcome, NextFrame};
 use crate::sys::{
     set_nonblocking, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use crate::wire::{self, op_name, MetricsFormat, Request, Response, OP_BATCH, OP_COUNT, STATUS_OK};
+use crate::wire::{
+    self, op_name, MetricsFormat, Request, Response, OP_BATCH, OP_COUNT, OP_GET, STATUS_OK,
+};
 use nmbst::obs::slow::SlowRing;
 use nmbst::obs::{Histogram, ServeGauges, SlowOp, SLOW_EVENTS};
 use nmbst::{BatchCmd, BatchScratch, BatchVerdict, Ebr, ShardedMap, ShardedMapHandle, TreeConfig};
@@ -133,6 +135,9 @@ const TOKEN_LISTENER: u64 = u64::MAX - 1;
 /// tells a slow-frame investigation whether the store or the wire
 /// handling is the problem. Socket flush time is *not* attributed to
 /// individual frames: under pipelining many responses share one write.
+/// A GET frame answered in a run of `n` (see `Engine`) records its own
+/// decode time plus `1/n` of the run's execute and encode time, and
+/// its `wire` is that sum: the server time the frame cost.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseHists {
     /// Full frame: request assembled → response buffered.
@@ -203,6 +208,8 @@ pub struct ServerStats {
     frames: AtomicU64,
     wire_errors: AtomicU64,
     batch_fused_ops: AtomicU64,
+    get_runs: AtomicU64,
+    get_run_frames: AtomicU64,
     encode_bytes: Box<[AtomicU64]>,
     timing: Box<[Mutex<WorkerTiming>]>,
     serve: Box<[CachePadded<WorkerServe>]>,
@@ -226,6 +233,8 @@ impl ServerStats {
             frames: AtomicU64::new(0),
             wire_errors: AtomicU64::new(0),
             batch_fused_ops: AtomicU64::new(0),
+            get_runs: AtomicU64::new(0),
+            get_run_frames: AtomicU64::new(0),
             encode_bytes: (0..OP_COUNT).map(|_| AtomicU64::new(0)).collect(),
             timing: (0..workers)
                 .map(|_| Mutex::new(WorkerTiming::new()))
@@ -238,30 +247,43 @@ impl ServerStats {
         }
     }
 
-    /// One served frame's timing: records the four phase durations into
-    /// the worker's per-opcode histograms and deposits a slow-frame
-    /// record when the wire time crosses the configured threshold.
-    fn record_frame(&self, worker: usize, opcode: u8, key: u64, ns: [u64; 4]) {
-        let [wire, decode, execute, encode] = ns;
+    /// Served frames' timing, all of one opcode: records each frame's
+    /// four phase durations (`[wire, decode, execute, encode]`, keyed by
+    /// the frame's key) into the worker's per-opcode histograms under
+    /// one lock, and deposits a slow-frame record for every frame whose
+    /// wire time crosses the configured threshold.
+    fn record_frames(
+        &self,
+        worker: usize,
+        opcode: u8,
+        frames: impl Iterator<Item = (u64, [u64; 4])> + Clone,
+    ) {
         {
             let mut t = self.timing[worker]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
             let p = &mut t.ops[usize::from(opcode - 1).min(OP_COUNT - 1)];
-            p.wire.record(wire);
-            p.decode.record(decode);
-            p.execute.record(execute);
-            p.encode.record(encode);
+            for (_, [wire, decode, execute, encode]) in frames.clone() {
+                p.wire.record(wire);
+                p.decode.record(decode);
+                p.execute.record(execute);
+                p.encode.record(encode);
+            }
         }
-        if self.slow_frame_ns != 0 && wire >= self.slow_frame_ns {
-            self.slow.push(SlowOp {
-                kind: opcode,
-                origin: 1,
-                n_events: 0,
-                key,
-                ns: wire,
-                events: [0; SLOW_EVENTS],
-            });
+        if self.slow_frame_ns == 0 {
+            return;
+        }
+        for (key, [wire, ..]) in frames {
+            if wire >= self.slow_frame_ns {
+                self.slow.push(SlowOp {
+                    kind: opcode,
+                    origin: 1,
+                    n_events: 0,
+                    key,
+                    ns: wire,
+                    events: [0; SLOW_EVENTS],
+                });
+            }
         }
     }
 
@@ -342,6 +364,19 @@ impl ServerStats {
     /// hard-fails if a fused server serves a replay with this at zero.
     pub fn batch_fused_ops(&self) -> u64 {
         self.batch_fused_ops.load(Ordering::Relaxed)
+    }
+
+    /// Runs of consecutive pipelined GET frames answered by one
+    /// interleaved multi-get (a lone GET is a run of one).
+    pub fn get_runs(&self) -> u64 {
+        self.get_runs.load(Ordering::Relaxed)
+    }
+
+    /// GET frames answered inside those runs; `get_run_frames /
+    /// get_runs` is the mean run length, which bounds how many descents
+    /// a multi-get can overlap.
+    pub fn get_run_frames(&self) -> u64 {
+        self.get_run_frames.load(Ordering::Relaxed)
     }
 
     /// Response-frame bytes encoded per opcode (body + 4-byte length
@@ -810,11 +845,20 @@ impl Reactor<'_> {
 
     /// Parses and serves every complete frame buffered on `conn`,
     /// pausing at the backpressure watermark. Returns false when the
-    /// connection is finished.
+    /// connection is finished. The engine's pending GET run is answered
+    /// before the pass pauses, flushes or returns, so no reply is held
+    /// back across passes (or leaks to another connection).
     fn process(&mut self, conn: &mut Conn) -> bool {
+        let mut open = true;
         loop {
             if conn.close_after_flush {
                 break;
+            }
+            // The pending run's replies count toward the watermark at
+            // their largest size, and are queued before any pause.
+            let pending = self.engine.run_reply_bound();
+            if conn.should_pause(self.write_budget.saturating_sub(pending)) {
+                self.engine.answer_gets(conn.wbuf());
             }
             if conn.should_pause(self.write_budget) {
                 if !conn.read_paused {
@@ -836,7 +880,10 @@ impl Reactor<'_> {
                 NextFrame::Pending => break,
                 // An oversized length prefix closes the connection with
                 // no reply — a length-prefixed stream cannot resync.
-                NextFrame::Oversized => return false,
+                NextFrame::Oversized => {
+                    open = false;
+                    break;
+                }
                 NextFrame::Frame { start, len } => {
                     // Zero-copy hand-off: the request body stays in the
                     // assembly buffer and the response is encoded
@@ -853,6 +900,10 @@ impl Reactor<'_> {
                     }
                 }
             }
+        }
+        self.engine.answer_gets(conn.wbuf());
+        if !open {
+            return false;
         }
         conn.compact();
         match conn.flush() {
@@ -902,6 +953,14 @@ impl Reactor<'_> {
     }
 }
 
+/// Most GET frames one interleaved multi-get answers: a longer run of
+/// pipelined GETs is answered in pieces of this size. Bounds the replies
+/// a pass holds back from the write buffer (see `Engine::run_reply_bound`).
+pub const GET_RUN_CAP: usize = 64;
+
+/// Largest GET reply frame: length prefix, status, found flag, value.
+const GET_REPLY_MAX: usize = 4 + 1 + 1 + 8;
+
 /// One worker's request-execution engine: the pinned store handle plus
 /// every piece of reusable scratch a frame needs, factored out of the
 /// reactor so tests can drive the exact serving path in-process (see
@@ -910,8 +969,18 @@ impl Reactor<'_> {
 /// Steady-state point and BATCH frames run allocation-free: ops decode
 /// into `batch_cmds`, partition into `batch_scratch`, verdicts land in
 /// `batch_out`, and the response is encoded straight into the
-/// connection's write buffer behind a reserved length prefix. All three
+/// connection's write buffer behind a reserved length prefix. All the
 /// scratch vectors keep their capacity across frames.
+///
+/// **GET runs.** A well-formed GET frame is not answered at once: its
+/// key joins the pending run, and the run is answered by one
+/// interleaved [`ShardedMapHandle::get_many`] — replies encoded in
+/// request order — before anything else can observe it: before any
+/// other frame is served, when the run reaches [`GET_RUN_CAP`], and at
+/// the end of every parse pass ([`Engine::answer_gets`], which the
+/// reactor calls before it flushes or pauses). GETs commute with GETs
+/// and every other frame still runs in FIFO position, so the replies
+/// are exactly those of serving the frames one by one (DESIGN.md §16).
 struct Engine<'a> {
     worker: usize,
     store: &'a Store,
@@ -922,6 +991,11 @@ struct Engine<'a> {
     batch_cmds: Vec<BatchCmd<u64, u64>>,
     batch_scratch: BatchScratch,
     batch_out: Vec<BatchVerdict<u64>>,
+    /// The pending GET run: keys and per-frame decode times in request
+    /// order, and the multi-get's answers.
+    run_keys: Vec<u64>,
+    run_decode_ns: Vec<u64>,
+    run_vals: Vec<Option<u64>>,
 }
 
 impl<'a> Engine<'a> {
@@ -941,6 +1015,9 @@ impl<'a> Engine<'a> {
             batch_cmds: Vec::new(),
             batch_scratch: BatchScratch::new(),
             batch_out: Vec::new(),
+            run_keys: Vec::with_capacity(GET_RUN_CAP),
+            run_decode_ns: Vec::with_capacity(GET_RUN_CAP),
+            run_vals: Vec::with_capacity(GET_RUN_CAP),
         }
     }
 
@@ -951,13 +1028,27 @@ impl<'a> Engine<'a> {
         self.ops_since_flush = 0;
     }
 
-    /// Serves one request frame: decode → execute through the pinned
-    /// handle → encode into `wbuf` behind a reserved length prefix, in
-    /// arrival order (the pipelining ordering guarantee). Returns false
-    /// on a malformed frame — an Err reply is queued and the caller
-    /// must close the connection after flushing it.
+    /// Serves one request frame in arrival order (the pipelining
+    /// ordering guarantee): a well-formed GET joins the pending run;
+    /// anything else first answers the run, then is decoded, executed
+    /// through the pinned handle and encoded into `wbuf` behind a
+    /// reserved length prefix. Returns false on a malformed frame — an
+    /// Err reply is queued and the caller must close the connection
+    /// after flushing it.
     fn serve_frame(&mut self, body: &[u8], wbuf: &mut Vec<u8>) -> bool {
         self.stats.frames.fetch_add(1, Ordering::Relaxed);
+        if body.first() == Some(&OP_GET) {
+            let t0 = Instant::now();
+            if let Some(key) = wire::decode_get(body) {
+                self.run_keys.push(key);
+                self.run_decode_ns.push(t0.elapsed().as_nanos() as u64);
+                if self.run_keys.len() == GET_RUN_CAP {
+                    self.answer_gets(wbuf);
+                }
+                return true;
+            }
+        }
+        self.answer_gets(wbuf);
         // BATCH frames take the fused fast path before a `Request` is
         // ever materialised: ops decode straight into reusable scratch,
         // skipping the per-frame `Vec<BatchOp>` the general path would
@@ -967,6 +1058,53 @@ impl<'a> Engine<'a> {
         } else {
             self.serve_plain(body, wbuf)
         }
+    }
+
+    /// Upper bound on the bytes the pending GET run's replies will add
+    /// to the write buffer: the reactor counts them toward the
+    /// backpressure watermark before they are queued.
+    fn run_reply_bound(&self) -> usize {
+        self.run_keys.len() * GET_REPLY_MAX
+    }
+
+    /// Answers the pending GET run, if any: one interleaved multi-get
+    /// over the run's keys, replies encoded into `wbuf` in request
+    /// order. Each frame is charged its own decode time plus an equal
+    /// share of the run's execute and encode time, so per-phase means
+    /// still add up to the per-frame wire mean.
+    fn answer_gets(&mut self, wbuf: &mut Vec<u8>) {
+        let n = self.run_keys.len();
+        if n == 0 {
+            return;
+        }
+        let t1 = Instant::now();
+        self.handle.get_many(&self.run_keys, &mut self.run_vals);
+        let t2 = Instant::now();
+        let start = wbuf.len();
+        for &v in &self.run_vals {
+            let mark = wire::begin_frame(wbuf);
+            wire::encode_get_reply(wbuf, v);
+            wire::end_frame(wbuf, mark);
+        }
+        let t3 = Instant::now();
+        self.stats.note_encode(OP_GET, (wbuf.len() - start) as u64);
+        self.stats.get_runs.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .get_run_frames
+            .fetch_add(n as u64, Ordering::Relaxed);
+        self.stats.worker_ops[self.worker].fetch_add(n as u64, Ordering::Relaxed);
+        self.ops_since_flush = self.ops_since_flush.saturating_add(n as u32);
+        let execute = (t2 - t1).as_nanos() as u64 / n as u64;
+        let encode = (t3 - t2).as_nanos() as u64 / n as u64;
+        let frames = self
+            .run_keys
+            .iter()
+            .zip(&self.run_decode_ns)
+            .map(|(&key, &decode)| (key, [decode + execute + encode, decode, execute, encode]));
+        self.stats.record_frames(self.worker, OP_GET, frames);
+        self.run_keys.clear();
+        self.run_decode_ns.clear();
+        self.maybe_flush_stats();
     }
 
     /// The BATCH fast path: decode into scratch, execute shard-fused,
@@ -1044,40 +1182,39 @@ impl<'a> Engine<'a> {
     /// Frame epilogue: phase timing, slow-frame capture, and the
     /// sampled stats flush.
     fn record(&mut self, opcode: u8, key: u64, t0: Instant, t1: Instant, t2: Instant, t3: Instant) {
-        self.stats.record_frame(
-            self.worker,
-            opcode,
-            key,
-            [
-                (t3 - t0).as_nanos() as u64,
-                (t1 - t0).as_nanos() as u64,
-                (t2 - t1).as_nanos() as u64,
-                (t3 - t2).as_nanos() as u64,
-            ],
-        );
+        let ns = [
+            (t3 - t0).as_nanos() as u64,
+            (t1 - t0).as_nanos() as u64,
+            (t2 - t1).as_nanos() as u64,
+            (t3 - t2).as_nanos() as u64,
+        ];
+        self.stats
+            .record_frames(self.worker, opcode, std::iter::once((key, ns)));
+        self.maybe_flush_stats();
+    }
+
+    /// The sampled stats flush: every `flush_every` ops.
+    fn maybe_flush_stats(&mut self) {
         if self.ops_since_flush >= self.flush_every {
-            self.handle.flush_stats();
-            self.ops_since_flush = 0;
+            self.flush_stats();
         }
     }
 }
 
-/// Tree operations a non-BATCH request routes through the worker's
-/// handle: one for a point op. SCAN/METRICS/PING/SLOWLOG read through
-/// the store front end, not the pinned handle.
+/// Tree operations a request served by `Engine::serve_plain` routes
+/// through the worker's handle: one for a point write. SCAN/METRICS/
+/// PING/SLOWLOG read through the store front end, not the pinned handle.
 fn op_count(req: &Request) -> u64 {
-    u64::from(matches!(
-        req,
-        Request::Get(_) | Request::Insert(..) | Request::Remove(_)
-    ))
+    u64::from(matches!(req, Request::Insert(..) | Request::Remove(_)))
 }
 
 /// The key a slow-frame record carries: the op's target when the
 /// request has one obvious key, else 0. (BATCH frames report their
-/// first op's key from `Engine::serve_batch`.)
+/// first op's key from `Engine::serve_batch`, GET frames their own key
+/// from `Engine::answer_gets`.)
 fn slow_key(req: &Request) -> u64 {
     match req {
-        Request::Get(k) | Request::Insert(k, _) | Request::Remove(k) => *k,
+        Request::Insert(k, _) | Request::Remove(k) => *k,
         Request::Scan { lo, .. } => *lo,
         _ => 0,
     }
@@ -1090,7 +1227,7 @@ fn execute(
     stats: &ServerStats,
 ) -> Response {
     match req {
-        Request::Get(k) => Response::Get(handle.get(k)),
+        Request::Get(_) => unreachable!("GET frames are answered in runs by Engine::answer_gets"),
         Request::Insert(k, v) => Response::Insert(handle.insert(*k, *v)),
         Request::Remove(k) => Response::Remove(handle.remove(k)),
         Request::Batch(_) => unreachable!("BATCH frames are served by Engine::serve_batch"),
@@ -1164,6 +1301,7 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
             format!(
                 "{{\"tree\":{},\"server\":{{\"connections\":{},\"frames\":{},\
                  \"wire_errors\":{},\"batch_fused_ops\":{},\
+                 \"get_runs\":{},\"get_run_frames\":{},\
                  \"worker_ops\":[{}],\"encode_bytes\":{{{}}},\"timing\":{{{}}},\
                  \"slow_frames\":{},\"serve\":{{\"open_connections\":[{}],\
                  \"read_paused_connections\":[{}],\"write_buffered_bytes\":[{}],\
@@ -1173,6 +1311,8 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
                 stats.frames(),
                 stats.wire_errors(),
                 stats.batch_fused_ops(),
+                stats.get_runs(),
+                stats.get_run_frames(),
                 ops.join(","),
                 encoded.join(","),
                 timing.join(","),
@@ -1208,6 +1348,24 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
             out.push_str(&format!(
                 "nmbst_server_batch_fused_ops_total {}\n",
                 stats.batch_fused_ops()
+            ));
+            out.push_str(
+                "# HELP nmbst_server_get_runs_total Runs of pipelined GET frames answered \
+                 by one interleaved multi-get.\n",
+            );
+            out.push_str("# TYPE nmbst_server_get_runs_total counter\n");
+            out.push_str(&format!(
+                "nmbst_server_get_runs_total {}\n",
+                stats.get_runs()
+            ));
+            out.push_str(
+                "# HELP nmbst_server_get_run_frames_total GET frames answered in runs \
+                 (divided by runs: the mean run length).\n",
+            );
+            out.push_str("# TYPE nmbst_server_get_run_frames_total counter\n");
+            out.push_str(&format!(
+                "nmbst_server_get_run_frames_total {}\n",
+                stats.get_run_frames()
             ));
             // Encode-bytes counters: one labelled series per opcode that
             // has encoded a response; header only when at least one
@@ -1315,19 +1473,44 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
 pub mod testing {
     use super::*;
 
+    pub use super::GET_RUN_CAP;
+
     /// One worker's `Engine` over a private store, driven directly.
     pub struct LocalEngine<'a> {
         engine: Engine<'a>,
     }
 
     impl LocalEngine<'_> {
-        /// Serves one request body (no length prefix), appending the
-        /// length-prefixed response frame to `out` — exactly what the
-        /// reactor queues on the connection. Returns false on a wire
-        /// error (the reactor would close the connection after
-        /// flushing the Err frame this queued).
+        /// Serves one request body (no length prefix) as a parse pass
+        /// of its own, appending the length-prefixed response frame to
+        /// `out` — exactly what the reactor queues on the connection.
+        /// Returns false on a wire error (the reactor would close the
+        /// connection after flushing the Err frame this queued).
         pub fn serve(&mut self, body: &[u8], out: &mut Vec<u8>) -> bool {
-            self.engine.serve_frame(body, out)
+            let ok = self.engine.serve_frame(body, out);
+            self.engine.answer_gets(out);
+            ok
+        }
+
+        /// Serves a pipelined byte stream of length-prefixed request
+        /// frames as one parse pass, through the engine entry points the
+        /// reactor's pass uses: every complete frame in order, stopping
+        /// after a malformed one, then the pending GET run. Appends the
+        /// replies to `out`. Returns false when a wire error (or an
+        /// oversized prefix) ended the pass, as it would end the
+        /// connection; a trailing incomplete frame is left unserved.
+        pub fn serve_stream(&mut self, mut stream: &[u8], out: &mut Vec<u8>) -> bool {
+            let mut ok = true;
+            while let wire::FrameSplit::Frame { body_len } = wire::split_frame(stream) {
+                ok = self.engine.serve_frame(&stream[4..4 + body_len], out);
+                stream = &stream[4 + body_len..];
+                if !ok {
+                    break;
+                }
+            }
+            ok &= !matches!(wire::split_frame(stream), wire::FrameSplit::Oversized(_));
+            self.engine.answer_gets(out);
+            ok
         }
 
         /// The engine's server counters.

@@ -399,6 +399,33 @@ pub fn decode_batch_ops(body: &[u8], mut visit: impl FnMut(BatchOp)) -> Result<u
     Ok(n)
 }
 
+/// The key of a well-formed GET request body, or `None` for any other
+/// body: another opcode, or a GET that [`Request::decode`] rejects
+/// (truncated key, trailing bytes). The server's GET-run fast path; it
+/// agrees with `Request::decode` on every input.
+#[inline]
+pub fn decode_get(body: &[u8]) -> Option<u64> {
+    match body {
+        [OP_GET, key @ ..] => Some(u64::from_le_bytes(key.try_into().ok()?)),
+        _ => None,
+    }
+}
+
+/// Appends a GET reply body (status byte included, no length prefix).
+/// Shared by [`Response::encode`] and the server's GET-run path, which
+/// encodes a run's replies without staging `Response` values.
+#[inline]
+pub fn encode_get_reply(out: &mut Vec<u8>, value: Option<u64>) {
+    out.push(STATUS_OK);
+    match value {
+        Some(v) => {
+            out.push(1);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        None => out.push(0),
+    }
+}
+
 /// Appends one BATCH reply record (the single-op encoding inside a
 /// BATCH response body). Shared by [`Response::encode`] and the
 /// server's zero-copy path, which writes replies straight into the
@@ -447,16 +474,10 @@ impl Response {
                 out.extend_from_slice(msg.as_bytes());
                 return;
             }
+            Response::Get(v) => return encode_get_reply(out, *v),
             _ => out.push(STATUS_OK),
         }
         match self {
-            Response::Get(v) => match v {
-                Some(v) => {
-                    out.push(1);
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                None => out.push(0),
-            },
             Response::Insert(added) => out.push(*added as u8),
             Response::Remove(removed) => out.push(*removed as u8),
             Response::Batch(replies) => {
@@ -486,7 +507,7 @@ impl Response {
                     out.extend_from_slice(&r.events);
                 }
             }
-            Response::Err(_) => unreachable!("handled above"),
+            Response::Err(_) | Response::Get(_) => unreachable!("handled above"),
         }
     }
 
@@ -861,6 +882,31 @@ mod tests {
             let _ = Request::decode(&bytes); // must not panic
             let _ = Response::decode((next() % 10) as u8, &bytes);
             let _ = split_frame(&bytes); // arbitrary prefixes are fine too
+        }
+    }
+
+    /// The GET-run fast path decodes exactly the bodies the general
+    /// decoder reads as a GET, whatever the bytes.
+    #[test]
+    fn decode_get_agrees_with_request_decode() {
+        let mut x = 0x0F1E_2D3C_4B5A_6978u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..20_000 {
+            let len = (next() % 12) as usize;
+            let mut bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            if let Some(b) = bytes.first_mut() {
+                *b = (*b % 3).max(OP_GET); // mostly GETs, some INSERT/REMOVE
+            }
+            let general = match Request::decode(&bytes) {
+                Ok(Request::Get(k)) => Some(k),
+                _ => None,
+            };
+            assert_eq!(decode_get(&bytes), general, "{bytes:?}");
         }
     }
 

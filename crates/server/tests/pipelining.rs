@@ -74,11 +74,37 @@ fn pipeline_matches_responses_by_order() {
             },
         ]
     );
+    // A GET-heavy window: the server answers runs of GET frames with
+    // one interleaved multi-get, and same-key writes inside the window
+    // must still split the runs exactly where they sit.
+    let mut model = std::collections::BTreeMap::from([(2u64, 20u64)]);
+    let mut reqs = Vec::new();
+    let mut expect = Vec::new();
+    for i in 0..96u64 {
+        let k = i % 6;
+        let req = match i % 8 {
+            3 => Request::Insert(k, i),
+            6 => Request::Remove(k),
+            _ => Request::Get(k),
+        };
+        expect.push(match req {
+            Request::Insert(k, v) => {
+                // Duplicate inserts are rejected and keep the old value.
+                let fresh = !model.contains_key(&k);
+                model.entry(k).or_insert(v);
+                Response::Insert(fresh)
+            }
+            Request::Remove(k) => Response::Remove(model.remove(&k).is_some()),
+            _ => Response::Get(model.get(&k).copied()),
+        });
+        reqs.push(req);
+    }
+    assert_eq!(c.pipeline(&reqs).unwrap(), expect);
     // A window of 1 degenerates to the blocking path; same answers.
     assert_eq!(
-        c.pipeline_with_window(&[Request::Get(2), Request::Get(3)], 1)
+        c.pipeline_with_window(&[Request::Get(2), Request::Get(6)], 1)
             .unwrap(),
-        vec![Response::Get(Some(20)), Response::Get(None)]
+        vec![Response::Get(model.get(&2).copied()), Response::Get(None)]
     );
     drop(c);
     server.shutdown();

@@ -214,6 +214,11 @@ fn metrics_scrape_is_exact_and_exposition_valid() {
     // 10 inserts + 5 gets + 1 remove + 3 batched ops, all through the
     // one worker's pinned handle.
     assert!(json.contains("\"worker_ops\":[19]"), "{json}");
+    // Blocking GETs arrive one per pass: five runs of one frame.
+    assert!(
+        json.contains("\"get_runs\":5,\"get_run_frames\":5"),
+        "{json}"
+    );
     // Per-opcode timing: a frame is recorded after its response is
     // flushed and before the worker reads the next request, so on one
     // connection the scrape sees every earlier frame exactly once.
@@ -262,6 +267,11 @@ fn metrics_scrape_is_exact_and_exposition_valid() {
         "{prom}"
     );
     assert!(prom.contains("nmbst_server_slow_frames_total"), "{prom}");
+    assert!(prom.contains("nmbst_server_get_runs_total 5\n"), "{prom}");
+    assert!(
+        prom.contains("nmbst_server_get_run_frames_total 5\n"),
+        "{prom}"
+    );
     assert!(
         prom.contains("nmbst_server_open_connections{worker=\"0\"} 1"),
         "{prom}"

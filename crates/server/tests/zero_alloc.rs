@@ -1,6 +1,6 @@
 //! Proves the PR 10 zero-copy claim at the allocator: a steady-state
-//! BATCH (or point-op) round trip through the serving engine performs
-//! **zero server-side heap allocations**. Ops decode into reusable
+//! BATCH (or point-op, or pipelined GET run) round trip through the
+//! serving engine performs **zero server-side heap allocations**. Ops decode into reusable
 //! scratch, execute through the pinned handles, and encode straight
 //! into the (warm) write buffer behind a reserved length prefix.
 //!
@@ -15,7 +15,9 @@
 //! allocates in proportion to the cap, not to the store.
 
 use nmbst_server::testing::with_local_engine;
-use nmbst_server::wire::{split_frame, BatchOp, FrameSplit, Request, Response, OP_SCAN};
+use nmbst_server::wire::{
+    split_frame, write_frame, BatchOp, FrameSplit, Request, Response, OP_SCAN,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -110,6 +112,44 @@ fn steady_state_batch_round_trip_allocates_nothing() {
             after - before
         );
         assert!(!out.is_empty(), "responses were actually produced");
+    });
+}
+
+/// A steady-state pipelined stream of GET frames — answered as runs by
+/// interleaved multi-gets — allocates nothing either: run keys, answers
+/// and replies all land in retained scratch and the warm write buffer.
+#[test]
+fn steady_state_pipelined_get_run_allocates_nothing() {
+    with_local_engine(4, |eng| {
+        let mut out = Vec::new();
+        let fill = (0..512).map(|k| BatchOp::Insert(k * 2, k)).collect();
+        assert!(eng.serve(&encode_req(&Request::Batch(fill)), &mut out));
+
+        // 100 GETs (hits and misses in every shard), a PING that ends
+        // the run, then 30 more: runs of the cap, a remainder and a tail.
+        let mut stream = Vec::new();
+        for i in 0..131u64 {
+            let req = if i == 100 {
+                Request::Ping
+            } else {
+                Request::Get(i * 13 % 1_024)
+            };
+            write_frame(&mut stream, &encode_req(&req)).unwrap();
+        }
+        for _ in 0..4 {
+            out.clear();
+            assert!(eng.serve_stream(&stream, &mut out));
+        }
+        let runs = eng.stats().get_runs();
+
+        let before = ALLOCS.get();
+        for _ in 0..32 {
+            out.clear();
+            assert!(eng.serve_stream(&stream, &mut out));
+        }
+        let allocs = ALLOCS.get() - before;
+        assert_eq!(allocs, 0, "steady-state GET runs allocated {allocs} times");
+        assert!(eng.stats().get_runs() >= runs + 32 * 3, "answered as runs");
     });
 }
 

@@ -1,8 +1,12 @@
 //! Mechanical linearizability checking of `NmTreeMap`'s *value-bearing*
-//! operations (`insert(k, v)`, `remove_get`, `get`) — stronger than the
-//! set checks: stamped values let the checker catch value mix-ups (a
-//! remove returning another insert's payload), not just membership
-//! errors.
+//! operations (`insert(k, v)`, `remove_get`, `get`, and the interleaved
+//! multi-get `MapHandle::get_many`) — stronger than the set checks:
+//! stamped values let the checker catch value mix-ups (a remove
+//! returning another insert's payload), not just membership errors.
+//!
+//! A `get_many` call is recorded as one `Get` per key, each sharing the
+//! call's invoke/response interval: every key's answer must be some
+//! linearizable `get` inside the call.
 
 use nmbst::NmTreeMap;
 use nmbst_lincheck::spec::{check_history, GenEvent, MapOp, MapRet, MapSpec};
@@ -42,6 +46,23 @@ fn map_histories_with_values_are_linearizable() {
                     for _ in 0..OPS_PER_THREAD {
                         let r = xorshift(&mut rng);
                         let key = r % KEY_SPACE + 1;
+                        if r % 4 == 3 {
+                            let keys = [key, (r >> 32) % KEY_SPACE + 1];
+                            let mut h = map.handle();
+                            let mut out = Vec::new();
+                            let invoke = clock.fetch_add(1, Ordering::AcqRel);
+                            h.get_many(&keys, &mut out);
+                            let response = clock.fetch_add(1, Ordering::AcqRel);
+                            for (&k, &v) in keys.iter().zip(&out) {
+                                local.push(GenEvent {
+                                    op: MapOp::Get(k),
+                                    ret: MapRet::Got(v),
+                                    invoke,
+                                    response,
+                                });
+                            }
+                            continue;
+                        }
                         let (op, run): (MapOp, Box<dyn FnOnce() -> MapRet>) = match r % 3 {
                             0 => {
                                 // Globally unique stamp per insert.
