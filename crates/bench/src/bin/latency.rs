@@ -1,7 +1,9 @@
 //! Per-operation latency percentiles for every implementation — a
 //! complement to Figure 4's throughput view (the paper reports only
 //! throughput; tail latency is where helping protocols and lock
-//! convoys show their character).
+//! convoys show their character). NM-BST runs three ways: leaking (the
+//! paper's setup), under epoch-based reclamation, and with CAS-only
+//! tagging (§6's variant without BTS).
 //!
 //! ```text
 //! NMBST_THREADS=1,4 NMBST_KEYS=10000 \
@@ -10,7 +12,7 @@
 
 use nmbst_baselines::{bcco::BccoTree, efrb::EfrbTree, hj::HjTree, locked::LockedBTreeSet};
 use nmbst_bench::SweepConfig;
-use nmbst_harness::adapter::{ConcurrentSet, NmEbr, NmLeaky};
+use nmbst_harness::adapter::{ConcurrentSet, NmCasOnly, NmEbr, NmLeaky};
 use nmbst_harness::report::Table;
 use nmbst_harness::{run_latency, BenchConfig, Workload};
 
@@ -49,6 +51,7 @@ fn main() {
                 let mut table = Table::new(vec!["algorithm", "mean", "p50", "p99", "p99.9", "max"]);
                 row::<NmLeaky>(&bench, &mut table);
                 row::<NmEbr>(&bench, &mut table);
+                row::<NmCasOnly>(&bench, &mut table);
                 row::<EfrbTree>(&bench, &mut table);
                 row::<HjTree>(&bench, &mut table);
                 row::<BccoTree>(&bench, &mut table);

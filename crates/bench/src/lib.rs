@@ -1,7 +1,9 @@
-//! Shared configuration plumbing for the benchmark binaries and benches.
+//! Shared plumbing for the benchmark binaries: the perf runner
+//! ([`cells`]), the bench-file JSON model ([`json`]), and the sweep
+//! configuration of the paper-reproduction bins.
 //!
-//! Every knob is an environment variable so `cargo bench` / `cargo run`
-//! stay argument-free:
+//! The sweep knobs of `figure4`, `latency` and `conflicts` are
+//! environment variables so `cargo run` stays argument-free:
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
@@ -15,6 +17,9 @@
 //! The paper's full grid is `NMBST_SECS=30 NMBST_RUNS=3`
 //! `NMBST_THREADS=1,2,4,8,16,32,64,128,256`
 //! `NMBST_KEYS=1000,10000,100000,1000000`.
+
+pub mod cells;
+pub mod json;
 
 use nmbst_harness::KeyDist;
 use std::time::Duration;

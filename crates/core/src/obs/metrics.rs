@@ -126,12 +126,13 @@ struct Shard {
     helps: AtomicU64,
     finger_hits: AtomicU64,
     finger_misses: AtomicU64,
-    /// Power-of-two histogram of nodes touched per modify-path descent
-    /// (see [`DEPTH_BUCKETS`]), plus the running sum for averages. Lives
-    /// in the shard so the per-seek bump shares the line the op counter
-    /// bump already owns.
+    /// Power-of-two histogram of nodes touched per seek descent (see
+    /// [`DEPTH_BUCKETS`]), plus running sums for averages, one for modify
+    /// descents and one for read descents. Lives in the shard so the
+    /// per-seek bump shares the line the op counter bump already owns.
     depth_hist: [AtomicU64; DEPTH_BUCKETS],
     depth_sum: AtomicU64,
+    read_depth_sum: AtomicU64,
 }
 
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
@@ -263,7 +264,7 @@ pub(crate) struct PendingLat;
 /// Per-tree metrics state, owned by `NmTreeMap`.
 pub(crate) struct Metrics {
     shards: [CachePadded<Shard>; SHARDS],
-    /// Deepest access path any modify-path seek observed (leaf depth in
+    /// Deepest access path any seek observed (leaf depth in
     /// edges below the sentinel pair). Racy max: updated with a relaxed
     /// load-then-`fetch_max` only when a new maximum is seen.
     max_depth: AtomicU64,
@@ -325,19 +326,25 @@ impl Metrics {
         self.shard().helps.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds a new observed access-path depth into the max gauge and the
-    /// sharded power-of-two histogram. The max update's common case (not
-    /// a new maximum) is a single relaxed load; the histogram costs two
-    /// relaxed `fetch_add`s on this thread's shard — the line the op
-    /// counter bump for the same operation already owns.
+    /// Folds a new observed access-path depth into the max gauge, the
+    /// sharded power-of-two histogram, and the modify or read (`read`)
+    /// depth sum. The max update's common case (not a new maximum) is a
+    /// single relaxed load; the histogram and sum cost two relaxed
+    /// `fetch_add`s on this thread's shard — the line the op counter
+    /// bump for the same operation already owns.
     #[inline]
-    pub(crate) fn note_depth(&self, depth: u64) {
+    pub(crate) fn note_depth(&self, depth: u64, read: bool) {
         if depth > self.max_depth.load(Ordering::Relaxed) {
             self.max_depth.fetch_max(depth, Ordering::Relaxed);
         }
         let shard = self.shard();
         shard.depth_hist[depth_bucket(depth)].fetch_add(1, Ordering::Relaxed);
-        shard.depth_sum.fetch_add(depth, Ordering::Relaxed);
+        let sum = if read {
+            &shard.read_depth_sum
+        } else {
+            &shard.depth_sum
+        };
+        sum.fetch_add(depth, Ordering::Relaxed);
     }
 
     /// Arms a sampled point-op timer: idle unless recording is enabled
@@ -557,6 +564,7 @@ impl Metrics {
                 *dst += src.load(Ordering::Relaxed);
             }
             s.depth_sum += shard.depth_sum.load(Ordering::Relaxed);
+            s.read_depth_sum += shard.read_depth_sum.load(Ordering::Relaxed);
         }
         // The shards store outcomes; the snapshot reports call totals.
         s.inserts += s.inserted;
@@ -680,20 +688,25 @@ pub struct MetricsSnapshot {
     pub finger_misses: u64,
     /// `inserted - removed`: live key count, exact at quiescence.
     pub size_estimate: i64,
-    /// Deepest access path observed by any modify-path seek (nodes
-    /// touched below the sentinel pair, the fat leaf *block* counting as
-    /// one node; 0 until the first modify op).
+    /// Deepest access path observed by any seek (nodes touched below the
+    /// sentinel pair, the fat leaf *block* counting as one node; 0 until
+    /// the first modify op or finger-batched read).
     pub max_depth: u64,
-    /// Power-of-two histogram of nodes touched per modify-path descent:
-    /// bucket `b` counts descents of depth `2^(b-1) ..= 2^b - 1` (bucket
-    /// 0 holds the degenerate zero-node case, the last bucket
-    /// saturates). This is the production-observable form of the
-    /// fat-leaf miss-reduction claim: shrinking depth moves mass into
-    /// lower buckets.
+    /// Power-of-two histogram of nodes touched per seek descent, modify
+    /// ops and finger-batched reads alike (plain reads take a lighter
+    /// path that records nothing): bucket `b` counts descents of depth
+    /// `2^(b-1) ..= 2^b - 1` (bucket 0 holds the degenerate zero-node
+    /// case, the last bucket saturates). This is the
+    /// production-observable form of the fat-leaf miss-reduction claim:
+    /// shrinking depth moves mass into lower buckets.
     pub depth_hist: [u64; DEPTH_BUCKETS],
-    /// Sum of all observed descent depths (`depth_sum / modify ops` =
-    /// mean nodes touched per descent).
+    /// Sum of modify-path descent depths (`depth_sum / modify ops` =
+    /// mean nodes touched per modify descent; a CAS retry that re-seeks
+    /// from the root counts again).
     pub depth_sum: u64,
+    /// Sum of finger-batched read descent depths (batched GETs whose
+    /// finger missed and fell back to a root seek).
+    pub read_depth_sum: u64,
     /// Sampled per-op-type latency histograms (all empty when
     /// `feature = "obs-latency"` is off or recording is disabled).
     pub latency: LatencySnapshot,
@@ -744,6 +757,7 @@ impl MetricsSnapshot {
             *dst += src;
         }
         self.depth_sum += other.depth_sum;
+        self.read_depth_sum += other.read_depth_sum;
         self.latency.merge(&other.latency);
         self.slow_ops.extend_from_slice(&other.slow_ops);
         self.slow_ops.sort_by_key(|r| std::cmp::Reverse(r.ns));
@@ -756,6 +770,7 @@ impl MetricsSnapshot {
         self.pool.misses += other.pool.misses;
         self.pool.recycled += other.pool.recycled;
         self.pool.dropped += other.pool.dropped;
+        self.pool.slots += other.pool.slots;
         self.pool.len += other.pool.len;
         self.pool.capacity += other.pool.capacity;
         self.serve.open_connections += other.serve.open_connections;
@@ -789,12 +804,13 @@ impl MetricsSnapshot {
                 "\"removes\":{},\"removed\":{},\"helps\":{},",
                 "\"finger_hits\":{},\"finger_misses\":{},",
                 "\"size_estimate\":{},\"max_depth\":{},",
-                "\"depth_hist\":[{}],\"depth_sum\":{},",
+                "\"depth_hist\":[{}],\"depth_sum\":{},\"read_depth_sum\":{},",
                 "\"latency\":{{{}}},\"slow_ops\":{},",
                 "\"reclaim_epoch\":{},\"reclaim_epoch_lag\":{},",
                 "\"reclaim_pinned_threads\":{},\"reclaim_retired_backlog\":{},",
                 "\"pool_hits\":{},\"pool_misses\":{},",
                 "\"pool_recycled\":{},\"pool_len\":{},",
+                "\"pool_dropped\":{},\"pool_slots\":{},",
                 "\"open_connections\":{},\"read_paused_connections\":{},",
                 "\"write_buffered_bytes\":{},\"backpressure_events\":{}}}"
             ),
@@ -810,6 +826,7 @@ impl MetricsSnapshot {
             self.max_depth,
             depth_hist,
             self.depth_sum,
+            self.read_depth_sum,
             latency,
             self.slow_ops.len(),
             self.reclaim.epoch,
@@ -820,6 +837,8 @@ impl MetricsSnapshot {
             self.pool.misses,
             self.pool.recycled,
             self.pool.len,
+            self.pool.dropped,
+            self.pool.slots,
             self.serve.open_connections,
             self.serve.read_paused_connections,
             self.serve.write_buffered_bytes,
@@ -915,13 +934,13 @@ impl MetricsSnapshot {
             &mut out,
             "nmbst_max_depth",
             "gauge",
-            "Deepest access path observed by a modify-path seek.",
+            "Deepest access path observed by a seek.",
             self.max_depth as i128,
         );
         // Descent-depth distribution as a Prometheus histogram:
         // cumulative `le` buckets at the power-of-two upper bounds.
         out.push_str(concat!(
-            "# HELP nmbst_descent_depth Nodes touched per modify-path descent.\n",
+            "# HELP nmbst_descent_depth Nodes touched per seek (modify and batched read).\n",
             "# TYPE nmbst_descent_depth histogram\n"
         ));
         let mut cumulative = 0u64;
@@ -942,8 +961,16 @@ impl MetricsSnapshot {
             out,
             "nmbst_descent_depth_bucket{{le=\"+Inf\"}} {cumulative}"
         );
-        let _ = writeln!(out, "nmbst_descent_depth_sum {}", self.depth_sum);
+        let depth_total = self.depth_sum + self.read_depth_sum;
+        let _ = writeln!(out, "nmbst_descent_depth_sum {depth_total}");
         let _ = writeln!(out, "nmbst_descent_depth_count {cumulative}");
+        metric(
+            &mut out,
+            "nmbst_read_descent_depth_total",
+            "counter",
+            "Nodes touched by batched read descents (part of nmbst_descent_depth_sum).",
+            self.read_depth_sum as i128,
+        );
         // Per-op-type latency: one histogram family, labelled series.
         out.push_str(concat!(
             "# HELP nmbst_op_latency_ns Sampled operation latency by op type (ns).\n",
@@ -1017,6 +1044,20 @@ impl MetricsSnapshot {
         );
         metric(
             &mut out,
+            "nmbst_pool_dropped_total",
+            "counter",
+            "Freed nodes the pool declined and abandoned until the arena drops.",
+            self.pool.dropped as i128,
+        );
+        metric(
+            &mut out,
+            "nmbst_pool_slots",
+            "gauge",
+            "Arena slots handed out so far (the arena never frees one).",
+            self.pool.slots as i128,
+        );
+        metric(
+            &mut out,
             "nmbst_serve_open_connections",
             "gauge",
             "Connections currently registered with serving reactors.",
@@ -1055,6 +1096,7 @@ impl std::fmt::Display for MetricsSnapshot {
              max_depth={} mean_depth≈{:.1} lat_samples={} slow_ops={} \
              epoch={} lag={} pinned={} backlog={} \
              pool_hits={} pool_misses={} pool_recycled={} pool_len={} \
+             pool_dropped={} pool_slots={} \
              conns={} read_paused={} wbuf_bytes={} backpressure={}",
             self.searches,
             self.inserted,
@@ -1066,7 +1108,8 @@ impl std::fmt::Display for MetricsSnapshot {
             self.finger_hits + self.finger_misses,
             self.size_estimate,
             self.max_depth,
-            self.depth_sum as f64 / self.depth_hist.iter().sum::<u64>().max(1) as f64,
+            (self.depth_sum + self.read_depth_sum) as f64
+                / self.depth_hist.iter().sum::<u64>().max(1) as f64,
             self.latency.len(),
             self.slow_ops.len(),
             self.reclaim.epoch,
@@ -1077,6 +1120,8 @@ impl std::fmt::Display for MetricsSnapshot {
             self.pool.misses,
             self.pool.recycled,
             self.pool.len,
+            self.pool.dropped,
+            self.pool.slots,
             self.serve.open_connections,
             self.serve.read_paused_connections,
             self.serve.write_buffered_bytes,

@@ -231,7 +231,7 @@ where
     ) -> (Option<T>, bool) {
         let _ = guard;
         // SAFETY: pinned per contract; `finger` vouches for the record.
-        let hit = unsafe { self.seek_finger(key, rec, finger) };
+        let hit = unsafe { self.seek_finger(key, rec, finger, true) };
         let leaf = rec.leaf;
         // SAFETY: guard-protected; block contents are immutable after
         // publication.

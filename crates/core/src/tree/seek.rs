@@ -80,7 +80,9 @@ where
     R: Reclaim,
 {
     /// Algorithm 1, lines 13–33. Fills `rec` with the access-path
-    /// addresses for `key`.
+    /// addresses for `key`. `read` marks a read-path descent (a
+    /// finger-batched GET), whose depth is summed apart from modify
+    /// descents.
     ///
     /// # Safety
     ///
@@ -89,7 +91,7 @@ where
     // Perf: inline so the per-op entry points in write.rs fuse the descent
     // loop with their retry loops instead of paying a call per (re)seek.
     #[inline]
-    pub(crate) unsafe fn seek(&self, key: &K, rec: &mut SeekRecord<K, V>) {
+    pub(crate) unsafe fn seek(&self, key: &K, rec: &mut SeekRecord<K, V>, read: bool) {
         stats::record_seek();
         obs::emit(EventKind::SeekStart);
         let r = self.root;
@@ -156,7 +158,7 @@ where
             prefetch(current);
             depth += 1;
         }
-        self.metrics.note_depth(depth);
+        self.metrics.note_depth(depth, read);
     }
 
     /// Restarts a seek from a previously observed `(anchor → successor)`
@@ -291,7 +293,7 @@ where
             }
         }
         // SAFETY: forwarded contract.
-        unsafe { self.seek(key, rec) };
+        unsafe { self.seek(key, rec, false) };
     }
 
     /// Batch-op seek: descend from a previous op's seek record — the
@@ -311,7 +313,8 @@ where
     /// torn-down anchor fails the clean-edge check and the op falls back
     /// to a full root seek. The [`Point::BatchFinger`] chaos point fires
     /// before the gate; [`Action::Abandon`] skips the anchor (a
-    /// deterministic forced miss), it does not abandon the op.
+    /// deterministic forced miss), it does not abandon the op. `read` is
+    /// forwarded to a root [`seek`](Self::seek).
     ///
     /// # Safety
     ///
@@ -324,6 +327,7 @@ where
         key: &K,
         rec: &mut SeekRecord<K, V>,
         finger: bool,
+        read: bool,
     ) -> bool {
         if finger && !rec.ancestor.is_null() && chaos::hit(Point::BatchFinger) == Action::Continue {
             // SAFETY: bound pointers target routing keys of nodes on the
@@ -342,7 +346,7 @@ where
             }
         }
         // SAFETY: forwarded contract.
-        unsafe { self.seek(key, rec) };
+        unsafe { self.seek(key, rec, read) };
         false
     }
 
@@ -388,7 +392,7 @@ mod tests {
         let map = Map::new();
         let mut rec = SeekRecord::empty();
         unsafe {
-            map.seek(&42, &mut rec);
+            map.seek(&42, &mut rec, false);
             assert_eq!((*rec.leaf).key, Key::Inf0);
             assert_eq!(rec.parent, map.s_node());
             assert_eq!(rec.successor, map.s_node());
@@ -404,7 +408,7 @@ mod tests {
         }
         let mut rec = SeekRecord::empty();
         unsafe {
-            map.seek(&25, &mut rec);
+            map.seek(&25, &mut rec, false);
             assert!((*rec.leaf).find(&25).is_ok());
             assert!((*rec.leaf).is_leaf());
             assert!(!(*rec.parent).is_leaf());
@@ -422,7 +426,7 @@ mod tests {
         }
         let mut rec = SeekRecord::empty();
         unsafe {
-            map.seek(&15, &mut rec);
+            map.seek(&15, &mut rec, false);
             // The leaf block reached must contain 15's in-order
             // neighbours (all three keys coalesce into one fat leaf at
             // the default cap, so both sides live in the same block).
@@ -442,7 +446,7 @@ mod tests {
         let mut rec = SeekRecord::empty();
         for probe in 0..200 {
             unsafe {
-                map.seek(&probe, &mut rec);
+                map.seek(&probe, &mut rec, false);
                 assert_eq!(map.search_leaf(&probe), rec.leaf);
             }
         }

@@ -221,7 +221,7 @@ where
                 let k = &pending.as_ref().expect("entry pending at seek").0;
                 // SAFETY: `guard` held per contract (`finger` vouches for
                 // the record's provenance).
-                hit = unsafe { self.seek_finger(k, rec, finger) };
+                hit = unsafe { self.seek_finger(k, rec, finger, false) };
             } else {
                 if chaos::hit(Point::SeekRetry) == Action::Abandon {
                     return (false, hit); // pending entry dropped
@@ -422,7 +422,7 @@ where
                 // the record's provenance); in cleanup mode it also keeps
                 // `target` comparable by address (the leaf cannot be
                 // freed and recycled while we are pinned).
-                hit = unsafe { self.seek_finger(key, rec, finger) };
+                hit = unsafe { self.seek_finger(key, rec, finger, false) };
             } else {
                 if chaos::hit(Point::SeekRetry) == Action::Abandon {
                     // Before linearization `result` is `None` (op never

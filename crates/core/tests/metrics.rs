@@ -180,6 +180,9 @@ fn exposition_formats_are_complete_and_consistent() {
         "reclaim_retired_backlog",
         "depth_hist",
         "depth_sum",
+        "read_depth_sum",
+        "pool_dropped",
+        "pool_slots",
     ] {
         assert!(json.contains(&format!("\"{key}\":")), "json missing {key}");
     }
@@ -204,6 +207,9 @@ fn exposition_formats_are_complete_and_consistent() {
         "nmbst_reclaim_epoch_lag",
         "nmbst_reclaim_pinned_threads",
         "nmbst_reclaim_retired_backlog",
+        "nmbst_read_descent_depth_total",
+        "nmbst_pool_dropped_total",
+        "nmbst_pool_slots",
     ] {
         assert!(
             prom.contains(&format!("# TYPE {metric} ")),
@@ -381,6 +387,76 @@ fn serve_gauges_merge_and_expose() {
     assert!(prom.contains("# TYPE nmbst_serve_open_connections gauge"));
     assert!(prom.contains("# TYPE nmbst_serve_backpressure_events_total counter"));
     validate_prometheus(&prom).unwrap_or_else(|e| panic!("serve gauges break the validator: {e}"));
+}
+
+/// The arena's leak is visible: `PoolStats::dropped` and the slots the
+/// bump cursor handed out ride every exposition format and add on merge,
+/// and a live tree's slot count covers every node it allocated.
+#[test]
+fn arena_slots_and_dropped_slots_are_exported() {
+    // leaf_cap = 1: every insert into a non-empty tree allocates exactly
+    // two nodes (Table 1), all fresh from the bump cursor.
+    let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(TreeConfig::default().with_leaf_cap(1));
+    let before = set.metrics().pool.slots;
+    for k in 1..=100 {
+        set.insert(k);
+    }
+    assert_eq!(set.metrics().pool.slots, before + 200, "2 slots per insert");
+
+    let pool = |dropped, slots| MetricsSnapshot {
+        pool: nmbst::PoolStats {
+            dropped,
+            slots,
+            ..Default::default()
+        },
+        ..MetricsSnapshot::default()
+    };
+    let mut m = pool(3, 10);
+    m.merge(&pool(4, 20));
+    assert_eq!((m.pool.dropped, m.pool.slots), (7, 30), "both add on merge");
+    let json = m.to_json();
+    assert!(
+        json.contains("\"pool_dropped\":7,\"pool_slots\":30"),
+        "{json}"
+    );
+    let prom = m.to_prometheus();
+    assert!(prom.contains("# TYPE nmbst_pool_dropped_total counter\nnmbst_pool_dropped_total 7\n"));
+    assert!(prom.contains("# TYPE nmbst_pool_slots gauge\nnmbst_pool_slots 30\n"));
+    validate_prometheus(&prom).unwrap_or_else(|e| panic!("pool gauges break the validator: {e}"));
+    assert!(m.to_string().contains("pool_dropped=7 pool_slots=30"));
+}
+
+/// Modify and read descents are summed apart, so `depth_sum / modify
+/// ops` is a true mean: a read-only batch, whose finger misses fall back
+/// to full root seeks, adds to the read sum and the histogram only.
+#[test]
+fn read_only_batch_leaves_the_modify_depth_sum_alone() {
+    let set: NmTreeSet<u64, Ebr> = NmTreeSet::from_sorted_iter((0..4096).map(|k| k * 2));
+    let before = set.metrics();
+    let mut h = set.handle();
+    for start in (0..4096).step_by(512) {
+        h.contains_batch((start..start + 64).map(|k| k * 2 + 1));
+    }
+    drop(h);
+    let after = set.metrics();
+    assert_eq!(after.depth_sum, before.depth_sum, "no modify descent ran");
+    assert_eq!(
+        after.inserts + after.removes,
+        before.inserts + before.removes
+    );
+    assert!(
+        after.read_depth_sum > before.read_depth_sum,
+        "finger misses seek from the root"
+    );
+    let descents = |m: &MetricsSnapshot| m.depth_hist.iter().sum::<u64>();
+    assert!(descents(&after) > descents(&before));
+    let prom = after.to_prometheus();
+    let total = after.depth_sum + after.read_depth_sum;
+    assert!(prom.contains(&format!("nmbst_descent_depth_sum {total}\n")));
+    assert!(prom.contains(&format!(
+        "nmbst_read_descent_depth_total {}\n",
+        after.read_depth_sum
+    )));
 }
 
 /// With `sample_shift = 0` every point op is timed, so the per-op-type

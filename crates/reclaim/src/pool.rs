@@ -84,6 +84,9 @@ pub struct PoolStats {
     /// Slots the free list declined (full or contended) and abandoned in
     /// place; their memory returns when the arena drops.
     pub dropped: u64,
+    /// Slots the bump cursor has handed out. The arena never frees a
+    /// slot, so this is its high-water mark.
+    pub slots: u64,
     /// Current free-list length (racy snapshot).
     pub len: u64,
     /// Maximum free-list length.
@@ -433,6 +436,9 @@ impl NodePool {
             misses: self.misses.load(Ordering::Relaxed),
             recycled: self.free.lock().recycled,
             dropped: self.dropped.load(Ordering::Relaxed),
+            // The cursor starts at 1 (index 0 is the null edge) and may
+            // overshoot the index space by the failed bumps that panicked.
+            slots: u64::from(self.next.load(Ordering::Relaxed).min(MAX_INDEX + 1) - 1),
             len: self.len() as u64,
             capacity: self.capacity as u64,
         }
