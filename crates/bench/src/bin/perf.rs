@@ -737,15 +737,15 @@ const CELLS: &[Cell] = &[
             1.5,
         )],
     },
-    // One arm. Zero finger hits would mean sorted per-shard runs arriving
-    // over TCP stopped anchoring on the finger.
+    // One arm. Zero lane ops would mean fused BATCH frames arriving over
+    // TCP stopped reaching execute_batch's interleaved Phase-1 lanes.
     Cell {
         name: "serving_batch_fusion",
         rank: "fused_mops",
         build: serving_batch_fusion,
         gates: &[
             Gate::Baseline(0, "fused_mops", 0.15),
-            Gate::Invariant(0, "fused_finger_hits", Cmp::Gt, Rhs::Const(0.0)),
+            Gate::Invariant(0, "batch_lane_ops", Cmp::Gt, Rhs::Const(0.0)),
             Gate::Invariant(0, "batch_fused_ops", Cmp::Gt, Rhs::Const(0.0)),
         ],
     },
@@ -1124,8 +1124,8 @@ fn serving_batch_fusion(env: &Env) -> Built {
     let arm = Arm::new(obj! {}, move |_| {
         let run = serving_replay_run(&cfg, SERVE_WORKERS);
         obj! {
-            "fused_mops" => run.report.mops(), "fused_finger_hits" => run.snap.finger_hits,
-            "fused_finger_misses" => run.snap.finger_misses,
+            "fused_mops" => run.report.mops(), "batch_lane_ops" => run.snap.batch_lane_ops,
+            "batch_reseeks" => run.snap.batch_reseeks,
             "batch_fused_ops" => run.batch_fused_ops,
             "obs" => snapshot_json(&run.snap),
         }
@@ -1214,7 +1214,7 @@ mod tests {
             "serving_churn: arm0.elapsed_secs <= 3 x arm0.schedule_secs",
             "pipelining: median(arm0.pipelined_mops / arm0.serial_mops) >= 1.5",
             "serving_batch_fusion: arm0.fused_mops >= (1 - 0.15) x baseline",
-            "serving_batch_fusion: arm0.fused_finger_hits > 0",
+            "serving_batch_fusion: arm0.batch_lane_ops > 0",
             "serving_batch_fusion: arm0.batch_fused_ops > 0",
         ];
         assert_eq!(got, want);

@@ -19,6 +19,7 @@
 //! | [`Point::Retire`] | handing the detached chain to the reclaimer after a won splice |
 //! | [`Point::Recycle`] | a retired node's recycle deferral handing its block back to the pool (fires on the thread *running* the deferral, after the grace period, not on the retiring op) |
 //! | [`Point::BatchFinger`] | a batch op about to revalidate its finger anchor ([`Action::Abandon`] skips the anchor and forces a full root descent — a deterministic finger *miss*, not an abandoned op) |
+//! | [`Point::BatchStale`] | an `execute_batch` write about to check its Phase-1 seek record for staleness ([`Action::Abandon`] treats the record as stale and forces the re-seek — not an abandoned op) |
 //!
 //! Each point fires **immediately before** its atomic step executes, so
 //! returning [`Action::Abandon`] from a hook stops the operation with
@@ -94,6 +95,13 @@ pub enum Point {
     /// the anchor and descends from the root (a forced, deterministic
     /// finger miss). The operation's result is unaffected either way.
     BatchFinger,
+    /// An `execute_batch` write is about to check whether the seek
+    /// record its Phase-1 lane produced still holds. Like
+    /// [`BatchFinger`](Point::BatchFinger), [`Action::Abandon`] does not
+    /// abandon the operation: it treats the record as stale and re-seeks
+    /// from its anchor before the CAS. The result is unaffected either
+    /// way.
+    BatchStale,
 }
 
 /// What an operation does after its hook inspected an injection point.

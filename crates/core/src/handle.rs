@@ -14,9 +14,11 @@
 //! too); clone-free, allocation-free, and safe — every unsafe internal
 //! entry point is sealed behind the guard the handle itself manages.
 
+use crate::chaos::{self, Action, Point};
 use crate::obs::{self, EventKind, OpClass, PendingLat, PendingOps};
 use crate::pool::NodeCache;
 use crate::tree::{NmTreeMap, SeekRecord};
+use crate::{BatchCmd, BatchVerdict};
 use nmbst_reclaim::{Ebr, Reclaim};
 
 /// How many operations a handle performs on one guard before re-pinning,
@@ -28,7 +30,8 @@ use nmbst_reclaim::{Ebr, Reclaim};
 /// making the pin cost ~1.5% of its per-op price.
 pub const DEFAULT_REPIN_EVERY: u32 = 64;
 
-/// Keys a multi-get ([`MapHandle::get_many`]) looks up under one guard
+/// Keys a multi-get ([`MapHandle::get_many`]) looks up, or commands a
+/// batch (`ShardedMapHandle::execute_batch`) executes, under one guard
 /// before it may re-pin: long calls still let reclamation advance.
 pub(crate) const MANY_CHUNK: usize = 256;
 
@@ -176,17 +179,99 @@ where
         self.ops_since_repin += 1;
     }
 
-    /// Charges `n` searches against the re-pin budget and the search
-    /// counter at once, (re)pinning first if the guard is missing or
-    /// expired: the guard a multi-get's interleaved descents run under.
+    /// Charges `n` operations against the re-pin budget at once,
+    /// (re)pinning first if the guard is missing or expired: the guard a
+    /// multi-op call's interleaved descents — and, in a batch, the
+    /// writes that act on their records — run under. Nothing re-pins
+    /// until the next charge or tick.
     #[inline]
-    pub(crate) fn charge_searches(&mut self, n: usize) {
+    pub(crate) fn charge(&mut self, n: usize) {
         if self.guard.is_none() || self.ops_since_repin >= self.repin_every {
             self.repin();
         }
         let n32 = u32::try_from(n).unwrap_or(u32::MAX);
         self.ops_since_repin = self.ops_since_repin.saturating_add(n32);
+    }
+
+    /// [`charge`](Self::charge) for `n` searches, counted as such.
+    #[inline]
+    pub(crate) fn charge_searches(&mut self, n: usize) {
+        self.charge(n);
         self.pending.searches += n as u64;
+    }
+
+    /// Counts a batch run's `searches` GETs and its `lanes` ops that
+    /// descend in Phase-1 lanes.
+    #[inline]
+    pub(crate) fn note_run(&mut self, searches: usize, lanes: usize) {
+        self.pending.searches += searches as u64;
+        self.pending.batch_lane_ops += lanes as u64;
+    }
+
+    /// A GET of a batch run's Phase 2 (one that follows a same-key
+    /// write of the run): a plain search under the guard the run was
+    /// charged on, already counted by [`note_run`](Self::note_run).
+    pub(crate) fn run_get(&mut self, key: &K) -> BatchVerdict<V>
+    where
+        V: Clone,
+    {
+        let guard = self.guard.as_ref().expect("pinned by the run's charge");
+        // SAFETY: `guard` pins this tree's reclaimer.
+        match unsafe { self.tree.with_value_in(key, V::clone, guard) } {
+            Some(v) => BatchVerdict::Found(v),
+            None => BatchVerdict::Missing,
+        }
+    }
+
+    /// A write of a batch run's Phase 2 (see
+    /// [`ShardedMapHandle::execute_batch`](crate::ShardedMapHandle::execute_batch)),
+    /// acting on `rec`, the record its Phase-1 lane produced. If
+    /// [`record_holds`](NmTreeMap::record_holds) finds the record stale
+    /// — or the [`Point::BatchStale`] chaos point forces it — the write
+    /// first re-seeks from the record's anchor.
+    ///
+    /// # Safety
+    ///
+    /// `cmd` is an insert or a remove, and `rec` holds a seek for its
+    /// key produced under this handle's current guard, not re-pinned
+    /// since.
+    pub(crate) unsafe fn run_write(
+        &mut self,
+        cmd: &BatchCmd<K, V>,
+        rec: &mut SeekRecord<K, V>,
+    ) -> BatchVerdict<V>
+    where
+        V: Clone,
+    {
+        let tree = self.tree;
+        let guard = self.guard.as_ref().expect("pinned by the run's charge");
+        let key = cmd.key();
+        // SAFETY (this block): `rec` was produced under `guard`, held
+        // continuously since, per the contract.
+        unsafe {
+            if chaos::hit(Point::BatchStale) == Action::Abandon || !tree.record_holds(key, rec) {
+                self.pending.batch_reseeks += 1;
+                tree.seek_retry(key, rec);
+            }
+            match cmd {
+                BatchCmd::Insert(k, v) => {
+                    let added =
+                        tree.insert_seeked(k.clone(), v.clone(), guard, rec, &mut self.cache);
+                    self.pending.inserts += 1;
+                    self.pending.inserted += u64::from(added);
+                    BatchVerdict::Added(added)
+                }
+                BatchCmd::Remove(k) => {
+                    let removed = tree
+                        .remove_seeked(k, |_| (), guard, rec, &mut self.cache)
+                        .is_some();
+                    self.pending.removes += 1;
+                    self.pending.removed += u64::from(removed);
+                    BatchVerdict::Removed(removed)
+                }
+                BatchCmd::Get(_) => unreachable!("GETs go through run_get"),
+            }
+        }
     }
 
     /// [`NmTreeMap::insert`] through this handle's guard.
@@ -318,18 +403,20 @@ where
     /// assert_eq!(h.get(&42), Some(84));
     /// ```
     pub fn insert_batch(&mut self, items: impl IntoIterator<Item = (K, V)>) -> usize {
-        // Whole-call timing: the run's one clock pair covers the sort too.
-        let mut run = self.batch_run();
+        // Whole-call timing: the one clock pair covers the sort too.
+        let timer = self.tree.metrics.call_timer();
         let mut items: Vec<(K, V)> = items.into_iter().collect();
         // Already-ascending input — the common bulk-ingest shape — skips
         // the sort; equal neighbors are fine (first one wins either way).
         if !items.windows(2).all(|w| w[0].0 <= w[1].0) {
             items.sort_by(|a, b| a.0.cmp(&b.0));
         }
-        items
+        let added = items
             .into_iter()
-            .map(|(key, value)| usize::from(run.insert(key, value)))
-            .sum()
+            .map(|(key, value)| usize::from(self.insert_fingered(key, value)))
+            .sum();
+        self.tree.metrics.op_finish(OpClass::Batch, timer);
+        added
     }
 
     /// Removes every key of `keys`, returning how many were present.
@@ -339,35 +426,28 @@ where
     /// finger hit rate is workload-dependent (a survivor that is a leaf
     /// cannot anchor a descent and the next op pays a root seek).
     pub fn remove_batch(&mut self, keys: impl IntoIterator<Item = K>) -> usize {
-        let mut run = self.batch_run();
+        let timer = self.tree.metrics.call_timer();
         let mut keys: Vec<K> = keys.into_iter().collect();
         if !keys.is_sorted() {
             keys.sort();
         }
-        keys.iter().map(|key| usize::from(run.remove(key))).sum()
+        let removed = keys
+            .iter()
+            .map(|key| usize::from(self.remove_fingered(key)))
+            .sum();
+        self.tree.metrics.op_finish(OpClass::Batch, timer);
+        removed
     }
 
-    /// Looks up every key of `keys`, returning the values **in input
-    /// order** (the lookups themselves run in sorted, finger-anchored
-    /// order like [`insert_batch`](Self::insert_batch)).
+    /// [`get_many`](Self::get_many) over owned keys: the values come
+    /// back **in input order**.
     pub fn get_batch(&mut self, keys: impl IntoIterator<Item = K>) -> Vec<Option<V>>
     where
         V: Clone,
     {
-        let mut run = self.batch_run();
         let keys: Vec<K> = keys.into_iter().collect();
-        if keys.is_sorted() {
-            // Already-ascending input: sorted order *is* input order, so
-            // skip the index pairing and the result scatter entirely.
-            return keys.iter().map(|key| run.get(key)).collect();
-        }
-        let mut order: Vec<(usize, &K)> = keys.iter().enumerate().collect();
-        order.sort_by(|a, b| a.1.cmp(b.1));
-        let mut out: Vec<Option<V>> = Vec::new();
-        out.resize_with(order.len(), || None);
-        for (idx, key) in order {
-            out[idx] = run.get(key);
-        }
+        let mut out = Vec::new();
+        self.get_many(&keys, &mut out);
         out
     }
 
@@ -380,9 +460,8 @@ where
     /// (DESIGN.md §16). Each answer is what [`get`](Self::get) would
     /// return at some instant inside the call; each key counts as one
     /// search in the tree's metrics, and the whole call is one
-    /// [`OpClass::Batch`] latency sample. Unlike
-    /// [`get_batch`](Self::get_batch), nothing is sorted, no finger is
-    /// used, and nothing is allocated beyond `out`'s capacity.
+    /// [`OpClass::Batch`] latency sample. Nothing is sorted, no finger
+    /// is used, and nothing is allocated beyond `out`'s capacity.
     ///
     /// # Examples
     ///
@@ -422,48 +501,6 @@ where
         self.tree.metrics.op_finish(OpClass::Batch, timer);
     }
 
-    /// Starts a mixed-op, finger-anchored batch run: a scoped cursor
-    /// whose `get`/`insert`/`remove` are the same finger-anchored loop
-    /// bodies the kind-homogeneous batch wrappers use, under one
-    /// whole-run [`OpClass::Batch`] latency sample (taken when the run
-    /// drops).
-    ///
-    /// Unlike [`insert_batch`](Self::insert_batch) and friends, a run
-    /// does **not** sort: the caller owns op order. Every op is a full
-    /// linearizable tree op regardless of order — ordering only decides
-    /// how often the finger anchor hits, so issue ops in key-sorted
-    /// order when you can (the serving tier's shard-fused executor
-    /// sorts each per-shard run before walking it; see
-    /// `ShardedMapHandle::execute_batch`).
-    pub fn batch_run(&mut self) -> BatchRun<'_, 't, K, V, R> {
-        let timer = self.tree.metrics.call_timer();
-        BatchRun {
-            handle: self,
-            timer,
-        }
-    }
-
-    /// One finger-anchored lookup: the batch loop body.
-    #[inline]
-    fn get_fingered(&mut self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.tick();
-        let finger = self.finger;
-        let guard = self.guard.as_ref().expect("pinned by tick");
-        // SAFETY: as in `insert`; `finger` is true only while `rec`
-        // holds a record produced under the current guard.
-        let (value, hit) = unsafe {
-            self.tree
-                .get_from(key, V::clone, guard, &mut self.rec, finger)
-        };
-        self.finger = true;
-        self.pending.searches += 1;
-        self.note_finger(hit);
-        value
-    }
-
     /// One finger-anchored insert: the batch loop body.
     #[inline]
     fn insert_fingered(&mut self, key: K, value: V) -> bool {
@@ -473,8 +510,11 @@ where
         // SAFETY: as in `insert`; `finger` is true only while `rec` holds
         // a record produced under the current guard (cleared on repin).
         let (added, hit) = unsafe {
-            self.tree
-                .insert_from(key, value, guard, &mut self.rec, &mut self.cache, finger)
+            let hit = self.tree.seek_finger(&key, &mut self.rec, finger);
+            let added = self
+                .tree
+                .insert_seeked(key, value, guard, &mut self.rec, &mut self.cache);
+            (added, hit)
         };
         self.finger = true;
         self.pending.inserts += 1;
@@ -491,8 +531,11 @@ where
         let guard = self.guard.as_ref().expect("pinned by tick");
         // SAFETY: as in `insert_fingered`.
         let (removed, hit) = unsafe {
-            self.tree
-                .remove_from(key, |_| (), guard, &mut self.rec, &mut self.cache, finger)
+            let hit = self.tree.seek_finger(key, &mut self.rec, finger);
+            let removed =
+                self.tree
+                    .remove_seeked(key, |_| (), guard, &mut self.rec, &mut self.cache);
+            (removed, hit)
         };
         self.finger = true;
         self.pending.removes += 1;
@@ -514,51 +557,6 @@ impl<K, V, R: Reclaim> Drop for MapHandle<'_, K, V, R> {
         // unpin/repin must not lose its counts (or latency samples).
         self.tree.metrics.add_pending(&self.pending);
         self.tree.metrics.flush_pending_lat(&mut self.pending_lat);
-    }
-}
-
-/// A scoped mixed-op batch cursor over a [`MapHandle`]; see
-/// [`MapHandle::batch_run`]. Dropping the run records the whole-run
-/// [`OpClass::Batch`] latency sample.
-pub struct BatchRun<'h, 't, K, V, R: Reclaim = Ebr> {
-    handle: &'h mut MapHandle<'t, K, V, R>,
-    timer: obs::LatTimer,
-}
-
-impl<K, V, R> BatchRun<'_, '_, K, V, R>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim,
-{
-    /// Finger-anchored [`MapHandle::get`].
-    #[inline]
-    pub fn get(&mut self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.handle.get_fingered(key)
-    }
-
-    /// Finger-anchored [`MapHandle::insert`].
-    #[inline]
-    pub fn insert(&mut self, key: K, value: V) -> bool {
-        self.handle.insert_fingered(key, value)
-    }
-
-    /// Finger-anchored [`MapHandle::remove`].
-    #[inline]
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.handle.remove_fingered(key)
-    }
-}
-
-impl<K, V, R: Reclaim> Drop for BatchRun<'_, '_, K, V, R> {
-    fn drop(&mut self) {
-        self.handle
-            .tree
-            .metrics
-            .op_finish(OpClass::Batch, self.timer);
     }
 }
 
@@ -671,8 +669,7 @@ where
     }
 
     /// Membership of every key of `keys`, **in input order**, the lookups
-    /// running in sorted finger-anchored order. See
-    /// [`MapHandle::get_batch`].
+    /// descending in interleaved lanes. See [`MapHandle::get_batch`].
     pub fn contains_batch(&mut self, keys: impl IntoIterator<Item = K>) -> Vec<bool> {
         self.inner
             .get_batch(keys)
@@ -921,12 +918,13 @@ mod tests {
                 },
             );
         }
-        // The first op of the fresh handle has no finger; every later op
-        // reaches the point. 64 + 10 + 2 ops → 75 arrivals.
-        assert_eq!(arrivals.get(), 75);
+        // The first op of the fresh handle has no finger; every later
+        // write reaches the point (`get_batch` descends in lanes, with
+        // no finger). 64 + 10 writes → 73 arrivals.
+        assert_eq!(arrivals.get(), 73);
         let m = map.metrics();
         assert_eq!(m.finger_hits, 0, "every finger was abandoned");
-        assert_eq!(m.finger_misses, 76);
+        assert_eq!(m.finger_misses, 74);
         assert_eq!(m.size_estimate, 54);
     }
 

@@ -76,7 +76,7 @@ mod shard;
 pub mod stats;
 mod tree;
 
-pub use handle::{BatchRun, MapHandle, SetHandle, DEFAULT_REPIN_EVERY};
+pub use handle::{MapHandle, SetHandle, DEFAULT_REPIN_EVERY};
 pub use key::Key;
 pub use node::LEAF_CAP;
 pub use obs::{LatencyConfig, OpClass};

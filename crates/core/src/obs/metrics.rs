@@ -127,12 +127,13 @@ struct Shard {
     finger_hits: AtomicU64,
     finger_misses: AtomicU64,
     /// Power-of-two histogram of nodes touched per seek descent (see
-    /// [`DEPTH_BUCKETS`]), plus running sums for averages, one for modify
-    /// descents and one for read descents. Lives in the shard so the
-    /// per-seek bump shares the line the op counter bump already owns.
+    /// [`DEPTH_BUCKETS`]), plus a running sum for the average. Lives in
+    /// the shard so the per-seek bump shares the line the op counter
+    /// bump already owns.
     depth_hist: [AtomicU64; DEPTH_BUCKETS],
     depth_sum: AtomicU64,
-    read_depth_sum: AtomicU64,
+    batch_lane_ops: AtomicU64,
+    batch_reseeks: AtomicU64,
 }
 
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
@@ -327,24 +328,19 @@ impl Metrics {
     }
 
     /// Folds a new observed access-path depth into the max gauge, the
-    /// sharded power-of-two histogram, and the modify or read (`read`)
-    /// depth sum. The max update's common case (not a new maximum) is a
-    /// single relaxed load; the histogram and sum cost two relaxed
-    /// `fetch_add`s on this thread's shard — the line the op counter
-    /// bump for the same operation already owns.
+    /// sharded power-of-two histogram, and the depth sum. The max
+    /// update's common case (not a new maximum) is a single relaxed
+    /// load; the histogram and sum cost two relaxed `fetch_add`s on this
+    /// thread's shard — the line the op counter bump for the same
+    /// operation already owns.
     #[inline]
-    pub(crate) fn note_depth(&self, depth: u64, read: bool) {
+    pub(crate) fn note_depth(&self, depth: u64) {
         if depth > self.max_depth.load(Ordering::Relaxed) {
             self.max_depth.fetch_max(depth, Ordering::Relaxed);
         }
         let shard = self.shard();
         shard.depth_hist[depth_bucket(depth)].fetch_add(1, Ordering::Relaxed);
-        let sum = if read {
-            &shard.read_depth_sum
-        } else {
-            &shard.depth_sum
-        };
-        sum.fetch_add(depth, Ordering::Relaxed);
+        shard.depth_sum.fetch_add(depth, Ordering::Relaxed);
     }
 
     /// Arms a sampled point-op timer: idle unless recording is enabled
@@ -535,6 +531,12 @@ impl Metrics {
         shard
             .finger_misses
             .fetch_add(p.finger_misses, Ordering::Relaxed);
+        shard
+            .batch_lane_ops
+            .fetch_add(p.batch_lane_ops, Ordering::Relaxed);
+        shard
+            .batch_reseeks
+            .fetch_add(p.batch_reseeks, Ordering::Relaxed);
     }
 
     /// Sums the shards and folds in the reclaimer's gauges and the node
@@ -560,11 +562,12 @@ impl Metrics {
             s.helps += shard.helps.load(Ordering::Relaxed);
             s.finger_hits += shard.finger_hits.load(Ordering::Relaxed);
             s.finger_misses += shard.finger_misses.load(Ordering::Relaxed);
+            s.batch_lane_ops += shard.batch_lane_ops.load(Ordering::Relaxed);
+            s.batch_reseeks += shard.batch_reseeks.load(Ordering::Relaxed);
             for (dst, src) in s.depth_hist.iter_mut().zip(shard.depth_hist.iter()) {
                 *dst += src.load(Ordering::Relaxed);
             }
             s.depth_sum += shard.depth_sum.load(Ordering::Relaxed);
-            s.read_depth_sum += shard.read_depth_sum.load(Ordering::Relaxed);
         }
         // The shards store outcomes; the snapshot reports call totals.
         s.inserts += s.inserted;
@@ -598,6 +601,8 @@ pub(crate) struct PendingOps {
     pub(crate) removed: u64,
     pub(crate) finger_hits: u64,
     pub(crate) finger_misses: u64,
+    pub(crate) batch_lane_ops: u64,
+    pub(crate) batch_reseeks: u64,
 }
 
 impl PendingOps {
@@ -607,6 +612,8 @@ impl PendingOps {
             && self.removes == 0
             && self.finger_hits == 0
             && self.finger_misses == 0
+            && self.batch_lane_ops == 0
+            && self.batch_reseeks == 0
     }
 
     pub(crate) fn clear(&mut self) {
@@ -686,15 +693,23 @@ pub struct MetricsSnapshot {
     /// Batch ops that fell back to a full root descent (first op of a
     /// batch, stale anchor, or anchor's successor was a leaf).
     pub finger_misses: u64,
+    /// `execute_batch` ops whose descent ran in a Phase-1 interleaved
+    /// lane: every write, and the first GET of each key in a shard run
+    /// that no same-key write precedes.
+    pub batch_lane_ops: u64,
+    /// `execute_batch` writes whose Phase-1 record had gone stale by
+    /// Phase 2 (an earlier write of the run, or a concurrent one, moved
+    /// an edge of it; or the `BatchStale` chaos point said so) and
+    /// re-seeked before their CAS.
+    pub batch_reseeks: u64,
     /// `inserted - removed`: live key count, exact at quiescence.
     pub size_estimate: i64,
     /// Deepest access path observed by any seek (nodes touched below the
     /// sentinel pair, the fat leaf *block* counting as one node; 0 until
-    /// the first modify op or finger-batched read).
+    /// the first modify op).
     pub max_depth: u64,
-    /// Power-of-two histogram of nodes touched per seek descent, modify
-    /// ops and finger-batched reads alike (plain reads take a lighter
-    /// path that records nothing): bucket `b` counts descents of depth
+    /// Power-of-two histogram of nodes touched per modify-op seek
+    /// descent (reads take a lighter path that records nothing): bucket `b` counts descents of depth
     /// `2^(b-1) ..= 2^b - 1` (bucket 0 holds the degenerate zero-node
     /// case, the last bucket saturates). This is the
     /// production-observable form of the fat-leaf miss-reduction claim:
@@ -704,9 +719,6 @@ pub struct MetricsSnapshot {
     /// mean nodes touched per modify descent; a CAS retry that re-seeks
     /// from the root counts again).
     pub depth_sum: u64,
-    /// Sum of finger-batched read descent depths (batched GETs whose
-    /// finger missed and fell back to a root seek).
-    pub read_depth_sum: u64,
     /// Sampled per-op-type latency histograms (all empty when
     /// `feature = "obs-latency"` is off or recording is disabled).
     pub latency: LatencySnapshot,
@@ -751,13 +763,14 @@ impl MetricsSnapshot {
         self.helps += other.helps;
         self.finger_hits += other.finger_hits;
         self.finger_misses += other.finger_misses;
+        self.batch_lane_ops += other.batch_lane_ops;
+        self.batch_reseeks += other.batch_reseeks;
         self.size_estimate += other.size_estimate;
         self.max_depth = self.max_depth.max(other.max_depth);
         for (dst, src) in self.depth_hist.iter_mut().zip(other.depth_hist.iter()) {
             *dst += src;
         }
         self.depth_sum += other.depth_sum;
-        self.read_depth_sum += other.read_depth_sum;
         self.latency.merge(&other.latency);
         self.slow_ops.extend_from_slice(&other.slow_ops);
         self.slow_ops.sort_by_key(|r| std::cmp::Reverse(r.ns));
@@ -803,8 +816,9 @@ impl MetricsSnapshot {
                 "{{\"searches\":{},\"inserts\":{},\"inserted\":{},",
                 "\"removes\":{},\"removed\":{},\"helps\":{},",
                 "\"finger_hits\":{},\"finger_misses\":{},",
+                "\"batch_lane_ops\":{},\"batch_reseeks\":{},",
                 "\"size_estimate\":{},\"max_depth\":{},",
-                "\"depth_hist\":[{}],\"depth_sum\":{},\"read_depth_sum\":{},",
+                "\"depth_hist\":[{}],\"depth_sum\":{},",
                 "\"latency\":{{{}}},\"slow_ops\":{},",
                 "\"reclaim_epoch\":{},\"reclaim_epoch_lag\":{},",
                 "\"reclaim_pinned_threads\":{},\"reclaim_retired_backlog\":{},",
@@ -822,11 +836,12 @@ impl MetricsSnapshot {
             self.helps,
             self.finger_hits,
             self.finger_misses,
+            self.batch_lane_ops,
+            self.batch_reseeks,
             self.size_estimate,
             self.max_depth,
             depth_hist,
             self.depth_sum,
-            self.read_depth_sum,
             latency,
             self.slow_ops.len(),
             self.reclaim.epoch,
@@ -925,6 +940,20 @@ impl MetricsSnapshot {
         );
         metric(
             &mut out,
+            "nmbst_batch_lane_ops_total",
+            "counter",
+            "execute_batch ops descended in interleaved Phase-1 lanes.",
+            self.batch_lane_ops as i128,
+        );
+        metric(
+            &mut out,
+            "nmbst_batch_reseeks_total",
+            "counter",
+            "execute_batch writes that re-seeked a stale Phase-1 record.",
+            self.batch_reseeks as i128,
+        );
+        metric(
+            &mut out,
             "nmbst_size_estimate",
             "gauge",
             "Live keys (inserted - removed; exact at quiescence).",
@@ -940,7 +969,7 @@ impl MetricsSnapshot {
         // Descent-depth distribution as a Prometheus histogram:
         // cumulative `le` buckets at the power-of-two upper bounds.
         out.push_str(concat!(
-            "# HELP nmbst_descent_depth Nodes touched per seek (modify and batched read).\n",
+            "# HELP nmbst_descent_depth Nodes touched per modify-op seek.\n",
             "# TYPE nmbst_descent_depth histogram\n"
         ));
         let mut cumulative = 0u64;
@@ -961,16 +990,8 @@ impl MetricsSnapshot {
             out,
             "nmbst_descent_depth_bucket{{le=\"+Inf\"}} {cumulative}"
         );
-        let depth_total = self.depth_sum + self.read_depth_sum;
-        let _ = writeln!(out, "nmbst_descent_depth_sum {depth_total}");
+        let _ = writeln!(out, "nmbst_descent_depth_sum {}", self.depth_sum);
         let _ = writeln!(out, "nmbst_descent_depth_count {cumulative}");
-        metric(
-            &mut out,
-            "nmbst_read_descent_depth_total",
-            "counter",
-            "Nodes touched by batched read descents (part of nmbst_descent_depth_sum).",
-            self.read_depth_sum as i128,
-        );
         // Per-op-type latency: one histogram family, labelled series.
         out.push_str(concat!(
             "# HELP nmbst_op_latency_ns Sampled operation latency by op type (ns).\n",
@@ -1092,7 +1113,8 @@ impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "searches={} inserts={}/{} removes={}/{} helps={} finger={}/{} size≈{} \
+            "searches={} inserts={}/{} removes={}/{} helps={} finger={}/{} \
+             batch_lane_ops={} batch_reseeks={} size≈{} \
              max_depth={} mean_depth≈{:.1} lat_samples={} slow_ops={} \
              epoch={} lag={} pinned={} backlog={} \
              pool_hits={} pool_misses={} pool_recycled={} pool_len={} \
@@ -1106,10 +1128,11 @@ impl std::fmt::Display for MetricsSnapshot {
             self.helps,
             self.finger_hits,
             self.finger_hits + self.finger_misses,
+            self.batch_lane_ops,
+            self.batch_reseeks,
             self.size_estimate,
             self.max_depth,
-            (self.depth_sum + self.read_depth_sum) as f64
-                / self.depth_hist.iter().sum::<u64>().max(1) as f64,
+            self.depth_sum as f64 / self.depth_hist.iter().sum::<u64>().max(1) as f64,
             self.latency.len(),
             self.slow_ops.len(),
             self.reclaim.epoch,

@@ -44,8 +44,8 @@ mod trace;
 mod prom;
 
 pub use hist::{ConcurrentHistogram, Histogram, LatencySnapshot};
-pub(crate) use metrics::{LatTimer, Metrics, PendingLat, PendingOps};
 pub use metrics::{LatencyConfig, MetricsSnapshot, ServeGauges, DEPTH_BUCKETS};
+pub(crate) use metrics::{Metrics, PendingLat, PendingOps};
 pub use prom::validate_prometheus;
 pub use slow::{slow_event_name, SlowOp, SLOW_EVENTS};
 #[cfg(feature = "obs")]

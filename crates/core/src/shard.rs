@@ -25,8 +25,8 @@
 //! once, in ascending order.
 
 use crate::handle::MANY_CHUNK;
-use crate::obs::MetricsSnapshot;
-use crate::tree::{search_many, NmTreeMap, TreeConfig, TreeShape};
+use crate::obs::{MetricsSnapshot, OpClass};
+use crate::tree::{search_many, seek_many, NmTreeMap, SeekRecord, TreeConfig, TreeShape};
 use crate::MapHandle;
 use nmbst_reclaim::{Ebr, Reclaim};
 use std::hash::{Hash, Hasher};
@@ -199,6 +199,7 @@ where
         ShardedMapHandle {
             map: self,
             handles: self.shards.iter().map(|t| t.handle()).collect(),
+            recs: Vec::new(),
         }
     }
 
@@ -450,13 +451,31 @@ pub enum BatchVerdict<V> {
     Removed(bool),
 }
 
-/// Reusable routing scratch for [`ShardedMapHandle::execute_batch`]:
-/// one position list per shard, capacity retained across calls so a
-/// steady-state caller never re-allocates.
+/// Reusable scratch for [`ShardedMapHandle::execute_batch`]: the
+/// per-shard runs and the two phases' op lists, capacity retained
+/// across calls so a steady-state caller never re-allocates.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
+    /// Chunk positions per shard, sorted by `(key, position)`; a GET
+    /// that follows a same-key write of its run carries [`LATE`], one
+    /// that follows a same-key Phase-1 GET carries [`DUP`].
     runs: Vec<Vec<u32>>,
+    /// Phase-1 GETs: chunk positions the interleaved search answers.
+    gets: Vec<u32>,
+    /// Writes, shard by shard in run order: `writes[i]` acts on the
+    /// `i`-th Phase-1 seek record.
+    writes: Vec<u32>,
 }
+
+/// Run-entry bit of a GET that waits for Phase 2 because an earlier
+/// write of its run has the same key. Chunk positions stay below
+/// [`MANY_CHUNK`], far under it.
+const LATE: u32 = 1 << 31;
+
+/// Run-entry bit of a GET whose run has an earlier same-key GET and no
+/// same-key write between them: it takes no lane and copies that GET's
+/// verdict, so equal-key reads answer alike and in input order.
+const DUP: u32 = 1 << 30;
 
 impl BatchScratch {
     /// An empty scratch; sized lazily on first use.
@@ -464,7 +483,7 @@ impl BatchScratch {
         BatchScratch::default()
     }
 
-    /// Clears every run and makes sure one exists per shard.
+    /// Clears every list and makes sure one run exists per shard.
     fn reset(&mut self, shards: usize) {
         for run in self.runs.iter_mut() {
             run.clear();
@@ -472,6 +491,8 @@ impl BatchScratch {
         if self.runs.len() < shards {
             self.runs.resize_with(shards, Vec::new);
         }
+        self.gets.clear();
+        self.writes.clear();
     }
 }
 
@@ -482,6 +503,9 @@ impl BatchScratch {
 pub struct ShardedMapHandle<'t, K, V, R: Reclaim = Ebr> {
     map: &'t ShardedMap<K, V, R>,
     handles: Box<[MapHandle<'t, K, V, R>]>,
+    /// [`Self::execute_batch`]'s Phase-1 seek records, one per write of
+    /// a chunk; capacity retained across calls.
+    recs: Vec<SeekRecord<K, V>>,
 }
 
 impl<'t, K, V, R> ShardedMapHandle<'t, K, V, R>
@@ -634,22 +658,47 @@ where
         out
     }
 
-    /// Executes a mixed batch of commands shard-fused: partitions `cmds`
-    /// by shard, sorts each shard's run by key, walks it through that
-    /// shard's finger-anchored [`MapHandle::batch_run`] cursor, and
-    /// scatters the verdicts back into `out` at the command's input
-    /// position. All buffers are caller-owned and reused — a
+    /// Executes a mixed batch of commands shard-fused, in two phases,
+    /// and scatters the verdicts back into `out` at each command's input
+    /// position. All buffers are caller- or handle-owned and reused — a
     /// steady-state caller allocates nothing beyond retained capacity.
+    ///
+    /// The batch runs in chunks of up to 256 commands, one after
+    /// another. A chunk is partitioned by shard and each shard's run is
+    /// sorted by `(key, input position)`; every run is charged to its
+    /// shard handle up front, so one pin covers it through both phases.
+    ///
+    /// * **Phase 1** advances the descents of every run in up to 16
+    ///   interleaved lanes with a prefetch per level (the misses of
+    ///   different keys overlap): each GET with no earlier same-key
+    ///   write in its run is answered right there (one lane per key: a
+    ///   repeated GET copies the first one's verdict), and each write's
+    ///   descent fills a seek record.
+    /// * **Phase 2** walks each run in order, applying its writes, and
+    ///   the GETs that follow a same-key write, one at a time. A write
+    ///   first checks that its record still holds — its anchor edge and
+    ///   its leaf edge unchanged — and re-seeks from the anchor if an
+    ///   earlier write (of the run, or a concurrent one) moved either.
+    ///   Uncontended, no write ever CASes against a stale record, so
+    ///   the paper's exact costs hold: 1 CAS per added key, 1 CAS +
+    ///   1 BTS + 1 CAS per removed one-key leaf.
     ///
     /// **Equivalence to input-order execution.** The replies (and the
     /// final map state) are identical to running `cmds` one at a time in
     /// input order: a map is a family of independent per-key registers,
     /// so two commands on *distinct* keys commute, and commands on the
-    /// *same* key always land in the same shard's run where the sort key
-    /// `(key, input position)` keeps them in input order (positions are
-    /// unique, so the comparator is a total order and `sort_unstable_by`
-    /// is deterministic). The only freedom the fusion exploits is
-    /// reordering across distinct keys, which no reply can observe.
+    /// *same* key land in the same shard's run, adjacent under the
+    /// `(key, input position)` sort (positions are unique, so the
+    /// comparator is a total order). Their order survives both phases:
+    /// a Phase-1 GET has no same-key write before it in the run, so
+    /// reading before every write of the run answers as input order
+    /// would, and same-key Phase-1 GETs share one read, so lanes that
+    /// finish out of order cannot answer them out of order; writes and
+    /// late GETs execute in run order; and a write
+    /// whose key an earlier write changed finds its record stale (that
+    /// write replaced the leaf or the edge into it), re-seeks, and sees
+    /// the change. The only freedom the executor takes is reordering
+    /// across distinct keys, which no reply can observe.
     pub fn execute_batch(
         &mut self,
         cmds: &[BatchCmd<K, V>],
@@ -658,17 +707,31 @@ where
     ) where
         V: Clone,
     {
-        assert!(
-            u32::try_from(cmds.len()).is_ok(),
-            "batch larger than u32 position space"
-        );
-        scratch.reset(self.handles.len());
-        for (pos, cmd) in cmds.iter().enumerate() {
-            scratch.runs[self.map.shard_of(cmd.key())].push(pos as u32);
-        }
         out.clear();
         out.resize(cmds.len(), BatchVerdict::Missing);
-        for (i, run) in scratch.runs.iter_mut().enumerate().take(self.handles.len()) {
+        for (c, chunk) in cmds.chunks(MANY_CHUNK).enumerate() {
+            self.execute_chunk(chunk, scratch, &mut out[c * MANY_CHUNK..]);
+        }
+    }
+
+    /// One chunk of [`Self::execute_batch`]; `out[pos]` receives the
+    /// verdict of `cmds[pos]`.
+    fn execute_chunk(
+        &mut self,
+        cmds: &[BatchCmd<K, V>],
+        scratch: &mut BatchScratch,
+        out: &mut [BatchVerdict<V>],
+    ) where
+        V: Clone,
+    {
+        let map = self.map;
+        let timer = map.shards[0].metrics.call_timer();
+        scratch.reset(self.handles.len());
+        for (pos, cmd) in cmds.iter().enumerate() {
+            scratch.runs[map.shard_of(cmd.key())].push(pos as u32);
+        }
+        // Sort, charge and classify each run.
+        for (run, handle) in scratch.runs.iter_mut().zip(self.handles.iter_mut()) {
             if run.is_empty() {
                 continue;
             }
@@ -678,19 +741,85 @@ where
                     .cmp(cmds[b as usize].key())
                     .then(a.cmp(&b))
             });
-            let mut cursor = self.handles[i].batch_run();
-            for &pos in run.iter() {
-                out[pos as usize] = match &cmds[pos as usize] {
-                    BatchCmd::Get(k) => match cursor.get(k) {
-                        Some(v) => BatchVerdict::Found(v),
-                        None => BatchVerdict::Missing,
-                    },
-                    BatchCmd::Insert(k, v) => {
-                        BatchVerdict::Added(cursor.insert(k.clone(), v.clone()))
+            handle.charge(run.len());
+            let (gets, writes) = (scratch.gets.len(), scratch.writes.len());
+            let (mut wrote, mut read): (Option<&K>, Option<&K>) = (None, None);
+            let mut searches = 0;
+            for entry in run.iter_mut() {
+                let cmd = &cmds[*entry as usize];
+                match cmd {
+                    BatchCmd::Get(k) => {
+                        searches += 1;
+                        if wrote == Some(k) {
+                            *entry |= LATE;
+                        } else if read == Some(k) {
+                            *entry |= DUP;
+                        } else {
+                            read = Some(k);
+                            scratch.gets.push(*entry);
+                        }
                     }
-                    BatchCmd::Remove(k) => BatchVerdict::Removed(cursor.remove(k)),
+                    _ => {
+                        wrote = Some(cmd.key());
+                        scratch.writes.push(*entry);
+                    }
+                }
+            }
+            let lanes = scratch.gets.len() - gets + scratch.writes.len() - writes;
+            handle.note_run(searches, lanes);
+        }
+
+        // Phase 1: every lane descent, across shards.
+        let (gets, writes) = (&scratch.gets, &scratch.writes);
+        let tree_of = |pos: u32| {
+            let key = cmds[pos as usize].key();
+            (map.shard(map.shard_of(key)), key)
+        };
+        // SAFETY: every shard a command of this chunk routes to was
+        // charged — hence pinned by its handle's guard — above, and
+        // nothing re-pins a handle before its run's Phase 2 ends.
+        unsafe {
+            search_many(
+                gets.len(),
+                |i| tree_of(gets[i]),
+                |i, v| {
+                    out[gets[i] as usize] = match v {
+                        Some(v) => BatchVerdict::Found(v.clone()),
+                        None => BatchVerdict::Missing,
+                    }
+                },
+            );
+            self.recs.clear();
+            self.recs.resize_with(writes.len(), SeekRecord::empty);
+            seek_many(&mut self.recs, |i| tree_of(writes[i]));
+        }
+
+        // Phase 2: each run's writes and late GETs, in run order.
+        let mut recs = self.recs.iter_mut();
+        for (i, (run, handle)) in scratch.runs.iter().zip(self.handles.iter_mut()).enumerate() {
+            if run.is_empty() {
+                continue;
+            }
+            // The Phase-1 GET a DUP entry copies: the run's last one.
+            let mut read = 0;
+            for &entry in run {
+                let pos = (entry & !(LATE | DUP)) as usize;
+                out[pos] = match &cmds[pos] {
+                    BatchCmd::Get(k) if entry & LATE != 0 => handle.run_get(k),
+                    BatchCmd::Get(_) if entry & DUP != 0 => out[read].clone(),
+                    BatchCmd::Get(_) => {
+                        read = pos;
+                        continue;
+                    }
+                    cmd => {
+                        let rec = recs.next().expect("one record per write");
+                        // SAFETY: Phase 1 produced `rec` for this write
+                        // under the guard charged for this run.
+                        unsafe { handle.run_write(cmd, rec) }
+                    }
                 };
             }
+            map.shards[i].metrics.op_finish(OpClass::Batch, timer);
         }
     }
 

@@ -13,7 +13,7 @@ mod write;
 pub use validate::TreeShape;
 
 pub(crate) use read::search_many;
-pub(crate) use seek::SeekRecord;
+pub(crate) use seek::{seek_many, SeekRecord};
 
 use crate::handle::MapHandle;
 use crate::node::{self, Node, LEAF_CAP};

@@ -1,7 +1,7 @@
 //! Read-only operations: search (Algorithm 2, lines 34–39), value access
 //! and weakly consistent traversal.
 
-use super::{NmTreeMap, SeekRecord};
+use super::NmTreeMap;
 use crate::node::{prefetch, Node};
 use nmbst_reclaim::{NodePool, Reclaim};
 
@@ -208,40 +208,6 @@ where
         V: Clone,
     {
         self.with_value(key, V::clone)
-    }
-
-    /// Batch-op read: [`with_value_in`](Self::with_value_in) through a
-    /// full record-producing seek anchored at `rec`'s previous position
-    /// (see [`seek_finger`](Self::seek_finger)) — unlike the plain read
-    /// path's `search_leaf`, this leaves `rec` usable as the next op's
-    /// finger. Returns `(value, finger_hit)`.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`contains_in`](Self::contains_in); when
-    /// `finger` is true, `rec` must additionally hold a record produced
-    /// under the same continuously-held guard.
-    pub(crate) unsafe fn get_from<T>(
-        &self,
-        key: &K,
-        f: impl FnOnce(&V) -> T,
-        guard: &R::Guard<'_>,
-        rec: &mut SeekRecord<K, V>,
-        finger: bool,
-    ) -> (Option<T>, bool) {
-        let _ = guard;
-        // SAFETY: pinned per contract; `finger` vouches for the record.
-        let hit = unsafe { self.seek_finger(key, rec, finger, true) };
-        let leaf = rec.leaf;
-        // SAFETY: guard-protected; block contents are immutable after
-        // publication.
-        let value = unsafe {
-            match (*leaf).find(key) {
-                Ok(pos) => Some(f(&(*leaf).entry_vals()[pos])),
-                Err(_) => None,
-            }
-        };
-        (value, hit)
     }
 
     /// Visits every `(key, value)` pair in ascending key order.

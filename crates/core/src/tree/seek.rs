@@ -14,11 +14,13 @@
 //! `successor` down to `parent` is in the process of being removed, and
 //! the splice at `ancestor` will excise the whole chain at once.
 
+use super::read::SEARCH_LANES;
 use super::{NmTreeMap, RestartPolicy};
 use crate::chaos::{self, Action, Point};
 use crate::key::Key;
 use crate::node::{clean_edge, prefetch, Node};
 use crate::obs::{self, EventKind};
+use crate::packed::Edge;
 use crate::stats;
 use nmbst_reclaim::Reclaim;
 use std::cmp::Ordering;
@@ -73,6 +75,158 @@ impl<K, V> SeekRecord<K, V> {
     }
 }
 
+/// One in-flight descent of [`seek_many`]: the running Algorithm-1
+/// record of its key plus the two edge words the tag bookkeeping reads.
+struct SeekLane<'m, K, V, R: Reclaim> {
+    tree: &'m NmTreeMap<K, V, R>,
+    key: &'m K,
+    /// Position of the key in the caller's query order.
+    idx: usize,
+    ancestor: *mut Node<K, V>,
+    successor: *mut Node<K, V>,
+    parent: *mut Node<K, V>,
+    leaf: *mut Node<K, V>,
+    /// The edge `parent → leaf`, as loaded.
+    into_leaf: Edge<Node<K, V>>,
+    /// The edge out of `leaf` toward the key; its target (prefetched
+    /// when loaded) is what this lane reads next, and null once `leaf`
+    /// is the leaf.
+    out_of_leaf: Edge<Node<K, V>>,
+    depth: u64,
+}
+
+/// [`NmTreeMap::seek`] for `recs.len()` keys at once, the record-producing
+/// sibling of [`search_many`](super::search_many): up to
+/// [`SEARCH_LANES`] root-to-leaf descents advance round-robin, one level
+/// per turn, each prefetching the node it reads on its next turn, so the
+/// cache misses of different keys overlap. Each lane keeps Algorithm 1's
+/// ancestor/successor/parent/leaf bookkeeping (an untagged edge into the
+/// next parent advances the anchor) and, when its leaf is reached,
+/// writes `recs[i]` and sums its depth into the modify `depth_sum`,
+/// exactly as a lone `seek` for that key would have at that instant.
+///
+/// The records carry no positional bounds (`lo`/`hi` stay null): they
+/// feed one write each (and its local-restart retries), never a finger.
+///
+/// `query(i)` names the tree and key of record `i` and is called once
+/// per `i`, in order.
+///
+/// # Safety
+///
+/// Every tree `query` returns must have its reclaimer pinned by a guard
+/// held across the call and for as long as the records are
+/// dereferenced.
+pub(crate) unsafe fn seek_many<'m, K, V, R>(
+    recs: &mut [SeekRecord<K, V>],
+    mut query: impl FnMut(usize) -> (&'m NmTreeMap<K, V, R>, &'m K),
+) where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + 'm,
+{
+    let mut next = 0;
+    let mut lanes: [Option<SeekLane<'m, K, V, R>>; SEARCH_LANES] = [const { None }; SEARCH_LANES];
+    let mut live = 0;
+    for slot in lanes.iter_mut() {
+        // SAFETY: forwarded contract.
+        *slot = unsafe { launch_seek(recs, &mut next, &mut query) };
+        live += usize::from(slot.is_some());
+    }
+    while live > 0 {
+        for slot in lanes.iter_mut() {
+            let Some(lane) = slot else { continue };
+            // The body of `seek`'s descent loop, one level of it.
+            if !lane.into_leaf.tag() {
+                lane.ancestor = lane.parent;
+                lane.successor = lane.leaf;
+            }
+            lane.parent = lane.leaf;
+            lane.leaf = lane.out_of_leaf.ptr();
+            lane.into_leaf = lane.out_of_leaf;
+            // SAFETY: `lane.leaf` was read from a live edge of a pinned
+            // tree.
+            let node = unsafe { &*lane.leaf };
+            let go_left = node.key.user_goes_left_fin(lane.key);
+            lane.out_of_leaf = node.child(!go_left).load(lane.tree.arena());
+            lane.depth += 1;
+            let child = lane.out_of_leaf.ptr();
+            if child.is_null() {
+                finish_seek(lane, recs);
+                // SAFETY: forwarded contract.
+                *slot = unsafe { launch_seek(recs, &mut next, &mut query) };
+                live -= usize::from(slot.is_none());
+            } else {
+                prefetch(child);
+            }
+        }
+    }
+}
+
+/// Starts the descent of the next query of [`seek_many`] from the
+/// sentinels (Algorithm 1, lines 15–21), or returns `None` once all have
+/// started. A tree whose user area is one sentinel leaf completes its
+/// record at once, and the next query is tried instead.
+///
+/// # Safety
+///
+/// As [`seek_many`].
+unsafe fn launch_seek<'m, K, V, R>(
+    recs: &mut [SeekRecord<K, V>],
+    next: &mut usize,
+    query: &mut impl FnMut(usize) -> (&'m NmTreeMap<K, V, R>, &'m K),
+) -> Option<SeekLane<'m, K, V, R>>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + 'm,
+{
+    while *next < recs.len() {
+        let idx = *next;
+        *next += 1;
+        let (tree, key) = query(idx);
+        stats::record_seek();
+        obs::emit(EventKind::SeekStart);
+        let arena = tree.arena();
+        let s = tree.s_node();
+        // SAFETY: pinned per the contract; the sentinel prefix is
+        // hardcoded exactly as in `seek`.
+        let into_leaf = unsafe { &(*s).left }.load(arena);
+        let out_of_leaf = unsafe { &(*into_leaf.ptr()).left }.load(arena);
+        let lane = SeekLane {
+            tree,
+            key,
+            idx,
+            ancestor: tree.root,
+            successor: s,
+            parent: s,
+            leaf: into_leaf.ptr(),
+            into_leaf,
+            out_of_leaf,
+            depth: 0,
+        };
+        if out_of_leaf.ptr().is_null() {
+            finish_seek(&lane, recs);
+            continue;
+        }
+        prefetch(out_of_leaf.ptr());
+        return Some(lane);
+    }
+    None
+}
+
+/// Writes a finished lane's record and accounts its depth.
+fn finish_seek<K, V, R: Reclaim>(lane: &SeekLane<'_, K, V, R>, recs: &mut [SeekRecord<K, V>]) {
+    recs[lane.idx] = SeekRecord {
+        ancestor: lane.ancestor,
+        successor: lane.successor,
+        parent: lane.parent,
+        leaf: lane.leaf,
+        lo: std::ptr::null(),
+        hi: std::ptr::null(),
+    };
+    lane.tree.metrics.note_depth(lane.depth);
+}
+
 impl<K, V, R> NmTreeMap<K, V, R>
 where
     K: Ord + Send + Sync + 'static,
@@ -80,9 +234,7 @@ where
     R: Reclaim,
 {
     /// Algorithm 1, lines 13–33. Fills `rec` with the access-path
-    /// addresses for `key`. `read` marks a read-path descent (a
-    /// finger-batched GET), whose depth is summed apart from modify
-    /// descents.
+    /// addresses for `key`.
     ///
     /// # Safety
     ///
@@ -91,7 +243,7 @@ where
     // Perf: inline so the per-op entry points in write.rs fuse the descent
     // loop with their retry loops instead of paying a call per (re)seek.
     #[inline]
-    pub(crate) unsafe fn seek(&self, key: &K, rec: &mut SeekRecord<K, V>, read: bool) {
+    pub(crate) unsafe fn seek(&self, key: &K, rec: &mut SeekRecord<K, V>) {
         stats::record_seek();
         obs::emit(EventKind::SeekStart);
         let r = self.root;
@@ -158,7 +310,7 @@ where
             prefetch(current);
             depth += 1;
         }
-        self.metrics.note_depth(depth, read);
+        self.metrics.note_depth(depth);
     }
 
     /// Restarts a seek from a previously observed `(anchor → successor)`
@@ -293,7 +445,7 @@ where
             }
         }
         // SAFETY: forwarded contract.
-        unsafe { self.seek(key, rec, false) };
+        unsafe { self.seek(key, rec) };
     }
 
     /// Batch-op seek: descend from a previous op's seek record — the
@@ -313,8 +465,7 @@ where
     /// torn-down anchor fails the clean-edge check and the op falls back
     /// to a full root seek. The [`Point::BatchFinger`] chaos point fires
     /// before the gate; [`Action::Abandon`] skips the anchor (a
-    /// deterministic forced miss), it does not abandon the op. `read` is
-    /// forwarded to a root [`seek`](Self::seek).
+    /// deterministic forced miss), it does not abandon the op.
     ///
     /// # Safety
     ///
@@ -327,7 +478,6 @@ where
         key: &K,
         rec: &mut SeekRecord<K, V>,
         finger: bool,
-        read: bool,
     ) -> bool {
         if finger && !rec.ancestor.is_null() && chaos::hit(Point::BatchFinger) == Action::Continue {
             // SAFETY: bound pointers target routing keys of nodes on the
@@ -346,8 +496,35 @@ where
             }
         }
         // SAFETY: forwarded contract.
-        unsafe { self.seek(key, rec, read) };
+        unsafe { self.seek(key, rec) };
         false
+    }
+
+    /// Whether `rec` still names `key`'s access path where a write
+    /// would act on it: the anchor edge `ancestor → successor` and the
+    /// leaf edge `parent → leaf` both still hold their clean values. A
+    /// clean edge proves its source was in the tree when loaded (both
+    /// edges of a node are marked before any splice can detach it), and
+    /// positional windows of routing nodes only widen, so a record that
+    /// holds is one a fresh seek could have produced now — in particular
+    /// its leaf is on `key`'s access path. A write that replaced the
+    /// leaf, grew the tree at it, or spliced the parent or the anchor
+    /// out has changed one of the two edges. The batch executor checks
+    /// this before it acts on a record seeked earlier in the same run.
+    ///
+    /// # Safety
+    ///
+    /// `rec` must come from a seek for `key` under a guard for this
+    /// tree that the caller still holds.
+    #[inline]
+    pub(crate) unsafe fn record_holds(&self, key: &K, rec: &SeekRecord<K, V>) -> bool {
+        let arena = self.arena();
+        // SAFETY: the record's nodes are protected by the caller's
+        // guard.
+        unsafe {
+            (*rec.ancestor).child_for(key).load(arena) == clean_edge(rec.successor)
+                && (*rec.parent).child_for(key).load(arena) == clean_edge(rec.leaf)
+        }
     }
 
     /// Lightweight traversal for read-only operations: the paper's
@@ -392,7 +569,7 @@ mod tests {
         let map = Map::new();
         let mut rec = SeekRecord::empty();
         unsafe {
-            map.seek(&42, &mut rec, false);
+            map.seek(&42, &mut rec);
             assert_eq!((*rec.leaf).key, Key::Inf0);
             assert_eq!(rec.parent, map.s_node());
             assert_eq!(rec.successor, map.s_node());
@@ -408,7 +585,7 @@ mod tests {
         }
         let mut rec = SeekRecord::empty();
         unsafe {
-            map.seek(&25, &mut rec, false);
+            map.seek(&25, &mut rec);
             assert!((*rec.leaf).find(&25).is_ok());
             assert!((*rec.leaf).is_leaf());
             assert!(!(*rec.parent).is_leaf());
@@ -426,7 +603,7 @@ mod tests {
         }
         let mut rec = SeekRecord::empty();
         unsafe {
-            map.seek(&15, &mut rec, false);
+            map.seek(&15, &mut rec);
             // The leaf block reached must contain 15's in-order
             // neighbours (all three keys coalesce into one fat leaf at
             // the default cap, so both sides live in the same block).
@@ -446,7 +623,7 @@ mod tests {
         let mut rec = SeekRecord::empty();
         for probe in 0..200 {
             unsafe {
-                map.seek(&probe, &mut rec, false);
+                map.seek(&probe, &mut rec);
                 assert_eq!(map.search_leaf(&probe), rec.leaf);
             }
         }

@@ -50,7 +50,7 @@ where
         let mut rec = SeekRecord::empty();
         loop {
             // SAFETY: pinned.
-            unsafe { self.seek(key, &mut rec, false) };
+            unsafe { self.seek(key, &mut rec) };
             // SAFETY: read under the pin.
             if unsafe { (*rec.leaf).find(key).is_err() } {
                 return;

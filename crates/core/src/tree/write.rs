@@ -36,7 +36,7 @@ pub(crate) enum CleanupOutcome {
 }
 
 /// One insert attempt's private, unpublished node(s). Which variant is
-/// built depends on where the key lands (see [`NmTreeMap::insert_from`]);
+/// built depends on where the key lands (see [`NmTreeMap::insert_seeked`]);
 /// all of them publish with a single CAS and, if that CAS loses, are torn
 /// down with [`dismantle`](Scratch::dismantle) to recover the pending
 /// entry.
@@ -169,14 +169,16 @@ where
         rec: &mut SeekRecord<K, V>,
         cache: &mut NodeCache<'_>,
     ) -> bool {
-        // SAFETY: forwarded contract (`finger = false` ignores `rec`).
-        unsafe { self.insert_from(key, value, guard, rec, cache, false) }.0
+        // SAFETY: forwarded contract.
+        unsafe {
+            self.seek(&key, rec);
+            self.insert_seeked(key, value, guard, rec, cache)
+        }
     }
 
-    /// [`insert_in`](Self::insert_in) with a *finger*: when `finger` is
-    /// true, the first seek descends from `rec`'s previous
-    /// `(ancestor → successor)` anchor if it revalidates (the batch-op
-    /// fast path). Returns `(added, finger_hit)`.
+    /// The insert proper (Algorithm 2 from line 41), acting on `rec` as
+    /// already seeked for `key`; failed CASes re-seek through
+    /// [`seek_retry`](Self::seek_retry).
     ///
     /// Case analysis, with `n` the target block's entry count and `cap`
     /// this tree's `leaf_cap`:
@@ -195,42 +197,34 @@ where
     ///
     /// # Safety
     ///
-    /// Same contract as [`insert_in`](Self::insert_in); when `finger` is
-    /// true, `rec` must additionally hold a record produced under the
-    /// same continuously-held guard (see
-    /// [`seek_finger`](Self::seek_finger)).
-    pub(crate) unsafe fn insert_from(
+    /// Same contract as [`insert_in`](Self::insert_in), except that
+    /// `rec` must hold a seek for `key` produced under the same
+    /// continuously-held guard.
+    pub(crate) unsafe fn insert_seeked(
         &self,
         key: K,
         value: V,
         guard: &R::Guard<'_>,
         rec: &mut SeekRecord<K, V>,
         cache: &mut NodeCache<'_>,
-        finger: bool,
-    ) -> (bool, bool) {
+    ) -> bool {
         let arena = self.arena();
         let cap = self.leaf_cap;
         // The entry travels in and out of scratch nodes across retries.
         let mut pending = Some((key, value));
-        let mut first_seek = true;
-        let mut hit = false;
+        let mut retry = false;
 
         loop {
-            if first_seek {
-                first_seek = false;
-                let k = &pending.as_ref().expect("entry pending at seek").0;
-                // SAFETY: `guard` held per contract (`finger` vouches for
-                // the record's provenance).
-                hit = unsafe { self.seek_finger(k, rec, finger, false) };
-            } else {
+            if retry {
                 if chaos::hit(Point::SeekRetry) == Action::Abandon {
-                    return (false, hit); // pending entry dropped
+                    return false; // pending entry dropped
                 }
                 let k = &pending.as_ref().expect("entry pending at seek").0;
                 // SAFETY: `guard` held continuously since `rec` was
                 // produced, as `seek_retry` requires.
                 unsafe { self.seek_retry(k, rec) };
             }
+            retry = true;
             let leaf = rec.leaf;
             let (key, value) = pending.take().expect("entry pending after seek");
             // SAFETY: `leaf` was read under `guard`; blocks are immutable.
@@ -238,7 +232,7 @@ where
                 match (*leaf).find(&key) {
                     // Key already present (Algorithm 2, line 59): reject
                     // the duplicate, dropping the pending entry.
-                    Ok(_) => return (false, hit),
+                    Ok(_) => return false,
                     Err(pos) => ((*leaf).len(), pos),
                 }
             };
@@ -292,7 +286,7 @@ where
             if chaos::hit(Point::InsertPublish) == Action::Abandon {
                 // SAFETY: scratch unpublished; entry recovered then dropped.
                 drop(unsafe { scratch.dismantle(cache) });
-                return (false, hit);
+                return false;
             }
             // The single publishing CAS (Algorithm 2, line 51).
             match child_edge.compare_exchange(clean_edge(leaf), clean_edge(scratch.top()), arena) {
@@ -301,7 +295,7 @@ where
                         // The old block's entries moved (bitwise) into the
                         // replacement; retire its shell and routing key.
                         if chaos::hit(Point::Retire) == Action::Abandon {
-                            return (true, hit); // leak the old block
+                            return true; // leak the old block
                         }
                         stats::record_retire();
                         // SAFETY: `leaf` just became unreachable (our CAS
@@ -313,7 +307,7 @@ where
                             self.retire_node(leaf, guard);
                         }
                     }
-                    return (true, hit);
+                    return true;
                 }
                 Err(observed) => {
                     // SAFETY: scratch unpublished (the CAS failed).
@@ -328,7 +322,7 @@ where
                         let outcome =
                             unsafe { self.cleanup(&pending.as_ref().unwrap().0, rec, guard) };
                         if outcome == CleanupOutcome::Abandoned {
-                            return (false, hit); // pending entry dropped
+                            return false; // pending entry dropped
                         }
                     }
                 }
@@ -387,54 +381,50 @@ where
         rec: &mut SeekRecord<K, V>,
         cache: &mut NodeCache<'_>,
     ) -> Option<T> {
-        // SAFETY: forwarded contract (`finger = false` ignores `rec`).
-        unsafe { self.remove_from(key, read, guard, rec, cache, false) }.0
+        // SAFETY: forwarded contract.
+        unsafe {
+            self.seek(key, rec);
+            self.remove_seeked(key, read, guard, rec, cache)
+        }
     }
 
-    /// [`remove_in`](Self::remove_in) with a *finger* (see
-    /// [`insert_from`](Self::insert_from)). Returns
-    /// `(removed, finger_hit)`.
+    /// The delete proper (Algorithm 3 from line 68), acting on `rec` as
+    /// already seeked for `key` (see [`insert_seeked`](Self::insert_seeked)).
     ///
     /// # Safety
     ///
-    /// Same contract as [`insert_from`](Self::insert_from).
-    pub(crate) unsafe fn remove_from<T>(
+    /// Same contract as [`insert_seeked`](Self::insert_seeked).
+    pub(crate) unsafe fn remove_seeked<T>(
         &self,
         key: &K,
         read: impl FnOnce(&V) -> T,
         guard: &R::Guard<'_>,
         rec: &mut SeekRecord<K, V>,
         cache: &mut NodeCache<'_>,
-        finger: bool,
-    ) -> (Option<T>, bool) {
+    ) -> Option<T> {
         let arena = self.arena();
         let mut read = Some(read);
         let mut injecting = true;
         let mut target: *mut Node<K, V> = ptr::null_mut();
         let mut result: Option<T> = None;
-        let mut first_seek = true;
-        let mut hit = false;
+        let mut retry = false;
 
         loop {
-            if first_seek {
-                first_seek = false;
-                // SAFETY: `guard` held per contract (`finger` vouches for
-                // the record's provenance); in cleanup mode it also keeps
-                // `target` comparable by address (the leaf cannot be
-                // freed and recycled while we are pinned).
-                hit = unsafe { self.seek_finger(key, rec, finger, false) };
-            } else {
+            if retry {
                 if chaos::hit(Point::SeekRetry) == Action::Abandon {
                     // Before linearization `result` is `None` (op never
                     // happened); after it, the delete already linearized
                     // and the planted flag lets any helper finish the
                     // splice.
-                    return (result, hit);
+                    return result;
                 }
                 // SAFETY: `guard` held continuously since `rec` was
-                // produced, as `seek_retry` requires.
+                // produced, as `seek_retry` requires; in cleanup mode it
+                // also keeps `target` comparable by address (the leaf
+                // cannot be freed and recycled while we are pinned).
                 unsafe { self.seek_retry(key, rec) };
             }
+            retry = true;
             let parent = rec.parent;
             // SAFETY: read under `guard`.
             let child_edge = unsafe { (*parent).child_for(key) };
@@ -444,7 +434,7 @@ where
                 // SAFETY: read under `guard`; blocks are immutable.
                 let pos = match unsafe { (*leaf).find(key) } {
                     Ok(pos) => pos,
-                    Err(_) => return (None, hit), // key absent (line 72)
+                    Err(_) => return None, // key absent (line 72)
                 };
                 // SAFETY: as above.
                 let len = unsafe { (*leaf).len() };
@@ -458,7 +448,7 @@ where
                     if chaos::hit(Point::DeleteInject) == Action::Abandon {
                         // SAFETY: unpublished; no entry pending inside.
                         unsafe { free_scratch(cache, block) };
-                        return (None, hit); // abandoned before linearizing
+                        return None; // abandoned before linearizing
                     }
                     match child_edge.compare_exchange(clean_edge(leaf), clean_edge(block), arena) {
                         Ok(()) => {
@@ -469,7 +459,7 @@ where
                                 read.take().expect("read used once")(&(*leaf).entry_vals()[pos])
                             };
                             if chaos::hit(Point::Retire) == Action::Abandon {
-                                return (Some(out), hit); // leak the old block
+                                return Some(out); // leak the old block
                             }
                             stats::record_retire();
                             // SAFETY: unreachable since our CAS; only the
@@ -480,7 +470,7 @@ where
                                 (*leaf).set_drop_hint(pos as u8);
                                 self.retire_node(leaf, guard);
                             }
-                            return (Some(out), hit);
+                            return Some(out);
                         }
                         Err(observed) => {
                             // SAFETY: unpublished (the CAS failed).
@@ -491,7 +481,7 @@ where
                                 // SAFETY: record protected by `guard`.
                                 let outcome = unsafe { self.cleanup(key, rec, guard) };
                                 if outcome == CleanupOutcome::Abandoned {
-                                    return (None, hit); // not yet linearized
+                                    return None; // not yet linearized
                                 }
                             }
                         }
@@ -500,7 +490,7 @@ where
                     // Last entry of the block: the paper's protocol
                     // removes the whole leaf.
                     if chaos::hit(Point::DeleteInject) == Action::Abandon {
-                        return (None, hit); // abandoned before linearizing
+                        return None; // abandoned before linearizing
                     }
                     // Injection: flag the edge to the victim (line 73).
                     // This is the linearization point.
@@ -520,7 +510,7 @@ where
                                 // Abandoned: the delete already linearized
                                 // at the flag; leave the splice to helpers.
                                 CleanupOutcome::Spliced | CleanupOutcome::Abandoned => {
-                                    return (result, hit)
+                                    return result
                                 }
                                 CleanupOutcome::Lost => {}
                             }
@@ -532,7 +522,7 @@ where
                                 // SAFETY: record protected by `guard`.
                                 let outcome = unsafe { self.cleanup(key, rec, guard) };
                                 if outcome == CleanupOutcome::Abandoned {
-                                    return (None, hit); // not yet linearized
+                                    return None; // not yet linearized
                                 }
                             }
                         }
@@ -542,11 +532,11 @@ where
                 // Cleanup mode (lines 82–87): if the flagged leaf is no
                 // longer on the access path, a helper already removed it.
                 if rec.leaf != target {
-                    return (result, hit);
+                    return result;
                 }
                 // SAFETY: record protected by `guard`.
                 match unsafe { self.cleanup(key, rec, guard) } {
-                    CleanupOutcome::Spliced | CleanupOutcome::Abandoned => return (result, hit),
+                    CleanupOutcome::Spliced | CleanupOutcome::Abandoned => return result,
                     CleanupOutcome::Lost => {}
                 }
             }

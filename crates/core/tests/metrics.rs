@@ -3,7 +3,10 @@
 //! drop, and the exposition formats must carry every counter.
 
 use nmbst::obs::{validate_prometheus, MetricsSnapshot, ServeGauges, DEPTH_BUCKETS};
-use nmbst::{LatencyConfig, NmTreeMap, NmTreeSet, TreeConfig};
+use nmbst::{
+    BatchCmd, BatchScratch, BatchVerdict, LatencyConfig, NmTreeMap, NmTreeSet, ShardedMap,
+    TreeConfig,
+};
 use nmbst_reclaim::{Ebr, Leaky};
 use std::sync::Barrier;
 
@@ -180,7 +183,8 @@ fn exposition_formats_are_complete_and_consistent() {
         "reclaim_retired_backlog",
         "depth_hist",
         "depth_sum",
-        "read_depth_sum",
+        "batch_lane_ops",
+        "batch_reseeks",
         "pool_dropped",
         "pool_slots",
     ] {
@@ -207,7 +211,8 @@ fn exposition_formats_are_complete_and_consistent() {
         "nmbst_reclaim_epoch_lag",
         "nmbst_reclaim_pinned_threads",
         "nmbst_reclaim_retired_backlog",
-        "nmbst_read_descent_depth_total",
+        "nmbst_batch_lane_ops_total",
+        "nmbst_batch_reseeks_total",
         "nmbst_pool_dropped_total",
         "nmbst_pool_slots",
     ] {
@@ -426,11 +431,10 @@ fn arena_slots_and_dropped_slots_are_exported() {
     assert!(m.to_string().contains("pool_dropped=7 pool_slots=30"));
 }
 
-/// Modify and read descents are summed apart, so `depth_sum / modify
-/// ops` is a true mean: a read-only batch, whose finger misses fall back
-/// to full root seeks, adds to the read sum and the histogram only.
+/// Reads record no descent depth, so `depth_sum / modify ops` is a true
+/// mean: a read-only batch leaves the depth sum and histogram alone.
 #[test]
-fn read_only_batch_leaves_the_modify_depth_sum_alone() {
+fn read_only_batch_leaves_the_depth_sum_alone() {
     let set: NmTreeSet<u64, Ebr> = NmTreeSet::from_sorted_iter((0..4096).map(|k| k * 2));
     let before = set.metrics();
     let mut h = set.handle();
@@ -440,23 +444,84 @@ fn read_only_batch_leaves_the_modify_depth_sum_alone() {
     drop(h);
     let after = set.metrics();
     assert_eq!(after.depth_sum, before.depth_sum, "no modify descent ran");
-    assert_eq!(
-        after.inserts + after.removes,
-        before.inserts + before.removes
-    );
-    assert!(
-        after.read_depth_sum > before.read_depth_sum,
-        "finger misses seek from the root"
-    );
-    let descents = |m: &MetricsSnapshot| m.depth_hist.iter().sum::<u64>();
-    assert!(descents(&after) > descents(&before));
+    assert_eq!(after.depth_hist, before.depth_hist);
+    assert_eq!(after.searches - before.searches, 8 * 64);
     let prom = after.to_prometheus();
-    let total = after.depth_sum + after.read_depth_sum;
-    assert!(prom.contains(&format!("nmbst_descent_depth_sum {total}\n")));
-    assert!(prom.contains(&format!(
-        "nmbst_read_descent_depth_total {}\n",
-        after.read_depth_sum
+    assert!(prom.contains(&format!("nmbst_descent_depth_sum {}\n", after.depth_sum)));
+}
+
+/// `execute_batch` counts its Phase-1 lane descents and its Phase-2
+/// stale re-seeks; both reach JSON, Prometheus (which the in-tree
+/// validator accepts), `Display`, and add on merge. A write's descent
+/// is a modify seek and sums into `depth_sum`; a lane GET does not.
+#[test]
+fn batch_lane_and_reseek_counters_are_exported() {
+    let map: ShardedMap<u64, u64, Ebr> =
+        ShardedMap::with_config(2, TreeConfig::default().with_leaf_cap(1));
+    let mut h = map.handle();
+    for k in (0..64).step_by(2) {
+        h.insert(k, k);
+    }
+    h.flush_stats();
+    let before = map.metrics();
+    // 8 lane GETs and 4 lane writes. The GET of 101 follows a same-key
+    // write, so it waits for Phase 2; the two extra GETs of 2 follow a
+    // same-key GET and copy its verdict; none of the three takes a
+    // lane. The remove of 101 acts after the insert of 101 replaced its
+    // leaf edge, so its record is stale.
+    let mut cmds: Vec<BatchCmd<u64, u64>> = (0..8).map(|k| BatchCmd::Get(k * 2)).collect();
+    cmds.extend([
+        BatchCmd::Insert(101, 1),
+        BatchCmd::Remove(101),
+        BatchCmd::Get(101),
+        BatchCmd::Insert(103, 3),
+        BatchCmd::Remove(4),
+        BatchCmd::Get(2),
+        BatchCmd::Get(2),
+    ]);
+    let mut out = Vec::new();
+    h.execute_batch(&cmds, &mut BatchScratch::new(), &mut out);
+    assert_eq!(out[1], BatchVerdict::Found(2));
+    assert_eq!(out[13..], [BatchVerdict::Found(2), BatchVerdict::Found(2)]);
+    assert_eq!(
+        out[2],
+        BatchVerdict::Found(4),
+        "read before the remove of 4"
+    );
+    h.flush_stats();
+    let after = map.metrics();
+    assert_eq!(after.batch_lane_ops - before.batch_lane_ops, 12);
+    assert!(after.batch_reseeks > before.batch_reseeks);
+    assert_eq!(after.searches - before.searches, 11);
+    assert!(
+        after.depth_sum > before.depth_sum,
+        "write lanes are modify seeks"
+    );
+
+    let json = after.to_json();
+    assert!(json.contains(&format!(
+        "\"batch_lane_ops\":{},\"batch_reseeks\":{}",
+        after.batch_lane_ops, after.batch_reseeks
     )));
+    let prom = after.to_prometheus();
+    assert!(prom.contains(&format!(
+        "# TYPE nmbst_batch_lane_ops_total counter\nnmbst_batch_lane_ops_total {}\n",
+        after.batch_lane_ops
+    )));
+    assert!(prom.contains(&format!(
+        "# TYPE nmbst_batch_reseeks_total counter\nnmbst_batch_reseeks_total {}\n",
+        after.batch_reseeks
+    )));
+    validate_prometheus(&prom)
+        .unwrap_or_else(|e| panic!("batch counters break the validator: {e}"));
+    assert!(after.to_string().contains(&format!(
+        "batch_lane_ops={} batch_reseeks={}",
+        after.batch_lane_ops, after.batch_reseeks
+    )));
+    let mut merged = after.clone();
+    merged.merge(&after);
+    assert_eq!(merged.batch_lane_ops, 2 * after.batch_lane_ops);
+    assert_eq!(merged.batch_reseeks, 2 * after.batch_reseeks);
 }
 
 /// With `sample_shift = 0` every point op is timed, so the per-op-type

@@ -3,7 +3,7 @@
 //! merged ordered views must match a `BTreeMap`, and aggregated metrics
 //! must add up exactly at quiescence.
 
-use nmbst::{Ebr, ShardedMap, ShardedSet};
+use nmbst::{Ebr, ShardedMap, ShardedSet, TreeConfig};
 use std::collections::BTreeMap;
 use std::sync::Barrier;
 
@@ -215,16 +215,26 @@ fn sharded_set_round_trip_and_merged_order() {
 
 /// `execute_batch` against the sequential model: for every mixed batch,
 /// the fused result (partition by shard → sort each run by `(key,
-/// position)` → per-shard finger execution → scatter) must equal
-/// executing the same ops one at a time in request order. Duplicate
-/// keys inside one batch are the hard case — same-key ops land in the
-/// same shard and the position tiebreak keeps them in input order.
+/// position)` → interleaved Phase-1 descents → Phase-2 writes in run
+/// order → scatter) must equal executing the same ops one at a time in
+/// request order. Duplicate keys inside one batch are the hard case —
+/// same-key ops land in the same shard, the position tiebreak keeps
+/// them in input order, and a write's record goes stale under the
+/// same-key write before it. Batches longer than one 256-command chunk
+/// and one-key leaves are covered too.
 #[test]
 fn execute_batch_matches_sequential_model() {
     use nmbst::{BatchCmd, BatchScratch, BatchVerdict};
-    for shards in [1usize, 2, 7] {
+    for (shards, leaf_cap, len) in [
+        (1usize, 8, 64),
+        (2, 8, 64),
+        (7, 8, 64),
+        (2, 1, 64),
+        (3, 8, 600),
+    ] {
         let mut rng = Rng(0xBA7C + shards as u64);
-        let map: ShardedMap<u64, u64, Ebr> = ShardedMap::with_shards(shards);
+        let map: ShardedMap<u64, u64, Ebr> =
+            ShardedMap::with_config(shards, TreeConfig::default().with_leaf_cap(leaf_cap));
         let model: ShardedMap<u64, u64, Ebr> = ShardedMap::with_shards(shards);
         let mut h = map.handle();
         let mut mh = model.handle();
@@ -232,11 +242,13 @@ fn execute_batch_matches_sequential_model() {
         let mut out = Vec::new();
         for round in 0..50 {
             // Small key range → plenty of intra-batch duplicates.
-            let cmds: Vec<BatchCmd<u64, u64>> = (0..64)
+            let cmds: Vec<BatchCmd<u64, u64>> = (0..len)
                 .map(|_| {
                     let r = rng.next();
                     let k = r % 48;
-                    match r % 3 {
+                    // The verb comes from other bits than the key (48
+                    // is a multiple of 3), so one key sees every verb.
+                    match (r >> 32) % 3 {
                         0 => BatchCmd::Insert(k, r),
                         1 => BatchCmd::Remove(k),
                         _ => BatchCmd::Get(k),
@@ -255,7 +267,7 @@ fn execute_batch_matches_sequential_model() {
                 })
                 .collect();
             h.execute_batch(&cmds, &mut scratch, &mut out);
-            assert_eq!(out, expect, "shards={shards} round={round}");
+            assert_eq!(out, expect, "shards={shards} cap={leaf_cap} round={round}");
         }
         drop(h);
         drop(mh);
@@ -264,7 +276,7 @@ fn execute_batch_matches_sequential_model() {
         map.for_each(|k, v| a.push((*k, *v)));
         let mut b = Vec::new();
         model.for_each(|k, v| b.push((*k, *v)));
-        assert_eq!(a, b, "shards={shards}");
+        assert_eq!(a, b, "shards={shards} cap={leaf_cap}");
     }
 }
 

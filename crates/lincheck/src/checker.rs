@@ -30,6 +30,15 @@ pub fn check_linearizable(history: &[Event]) -> bool {
 ///
 /// Same preconditions as [`check_linearizable`].
 pub fn linearization_witness(history: &[Event]) -> Option<Vec<usize>> {
+    linearization_witness_ordered(history, &[])
+}
+
+/// [`linearization_witness`] under extra order constraints: bit `j` of
+/// `preds[i]` says event `j` must be linearized before event `i`, an
+/// order real time does not imply — the same-key commands of one batch,
+/// whose contract is input order, share one interval. `preds` may be
+/// shorter than `history` (missing entries constrain nothing).
+pub fn linearization_witness_ordered(history: &[Event], preds: &[u64]) -> Option<Vec<usize>> {
     assert!(
         history.len() <= 64,
         "checker handles at most 64 events per history"
@@ -48,7 +57,7 @@ pub fn linearization_witness(history: &[Event]) -> Option<Vec<usize>> {
     };
     let mut memo: HashSet<(u64, u64)> = HashSet::new();
     let mut order = Vec::with_capacity(history.len());
-    if search(history, full, 0, &mut memo, &mut order) {
+    if search(history, preds, full, 0, &mut memo, &mut order) {
         Some(order)
     } else {
         None
@@ -60,6 +69,7 @@ pub fn linearization_witness(history: &[Event]) -> Option<Vec<usize>> {
 /// abstract set contents.
 fn search(
     history: &[Event],
+    preds: &[u64],
     remaining: u64,
     state: u64,
     memo: &mut HashSet<(u64, u64)>,
@@ -89,12 +99,22 @@ fn search(
         if e.invoke > min_response {
             continue; // some remaining op responded before this began
         }
+        if preds.get(i).is_some_and(|p| p & remaining != 0) {
+            continue; // an op ordered before this one is still pending
+        }
         let (expected, next_state) = e.op.apply(state);
         if expected != e.result {
             continue; // this op cannot be next: result contradicts model
         }
         order.push(i);
-        if search(history, remaining & !(1u64 << i), next_state, memo, order) {
+        if search(
+            history,
+            preds,
+            remaining & !(1u64 << i),
+            next_state,
+            memo,
+            order,
+        ) {
             return true;
         }
         order.pop();
@@ -151,6 +171,10 @@ mod tests {
             ev(SetOp::Contains(1), false, 1, 2),
         ];
         assert!(check_linearizable(&h));
+        // Ordering the insert first (as one batch's input order would)
+        // leaves the search no legal place.
+        assert!(linearization_witness_ordered(&h, &[0, 0b01]).is_none());
+        assert_eq!(linearization_witness_ordered(&h, &[0b10]), Some(vec![1, 0]));
     }
 
     #[test]

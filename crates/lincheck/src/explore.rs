@@ -1,10 +1,12 @@
 //! Seeded schedule exploration (`feature = "explore"`).
 //!
-//! Drives a real [`NmTreeSet`] — compiled with its `chaos` feature —
-//! through *deterministic* thread interleavings: worker threads hand a
-//! single run token around at every chaos injection point (each atomic
-//! step of the helping protocol) and at every operation boundary, and a
-//! seeded SplitMix64 stream picks who runs next. Exactly one thread
+//! Drives a real tree — compiled with its `chaos` feature, the one
+//! shard of a [`ShardedMap`] so batches can also run through
+//! `execute_batch` — through *deterministic* thread interleavings:
+//! worker threads hand a single run token around at every chaos
+//! injection point (each atomic step of the helping protocol) and at
+//! every operation boundary, and a seeded SplitMix64 stream picks who
+//! runs next. Exactly one thread
 //! makes progress at any instant, so a seed fully determines the
 //! interleaving, the recorded history, and the final tree — a failing
 //! seed replays forever.
@@ -12,11 +14,12 @@
 //! Each run is validated three ways:
 //!
 //! 1. the recorded concurrent history must be linearizable
-//!    ([`check_linearizable`]),
+//!    ([`linearization_witness_ordered`]; a batch's same-key commands
+//!    must also linearize in input order),
 //! 2. a sequential probe of every key is appended *after* the workers
 //!    join, so the final physical contents must be consistent with some
 //!    linearization (lost or resurrected keys cannot hide), and
-//! 3. [`NmTreeSet::check_invariants`] must accept the final tree.
+//! 3. [`ShardedMap::check_invariants`] must accept the final tree.
 //!
 //! The explorer exists to make helping-protocol regressions loud. The
 //! acceptance test reintroduces a known bug — dropping the flag copy on
@@ -24,10 +27,13 @@
 //! [`chaos::Bug::DropFlagOnSplice`] — and demonstrates the explorer
 //! finds a violating schedule within a bounded seed budget.
 
-use crate::{check_linearizable, Event, Recorder, SetOp};
+use crate::{linearization_witness_ordered, Event, Recorder, SetOp};
 use nmbst::chaos::{self, Action};
 use nmbst::obs::{FlightRecorder, TraceEvent};
-use nmbst::{Ebr, Leaky, NmTreeSet, PoolConfig, Reclaim, RestartPolicy, TreeConfig};
+use nmbst::{
+    BatchCmd, BatchScratch, BatchVerdict, Ebr, Leaky, MapHandle, NmTreeMap, PoolConfig, Reclaim,
+    RestartPolicy, ShardedMap, ShardedMapHandle, TreeConfig,
+};
 use nmbst_sync::Backoff;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -90,12 +96,23 @@ pub struct ExploreConfig {
     pub reclaim: ReclaimKind,
     /// Drive every worker through the finger-anchored batch API instead
     /// of the plain one: each tape op becomes a size-1
-    /// `insert_batch`/`remove_batch`/`contains_batch` on a persistent
-    /// [`SetHandle`](nmbst::SetHandle). Schedules then also interleave
-    /// through [`chaos::Point::BatchFinger`] and the `seek_from` anchor
+    /// `insert_batch`/`remove_batch`/`get_batch` on a persistent
+    /// [`MapHandle`]. Schedules then also interleave through
+    /// [`chaos::Point::BatchFinger`] and the `seek_from` anchor
     /// revalidation, sweeping the finger path under the same seeds. Off
     /// by default to keep the historical seed corpus stable.
     pub batch: bool,
+    /// Race `execute_batch` against point ops: even-numbered workers run
+    /// their tape as batches of up to [`FUSED_BATCH`] commands through
+    /// a persistent [`ShardedMapHandle`], odd-numbered ones as plain
+    /// point ops on the same shard. A batch's Phase-1 descents run
+    /// between two schedule points, and every Phase-2 write crosses
+    /// [`chaos::Point::BatchStale`], so point writes land between a
+    /// batch's seeks and its CASes and stale records are the common
+    /// case. Each command of a batch is recorded as one event spanning
+    /// the whole call, and the check orders a batch's same-key commands
+    /// as input order does. Takes precedence over `batch`.
+    pub fused: bool,
     /// Fat-leaf block capacity of the tree under test (clamped by the
     /// tree to `1..=LEAF_CAP`). Defaults to **1** — the paper's 1-key
     /// leaf shape — which keeps the historical seed corpus meaningful:
@@ -134,6 +151,7 @@ impl Default for ExploreConfig {
             pool: false,
             reclaim: ReclaimKind::default(),
             batch: false,
+            fused: false,
             leaf_cap: 1,
         }
     }
@@ -354,22 +372,59 @@ impl Drop for FinishGuard<'_> {
     }
 }
 
-fn apply<R: Reclaim>(set: &NmTreeSet<u64, R>, op: SetOp) -> bool {
+/// Commands per `execute_batch` call in [`ExploreConfig::fused`] mode.
+pub const FUSED_BATCH: usize = 3;
+
+fn apply<R: Reclaim>(tree: &NmTreeMap<u64, (), R>, op: SetOp) -> bool {
     match op {
-        SetOp::Insert(k) => set.insert(k),
-        SetOp::Remove(k) => set.remove(&k),
-        SetOp::Contains(k) => set.contains(&k),
+        SetOp::Insert(k) => tree.insert(k, ()),
+        SetOp::Remove(k) => tree.remove(&k),
+        SetOp::Contains(k) => tree.contains(&k),
     }
 }
 
 /// Batch-mode twin of [`apply`]: one tape op = one size-1 batch on the
 /// worker's persistent handle, so every op crosses the finger path.
-fn apply_batch<R: Reclaim>(handle: &mut nmbst::SetHandle<'_, u64, R>, op: SetOp) -> bool {
+fn apply_batch<R: Reclaim>(handle: &mut MapHandle<'_, u64, (), R>, op: SetOp) -> bool {
     match op {
-        SetOp::Insert(k) => handle.insert_batch([k]) == 1,
+        SetOp::Insert(k) => handle.insert_batch([(k, ())]) == 1,
         SetOp::Remove(k) => handle.remove_batch([k]) == 1,
-        SetOp::Contains(k) => handle.contains_batch([k])[0],
+        SetOp::Contains(k) => handle.get_batch([k])[0].is_some(),
     }
+}
+
+/// Fused-mode twin of [`apply`]: `ops` as one `execute_batch` call,
+/// one result per op.
+fn apply_fused<R: Reclaim>(
+    handle: &mut ShardedMapHandle<'_, u64, (), R>,
+    ops: &[SetOp],
+    results: &mut Vec<bool>,
+) {
+    let cmds: Vec<BatchCmd<u64, ()>> = ops
+        .iter()
+        .map(|op| match *op {
+            SetOp::Insert(k) => BatchCmd::Insert(k, ()),
+            SetOp::Remove(k) => BatchCmd::Remove(k),
+            SetOp::Contains(k) => BatchCmd::Get(k),
+        })
+        .collect();
+    let mut out = Vec::new();
+    handle.execute_batch(&cmds, &mut BatchScratch::new(), &mut out);
+    results.extend(out.iter().map(|v| match *v {
+        BatchVerdict::Added(b) | BatchVerdict::Removed(b) => b,
+        BatchVerdict::Found(()) => true,
+        BatchVerdict::Missing => false,
+    }));
+}
+
+/// How one worker thread drives the store.
+enum Driver<'t, R: Reclaim> {
+    /// The plain API, one call per tape op.
+    Point,
+    /// Size-1 finger batches on a persistent handle.
+    Finger(Box<MapHandle<'t, u64, (), R>>),
+    /// `execute_batch` calls of up to [`FUSED_BATCH`] tape ops.
+    Fused(ShardedMapHandle<'t, u64, (), R>),
 }
 
 /// Runs the scenario and schedule derived from `seed` and validates it.
@@ -397,9 +452,10 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
     let threads = rng.in_range(cfg.min_threads as u64, cfg.max_threads as u64) as usize;
     let keys = rng.in_range(cfg.min_keys, cfg.max_keys);
     let inject_bug = cfg.inject_drop_flag_bug;
-    let batch = cfg.batch;
+    let (batch, fused) = (cfg.batch, cfg.fused);
 
-    let set: NmTreeSet<u64, R> = NmTreeSet::with_config(
+    let map: ShardedMap<u64, (), R> = ShardedMap::with_config(
+        1,
         TreeConfig::default()
             .with_restart(cfg.restart)
             .with_leaf_cap(cfg.leaf_cap)
@@ -409,6 +465,7 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
                 PoolConfig::disabled()
             }),
     );
+    let tree = map.shard(0);
     let rec = Recorder::new();
     // Capture-scoped flight recorder: sequence numbers start at 0 for
     // every run, and the token-passing scheduler serializes all recording
@@ -422,7 +479,7 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
     // the true initial state.
     for k in 0..keys {
         if rng.next() & 1 == 1 {
-            history.push(rec.measure(SetOp::Insert(k), || set.insert(k)));
+            history.push(rec.measure(SetOp::Insert(k), || tree.insert(k, ())));
         }
     }
 
@@ -445,12 +502,15 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
         .collect();
 
     let sched = Scheduler::new(threads, rng.next());
-    let collected: Mutex<Vec<Event>> = Mutex::new(Vec::new());
+    // Worker events, plus the pairs `(a, b)` of their indices where `a`
+    // must linearize before `b` (same-key commands of one batch).
+    type Collected = (Vec<Event>, Vec<(usize, usize)>);
+    let collected: Mutex<Collected> = Mutex::default();
 
     std::thread::scope(|s| {
         for (tid, tape) in tapes.iter().enumerate() {
             let sched = Arc::clone(&sched);
-            let set = &set;
+            let map = &map;
             let rec = &rec;
             let collected = &collected;
             let flight = flight.clone();
@@ -465,38 +525,75 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
                     chaos::set_bug(chaos::Bug::DropFlagOnSplice, true);
                 }
                 let mut local = Vec::with_capacity(tape.len());
+                let mut order = Vec::new();
                 let hook_sched = Arc::clone(&sched);
-                // Batch mode keeps one handle for the whole tape so each
-                // op's seek record is the next op's finger anchor.
-                let mut handle = batch.then(|| set.handle());
+                // Batch modes keep one handle for the whole tape (in
+                // finger mode each op's seek record is the next op's
+                // finger anchor).
+                let tree = map.shard(0);
+                let mut driver = if fused {
+                    if tid % 2 == 0 {
+                        Driver::Fused(map.handle())
+                    } else {
+                        Driver::Point
+                    }
+                } else if batch {
+                    Driver::Finger(Box::new(tree.handle()))
+                } else {
+                    Driver::Point
+                };
                 chaos::with_hook(
                     move |_point| {
                         hook_sched.gate(tid);
                         Action::Continue
                     },
-                    || {
-                        for &op in tape {
-                            // Schedule point at the op boundary; the hook
-                            // adds one at every atomic step inside.
-                            sched.gate(tid);
-                            local.push(rec.measure(op, || match &mut handle {
-                                Some(h) => apply_batch(h, op),
-                                None => apply(set, op),
-                            }));
+                    || match &mut driver {
+                        Driver::Fused(h) => {
+                            for ops in tape.chunks(FUSED_BATCH) {
+                                sched.gate(tid);
+                                let base = local.len();
+                                local.extend(rec.measure_all(ops, |out| apply_fused(h, ops, out)));
+                                for (b, op) in ops.iter().enumerate() {
+                                    order.extend(
+                                        (0..b)
+                                            .filter(|&a| ops[a].key() == op.key())
+                                            .map(|a| (base + a, base + b)),
+                                    );
+                                }
+                            }
+                        }
+                        driver => {
+                            for &op in tape {
+                                // Schedule point at the op boundary; the
+                                // hook adds one at every atomic step
+                                // inside.
+                                sched.gate(tid);
+                                local.push(rec.measure(op, || match driver {
+                                    Driver::Finger(h) => apply_batch(h, op),
+                                    _ => apply(tree, op),
+                                }));
+                            }
                         }
                     },
                 );
-                collected.lock().unwrap().extend(local);
+                let mut collected = collected.lock().unwrap();
+                let base = collected.0.len();
+                collected.0.extend(local);
+                collected
+                    .1
+                    .extend(order.iter().map(|&(a, b)| (base + a, base + b)));
             });
         }
     });
-    history.extend(collected.into_inner().unwrap());
+    let (events, order) = collected.into_inner().unwrap();
+    let base = history.len();
+    history.extend(events);
 
     // Sequential probe phase: the final physical contents become part of
     // the checked history, so a lost or resurrected key is a guaranteed
     // linearizability failure even if no mid-run result exposed it.
     for k in 0..keys {
-        history.push(rec.measure(SetOp::Contains(k), || set.contains(&k)));
+        history.push(rec.measure(SetOp::Contains(k), || tree.contains(&k)));
     }
 
     let report = RunReport {
@@ -508,14 +605,18 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
         trace: flight.merged(),
     };
 
-    let mut set = set;
-    if let Err(e) = set.check_invariants() {
+    let mut map = map;
+    if let Err(e) = map.check_invariants() {
         return Err(Box::new(Violation {
             reason: format!("structural invariants violated: {e}"),
             report,
         }));
     }
-    if !check_linearizable(&report.history) {
+    let mut preds = vec![0u64; report.history.len()];
+    for (a, b) in order {
+        preds[base + b] |= 1 << (base + a);
+    }
+    if linearization_witness_ordered(&report.history, &preds).is_none() {
         return Err(Box::new(Violation {
             reason: "history (with final sequential probes) is not linearizable".to_string(),
             report,
@@ -616,5 +717,47 @@ mod tests {
         };
         let stats = explore_many(&cfg, 0..24).unwrap_or_else(|v| panic!("{v}"));
         assert_eq!(stats.schedules, 24);
+    }
+
+    #[test]
+    fn fused_batch_mode_same_seed_same_run() {
+        let cfg = ExploreConfig {
+            fused: true,
+            ..ExploreConfig::default()
+        };
+        for seed in [0u64, 5, 0xF05E_D000] {
+            let a = explore_seed(&cfg, seed).expect("correct tree passes");
+            let b = explore_seed(&cfg, seed).expect("correct tree passes");
+            assert_eq!(a, b, "fused seed {seed:#x} did not replay identically");
+        }
+    }
+
+    #[test]
+    fn fused_batch_mode_bounded_sweep_is_clean() {
+        // execute_batch races point ops on one shard: point writes land
+        // between a batch's Phase-1 seeks and its Phase-2 CASes, at
+        // one-key leaves (flag/tag/splice) and fat ones (COW, splits).
+        for leaf_cap in [1, 2, 8] {
+            let cfg = ExploreConfig {
+                fused: true,
+                leaf_cap,
+                ..ExploreConfig::default()
+            };
+            let stats =
+                explore_many(&cfg, 0..64).unwrap_or_else(|v| panic!("leaf_cap {leaf_cap}: {v}"));
+            assert_eq!(stats.schedules, 64);
+        }
+    }
+
+    #[test]
+    fn fused_batch_mode_sweeps_ebr_with_pool() {
+        let cfg = ExploreConfig {
+            fused: true,
+            pool: true,
+            reclaim: ReclaimKind::Ebr,
+            ..ExploreConfig::default()
+        };
+        let stats = explore_many(&cfg, 0..32).unwrap_or_else(|v| panic!("{v}"));
+        assert_eq!(stats.schedules, 32);
     }
 }

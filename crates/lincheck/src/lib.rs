@@ -30,9 +30,9 @@ pub mod explore;
 mod recorder;
 pub mod spec;
 
-pub use checker::{check_linearizable, linearization_witness};
+pub use checker::{check_linearizable, linearization_witness, linearization_witness_ordered};
 pub use recorder::Recorder;
-pub use spec::{check_history, GenEvent, MapOp, MapRet, MapSpec, Spec};
+pub use spec::{check_history, check_history_ordered, GenEvent, MapOp, MapRet, MapSpec, Spec};
 
 /// A set operation (the paper's dictionary ADT).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -56,6 +56,27 @@ impl Recorder {
         }
     }
 
+    /// Runs `action`, one multi-op call (a batch), bracketed by clock
+    /// ticks: `action` pushes one result per op of `ops`, and each op
+    /// becomes an event spanning the whole call — any linearization
+    /// point inside the call is admissible for any of them.
+    pub fn measure_all(&self, ops: &[SetOp], action: impl FnOnce(&mut Vec<bool>)) -> Vec<Event> {
+        let invoke = self.clock.fetch_add(1, Ordering::AcqRel);
+        let mut results = Vec::with_capacity(ops.len());
+        action(&mut results);
+        let response = self.clock.fetch_add(1, Ordering::AcqRel);
+        assert_eq!(results.len(), ops.len(), "one result per op");
+        ops.iter()
+            .zip(results)
+            .map(|(&op, result)| Event {
+                op,
+                result,
+                invoke,
+                response,
+            })
+            .collect()
+    }
+
     /// Current clock value (diagnostics).
     pub fn now(&self) -> u64 {
         self.clock.load(Ordering::Acquire)

@@ -46,6 +46,18 @@ pub struct GenEvent<S: Spec> {
 /// Histories are limited to 64 events (a bitmask tracks the remaining
 /// set); keep recorded windows small and check many of them.
 pub fn check_history<S: Spec>(spec: &S, history: &[GenEvent<S>]) -> Option<Vec<usize>> {
+    check_history_ordered(spec, history, &[])
+}
+
+/// [`check_history`] under extra order constraints, as in
+/// [`linearization_witness_ordered`](crate::linearization_witness_ordered):
+/// bit `j` of `preds[i]` says event `j` must be linearized before
+/// event `i`.
+pub fn check_history_ordered<S: Spec>(
+    spec: &S,
+    history: &[GenEvent<S>],
+    preds: &[u64],
+) -> Option<Vec<usize>> {
     assert!(history.len() <= 64, "at most 64 events per history");
     for e in history {
         assert!(e.invoke < e.response, "malformed event interval");
@@ -60,7 +72,15 @@ pub fn check_history<S: Spec>(spec: &S, history: &[GenEvent<S>]) -> Option<Vec<u
     };
     let mut memo: HashSet<(u64, S::State)> = HashSet::new();
     let mut order = Vec::with_capacity(history.len());
-    if dfs(spec, history, full, spec.init(), &mut memo, &mut order) {
+    if dfs(
+        spec,
+        history,
+        preds,
+        full,
+        spec.init(),
+        &mut memo,
+        &mut order,
+    ) {
         Some(order)
     } else {
         None
@@ -70,6 +90,7 @@ pub fn check_history<S: Spec>(spec: &S, history: &[GenEvent<S>]) -> Option<Vec<u
 fn dfs<S: Spec>(
     spec: &S,
     history: &[GenEvent<S>],
+    preds: &[u64],
     remaining: u64,
     state: S::State,
     memo: &mut HashSet<(u64, S::State)>,
@@ -96,12 +117,23 @@ fn dfs<S: Spec>(
         if e.invoke > min_response {
             continue;
         }
+        if preds.get(i).is_some_and(|p| p & remaining != 0) {
+            continue;
+        }
         let (expected, next) = spec.apply(&e.op, &state);
         if expected != e.ret {
             continue;
         }
         order.push(i);
-        if dfs(spec, history, remaining & !(1u64 << i), next, memo, order) {
+        if dfs(
+            spec,
+            history,
+            preds,
+            remaining & !(1u64 << i),
+            next,
+            memo,
+            order,
+        ) {
             return true;
         }
         order.pop();
@@ -123,6 +155,9 @@ pub enum MapOp {
     Insert(u64, u64),
     /// `remove_get(k)`.
     Remove(u64),
+    /// `remove(k)`, whose result does not carry the value (a batch
+    /// remove's verdict).
+    Delete(u64),
     /// `get(k)`.
     Get(u64),
 }
@@ -134,6 +169,8 @@ pub enum MapRet {
     Inserted(bool),
     /// Result of `remove_get`: the removed stamp, if any.
     Removed(Option<u64>),
+    /// Result of `remove`: whether the key was present.
+    Deleted(bool),
     /// Result of `get`.
     Got(Option<u64>),
 }
@@ -165,6 +202,10 @@ impl Spec for MapSpec {
                     (MapRet::Removed(Some(stamp)), next)
                 }
                 Err(_) => (MapRet::Removed(None), state.clone()),
+            },
+            MapOp::Delete(k) => match self.apply(&MapOp::Remove(k), state) {
+                (MapRet::Removed(stamp), next) => (MapRet::Deleted(stamp.is_some()), next),
+                _ => unreachable!("a remove answers Removed"),
             },
             MapOp::Get(k) => {
                 let got = state

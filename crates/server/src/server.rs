@@ -29,11 +29,12 @@
 //! worker can serve any key at full handle speed, and a connection's
 //! mixed-key traffic never has to hop workers. Key locality is
 //! recovered one level down, per frame: the engine partitions each
-//! BATCH by `RouteHasher` shard, sorts each shard's run, executes it
-//! through that shard's finger-anchored handle
+//! BATCH by `RouteHasher` shard, sorts each shard's run, executes the
+//! runs in two phases — interleaved descents, then writes from their
+//! pre-seeked records — through the shards' handles
 //! ([`nmbst::ShardedMapHandle::execute_batch`]), and scatters replies
-//! back to request order — so wire batches inherit the finger-seek win
-//! regardless of which worker the connection landed on.
+//! back to request order — so wire batches overlap their descents'
+//! cache misses regardless of which worker the connection landed on.
 //!
 //! ## Zero-copy serve path
 //!
@@ -359,8 +360,8 @@ impl ServerStats {
         self.wire_errors.load(Ordering::Relaxed)
     }
 
-    /// BATCH ops executed shard-fused (partition → per-shard sorted run
-    /// through the finger-anchored handle → scatter). The fusion gate
+    /// BATCH ops executed shard-fused (partition → per-shard sorted runs
+    /// through the two-phase executor → scatter). The fusion gate
     /// hard-fails if a fused server serves a replay with this at zero.
     pub fn batch_fused_ops(&self) -> u64 {
         self.batch_fused_ops.load(Ordering::Relaxed)
@@ -1524,7 +1525,7 @@ pub mod testing {
         }
 
         /// Flushes the handle's batched stats and snapshots the store's
-        /// metrics — finger hits/misses included.
+        /// metrics — the batch lane and re-seek counters included.
         pub fn metrics(&mut self) -> nmbst::obs::MetricsSnapshot {
             self.engine.flush_stats();
             self.engine.store.metrics()

@@ -6,10 +6,14 @@
 //!
 //! A `get_many` call is recorded as one `Get` per key, each sharing the
 //! call's invoke/response interval: every key's answer must be some
-//! linearizable `get` inside the call.
+//! linearizable `get` inside the call. `ShardedMapHandle::execute_batch`
+//! is checked the same way, one event per command: batches with
+//! duplicate keys race point mutators on the same shards.
 
-use nmbst::NmTreeMap;
-use nmbst_lincheck::spec::{check_history, GenEvent, MapOp, MapRet, MapSpec};
+use nmbst::{BatchCmd, BatchScratch, BatchVerdict, NmTreeMap, ShardedMap};
+use nmbst_lincheck::spec::{
+    check_history, check_history_ordered, GenEvent, MapOp, MapRet, MapSpec,
+};
 use nmbst_reclaim::Ebr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -123,4 +127,114 @@ fn checker_catches_value_swap() {
         },
     ];
     assert!(check_history(&MapSpec, &h).is_none());
+}
+
+/// Threads running mixed `execute_batch` batches — duplicate keys within
+/// a batch are the common case over 3 keys — race threads running point
+/// mutators on the same shards. Each command of a batch is one event
+/// spanning the whole call, and a batch's same-key commands must also
+/// linearize in input order (the batch contract, which no interval can
+/// state); the history must be linearizable under both.
+#[test]
+fn execute_batch_histories_are_linearizable() {
+    const BATCH_THREADS: u64 = 2;
+    const POINT_THREADS: u64 = 2;
+    const BATCHES: u64 = 3;
+    for trial in 0..TRIALS {
+        let map: ShardedMap<u64, u64, Ebr> = ShardedMap::with_shards(2);
+        let clock = AtomicU64::new(0);
+        let stamp_gen = AtomicU64::new(1);
+        // Events, and the `(a, b)` index pairs where `a` must linearize
+        // before `b`.
+        type Recorded = (Vec<GenEvent<MapSpec>>, Vec<(usize, usize)>);
+        let all: Mutex<Recorded> = Mutex::default();
+        let stamp = || stamp_gen.fetch_add(1, Ordering::Relaxed);
+
+        std::thread::scope(|s| {
+            for t in 0..BATCH_THREADS + POINT_THREADS {
+                let (map, clock, all, stamp) = (&map, &clock, &all, &stamp);
+                s.spawn(move || {
+                    let mut rng = trial * 6_700_417 + t * 65_537 + 3;
+                    let (mut local, mut order) = (Vec::new(), Vec::new());
+                    let mut h = map.handle();
+                    let (mut scratch, mut out) = (BatchScratch::new(), Vec::new());
+                    for _ in 0..BATCHES {
+                        let len = if t < BATCH_THREADS {
+                            2 + xorshift(&mut rng) % 3
+                        } else {
+                            1
+                        };
+                        let cmds: Vec<BatchCmd<u64, u64>> = (0..len)
+                            .map(|_| {
+                                let r = xorshift(&mut rng);
+                                let key = r % KEY_SPACE + 1;
+                                match (r >> 8) % 3 {
+                                    0 => BatchCmd::Insert(key, stamp()),
+                                    1 => BatchCmd::Remove(key),
+                                    _ => BatchCmd::Get(key),
+                                }
+                            })
+                            .collect();
+                        let invoke = clock.fetch_add(1, Ordering::AcqRel);
+                        if t < BATCH_THREADS {
+                            h.execute_batch(&cmds, &mut scratch, &mut out);
+                        } else {
+                            // A point mutator through the plain routed API.
+                            out.clear();
+                            out.push(match cmds[0] {
+                                BatchCmd::Insert(k, v) => BatchVerdict::Added(map.insert(k, v)),
+                                BatchCmd::Remove(k) => BatchVerdict::Removed(map.remove(&k)),
+                                BatchCmd::Get(k) => map
+                                    .get(&k)
+                                    .map_or(BatchVerdict::Missing, BatchVerdict::Found),
+                            });
+                        }
+                        let response = clock.fetch_add(1, Ordering::AcqRel);
+                        let base = local.len();
+                        for (b, cmd) in cmds.iter().enumerate() {
+                            order.extend(
+                                (0..b)
+                                    .filter(|&a| cmds[a].key() == cmd.key())
+                                    .map(|a| (base + a, base + b)),
+                            );
+                        }
+                        for (cmd, verdict) in cmds.iter().zip(&out) {
+                            let op = match *cmd {
+                                BatchCmd::Insert(k, v) => MapOp::Insert(k, v),
+                                BatchCmd::Remove(k) => MapOp::Delete(k),
+                                BatchCmd::Get(k) => MapOp::Get(k),
+                            };
+                            let ret = match *verdict {
+                                BatchVerdict::Added(added) => MapRet::Inserted(added),
+                                BatchVerdict::Removed(removed) => MapRet::Deleted(removed),
+                                BatchVerdict::Found(v) => MapRet::Got(Some(v)),
+                                BatchVerdict::Missing => MapRet::Got(None),
+                            };
+                            local.push(GenEvent {
+                                op,
+                                ret,
+                                invoke,
+                                response,
+                            });
+                        }
+                    }
+                    let mut all = all.lock().unwrap();
+                    let base = all.0.len();
+                    all.0.extend(local);
+                    all.1
+                        .extend(order.iter().map(|&(a, b)| (base + a, base + b)));
+                });
+            }
+        });
+
+        let (history, order) = all.into_inner().unwrap();
+        let mut preds = vec![0u64; history.len()];
+        for (a, b) in order {
+            preds[b] |= 1 << a;
+        }
+        assert!(
+            check_history_ordered(&MapSpec, &history, &preds).is_some(),
+            "trial {trial}: non-linearizable batch history:\n{history:#?}"
+        );
+    }
 }

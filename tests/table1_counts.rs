@@ -124,3 +124,102 @@ fn failed_modify_operations_allocate_nothing_extra() {
     );
     assert_eq!(d.cas, 0);
 }
+
+/// The paper's costs hold through the two-phase batch executor: at
+/// `leaf_cap = 1`, an uncontended `execute_batch` issues no failed CAS —
+/// exactly 1 CAS (and 2 objects) per added key and 1 CAS + 1 BTS + 1 CAS
+/// per removed key, nothing for an op that changes nothing — on every
+/// layout where an earlier write of the run invalidates a later write's
+/// Phase-1 seek record.
+#[test]
+fn execute_batch_uncontended_costs_have_no_failed_cas() {
+    use nmbst::{BatchCmd, BatchScratch, BatchVerdict, ShardedMap};
+    use BatchCmd::{Get, Insert, Remove};
+    use BatchVerdict::{Added, Found, Missing, Removed};
+
+    // (layout, keys inserted first in this order, batch, replies).
+    type Case = (
+        &'static str,
+        &'static [u64],
+        Vec<BatchCmd<u64, u64>>,
+        Vec<BatchVerdict<u64>>,
+    );
+    let cases: [Case; 5] = [
+        (
+            // 11, 12 and 13 all descend to the leaf of 10 in Phase 1;
+            // each insert grows the tree at the leaf the next one needs.
+            "adjacent inserts into one leaf",
+            &[10, 20],
+            vec![Insert(12, 0), Insert(11, 0), Insert(13, 0)],
+            vec![Added(true); 3],
+        ),
+        (
+            // 10 and 20 are sibling leaves under one router: removing 10
+            // splices that router out, with 20's record under it.
+            "sibling removes",
+            &[30, 40, 10, 20],
+            vec![Remove(20), Remove(10)],
+            vec![Removed(true); 2],
+        ),
+        (
+            // 10's sibling is the router of 20 and 30; removing 10
+            // splices out the parent that 30's record names as its
+            // anchor, while 30's own leaf edge stays put.
+            "remove whose sibling subtree is internal",
+            &[10, 20, 30],
+            vec![Remove(30), Remove(10)],
+            vec![Removed(true); 2],
+        ),
+        (
+            "insert then remove of one key",
+            &[10, 20],
+            vec![Get(15), Insert(15, 1), Get(15), Remove(15), Get(15)],
+            vec![Missing, Added(true), Found(1), Removed(true), Missing],
+        ),
+        (
+            "duplicate keys",
+            &[10, 20],
+            vec![
+                Insert(15, 1),
+                Remove(15),
+                Insert(15, 2),
+                Remove(15),
+                Remove(15),
+                Insert(15, 3),
+                Insert(15, 4),
+                Get(15),
+            ],
+            vec![
+                Added(true),
+                Removed(true),
+                Added(true),
+                Removed(true),
+                Removed(false),
+                Added(true),
+                Added(false),
+                Found(3),
+            ],
+        ),
+    ];
+    for (layout, prefill, cmds, want) in cases {
+        let map: ShardedMap<u64, u64, Leaky> =
+            ShardedMap::with_config(1, TreeConfig::default().with_leaf_cap(1));
+        let mut h = map.handle();
+        for &k in prefill {
+            assert!(h.insert(k, k));
+        }
+        let (mut scratch, mut out) = (BatchScratch::new(), Vec::new());
+        let ((), d) = stats::delta(|| h.execute_batch(&cmds, &mut scratch, &mut out));
+        assert_eq!(out, want, "{layout}");
+        let added = out.iter().filter(|v| **v == Added(true)).count() as u64;
+        let removed = out.iter().filter(|v| **v == Removed(true)).count() as u64;
+        assert_eq!(d.cas, added + 2 * removed, "{layout}: no failed CAS ({d})");
+        assert_eq!(d.bts, removed, "{layout}: one tag per removed leaf ({d})");
+        assert_eq!(
+            d.allocs + d.pool_hits,
+            2 * added,
+            "{layout}: two objects per insert ({d})"
+        );
+        assert_eq!(d.splices, removed, "{layout}: ({d})");
+    }
+}
