@@ -809,7 +809,7 @@ fn pool_ablation(env: &Env) -> Built {
         ("on", PoolConfig::default()),
     ]
     .map(|(label, pool)| {
-        let labels = obj! { "pool" => label, "pool_capacity" => pool.capacity };
+        let labels = obj! { "pool" => label };
         (labels, Api::Handle, TreeConfig::default().with_pool(pool))
     });
     let workloads = [Workload::WRITE_DOMINATED, Workload::MIXED];

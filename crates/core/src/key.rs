@@ -53,25 +53,24 @@ impl<K: Ord> Key<K> {
         self.cmp_user(user) == Ordering::Greater
     }
 
-    /// [`user_goes_left`](Self::user_goes_left), specialized for descent
-    /// below the sentinel levels.
+    /// [`user_goes_left`](Self::user_goes_left), shaped for descent
+    /// loops.
     ///
     /// The sentinel structure is fixed: the access path passes `R(∞₂)`,
     /// `S(∞₁)` and (in a non-empty tree) the `∞₀`-keyed top of the user
-    /// area — all routed left without a comparison — and **every**
-    /// routing key strictly below that is finite (an internal node's key
-    /// is `max(new, leaf)` of two keys that are both finite there, and
-    /// the `∞₀` leaf is only ever reachable as the right child of the
-    /// `∞₀` internal). So in the descent loop proper this compiles down
-    /// to a plain `K: Ord` comparison: the `Fin` arm is first, no
-    /// `Ordering` is materialized, and the sentinel arms — kept only so
-    /// the method stays total — collapse to a constant.
+    /// area, and **every** routing key strictly below that is finite (a
+    /// route's key is `max(new, leaf)` of two keys that are both finite
+    /// there, and the `∞₀` leaf is only ever reachable as the right
+    /// child of the `∞₀` route). So in a descent this compiles down to a
+    /// plain `K: Ord` comparison: the `Fin` arm is first, no `Ordering`
+    /// is materialized, and the sentinel arm — taken only at the top
+    /// levels — is a constant.
     #[inline(always)]
     pub fn user_goes_left_fin(&self, user: &K) -> bool {
         match self {
             Key::Fin(k) => user < k,
-            // Unreachable below the sentinel levels; sentinels exceed
-            // every user key, so "go left" stays correct regardless.
+            // Sentinels exceed every user key: always left, exactly as
+            // `user_goes_left` decides.
             _ => true,
         }
     }

@@ -81,7 +81,7 @@ pub use key::Key;
 pub use node::LEAF_CAP;
 pub use obs::{LatencyConfig, OpClass};
 pub use packed::TagMode;
-pub use pool::{PoolConfig, DEFAULT_POOL_CAPACITY};
+pub use pool::PoolConfig;
 pub use set::NmTreeSet;
 pub use shard::{
     BatchCmd, BatchScratch, BatchVerdict, ShardedMap, ShardedMapHandle, ShardedSet,

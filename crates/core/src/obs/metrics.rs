@@ -23,6 +23,7 @@
 //! record (with the flight-recorder event chain, when `feature = "obs"`
 //! has a recorder attached) into a lock-free [`SlowRing`].
 
+use crate::pool::ArenaStats;
 use nmbst_reclaim::{PoolStats, ReclaimGauges};
 use nmbst_sync::CachePadded;
 use std::cell::Cell;
@@ -540,17 +541,15 @@ impl Metrics {
     }
 
     /// Sums the shards and folds in the reclaimer's gauges and the node
-    /// pool's stats (`None` when the tree runs with the pool off — the
-    /// snapshot then reports all-zero pool fields).
-    pub(crate) fn snapshot(
-        &self,
-        reclaim: ReclaimGauges,
-        pool: Option<PoolStats>,
-    ) -> MetricsSnapshot {
+    /// arenas' stats.
+    pub(crate) fn snapshot(&self, reclaim: ReclaimGauges, arenas: ArenaStats) -> MetricsSnapshot {
         let mut s = MetricsSnapshot {
             max_depth: self.max_depth.load(Ordering::Relaxed),
             reclaim,
-            pool: pool.unwrap_or_default(),
+            pool: arenas.pool,
+            pool_route_slots: arenas.route_slots,
+            pool_leaf_slots: arenas.leaf_slots,
+            pool_bytes: arenas.bytes,
             ..MetricsSnapshot::default()
         };
         for shard in &self.shards {
@@ -731,10 +730,18 @@ pub struct MetricsSnapshot {
     /// without deferred state, like `Leaky`.
     pub reclaim: ReclaimGauges,
     /// Node-pool hit/recycle stats at snapshot time (see
-    /// [`PoolStats`]); all zeros when the tree runs with the pool
-    /// disabled. `hits`/`misses` are flushed from handles on re-pin and
+    /// [`PoolStats`]), summed over the tree's two arenas (routes and
+    /// leaves). `hits`/`misses` are flushed from handles on re-pin and
     /// drop, so mid-loop snapshots may lag a handle's batched counts.
     pub pool: PoolStats,
+    /// Route slots handed out: the route arena's high-water mark.
+    pub pool_route_slots: u64,
+    /// Leaf slots handed out: the leaf arena's high-water mark.
+    pub pool_leaf_slots: u64,
+    /// Bytes of arena slots handed out across both arenas (each class's
+    /// slots times its slot size): the node memory the tree has
+    /// committed.
+    pub pool_bytes: u64,
     /// Serving-tier connection/backpressure gauges (see
     /// [`ServeGauges`]); all zeros on snapshots taken from a bare tree —
     /// only connection-owning front ends populate them.
@@ -785,7 +792,9 @@ impl MetricsSnapshot {
         self.pool.dropped += other.pool.dropped;
         self.pool.slots += other.pool.slots;
         self.pool.len += other.pool.len;
-        self.pool.capacity += other.pool.capacity;
+        self.pool_route_slots += other.pool_route_slots;
+        self.pool_leaf_slots += other.pool_leaf_slots;
+        self.pool_bytes += other.pool_bytes;
         self.serve.open_connections += other.serve.open_connections;
         self.serve.read_paused_connections += other.serve.read_paused_connections;
         self.serve.write_buffered_bytes += other.serve.write_buffered_bytes;
@@ -825,6 +834,7 @@ impl MetricsSnapshot {
                 "\"pool_hits\":{},\"pool_misses\":{},",
                 "\"pool_recycled\":{},\"pool_len\":{},",
                 "\"pool_dropped\":{},\"pool_slots\":{},",
+                "\"pool_route_slots\":{},\"pool_leaf_slots\":{},\"pool_bytes\":{},",
                 "\"open_connections\":{},\"read_paused_connections\":{},",
                 "\"write_buffered_bytes\":{},\"backpressure_events\":{}}}"
             ),
@@ -854,6 +864,9 @@ impl MetricsSnapshot {
             self.pool.len,
             self.pool.dropped,
             self.pool.slots,
+            self.pool_route_slots,
+            self.pool_leaf_slots,
+            self.pool_bytes,
             self.serve.open_connections,
             self.serve.read_paused_connections,
             self.serve.write_buffered_bytes,
@@ -1067,7 +1080,7 @@ impl MetricsSnapshot {
             &mut out,
             "nmbst_pool_dropped_total",
             "counter",
-            "Freed nodes the pool declined and abandoned until the arena drops.",
+            "Freed nodes abandoned until the arena drops (recycling off).",
             self.pool.dropped as i128,
         );
         metric(
@@ -1076,6 +1089,27 @@ impl MetricsSnapshot {
             "gauge",
             "Arena slots handed out so far (the arena never frees one).",
             self.pool.slots as i128,
+        );
+        metric(
+            &mut out,
+            "nmbst_pool_route_slots",
+            "gauge",
+            "Route-arena slots handed out so far.",
+            self.pool_route_slots as i128,
+        );
+        metric(
+            &mut out,
+            "nmbst_pool_leaf_slots",
+            "gauge",
+            "Leaf-arena slots handed out so far.",
+            self.pool_leaf_slots as i128,
+        );
+        metric(
+            &mut out,
+            "nmbst_pool_bytes",
+            "gauge",
+            "Bytes of arena slots handed out across both node classes.",
+            self.pool_bytes as i128,
         );
         metric(
             &mut out,
@@ -1118,7 +1152,8 @@ impl std::fmt::Display for MetricsSnapshot {
              max_depth={} mean_depth≈{:.1} lat_samples={} slow_ops={} \
              epoch={} lag={} pinned={} backlog={} \
              pool_hits={} pool_misses={} pool_recycled={} pool_len={} \
-             pool_dropped={} pool_slots={} \
+             pool_dropped={} pool_slots={} pool_route_slots={} \
+             pool_leaf_slots={} pool_bytes={} \
              conns={} read_paused={} wbuf_bytes={} backpressure={}",
             self.searches,
             self.inserted,
@@ -1145,6 +1180,9 @@ impl std::fmt::Display for MetricsSnapshot {
             self.pool.len,
             self.pool.dropped,
             self.pool.slots,
+            self.pool_route_slots,
+            self.pool_leaf_slots,
+            self.pool_bytes,
             self.serve.open_connections,
             self.serve.read_paused_connections,
             self.serve.write_buffered_bytes,

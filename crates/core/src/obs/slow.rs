@@ -9,16 +9,21 @@
 //! the op (retries, helps, splices), truncated to [`SLOW_EVENTS`].
 //!
 //! The ring is multi-producer/multi-consumer without locks: writers
-//! claim a slot with one `fetch_add` on the head ticket, then publish
-//! through a Vyukov-style per-slot sequence word (odd while writing,
-//! even-and-ticket-tagged when stable). Readers sample every slot and
-//! discard torn ones by re-checking the sequence — no reader ever
+//! take a ticket with one `fetch_add` on the head, then claim the
+//! ticket's slot by CAS-ing its Vyukov-style sequence word from the
+//! even (stable) value they observed to odd (writing), and publish by
+//! storing the next even, ticket-tagged value. A writer that finds the
+//! slot odd (another writer lapped onto it mid-publish) or already
+//! tagged with a newer ticket drops its record instead (counted in
+//! [`SlowRing::dropped`]), so at most one writer ever fills a slot at a
+//! time and a slot's even values only grow. Readers sample every slot
+//! and discard torn ones by re-checking the sequence — no reader ever
 //! blocks a writer, and the ring keeps the *latest* window when full,
 //! the same retention policy as the flight recorder. Record payloads
 //! are stored through relaxed atomics (five words per slot), so a torn
 //! read is detected, never undefined.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Max structural events a [`SlowOp`] retains from the flight recorder.
 pub const SLOW_EVENTS: usize = 12;
@@ -111,7 +116,8 @@ pub fn slow_event_name(discriminant: u8) -> &'static str {
 /// words, all atomics so concurrent access is detected-torn, never UB.
 struct Slot {
     /// Odd while a writer is mid-publish; `2 * (ticket + 1)` once the
-    /// record for `ticket` is stable. Even values are strictly
+    /// record for `ticket` is stable. Only the writer whose CAS turned
+    /// the value odd writes the payload, and even values are strictly
     /// monotonic per slot, so a reader that sees the same even value
     /// before and after its payload loads read a consistent record.
     seq: AtomicU64,
@@ -122,9 +128,10 @@ struct Slot {
 ///
 /// Writers never block or allocate; when the ring is full the oldest
 /// records are overwritten (slow ops are diagnostics — the latest
-/// window is the useful one). Readers ([`snapshot`](SlowRing::snapshot))
-/// may run concurrently with writers and skip records they catch
-/// mid-publish.
+/// window is the useful one), and a writer that laps another one still
+/// mid-publish on the same slot drops its record rather than wait.
+/// Readers ([`snapshot`](SlowRing::snapshot)) may run concurrently with
+/// writers and skip records they catch mid-publish.
 ///
 /// # Examples
 ///
@@ -140,6 +147,9 @@ struct Slot {
 pub struct SlowRing {
     /// Total records ever pushed; a writer's slot is `ticket % cap`.
     head: AtomicU64,
+    /// Records dropped because their slot was mid-publish by a lapping
+    /// writer or already held a newer ticket's record.
+    dropped: AtomicU64,
     slots: Box<[Slot]>,
 }
 
@@ -148,6 +158,7 @@ impl SlowRing {
     pub fn new(capacity: usize) -> Self {
         SlowRing {
             head: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
             slots: (0..capacity.max(1))
                 .map(|_| Slot {
                     seq: AtomicU64::new(0),
@@ -157,26 +168,65 @@ impl SlowRing {
         }
     }
 
-    /// Deposits one record: one `fetch_add` to claim a ticket, six
-    /// relaxed stores to publish. Lock-free and allocation-free.
+    /// Deposits one record: one `fetch_add` to take a ticket, one CAS
+    /// to claim its slot, six stores to publish. Lock-free,
+    /// allocation-free and wait-free: a slot another writer holds is
+    /// never waited for (the record is dropped and counted instead).
     pub fn push(&self, op: SlowOp) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = self.claim(ticket) {
+            Self::publish(slot, ticket, &op);
+        }
+    }
+
+    /// The first half of [`push`](Self::push): claims `ticket`'s slot by
+    /// moving its sequence from the even value observed to odd
+    /// `2 * ticket + 1`. Returns `None` — and counts a drop — if the slot
+    /// is odd (a lapping writer is mid-publish), already holds a newer
+    /// ticket's record, or moved between the load and the CAS.
+    fn claim(&self, ticket: u64) -> Option<&Slot> {
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        let words = op.encode();
-        // Odd = in flight. Two writers lapping each other on this slot
-        // (ticket and ticket + cap) may interleave; readers discard the
-        // torn result because the final even value they need to match
-        // is ticket-tagged and strictly monotonic.
-        slot.seq.store(2 * ticket + 1, Ordering::Release);
-        for (w, &v) in slot.words.iter().zip(words.iter()) {
+        let seen = slot.seq.load(Ordering::Relaxed);
+        // Acquire on success: the payload stores of the writer whose
+        // even value we replace happen before ours.
+        let claimed = seen & 1 == 0
+            && seen < 2 * (ticket + 1)
+            && slot
+                .seq
+                .compare_exchange(seen, 2 * ticket + 1, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok();
+        if !claimed {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        // Orders the odd store before the payload stores: a reader whose
+        // (acquire) payload load returns one of our words synchronizes
+        // with this fence, so its re-check of the sequence sees the odd
+        // value or a later one and discards the record.
+        fence(Ordering::Release);
+        Some(slot)
+    }
+
+    /// The second half of [`push`](Self::push): writes the payload into
+    /// a slot [`claim`](Self::claim) returned for `ticket`, then marks it
+    /// stable.
+    fn publish(slot: &Slot, ticket: u64, op: &SlowOp) {
+        for (w, v) in slot.words.iter().zip(op.encode()) {
             w.store(v, Ordering::Relaxed);
         }
         slot.seq.store(2 * (ticket + 1), Ordering::Release);
     }
 
-    /// Total records ever deposited (including overwritten ones).
+    /// Total records ever deposited (including overwritten and dropped
+    /// ones).
     pub fn deposited(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
+    }
+
+    /// Records dropped because a lapping writer held their slot
+    /// mid-publish, or a newer record already filled it.
+    pub fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
     }
 
     /// The stable records currently in the ring, oldest first. Records
@@ -207,6 +257,7 @@ impl std::fmt::Debug for SlowRing {
         f.debug_struct("SlowRing")
             .field("capacity", &self.slots.len())
             .field("deposited", &self.deposited())
+            .field("dropped", &self.dropped())
             .finish()
     }
 }
@@ -299,6 +350,51 @@ mod tests {
         for o in final_snap {
             assert_eq!(o.ns, o.key * 7);
         }
+    }
+
+    /// The lap that used to tear a record, replayed deterministically
+    /// through the two halves of `push`: a writer stalled between its
+    /// claim and its publish, a second writer whose ticket maps to the
+    /// same slot, and readers in between. The lapping writer must not
+    /// write into the held slot, and a late writer with an older ticket
+    /// must not rewind a slot a newer record already filled.
+    #[test]
+    fn lapping_writers_neither_tear_nor_rewind_a_slot() {
+        let ring = SlowRing::new(2);
+        let seq = |i: usize| ring.slots[i].seq.load(Ordering::Relaxed);
+        let keys = |ring: &SlowRing| ring.snapshot().iter().map(|o| o.key).collect::<Vec<_>>();
+
+        // Writer A takes ticket 0 (slot 0), claims it and stalls.
+        let a = ring.head.fetch_add(1, Ordering::Relaxed);
+        let held = ring.claim(a).expect("a fresh slot is claimable");
+        assert_eq!(seq(0), 1, "odd while A writes");
+        // Ticket 1 fills slot 1; writer B takes ticket 2, which laps
+        // onto A's slot 0 while A is still mid-publish.
+        ring.push(op(1, 1, 7));
+        let b = ring.head.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(b % 2, a % 2, "B's ticket maps to A's slot");
+        assert!(ring.claim(b).is_none(), "a held slot is not claimed twice");
+        assert_eq!(ring.dropped(), 1);
+        assert_eq!(seq(0), 1, "B left A's claim alone");
+        assert_eq!(keys(&ring), vec![1], "readers skip the held slot");
+        // A finishes: its record is whole, under its own ticket's tag.
+        SlowRing::publish(held, a, &op(0, 0, 0));
+        assert_eq!(seq(0), 2);
+        assert_eq!(keys(&ring), vec![0, 1]);
+
+        // Tickets 3 and 5 share slot 1. The newer one publishes first;
+        // the older one arrives late and must drop, not rewind.
+        let t3 = ring.head.fetch_add(1, Ordering::Relaxed);
+        let t4 = ring.head.fetch_add(1, Ordering::Relaxed);
+        let t5 = ring.head.fetch_add(1, Ordering::Relaxed);
+        SlowRing::publish(ring.claim(t5).expect("slot 1 is stable"), t5, &op(0, 5, 35));
+        assert_eq!(seq(1), 2 * (t5 + 1));
+        assert!(ring.claim(t3).is_none(), "an older ticket cannot rewind");
+        assert_eq!(seq(1), 2 * (t5 + 1), "sequence never goes backwards");
+        SlowRing::publish(ring.claim(t4).expect("slot 0 is stable"), t4, &op(4, 4, 28));
+        assert_eq!(ring.dropped(), 2);
+        assert_eq!(ring.deposited(), 6);
+        assert_eq!(keys(&ring), vec![4, 5]);
     }
 
     #[test]

@@ -1,21 +1,23 @@
-//! Pool-aware node allocation over the arena slab (PR 4's recycling
-//! layer, re-based onto PR 7's slot storage).
+//! Pool-aware node allocation over the tree's two arena slabs (PR 4's
+//! recycling layer, re-based onto PR 7's slot storage).
 //!
-//! Since PR 7 the shared [`NodePool`] is not an *optional* free list in
-//! front of `malloc` — it **is** the node store. Every tree owns one
-//! arena sized for its `Node<K, V>` layout; every node the tree ever
-//! creates is a `u32` slot in it:
+//! The shared [`NodePool`]s are not an *optional* free list in front of
+//! `malloc` — they **are** the node store. Every tree owns one arena per
+//! node class ([`Arenas`]): 32-byte routes in one, leaf blocks in the
+//! other, each with its own index space, free list and counters. Every
+//! node the tree ever creates is a `u32` slot in its class's arena:
 //!
 //! * **retire → recycle**: the cleanup routine retires detached nodes
-//!   with a *recycle deferral* ([`recycle_deferred`]) instead of a plain
-//!   drop; when the reclaimer proves the grace period elapsed, the
-//!   deferral drops the entries the node's drop hint says it still owns
-//!   and pushes the slot onto the free list (overflow abandons the slot
-//!   in place — arena memory, reclaimed when the tree drops).
+//!   with a *recycle deferral* ([`recycle_route_deferred`],
+//!   [`recycle_leaf_deferred`]) instead of a plain drop; when the
+//!   reclaimer proves the grace period elapsed, the deferral drops what
+//!   the node still owns (for a leaf, the entries its drop hint names)
+//!   and pushes the slot onto its own class's free list.
 //! * **alloc → reuse**: allocation goes through a [`NodeCache`] — a
-//!   per-handle (or per-call) unsynchronized cache over the shared pool —
-//!   so hot loops pop recycled slots without touching shared state, and
-//!   fall through to the arena's bump cursor (never `malloc`) on a miss.
+//!   per-handle (or per-call) unsynchronized cache over both pools, one
+//!   stash per class — so hot loops pop recycled slots without touching
+//!   shared state, and fall through to the arena's bump cursor (never
+//!   `malloc`) only when the shared free list is empty.
 //!
 //! Reuse is ABA-safe *by construction*: the deferral only runs once no
 //! live reference to the slot can exist, which is exactly the guarantee
@@ -26,38 +28,32 @@
 //! unpublished.
 
 use crate::chaos::{self, Action, Point};
-use crate::node::Node;
+use crate::node::{drop_leaf_contents, drop_route_contents, Leaf, Route};
 use crate::stats;
-use nmbst_reclaim::{Deferred, NodePool};
+use nmbst_reclaim::{Deferred, NodePool, PoolStats};
 use std::alloc::Layout;
 use std::sync::Arc;
 
-/// Default bound on a tree's shared free list, in nodes. Two nodes per
-/// insert means this absorbs ~128 churned keys of garbage — enough to
-/// make steady-state churn bump-free, small enough that an idle tree is
-/// not hoarding recyclable slots.
-pub const DEFAULT_POOL_CAPACITY: usize = 256;
-
-/// How many slots a handle's [`NodeCache`] keeps privately. Refills and
-/// give-backs move slots between this cache and the shared pool in
-/// batches, so the shared lock is touched once per ~batch, not per node.
+/// How many slots of each class a handle's [`NodeCache`] keeps
+/// privately. Refills and give-backs move slots between this cache and
+/// the shared pool in batches, so the shared lock is touched once per
+/// ~batch, not per node.
 pub(crate) const HANDLE_CACHE_CAP: usize = 32;
 
 /// Slots moved from the shared pool into a cache per refill.
 const REFILL_BATCH: usize = 8;
 
 /// The `pool` knob on [`TreeConfig`](crate::TreeConfig): whether retired
-/// nodes are recycled into new inserts, and how many free slots the
-/// tree may hold. One flag for A/B ablation — see the perf bin's
-/// pool-on/pool-off cells. The arena itself always exists (it is the
-/// node store); this knob only governs the *recycling* free list.
+/// nodes are recycled into new inserts. One flag for A/B ablation — see
+/// the perf bin's pool-on/pool-off cells. The arenas themselves always
+/// exist (they are the node store); this knob only governs the
+/// *recycling* free lists, which are unbounded while it is on: no slot
+/// is ever abandoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Recycle retired nodes through a shared free list (default `true`).
+    /// Recycle retired nodes through the shared free lists (default
+    /// `true`).
     pub enabled: bool,
-    /// Maximum free slots the shared list holds; overflow is abandoned
-    /// in place until the tree drops (default [`DEFAULT_POOL_CAPACITY`]).
-    pub capacity: usize,
 }
 
 impl PoolConfig {
@@ -65,131 +61,208 @@ impl PoolConfig {
     /// and every reclaimed slot is abandoned until the tree drops — the
     /// pre-PR 4 behaviour, arena-backed.
     pub fn disabled() -> Self {
-        PoolConfig {
-            enabled: false,
-            capacity: 0,
-        }
-    }
-
-    /// Recycling on with an explicit free-list bound.
-    pub fn with_capacity(capacity: usize) -> Self {
-        PoolConfig {
-            enabled: true,
-            capacity,
-        }
-    }
-
-    /// The free-list bound this config asks of the arena.
-    pub(crate) fn effective_capacity(&self) -> usize {
-        if self.enabled {
-            self.capacity
-        } else {
-            0
-        }
+        PoolConfig { enabled: false }
     }
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        PoolConfig {
-            enabled: true,
-            capacity: DEFAULT_POOL_CAPACITY,
+        PoolConfig { enabled: true }
+    }
+}
+
+/// A tree's node store: one arena per node class. Shared by `Arc`
+/// between the tree and the keepalive it parks in its reclaimer (see
+/// [`recycle_route_deferred`]).
+pub(crate) struct Arenas {
+    /// Slots of [`Route<K>`].
+    pub(crate) routes: NodePool,
+    /// Slots of [`Leaf<K, V>`].
+    pub(crate) leaves: NodePool,
+}
+
+/// Point-in-time gauges of a tree's [`Arenas`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArenaStats {
+    /// Both pools' counters, summed.
+    pub(crate) pool: PoolStats,
+    /// Route slots handed out (the route arena's high-water mark).
+    pub(crate) route_slots: u64,
+    /// Leaf slots handed out (the leaf arena's high-water mark).
+    pub(crate) leaf_slots: u64,
+    /// Bytes of slots handed out across both arenas.
+    pub(crate) bytes: u64,
+}
+
+impl Arenas {
+    /// The arenas of a `NmTreeMap<K, V>`, recycling or not.
+    pub(crate) fn new<K, V>(recycle: bool) -> Self {
+        Arenas {
+            routes: NodePool::new(Layout::new::<Route<K>>(), recycle),
+            leaves: NodePool::new(Layout::new::<Leaf<K, V>>(), recycle),
+        }
+    }
+
+    /// Both pools' counters (summed) and the per-class slot gauges.
+    pub(crate) fn stats(&self) -> ArenaStats {
+        let r = self.routes.stats();
+        let l = self.leaves.stats();
+        ArenaStats {
+            pool: PoolStats {
+                hits: r.hits + l.hits,
+                misses: r.misses + l.misses,
+                recycled: r.recycled + l.recycled,
+                dropped: r.dropped + l.dropped,
+                slots: r.slots + l.slots,
+                len: r.len + l.len,
+            },
+            route_slots: r.slots,
+            leaf_slots: l.slots,
+            bytes: r.slots * self.routes.stride() as u64 + l.slots * self.leaves.stride() as u64,
         }
     }
 }
 
-/// An unsynchronized allocation cache over a tree's shared [`NodePool`].
-///
-/// Handles keep one alive across operations (capacity
-/// [`HANDLE_CACHE_CAP`]); the plain API builds a transient zero-capacity
-/// one per modify call, which then reads/writes the shared pool directly.
-/// Either way this is the single choke point where node slots enter
-/// and leave an operation, so hit/miss accounting batches here in plain
-/// fields and flushes to the pool's atomics on drop/repin.
-pub(crate) struct NodeCache<'t> {
-    shared: &'t NodePool,
+/// One class's half of a [`NodeCache`]: a private stash of free slot
+/// indices plus batched hit/miss counts.
+struct SlotCache {
     local: Vec<u32>,
-    local_cap: usize,
     hits: u64,
     misses: u64,
 }
 
-impl<'t> NodeCache<'t> {
-    /// A transient cache that keeps nothing locally (plain-API calls).
-    pub(crate) fn direct(shared: &'t NodePool) -> Self {
-        Self::with_local(shared, 0)
-    }
-
-    /// A cache holding up to `local_cap` slots privately (handles).
-    pub(crate) fn with_local(shared: &'t NodePool, local_cap: usize) -> Self {
-        NodeCache {
-            shared,
+impl SlotCache {
+    const fn new() -> Self {
+        SlotCache {
             local: Vec::new(),
-            local_cap,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// The arena this cache serves slots of.
+    /// One uninitialized slot of `pool`: recycled if the stash or the
+    /// shared list has one, bump-allocated otherwise.
     #[inline]
-    pub(crate) fn arena(&self) -> &'t NodePool {
-        self.shared
-    }
-
-    /// Carves out one uninitialized slot for a `T`, preferring recycled
-    /// slots and bump-allocating on a miss. Returns the slot's index and
-    /// its (stable) address; the caller must initialize it before the
-    /// node can be published or freed.
-    pub(crate) fn alloc_raw<T>(&mut self) -> (u32, *mut T) {
-        debug_assert_eq!(
-            Layout::new::<T>(),
-            self.shared.layout(),
-            "cache serves exactly the tree's node layout"
-        );
-        if let Some(idx) = self
-            .local
-            .pop()
-            .or_else(|| refill(&mut self.local, self.shared))
-        {
+    fn alloc(&mut self, pool: &NodePool) -> (u32, *mut u8) {
+        if let Some(idx) = self.local.pop().or_else(|| refill(&mut self.local, pool)) {
             self.hits += 1;
             stats::record_pool_hit();
-            return (idx, self.shared.slot_ptr(idx).cast());
+            return (idx, pool.slot_ptr(idx));
         }
         self.misses += 1;
         stats::record_alloc();
-        let (idx, ptr) = self.shared.bump();
-        (idx, ptr.as_ptr().cast())
+        let (idx, ptr) = pool.bump();
+        (idx, ptr.as_ptr())
     }
 
-    /// Returns a node's slot to the cache/pool. The node must already be
-    /// a *shell*: whatever entries and routing key it owned were dropped
-    /// by the caller (`drop_retired_contents` or entry extraction).
+    /// # Safety
+    ///
+    /// `idx` satisfies [`NodePool::release`]'s contract for `pool`.
+    #[inline]
+    unsafe fn free(&mut self, pool: &NodePool, idx: u32, cap: usize) {
+        if self.local.len() < cap {
+            self.local.push(idx);
+        } else {
+            // SAFETY: forwarded contract.
+            unsafe { pool.release(idx) };
+        }
+    }
+
+    fn flush_counters(&mut self, pool: &NodePool) {
+        if self.hits != 0 || self.misses != 0 {
+            pool.note_usage(self.hits, self.misses);
+            self.hits = 0;
+            self.misses = 0;
+        }
+    }
+}
+
+/// An unsynchronized allocation cache over a tree's [`Arenas`], one
+/// stash per node class.
+///
+/// Handles keep one alive across operations (capacity
+/// [`HANDLE_CACHE_CAP`] per class); the plain API builds a transient
+/// zero-capacity one per modify call, which then reads/writes the shared
+/// pools directly. Either way this is the single choke point where node
+/// slots enter and leave an operation, so hit/miss accounting batches
+/// here in plain fields and flushes to the pools' atomics on drop/repin.
+pub(crate) struct NodeCache<'t> {
+    arenas: &'t Arenas,
+    local_cap: usize,
+    routes: SlotCache,
+    leaves: SlotCache,
+}
+
+impl<'t> NodeCache<'t> {
+    /// A transient cache that keeps nothing locally (plain-API calls).
+    pub(crate) fn direct(arenas: &'t Arenas) -> Self {
+        Self::with_local(arenas, 0)
+    }
+
+    /// A cache holding up to `local_cap` slots of each class privately
+    /// (handles).
+    pub(crate) fn with_local(arenas: &'t Arenas, local_cap: usize) -> Self {
+        NodeCache {
+            arenas,
+            local_cap,
+            routes: SlotCache::new(),
+            leaves: SlotCache::new(),
+        }
+    }
+
+    /// Carves out one uninitialized route slot. Returns the slot's index
+    /// and its (stable) address; the caller must initialize it before
+    /// the route can be published or freed.
+    #[inline]
+    pub(crate) fn alloc_route<K>(&mut self) -> (u32, *mut Route<K>) {
+        debug_assert_eq!(Layout::new::<Route<K>>(), self.arenas.routes.layout());
+        let (idx, ptr) = self.routes.alloc(&self.arenas.routes);
+        (idx, ptr.cast())
+    }
+
+    /// [`alloc_route`](Self::alloc_route) for a leaf slot.
+    #[inline]
+    pub(crate) fn alloc_leaf<K, V>(&mut self) -> (u32, *mut Leaf<K, V>) {
+        debug_assert_eq!(Layout::new::<Leaf<K, V>>(), self.arenas.leaves.layout());
+        let (idx, ptr) = self.leaves.alloc(&self.arenas.leaves);
+        (idx, ptr.cast())
+    }
+
+    /// Returns a route's slot to the cache/pool. The route must already
+    /// be a *shell*: its routing key was dropped by the caller.
     ///
     /// # Safety
     ///
     /// `node` must be an exclusively owned, never-published (or fully
-    /// unlinked and grace-period-expired) slot of this cache's arena,
-    /// with all owned contents already dropped or moved out.
-    pub(crate) unsafe fn free_shell<K, V>(&mut self, node: *mut Node<K, V>) {
+    /// unlinked and grace-period-expired) slot of this cache's route
+    /// arena, with its contents already dropped.
+    pub(crate) unsafe fn free_route_shell<K>(&mut self, node: *mut Route<K>) {
         // SAFETY: the slot is exclusively owned per contract; `idx` is
         // plain data, valid even after the contents were dropped.
         let idx = unsafe { (*node).idx };
-        if self.local.len() < self.local_cap {
-            self.local.push(idx);
-        } else {
-            // SAFETY: slot provenance and dead contents per contract.
-            unsafe { self.shared.release(idx) };
-        }
+        // SAFETY: slot provenance and dead contents per contract.
+        unsafe { self.routes.free(&self.arenas.routes, idx, self.local_cap) };
     }
 
-    /// Publishes batched hit/miss counts into the shared pool's stats.
+    /// [`free_route_shell`](Self::free_route_shell) for a leaf: whatever
+    /// entries and routing key it owned were dropped (or moved out) by
+    /// the caller.
+    ///
+    /// # Safety
+    ///
+    /// As [`free_route_shell`](Self::free_route_shell), for the leaf
+    /// arena.
+    pub(crate) unsafe fn free_leaf_shell<K, V>(&mut self, node: *mut Leaf<K, V>) {
+        // SAFETY: as `free_route_shell`.
+        let idx = unsafe { (*node).idx };
+        // SAFETY: as `free_route_shell`.
+        unsafe { self.leaves.free(&self.arenas.leaves, idx, self.local_cap) };
+    }
+
+    /// Publishes batched hit/miss counts into the shared pools' stats.
     pub(crate) fn flush_counters(&mut self) {
-        if self.hits != 0 || self.misses != 0 {
-            self.shared.note_usage(self.hits, self.misses);
-            self.hits = 0;
-            self.misses = 0;
-        }
+        self.routes.flush_counters(&self.arenas.routes);
+        self.leaves.flush_counters(&self.arenas.leaves);
     }
 }
 
@@ -209,20 +282,22 @@ impl Drop for NodeCache<'_> {
     fn drop(&mut self) {
         self.flush_counters();
         // SAFETY: every cached slot satisfies the release contract (came
-        // from this pool, contents dropped before caching).
-        unsafe { self.shared.release_batch(&mut self.local) };
+        // from its class's pool, contents dropped before caching).
+        unsafe {
+            self.arenas.routes.release_batch(&mut self.routes.local);
+            self.arenas.leaves.release_batch(&mut self.leaves.local);
+        }
     }
 }
 
 /// Builds the deferral that recycles `node` once its grace period has
-/// elapsed: drop the entries its drop hint says it still owns plus the
-/// routing key, then hand the slot back to `pool` (the
-/// [`Point::Recycle`] chaos hook can force the abandon-in-place overflow
-/// path instead).
+/// elapsed: drop its routing key, then hand the slot back to the route
+/// pool (the [`Point::Recycle`] chaos hook can abandon it in place
+/// instead).
 ///
-/// The deferral carries only a *raw* pointer to `pool` — no per-node
+/// The deferral carries only a *raw* pointer to the pool — no per-node
 /// refcount traffic. The tree makes that sound by parking an `Arc` clone
-/// of the pool inside the reclaimer
+/// of its [`Arenas`] inside the reclaimer
 /// ([`Reclaim::hold`](nmbst_reclaim::Reclaim::hold)) at construction:
 /// the reclaimer guarantees the token outlives every deferral it runs,
 /// including on straggling collector threads.
@@ -231,118 +306,179 @@ impl Drop for NodeCache<'_> {
 ///
 /// `node` must be unlinked and retired exactly once (the
 /// [`RetireGuard::retire_deferred`](nmbst_reclaim::RetireGuard) contract
-/// transfers to the caller), must be a slot of this pool, and its drop
-/// hint must already describe which entries it still owns. The scheme
-/// running the deferral must prove the grace period before calling it,
-/// and the caller must have parked a pool keepalive in that scheme (see
-/// above) so `pool` is alive whenever the deferral can run.
-pub(crate) unsafe fn recycle_deferred<K: Send, V: Send>(
-    node: *mut Node<K, V>,
-    pool: &Arc<NodePool>,
+/// transfers to the caller) and must be a slot of `arenas.routes`. The
+/// scheme running the deferral must prove the grace period before
+/// calling it, and the caller must have parked an arenas keepalive in
+/// that scheme (see above) so the pool is alive whenever the deferral
+/// can run.
+pub(crate) unsafe fn recycle_route_deferred<K: Send>(
+    node: *mut Route<K>,
+    arenas: &Arc<Arenas>,
 ) -> Deferred {
-    unsafe fn recycle<K, V>(data: *mut (), ctx: *mut ()) {
-        let node = data.cast::<Node<K, V>>();
-        // SAFETY: the reclaimer holds a pool keepalive that outlives this
-        // call (function contract).
-        let pool = unsafe { &*(ctx as *const NodePool) };
+    unsafe fn recycle<K>(data: *mut (), ctx: *mut ()) {
+        let node = data.cast::<Route<K>>();
         // SAFETY: the grace period elapsed — this deferral is the unique
         // owner. Read the slot index out before the contents die.
         let idx = unsafe { (*node).idx };
-        // SAFETY: unique ownership; the drop hint was set before retire.
-        unsafe { crate::node::drop_retired_contents(node) };
-        if chaos::hit(Point::Recycle) == Action::Abandon {
-            // Chaos: pretend the free list declined; abandon the slot in
-            // place (arena memory, reclaimed when the pool drops).
-        } else {
-            // SAFETY: slot provenance per contract, contents just dropped.
-            unsafe { pool.release(idx) };
-        }
+        // SAFETY: unique ownership.
+        unsafe { drop_route_contents(node) };
+        // SAFETY: keepalive and slot provenance per the contract.
+        unsafe { give_back(ctx, idx) };
     }
-    let ctx = Arc::as_ptr(pool) as *mut ();
-    // SAFETY: `recycle::<K, V>` releases exactly once; `K: Send, V: Send`
-    // makes running it on a collector thread sound; leaking it uncalled
-    // (Leaky) leaks only the slot's contents, as intended.
+    let ctx = (&arenas.routes as *const NodePool).cast_mut().cast();
+    // SAFETY: `recycle::<K>` releases exactly once; `K: Send` makes
+    // running it on a collector thread sound; leaking it uncalled
+    // (Leaky) leaks only the slot's key, as intended.
+    unsafe { Deferred::from_raw(node.cast(), ctx, recycle::<K>) }
+}
+
+/// [`recycle_route_deferred`] for a leaf: the deferral drops the entries
+/// the leaf's drop hint says it still owns plus its routing key, and
+/// hands the slot back to the leaf pool.
+///
+/// # Safety
+///
+/// As [`recycle_route_deferred`], for a slot of `arenas.leaves` whose
+/// drop hint already describes which entries it still owns.
+pub(crate) unsafe fn recycle_leaf_deferred<K: Send, V: Send>(
+    node: *mut Leaf<K, V>,
+    arenas: &Arc<Arenas>,
+) -> Deferred {
+    unsafe fn recycle<K, V>(data: *mut (), ctx: *mut ()) {
+        let node = data.cast::<Leaf<K, V>>();
+        // SAFETY: as in `recycle_route_deferred`.
+        let idx = unsafe { (*node).idx };
+        // SAFETY: unique ownership; the drop hint was set before retire.
+        unsafe { drop_leaf_contents(node) };
+        // SAFETY: keepalive and slot provenance per the contract.
+        unsafe { give_back(ctx, idx) };
+    }
+    let ctx = (&arenas.leaves as *const NodePool).cast_mut().cast();
+    // SAFETY: as in `recycle_route_deferred`, with `V: Send` too.
     unsafe { Deferred::from_raw(node.cast(), ctx, recycle::<K, V>) }
+}
+
+/// The tail of every recycle deferral: release `idx` to the pool `ctx`
+/// points at, unless the [`Point::Recycle`] chaos hook says to abandon
+/// it in place (arena memory, reclaimed when the pool drops).
+///
+/// # Safety
+///
+/// `ctx` points at a live [`NodePool`] and `idx` is a dead slot of it.
+unsafe fn give_back(ctx: *mut (), idx: u32) {
+    if chaos::hit(Point::Recycle) == Action::Abandon {
+        return;
+    }
+    // SAFETY: per contract.
+    unsafe { (*ctx.cast::<NodePool>()).release(idx) };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{drop_retired_contents, HINT_ALL, HINT_NONE};
+    use crate::key::Key;
+    use crate::node::{HINT_ALL, HINT_NONE};
+    use crate::packed::Edge;
 
-    fn pool_for<K, V>(cap: usize) -> NodePool {
-        NodePool::new(Layout::new::<Node<K, V>>(), cap)
+    unsafe fn free_leaf<K, V>(cache: &mut NodeCache<'_>, leaf: *mut Leaf<K, V>) {
+        unsafe {
+            drop_leaf_contents(leaf);
+            cache.free_leaf_shell(leaf);
+        }
     }
 
     #[test]
     fn alloc_free_round_trip_reuses_slot() {
-        let pool = pool_for::<u64, u64>(8);
-        let mut cache = NodeCache::direct(&pool);
-        let a = Node::<u64, u64>::new_user_leaf_in(&mut cache, 1, 10);
-        unsafe {
-            drop_retired_contents(a);
-            cache.free_shell(a);
-        }
-        let b = Node::<u64, u64>::new_user_leaf_in(&mut cache, 2, 20);
+        let arenas = Arenas::new::<u64, u64>(true);
+        let mut cache = NodeCache::direct(&arenas);
+        let a = Leaf::<u64, u64>::new_user_in(&mut cache, 1, 10);
+        unsafe { free_leaf(&mut cache, a) };
+        let b = Leaf::<u64, u64>::new_user_in(&mut cache, 2, 20);
         assert_eq!(a, b, "freed slot is reused LIFO");
-        unsafe {
-            drop_retired_contents(b);
-            cache.free_shell(b);
-        }
+        unsafe { free_leaf(&mut cache, b) };
         drop(cache);
-        let s = pool.stats();
+        let s = arenas.leaves.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
+        assert_eq!(arenas.routes.stats().misses, 0, "no route was allocated");
     }
 
     #[test]
-    fn capacity_zero_cache_always_bumps() {
-        let pool = pool_for::<u64, ()>(0);
-        let mut cache = NodeCache::direct(&pool);
-        let a = Node::<u64, ()>::new_user_leaf_in(&mut cache, 1, ());
+    fn classes_recycle_into_their_own_arena() {
+        let arenas = Arenas::new::<u64, u64>(true);
+        let mut cache = NodeCache::direct(&arenas);
+        let l = Leaf::<u64, u64>::new_user_in(&mut cache, 1, 10);
+        let m = Leaf::<u64, u64>::new_user_in(&mut cache, 2, 20);
+        let r = Route::new_in(&mut cache, Key::Fin(2), Edge::of_leaf(l), Edge::of_leaf(m));
         unsafe {
-            drop_retired_contents(a);
-            cache.free_shell(a);
+            drop_route_contents(r);
+            cache.free_route_shell(r);
+            free_leaf(&mut cache, l);
+            free_leaf(&mut cache, m);
         }
-        let b = Node::<u64, ()>::new_user_leaf_in(&mut cache, 2, ());
-        assert_ne!(a, b, "no recycling at capacity 0");
+        assert_eq!((arenas.routes.len(), arenas.leaves.len()), (1, 2));
+        // A route allocation reuses the route slot, never a leaf slot.
+        let r2 = Route::new_in(
+            &mut cache,
+            Key::<u64>::Inf0,
+            Edge::<u64, u64>::of_leaf(l),
+            Edge::of_leaf(m),
+        );
+        assert_eq!(r2, r);
+        assert_eq!((arenas.routes.len(), arenas.leaves.len()), (0, 2));
         unsafe {
-            drop_retired_contents(b);
-            cache.free_shell(b);
+            drop_route_contents(r2);
+            cache.free_route_shell(r2);
         }
         drop(cache);
-        let s = pool.stats();
+        let s = arenas.stats();
+        assert_eq!((s.route_slots, s.leaf_slots), (1, 2));
+        assert_eq!(
+            s.bytes,
+            32 + 2 * 152,
+            "committed slot bytes per class stride"
+        );
+        assert_eq!(s.pool.slots, 3, "the summed view adds the classes");
+        assert_eq!((s.pool.hits, s.pool.misses), (1, 3));
+    }
+
+    #[test]
+    fn recycling_off_cache_always_bumps() {
+        let arenas = Arenas::new::<u64, ()>(false);
+        let mut cache = NodeCache::direct(&arenas);
+        let a = Leaf::<u64, ()>::new_user_in(&mut cache, 1, ());
+        unsafe { free_leaf(&mut cache, a) };
+        let b = Leaf::<u64, ()>::new_user_in(&mut cache, 2, ());
+        assert_ne!(a, b, "no recycling with the pool off");
+        unsafe { free_leaf(&mut cache, b) };
+        drop(cache);
+        let s = arenas.leaves.stats();
         assert_eq!(s.hits, 0);
         assert_eq!(s.misses, 2);
+        assert_eq!(s.dropped, 2);
     }
 
     #[test]
     fn local_cache_batches_shared_traffic() {
-        let pool = pool_for::<u64, ()>(64);
+        let arenas = Arenas::new::<u64, ()>(true);
         // Seed the shared pool with a few slots.
         {
-            let mut seed = NodeCache::direct(&pool);
+            let mut seed = NodeCache::direct(&arenas);
             let nodes: Vec<_> = (0..6)
-                .map(|i| Node::<u64, ()>::new_user_leaf_in(&mut seed, i, ()))
+                .map(|i| Leaf::<u64, ()>::new_user_in(&mut seed, i, ()))
                 .collect();
             for n in nodes {
-                unsafe {
-                    drop_retired_contents(n);
-                    seed.free_shell(n);
-                }
+                unsafe { free_leaf(&mut seed, n) };
             }
         }
-        assert_eq!(pool.len(), 6);
-        let mut cache = NodeCache::with_local(&pool, 16);
+        assert_eq!(arenas.leaves.len(), 6);
+        let mut cache = NodeCache::with_local(&arenas, 16);
         // One alloc refills a batch: the shared pool drains more than one.
-        let n = Node::<u64, ()>::new_user_leaf_in(&mut cache, 9, ());
-        assert!(pool.len() < 6);
-        unsafe {
-            drop_retired_contents(n);
-            cache.free_shell(n);
-        }
+        let n = Leaf::<u64, ()>::new_user_in(&mut cache, 9, ());
+        assert!(arenas.leaves.len() < 6);
+        unsafe { free_leaf(&mut cache, n) };
         drop(cache); // gives all cached slots back
-        assert_eq!(pool.len(), 6);
+        assert_eq!(arenas.leaves.len(), 6);
     }
 
     #[test]
@@ -355,40 +491,54 @@ mod tests {
             }
         }
         let drops = Arc::new(AtomicUsize::new(0));
-        let pool = Arc::new(pool_for::<u64, D>(8));
-        let mut cache = NodeCache::direct(&pool);
-        let moved = Node::<u64, D>::new_user_leaf_in(&mut cache, 1, D(Arc::clone(&drops)));
-        let owned = Node::<u64, D>::new_user_leaf_in(&mut cache, 2, D(Arc::clone(&drops)));
+        let arenas = Arc::new(Arenas::new::<u64, D>(true));
+        let mut cache = NodeCache::direct(&arenas);
+        let moved = Leaf::<u64, D>::new_user_in(&mut cache, 1, D(Arc::clone(&drops)));
+        let owned = Leaf::<u64, D>::new_user_in(&mut cache, 2, D(Arc::clone(&drops)));
         drop(cache);
         unsafe {
             // A COW-replaced block: its entry moved on, nothing drops.
             (*moved).set_drop_hint(HINT_NONE);
-            recycle_deferred(moved, &pool).call();
+            recycle_leaf_deferred(moved, &arenas).call();
             assert_eq!(drops.load(Ordering::Relaxed), 0);
             // But the orphaned entry must be dropped by *someone*; here
             // the test plays the replacement block's role.
             (*owned).set_drop_hint(HINT_ALL);
-            recycle_deferred(owned, &pool).call();
+            recycle_leaf_deferred(owned, &arenas).call();
             assert_eq!(drops.load(Ordering::Relaxed), 1);
         }
-        assert_eq!(pool.len(), 2, "both slots recycled, not abandoned");
+        assert_eq!(arenas.leaves.len(), 2, "both slots recycled, not abandoned");
     }
 
     #[test]
-    fn recycle_deferred_returns_slot_to_pool() {
-        let pool = Arc::new(pool_for::<u64, u64>(8));
-        let mut cache = NodeCache::direct(&pool);
-        let node = Node::<u64, u64>::new_user_leaf_in(&mut cache, 7, 70);
+    fn recycle_deferred_returns_each_slot_to_its_class() {
+        let arenas = Arc::new(Arenas::new::<u64, u64>(true));
+        let mut cache = NodeCache::direct(&arenas);
+        let leaf = Leaf::<u64, u64>::new_user_in(&mut cache, 7, 70);
+        let sentinel = Leaf::<u64, u64>::new_sentinel_in(&mut cache, Key::Inf0);
+        let route = Route::new_in(
+            &mut cache,
+            Key::Fin(7),
+            Edge::of_leaf(leaf),
+            Edge::of_leaf(sentinel),
+        );
         drop(cache);
-        let d = unsafe { recycle_deferred(node, &pool) };
-        assert_eq!(d.address(), node as usize);
-        assert_eq!(pool.len(), 0);
+        let d = unsafe { recycle_leaf_deferred(leaf, &arenas) };
+        assert_eq!(d.address(), leaf as usize);
+        assert_eq!(arenas.leaves.len(), 0);
         d.call();
-        assert_eq!(pool.len(), 1, "slot recycled, not abandoned");
+        assert_eq!(arenas.leaves.len(), 1, "leaf slot recycled, not abandoned");
+        unsafe { recycle_route_deferred(route, &arenas) }.call();
         assert_eq!(
-            Arc::strong_count(&pool),
+            (arenas.routes.len(), arenas.leaves.len()),
+            (1, 1),
+            "the route went back to the route arena"
+        );
+        assert_eq!(
+            Arc::strong_count(&arenas),
             1,
             "deferrals borrow the pool raw — no refcount traffic"
         );
+        unsafe { recycle_leaf_deferred(sentinel, &arenas) }.call();
     }
 }

@@ -17,8 +17,9 @@
 
 use super::NmTreeMap;
 use crate::key::Key;
-use crate::node::Node;
+use crate::node::{Leaf, Route};
 use crate::obs::PendingOps;
+use crate::packed::Edge;
 use crate::pool::NodeCache;
 use nmbst_reclaim::Reclaim;
 use std::iter::Peekable;
@@ -91,21 +92,18 @@ where
         // always live.
         unsafe {
             let s = self.s_node();
-            let inf0_leaf = (*s).left.load(&self.pool).ptr();
-            debug_assert!(
-                (*inf0_leaf).is_leaf(),
-                "vacant tree has the ∞₀ leaf under S"
-            );
+            let inf0_leaf: Edge<K, V> = (*s).left.load(&self.arenas);
+            debug_assert!(inf0_leaf.is_leaf(), "vacant tree has the ∞₀ leaf under S");
             // The same shape the first insert would produce (Figure 1a
             // at the ∞₀ leaf), generalized to n leaves: an ∞₀-keyed
-            // internal with the user subtree left and the reused ∞₀
+            // route with the user subtree left and the reused ∞₀
             // sentinel leaf right.
-            let top = Node::new_internal_in(&mut cache, Key::Inf0, user_root, inf0_leaf);
+            let top = Route::new_in(&mut cache, Key::Inf0, user_root, inf0_leaf);
             // The single publish. Plain store: no other thread can hold
             // a reference to this tree (`&mut self`), and the `&mut` →
             // `&` hand-off that first shares it synchronizes everything
             // written here.
-            (*s).left.store_unsynchronized(crate::node::clean_edge(top));
+            (*s).left.store_unsynchronized(Edge::<K, V>::of_route(top));
         }
 
         self.metrics.add_pending(&PendingOps {
@@ -119,24 +117,24 @@ where
     /// still hangs directly under `S`). Exact under `&mut self`.
     fn is_vacant(&mut self) -> bool {
         // SAFETY: sentinels are always live; exclusive access.
-        unsafe { (*(*self.s_node()).left.load(&self.pool).ptr()).is_leaf() }
+        unsafe { (*self.s_node()).left.load::<K, V>(&self.arenas).is_leaf() }
     }
 }
 
 /// Builds a perfectly balanced external BST over the next `nentries`
 /// pairs of `it` (ascending, unique), packed into `nblocks` leaf blocks
-/// of up to `cap` entries, returning its root. Every block except
-/// possibly the very last is full, so a bulk-loaded tree is maximally
-/// compact: ⌈log₂⌈n/cap⌉⌉ pointer hops instead of ⌈log₂ n⌉. Each
-/// internal node's routing key is the smallest key of its right subtree,
-/// satisfying the external-tree invariant left < key ≤ right.
+/// of up to `cap` entries, returning the edge to its root. Every block
+/// except possibly the very last is full, so a bulk-loaded tree is
+/// maximally compact: ⌈log₂⌈n/cap⌉⌉ pointer hops instead of ⌈log₂ n⌉.
+/// Each route's key is the smallest key of its right subtree, satisfying
+/// the external-tree invariant left < key ≤ right.
 fn build_blocks<K, V, I>(
     cache: &mut NodeCache<'_>,
     it: &mut Peekable<I>,
     nblocks: usize,
     nentries: usize,
     cap: usize,
-) -> *mut Node<K, V>
+) -> Edge<K, V>
 where
     K: Ord + Clone,
     I: Iterator<Item = (K, V)>,
@@ -144,7 +142,7 @@ where
     debug_assert!(nblocks >= 1 && nentries >= 1);
     if nblocks == 1 {
         debug_assert!(nentries <= cap);
-        return Node::block_from_iter(cache, it, nentries);
+        return Edge::of_leaf(Leaf::block_from_iter(cache, it, nentries));
     }
     // Left half: fully packed blocks (the partial block, if any, always
     // lands rightmost, matching what ascending inserts would build).
@@ -162,7 +160,7 @@ where
         nentries - left_entries,
         cap,
     );
-    Node::new_internal_in(cache, Key::Fin(split), left, right)
+    Edge::of_route(Route::new_in(cache, Key::Fin(split), left, right))
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use super::NmTreeMap;
 use crate::key::Key;
+use crate::packed::Edge;
 use nmbst_reclaim::Reclaim;
 use std::fmt::Write as _;
 
@@ -25,7 +26,7 @@ where
 {
     /// Renders the tree as a Graphviz `digraph` (exclusive access).
     ///
-    /// Internal nodes are ellipses, sentinel leaves grey boxes, and user
+    /// Routing nodes are ellipses, sentinel leaves grey boxes, and user
     /// leaves **records**: the first field is the router key, the rest
     /// one field per stored entry, so a fat leaf block reads as
     /// `Fin(30) | 10 | 20 | 30` instead of eight anonymous boxes.
@@ -44,53 +45,53 @@ where
     /// assert!(dot.contains("shape=record"));
     /// ```
     pub fn to_dot(&mut self) -> String {
-        let arena = self.arena();
-        let root = self.root;
+        let arenas = &*self.arenas;
         let mut out = String::from("digraph nmbst {\n  node [fontname=\"monospace\"];\n");
         // SAFETY: exclusive access for the whole walk.
         unsafe {
-            let mut stack = vec![root];
-            while let Some(n) = stack.pop() {
-                if n.is_null() {
-                    continue;
-                }
-                let id = n as usize;
-                let (router, sentinel) = match &(*n).key {
+            let mut stack = vec![Edge::<K, V>::of_route(self.root)];
+            while let Some(edge) = stack.pop() {
+                let id = edge.addr() as usize;
+                let key = if edge.is_leaf() {
+                    &(*edge.leaf()).key
+                } else {
+                    &(*edge.route()).key
+                };
+                let (router, sentinel) = match key {
                     Key::Fin(k) => (format!("Fin({k:?})"), false),
                     Key::Inf0 => ("inf0".to_string(), true),
                     Key::Inf1 => ("inf1".to_string(), true),
                     Key::Inf2 => ("inf2".to_string(), true),
                 };
-                let leaf = (*n).is_leaf();
-                if leaf && (*n).len() > 0 {
+                if edge.is_leaf() && (*edge.leaf()).len() > 0 {
                     // Fat user leaf: record node, router first, then the
                     // block's entries in stored (ascending) order.
                     let mut label = record_escape(&router);
-                    for k in (*n).entry_keys() {
+                    for k in (*edge.leaf()).entry_keys() {
                         let _ = write!(label, " | {}", record_escape(&format!("{k:?}")));
                     }
                     let _ = writeln!(out, "  n{id} [label=\"{label}\" shape=record];");
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "  n{id} [label=\"{router}\" shape={}{}];",
-                        if leaf { "box" } else { "ellipse" },
-                        if sentinel {
-                            " style=filled fillcolor=lightgrey"
-                        } else {
-                            ""
-                        }
-                    );
+                    continue;
                 }
-                for (side, edge) in [
-                    ("L", (*n).left.load_mut(arena)),
-                    ("R", (*n).right.load_mut(arena)),
-                ] {
-                    let child = edge.ptr();
-                    if child.is_null() {
-                        continue;
+                let _ = writeln!(
+                    out,
+                    "  n{id} [label=\"{router}\" shape={}{}];",
+                    if edge.is_leaf() { "box" } else { "ellipse" },
+                    if sentinel {
+                        " style=filled fillcolor=lightgrey"
+                    } else {
+                        ""
                     }
-                    let marks = match (edge.flag(), edge.tag()) {
+                );
+                if edge.is_leaf() {
+                    continue;
+                }
+                let route = edge.route();
+                for (side, child) in [
+                    ("L", (*route).left.load_mut::<K, V>(arenas)),
+                    ("R", (*route).right.load_mut(arenas)),
+                ] {
+                    let marks = match (child.flag(), child.tag()) {
                         (false, false) => String::new(),
                         (f, t) => format!(
                             " style=dashed color=red label=\"{}{}\"",
@@ -101,7 +102,7 @@ where
                     let _ = writeln!(
                         out,
                         "  n{id} -> n{} [taillabel=\"{side}\"{marks}];",
-                        child as usize
+                        child.addr() as usize
                     );
                     stack.push(child);
                 }

@@ -16,12 +16,11 @@ pub(crate) use read::search_many;
 pub(crate) use seek::{seek_many, SeekRecord};
 
 use crate::handle::MapHandle;
-use crate::node::{self, Node, LEAF_CAP};
+use crate::node::{self, Leaf, Route, LEAF_CAP};
 use crate::obs::{self, LatencyConfig, MetricsSnapshot};
-use crate::packed::TagMode;
-use crate::pool::{NodeCache, PoolConfig, HANDLE_CACHE_CAP};
-use nmbst_reclaim::{Ebr, NodePool, Reclaim};
-use std::alloc::Layout;
+use crate::packed::{Edge, TagMode};
+use crate::pool::{Arenas, NodeCache, PoolConfig, HANDLE_CACHE_CAP};
+use nmbst_reclaim::{Ebr, Reclaim};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -63,7 +62,7 @@ pub struct TreeConfig {
     pub tag_mode: TagMode,
     /// Root vs local restart for modify-path retries.
     pub restart: RestartPolicy,
-    /// Node-recycling pool: on/off and free-list capacity.
+    /// Node-recycling pool: on/off.
     pub pool: PoolConfig,
     /// Maximum entries per leaf block, `1..=LEAF_CAP` (values outside are
     /// clamped). `1` reproduces the classic one-key-per-leaf shape
@@ -134,9 +133,10 @@ impl Default for TreeConfig {
 ///   edge words; there are no operation descriptor objects and helping
 ///   never allocates.
 ///
-/// Nodes live in a per-tree slab arena addressed by `u32` slot indices
-/// (half-width edges); user keys live in immutable sorted leaf blocks of
-/// up to [`TreeConfig::leaf_cap`] entries.
+/// Nodes live in two per-tree slab arenas addressed by `u32` slot
+/// indices (half-width edges): 32-byte routing nodes in one, leaf blocks
+/// in the other. User keys live in immutable sorted leaf blocks of up to
+/// [`TreeConfig::leaf_cap`] entries.
 ///
 /// The tree is generic over the reclamation scheme `R`
 /// ([`Ebr`](nmbst_reclaim::Ebr) by default;
@@ -163,21 +163,23 @@ impl Default for TreeConfig {
 pub struct NmTreeMap<K, V, R: Reclaim = Ebr> {
     /// The permanent sentinel root `R` (key ∞₂); see
     /// [`node::sentinel_tree`].
-    pub(crate) root: *mut Node<K, V>,
+    pub(crate) root: *mut Route<K>,
     pub(crate) reclaim: R,
     pub(crate) tag_mode: TagMode,
     pub(crate) restart: RestartPolicy,
     /// Effective leaf-block capacity, `1..=LEAF_CAP`.
     pub(crate) leaf_cap: usize,
     pub(crate) metrics: obs::Metrics,
-    /// The slab arena every node of this tree lives in. Declared after
-    /// `reclaim` so the reclaimer — whose drop runs pending recycle
-    /// deferrals against arena slots — goes first; deferrals that outlive
-    /// even that (straggler collector threads) are covered by the `Arc`
-    /// clone parked in the reclaimer at construction.
-    pub(crate) pool: Arc<NodePool>,
-    /// The tree logically owns its nodes.
-    _own: PhantomData<Box<Node<K, V>>>,
+    /// The slab arenas every node of this tree lives in, one per node
+    /// class. Declared after `reclaim` so the reclaimer — whose drop runs
+    /// pending recycle deferrals against arena slots — goes first;
+    /// deferrals that outlive even that (straggler collector threads)
+    /// are covered by the `Arc` clone parked in the reclaimer at
+    /// construction.
+    pub(crate) arenas: Arc<Arenas>,
+    /// The tree logically owns its nodes (the `K`s and `V`s it drops
+    /// live in routes and leaves; a leaf holds both types).
+    _own: PhantomData<Box<Leaf<K, V>>>,
 }
 
 // SAFETY: all shared mutation goes through atomic edges; nodes move
@@ -213,18 +215,15 @@ where
 
     /// Creates an empty map with every tuning knob explicit.
     pub fn with_config(config: TreeConfig) -> Self {
-        let pool = Arc::new(NodePool::new(
-            Layout::new::<Node<K, V>>(),
-            config.pool.effective_capacity(),
-        ));
+        let arenas = Arc::new(Arenas::new::<K, V>(config.pool.enabled));
         let reclaim = R::new();
-        // Recycle deferrals reference the pool by raw pointer; this
-        // parked clone is what keeps it alive for straggling collector
+        // Recycle deferrals reference the pools by raw pointer; this
+        // parked clone is what keeps them alive for straggling collector
         // threads that run deferrals after the tree is gone (see
-        // `pool::recycle_deferred`). The arena is the node store now, so
-        // the keepalive is unconditional.
-        reclaim.hold(Box::new(Arc::clone(&pool)));
-        let root = node::sentinel_tree(&mut NodeCache::direct(&pool));
+        // `pool::recycle_route_deferred`). The arenas are the node store,
+        // so the keepalive is unconditional.
+        reclaim.hold(Box::new(Arc::clone(&arenas)));
+        let root = node::sentinel_tree::<K, V>(&mut NodeCache::direct(&arenas));
         NmTreeMap {
             root,
             reclaim,
@@ -232,7 +231,7 @@ where
             restart: config.restart,
             leaf_cap: config.leaf_cap.clamp(1, LEAF_CAP),
             metrics: obs::Metrics::new(config.lat),
-            pool,
+            arenas,
             _own: PhantomData,
         }
     }
@@ -244,27 +243,27 @@ where
     /// See the [`obs`](crate::obs) module docs.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics
-            .snapshot(self.reclaim.gauges(), Some(self.pool.stats()))
+            .snapshot(self.reclaim.gauges(), self.arenas.stats())
     }
 
-    /// The arena every node of this tree lives in: the context for
+    /// The arenas every node of this tree lives in: the context for
     /// resolving edge words into node addresses.
     #[inline]
-    pub(crate) fn arena(&self) -> &NodePool {
-        &self.pool
+    pub(crate) fn arenas(&self) -> &Arenas {
+        &self.arenas
     }
 
     /// A transient [`NodeCache`] for one plain-API modify call: no local
     /// slot hoarding, shared pool touched directly.
     #[inline]
     pub(crate) fn node_cache(&self) -> NodeCache<'_> {
-        NodeCache::direct(&self.pool)
+        NodeCache::direct(&self.arenas)
     }
 
     /// The [`NodeCache`] a long-lived handle embeds: keeps a private
     /// slot stash so hot loops skip the shared free list.
     pub(crate) fn handle_cache(&self) -> NodeCache<'_> {
-        NodeCache::with_local(&self.pool, HANDLE_CACHE_CAP)
+        NodeCache::with_local(&self.arenas, HANDLE_CACHE_CAP)
     }
 
     /// Pins the current thread, returning a guard other read methods can
@@ -283,10 +282,10 @@ where
     /// The sentinel routing node `S` (key ∞₁): the left child of `R`.
     /// Its incoming edge is never marked.
     #[inline]
-    pub(crate) fn s_node(&self) -> *mut Node<K, V> {
+    pub(crate) fn s_node(&self) -> *mut Route<K> {
         // SAFETY: `root` is always the live sentinel `R`, whose left edge
         // is never marked and always points at the live sentinel `S`.
-        unsafe { (*self.root).left.load(&self.pool).ptr() }
+        unsafe { (*self.root).left.load::<K, V>(&self.arenas).route() }
     }
 }
 
@@ -325,7 +324,7 @@ impl<K, V, R: Reclaim> Drop for NmTreeMap<K, V, R> {
         // arena.
         // SAFETY: `&mut self` gives exclusive ownership of the reachable
         // subtree, and every reachable node owns all its entries.
-        unsafe { node::free_subtree(self.root, &self.pool) };
+        unsafe { node::free_subtree(Edge::<K, V>::of_route(self.root), &self.arenas) };
     }
 }
 

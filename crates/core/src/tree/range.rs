@@ -4,7 +4,8 @@
 
 use super::NmTreeMap;
 use crate::key::Key;
-use crate::node::{prefetch_wide, Node};
+use crate::node::{prefetch, prefetch_wide};
+use crate::packed::Edge;
 use nmbst_reclaim::Reclaim;
 use std::ops::{Bound, ControlFlow, RangeBounds};
 
@@ -24,43 +25,42 @@ const INLINE_STACK: usize = 64;
 /// `pop` drains the spill first — which also means the inline half can
 /// never be part-empty while the spill is non-empty.
 struct TraversalStack<K, V> {
-    inline: [*mut Node<K, V>; INLINE_STACK],
+    inline: [Edge<K, V>; INLINE_STACK],
     len: usize,
-    spill: Vec<*mut Node<K, V>>,
+    spill: Vec<Edge<K, V>>,
 }
 
 impl<K, V> TraversalStack<K, V> {
     #[inline]
-    fn new(root: *mut Node<K, V>) -> Self {
-        let mut s = TraversalStack {
-            inline: [std::ptr::null_mut(); INLINE_STACK],
-            len: 0,
+    fn new(root: Edge<K, V>) -> Self {
+        TraversalStack {
+            inline: [root; INLINE_STACK],
+            len: 1,
             spill: Vec::new(),
-        };
-        s.push(root);
-        s
-    }
-
-    #[inline]
-    fn push(&mut self, node: *mut Node<K, V>) {
-        if self.len < INLINE_STACK && self.spill.is_empty() {
-            self.inline[self.len] = node;
-            self.len += 1;
-        } else {
-            self.spill.push(node);
         }
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<*mut Node<K, V>> {
+    fn push(&mut self, edge: Edge<K, V>) {
+        if self.len < INLINE_STACK && self.spill.is_empty() {
+            self.inline[self.len] = edge;
+            self.len += 1;
+        } else {
+            self.spill.push(edge);
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Edge<K, V>> {
         self.spill.pop().or_else(|| {
             self.len = self.len.checked_sub(1)?;
             Some(self.inline[self.len])
         })
     }
 
-    /// Hints the next frame to pop — header line plus entry line, since
-    /// a traversal block-scans every leaf it visits.
+    /// Hints the next frame to pop: a route's one line, or a leaf's
+    /// header and entry lines, since a traversal block-scans every leaf
+    /// it visits.
     #[inline]
     fn prefetch_top(&self) {
         let next = self
@@ -68,8 +68,10 @@ impl<K, V> TraversalStack<K, V> {
             .last()
             .copied()
             .or_else(|| self.len.checked_sub(1).map(|i| self.inline[i]));
-        if let Some(node) = next {
-            prefetch_wide(node);
+        match next {
+            Some(edge) if edge.is_leaf() => prefetch_wide(edge.leaf()),
+            Some(edge) => prefetch(edge),
+            None => {}
         }
     }
 }
@@ -129,31 +131,31 @@ where
             // Keys ≥ nk can intersect (.., e) iff nk < e.
             Bound::Excluded(e) => nk.cmp_user(e) == std::cmp::Ordering::Less,
         };
-        let arena = self.arena();
-        let mut stack = TraversalStack::new(self.s_node());
-        'walk: while let Some(node) = stack.pop() {
+        let arenas = self.arenas();
+        let mut stack = TraversalStack::new(Edge::of_route(self.s_node()));
+        'walk: while let Some(edge) = stack.pop() {
             // The scan visits (and block-scans) every node it pops, so
-            // fetching both the header line and the entry lines of the
-            // *next* frame overlaps this frame's work.
+            // fetching the *next* frame overlaps this frame's work.
             stack.prefetch_top();
-            // SAFETY: pointers read from live edges under the pin.
+            // SAFETY: edges read from live routes under the pin.
             unsafe {
-                let left = (*node).left.load(arena).ptr();
-                if left.is_null() {
+                if edge.is_leaf() {
                     // Leaf block: entries are sorted, so the in-range ones
                     // form a contiguous run.
-                    for (k, v) in (*node).entry_keys().iter().zip((*node).entry_vals()) {
+                    let leaf = &*edge.leaf();
+                    for (k, v) in leaf.entry_keys().iter().zip(leaf.entry_vals()) {
                         if range.contains(k) && f(k, v).is_break() {
                             break 'walk;
                         }
                     }
                 } else {
-                    let nk = &(*node).key;
+                    let route = &*edge.route();
+                    let nk = &route.key;
                     if may_go_right(nk) {
-                        stack.push((*node).right.load(arena).ptr());
+                        stack.push(route.right.load(arenas));
                     }
                     if may_go_left(nk) {
-                        stack.push(left);
+                        stack.push(route.left.load(arenas));
                     }
                 }
             }
@@ -182,21 +184,18 @@ where
         V: Clone,
     {
         let _guard = self.reclaim.pin();
-        let arena = self.arena();
-        let mut node = self.s_node();
+        let arenas = self.arenas();
         // SAFETY: descent under the pin; sentinels are permanent.
         unsafe {
-            loop {
-                let left = (*node).left.load(arena).ptr();
-                if left.is_null() {
-                    break;
-                }
-                node = left;
+            let mut edge: Edge<K, V> = (*self.s_node()).left.load(arenas);
+            while !edge.is_leaf() {
+                edge = (*edge.route()).left.load(arenas);
             }
             // The leftmost leaf is a sentinel only when the tree is
             // empty; otherwise its first (smallest) entry is the minimum.
-            let keys = (*node).entry_keys();
-            let vals = (*node).entry_vals();
+            let leaf = &*edge.leaf();
+            let keys = leaf.entry_keys();
+            let vals = leaf.entry_vals();
             keys.first().map(|k| (k.clone(), vals[0].clone()))
         }
     }
@@ -211,27 +210,25 @@ where
         V: Clone,
     {
         let _guard = self.reclaim.pin();
-        let arena = self.arena();
-        let mut stack = TraversalStack::new(self.s_node());
-        while let Some(node) = stack.pop() {
+        let arenas = self.arenas();
+        let mut stack = TraversalStack::new(Edge::<K, V>::of_route(self.s_node()));
+        while let Some(edge) = stack.pop() {
             // SAFETY: descent under the pin.
             unsafe {
-                let left = (*node).left.load(arena).ptr();
-                if left.is_null() {
-                    let n = (*node).len();
-                    if n > 0 {
+                if edge.is_leaf() {
+                    let leaf = &*edge.leaf();
+                    if let (Some(k), Some(v)) = (leaf.entry_keys().last(), leaf.entry_vals().last())
+                    {
                         // Rightmost populated block: its last entry is
                         // the maximum.
-                        return Some((
-                            (*node).entry_keys()[n - 1].clone(),
-                            (*node).entry_vals()[n - 1].clone(),
-                        ));
+                        return Some((k.clone(), v.clone()));
                     }
                     // Sentinel leaf: backtrack.
                 } else {
                     // Left pushed first so right pops (and resolves) first.
-                    stack.push(left);
-                    stack.push((*node).right.load(arena).ptr());
+                    let route = &*edge.route();
+                    stack.push(route.left.load(arenas));
+                    stack.push(route.right.load(arenas));
                 }
             }
         }

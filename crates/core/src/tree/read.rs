@@ -2,8 +2,10 @@
 //! and weakly consistent traversal.
 
 use super::NmTreeMap;
-use crate::node::{prefetch, Node};
-use nmbst_reclaim::{NodePool, Reclaim};
+use crate::node::prefetch;
+use crate::packed::Edge;
+use crate::pool::Arenas;
+use nmbst_reclaim::Reclaim;
 
 /// Descents an interleaved multi-get keeps in flight (see
 /// [`search_many`]). A descent waits on one cache miss per level, so
@@ -14,21 +16,24 @@ pub(crate) const SEARCH_LANES: usize = 16;
 
 /// One in-flight descent of [`search_many`].
 struct Lane<'m, K, V> {
-    /// The arena of the tree this descent walks (lanes of one call may
+    /// The arenas of the tree this descent walks (lanes of one call may
     /// walk different trees).
-    arena: &'m NodePool,
+    arenas: &'m Arenas,
     key: &'m K,
     /// Position of the key in the caller's query order.
     idx: usize,
-    /// The node this lane reads next, prefetched when it was reached.
-    node: *mut Node<K, V>,
+    /// The edge to the node this lane reads next, whose head was
+    /// prefetched when the edge was loaded.
+    edge: Edge<K, V>,
 }
 
 /// The paper's search (Algorithm 2, lines 34–39) for `n` keys at once:
 /// up to [`SEARCH_LANES`] root-to-leaf descents advanced round-robin,
 /// one level per turn, each issuing a prefetch for the child it will
-/// read on its next turn. A lone descent stalls on every level's miss;
-/// interleaved descents keep that many misses in flight. A search only
+/// read on its next turn (the leaf block included: a lane that reaches
+/// a leaf edge scans the block on its following turn). A lone descent
+/// stalls on every level's miss; interleaved descents keep that many
+/// misses in flight. A search only
 /// loads, so interleaving needs no synchronisation, and each key's
 /// answer is exactly what a lone [`contains`](NmTreeMap::contains)
 /// descent at some instant inside the call would return.
@@ -56,37 +61,36 @@ pub(crate) unsafe fn search_many<'m, K, V, R>(
     let mut live = 0;
     for slot in lanes.iter_mut() {
         // SAFETY: forwarded contract.
-        *slot = unsafe { launch(n, &mut next, &mut query, &mut found) };
+        *slot = unsafe { launch(n, &mut next, &mut query) };
         live += usize::from(slot.is_some());
     }
     while live > 0 {
         for slot in lanes.iter_mut() {
             let Some(lane) = slot else { continue };
-            // SAFETY: `lane.node` was read from a live edge of a pinned
-            // tree.
-            let node = unsafe { &*lane.node };
-            let child = node.child_for_fin(lane.key).load(lane.arena).ptr();
-            if child.is_null() {
-                // `node` is the leaf; published blocks are immutable.
+            if lane.edge.is_leaf() {
+                // SAFETY: read from a live edge of a pinned tree;
+                // published blocks are immutable.
+                let leaf = unsafe { &*lane.edge.leaf() };
                 found(
                     lane.idx,
-                    node.find(lane.key).ok().map(|pos| &node.entry_vals()[pos]),
+                    leaf.find(lane.key).ok().map(|pos| &leaf.entry_vals()[pos]),
                 );
                 // SAFETY: forwarded contract.
-                *slot = unsafe { launch(n, &mut next, &mut query, &mut found) };
+                *slot = unsafe { launch(n, &mut next, &mut query) };
                 live -= usize::from(slot.is_none());
             } else {
-                prefetch(child);
-                lane.node = child;
+                // SAFETY: as above.
+                let route = unsafe { &*lane.edge.route() };
+                lane.edge = route.child_for(lane.key).load(lane.arenas);
+                prefetch(lane.edge);
             }
         }
     }
 }
 
-/// Starts the descent of the next unanswered query of [`search_many`],
-/// or returns `None` once all `n` have started. A tree whose user area
-/// is one sentinel leaf answers at once (`found(i, None)`), and the next
-/// query is tried instead.
+/// Starts the descent of the next unanswered query of [`search_many`]
+/// at the edge out of the sentinel `S`, or returns `None` once all `n`
+/// have started.
 ///
 /// # Safety
 ///
@@ -95,37 +99,28 @@ unsafe fn launch<'m, K, V, R>(
     n: usize,
     next: &mut usize,
     query: &mut impl FnMut(usize) -> (&'m NmTreeMap<K, V, R>, &'m K),
-    found: &mut impl FnMut(usize, Option<&V>),
 ) -> Option<Lane<'m, K, V>>
 where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
     R: Reclaim + 'm,
 {
-    while *next < n {
-        let idx = *next;
-        *next += 1;
-        let (tree, key) = query(idx);
-        let arena = tree.arena();
-        // SAFETY: pinned per the contract; the sentinel prefix is
-        // hardcoded exactly as in `search_leaf`.
-        let node = unsafe {
-            let top = (*tree.s_node()).left.load(arena).ptr();
-            (*top).left.load(arena).ptr()
-        };
-        if node.is_null() {
-            found(idx, None);
-            continue;
-        }
-        prefetch(node);
-        return Some(Lane {
-            arena,
-            key,
-            idx,
-            node,
-        });
+    if *next == n {
+        return None;
     }
-    None
+    let idx = *next;
+    *next += 1;
+    let (tree, key) = query(idx);
+    let arenas = tree.arenas();
+    // SAFETY: pinned per the contract; `S` is permanent.
+    let edge = unsafe { &(*tree.s_node()).left }.load(arenas);
+    prefetch(edge);
+    Some(Lane {
+        arenas,
+        key,
+        idx,
+        edge,
+    })
 }
 
 impl<K, V, R> NmTreeMap<K, V, R>
@@ -223,23 +218,24 @@ where
     /// [`keys`](Self::keys) (requires `&mut`).
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         let _guard = self.reclaim.pin();
-        let arena = self.arena();
-        let mut stack = vec![self.s_node()];
-        while let Some(node) = stack.pop() {
-            // SAFETY: every pointer on the stack was read from a live
-            // edge under the pin.
+        let arenas = self.arenas();
+        let mut stack = vec![Edge::<K, V>::of_route(self.s_node())];
+        while let Some(edge) = stack.pop() {
+            // SAFETY: every edge on the stack was read from a live route
+            // under the pin.
             unsafe {
-                let left = (*node).left.load(arena).ptr();
-                if left.is_null() {
+                if edge.is_leaf() {
                     // Leaf block: entries are stored sorted ascending
                     // (sentinel leaves hold none).
-                    for (k, v) in (*node).entry_keys().iter().zip((*node).entry_vals()) {
+                    let leaf = &*edge.leaf();
+                    for (k, v) in leaf.entry_keys().iter().zip(leaf.entry_vals()) {
                         f(k, v);
                     }
                 } else {
                     // In-order: right pushed first so left pops first.
-                    stack.push((*node).right.load(arena).ptr());
-                    stack.push(left);
+                    let route = &*edge.route();
+                    stack.push(route.right.load(arenas));
+                    stack.push(route.left.load(arenas));
                 }
             }
         }
@@ -260,20 +256,20 @@ where
     /// O(n).
     pub fn is_empty(&self) -> bool {
         let _guard = self.reclaim.pin();
-        let arena = self.arena();
-        let mut stack = vec![self.s_node()];
-        while let Some(node) = stack.pop() {
-            // SAFETY: every pointer on the stack was read from a live
-            // edge under the pin.
+        let arenas = self.arenas();
+        let mut stack = vec![Edge::<K, V>::of_route(self.s_node())];
+        while let Some(edge) = stack.pop() {
+            // SAFETY: every edge on the stack was read from a live route
+            // under the pin.
             unsafe {
-                let left = (*node).left.load(arena).ptr();
-                if left.is_null() {
-                    if (*node).len() > 0 {
+                if edge.is_leaf() {
+                    if (*edge.leaf()).len() > 0 {
                         return false;
                     }
                 } else {
-                    stack.push((*node).right.load(arena).ptr());
-                    stack.push(left);
+                    let route = &*edge.route();
+                    stack.push(route.right.load(arenas));
+                    stack.push(route.left.load(arenas));
                 }
             }
         }

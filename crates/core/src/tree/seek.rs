@@ -18,7 +18,7 @@ use super::read::SEARCH_LANES;
 use super::{NmTreeMap, RestartPolicy};
 use crate::chaos::{self, Action, Point};
 use crate::key::Key;
-use crate::node::{clean_edge, prefetch, Node};
+use crate::node::{prefetch, Leaf, Route};
 use crate::obs::{self, EventKind};
 use crate::packed::Edge;
 use crate::stats;
@@ -27,19 +27,20 @@ use std::cmp::Ordering;
 
 /// The four addresses a seek returns (Algorithm 1, lines 6–11), plus the
 /// positional key bounds of the `(ancestor → successor)` edge that make
-/// the record reusable as a *finger* for a different key.
+/// the record reusable as a *finger* for a different key. The first
+/// three are always routes; only `leaf` is a leaf.
 ///
 /// Raw pointers are valid for dereference only under the reclamation
 /// guard the seek ran under.
 pub(crate) struct SeekRecord<K, V> {
-    pub(crate) ancestor: *mut Node<K, V>,
-    pub(crate) successor: *mut Node<K, V>,
-    pub(crate) parent: *mut Node<K, V>,
-    pub(crate) leaf: *mut Node<K, V>,
+    pub(crate) ancestor: *mut Route<K>,
+    pub(crate) successor: *mut Route<K>,
+    pub(crate) parent: *mut Route<K>,
+    pub(crate) leaf: *mut Leaf<K, V>,
     /// Lower key bound of the anchor edge's position: every key that
     /// routes through `(ancestor → successor)` is ≥ it. Null means −∞.
-    /// Points at the routing key of a node on the recorded access path —
-    /// dereference only under the record's guard.
+    /// Points at the routing key of a route on the recorded access path
+    /// — dereference only under the record's guard.
     ///
     /// The stored bounds are those accumulated from the routing
     /// decisions strictly *above* the successor — the edge's exact
@@ -51,9 +52,8 @@ pub(crate) struct SeekRecord<K, V> {
     /// merely forfeits the finger and re-seeks from the root. Splices
     /// above the anchor only ever *widen* positional windows (they
     /// remove routing nodes; inserts grow the tree at leaves, never
-    /// above an internal node), so "inside the stored window" keeps
-    /// implying "routes through the edge" under concurrent
-    /// restructuring.
+    /// above a route), so "inside the stored window" keeps implying
+    /// "routes through the edge" under concurrent restructuring.
     ///
     /// [`seek_from`]: NmTreeMap::seek_from
     pub(crate) lo: *const Key<K>,
@@ -76,22 +76,18 @@ impl<K, V> SeekRecord<K, V> {
 }
 
 /// One in-flight descent of [`seek_many`]: the running Algorithm-1
-/// record of its key plus the two edge words the tag bookkeeping reads.
+/// record of its key.
 struct SeekLane<'m, K, V, R: Reclaim> {
     tree: &'m NmTreeMap<K, V, R>,
     key: &'m K,
     /// Position of the key in the caller's query order.
     idx: usize,
-    ancestor: *mut Node<K, V>,
-    successor: *mut Node<K, V>,
-    parent: *mut Node<K, V>,
-    leaf: *mut Node<K, V>,
-    /// The edge `parent → leaf`, as loaded.
-    into_leaf: Edge<Node<K, V>>,
-    /// The edge out of `leaf` toward the key; its target (prefetched
-    /// when loaded) is what this lane reads next, and null once `leaf`
-    /// is the leaf.
-    out_of_leaf: Edge<Node<K, V>>,
+    ancestor: *mut Route<K>,
+    successor: *mut Route<K>,
+    parent: *mut Route<K>,
+    /// The edge out of `parent` toward the key: a route edge (prefetched
+    /// when loaded) while the lane is live.
+    edge: Edge<K, V>,
     depth: u64,
 }
 
@@ -101,7 +97,7 @@ struct SeekLane<'m, K, V, R: Reclaim> {
 /// per turn, each prefetching the node it reads on its next turn, so the
 /// cache misses of different keys overlap. Each lane keeps Algorithm 1's
 /// ancestor/successor/parent/leaf bookkeeping (an untagged edge into the
-/// next parent advances the anchor) and, when its leaf is reached,
+/// next parent advances the anchor) and, when its leaf edge is reached,
 /// writes `recs[i]` and sums its depth into the modify `depth_sum`,
 /// exactly as a lone `seek` for that key would have at that instant.
 ///
@@ -136,27 +132,23 @@ pub(crate) unsafe fn seek_many<'m, K, V, R>(
         for slot in lanes.iter_mut() {
             let Some(lane) = slot else { continue };
             // The body of `seek`'s descent loop, one level of it.
-            if !lane.into_leaf.tag() {
+            let node = lane.edge.route();
+            if !lane.edge.tag() {
                 lane.ancestor = lane.parent;
-                lane.successor = lane.leaf;
+                lane.successor = node;
             }
-            lane.parent = lane.leaf;
-            lane.leaf = lane.out_of_leaf.ptr();
-            lane.into_leaf = lane.out_of_leaf;
-            // SAFETY: `lane.leaf` was read from a live edge of a pinned
-            // tree.
-            let node = unsafe { &*lane.leaf };
-            let go_left = node.key.user_goes_left_fin(lane.key);
-            lane.out_of_leaf = node.child(!go_left).load(lane.tree.arena());
+            lane.parent = node;
+            // SAFETY: `node` was read from a live edge of a pinned tree.
+            lane.edge = unsafe { (*node).child_for(lane.key) }.load(lane.tree.arenas());
             lane.depth += 1;
-            let child = lane.out_of_leaf.ptr();
-            if child.is_null() {
+            // The next turn reads the route; the write this record feeds
+            // reads the leaf.
+            prefetch(lane.edge);
+            if lane.edge.is_leaf() {
                 finish_seek(lane, recs);
                 // SAFETY: forwarded contract.
                 *slot = unsafe { launch_seek(recs, &mut next, &mut query) };
                 live -= usize::from(slot.is_none());
-            } else {
-                prefetch(child);
             }
         }
     }
@@ -186,12 +178,9 @@ where
         let (tree, key) = query(idx);
         stats::record_seek();
         obs::emit(EventKind::SeekStart);
-        let arena = tree.arena();
         let s = tree.s_node();
-        // SAFETY: pinned per the contract; the sentinel prefix is
-        // hardcoded exactly as in `seek`.
-        let into_leaf = unsafe { &(*s).left }.load(arena);
-        let out_of_leaf = unsafe { &(*into_leaf.ptr()).left }.load(arena);
+        // SAFETY: pinned per the contract; `S` is permanent.
+        let edge = unsafe { &(*s).left }.load(tree.arenas());
         let lane = SeekLane {
             tree,
             key,
@@ -199,16 +188,14 @@ where
             ancestor: tree.root,
             successor: s,
             parent: s,
-            leaf: into_leaf.ptr(),
-            into_leaf,
-            out_of_leaf,
+            edge,
             depth: 0,
         };
-        if out_of_leaf.ptr().is_null() {
+        if edge.is_leaf() {
             finish_seek(&lane, recs);
             continue;
         }
-        prefetch(out_of_leaf.ptr());
+        prefetch(edge);
         return Some(lane);
     }
     None
@@ -220,7 +207,7 @@ fn finish_seek<K, V, R: Reclaim>(lane: &SeekLane<'_, K, V, R>, recs: &mut [SeekR
         ancestor: lane.ancestor,
         successor: lane.successor,
         parent: lane.parent,
-        leaf: lane.leaf,
+        leaf: lane.edge.leaf(),
         lo: std::ptr::null(),
         hi: std::ptr::null(),
     };
@@ -246,71 +233,75 @@ where
     pub(crate) unsafe fn seek(&self, key: &K, rec: &mut SeekRecord<K, V>) {
         stats::record_seek();
         obs::emit(EventKind::SeekStart);
-        let r = self.root;
         let s = self.s_node();
         // Initialization from the sentinels (lines 15–21).
-        rec.ancestor = r;
+        rec.ancestor = self.root;
         rec.successor = s;
         rec.parent = s;
         rec.lo = std::ptr::null();
         rec.hi = std::ptr::null();
-        // Running positional bounds of the descent, snapshotted into the
-        // record whenever the anchor advances. The sentinel prefix (two
-        // hardcoded lefts past ∞₁ and ∞₀) contributes nothing a user key
-        // could violate, so both start at ±∞. Each node's routing
-        // decision is applied one iteration *late* (`pend_*`), so the
-        // snapshot taken when the anchor advances to `(parent, leaf)`
-        // holds the bounds from strictly above `leaf` — the exact window
-        // of the anchor edge, not one decision narrower.
-        let mut lo: *const Key<K> = std::ptr::null();
-        let mut hi: *const Key<K> = std::ptr::null();
-        let mut pend_key: *const Key<K> = std::ptr::null();
-        let mut pend_left = false;
-        // SAFETY (all derefs in this function): pointers were read from
+        // SAFETY: `S` is permanent and pinned by the caller's guard.
+        let edge = unsafe { &(*s).left }.load(self.arenas());
+        // SAFETY: forwarded contract; the positional bounds of the edge
+        // out of `S` are the whole key space.
+        let depth = unsafe { self.descend(key, rec, edge, std::ptr::null(), std::ptr::null()) };
+        self.metrics.note_depth(depth);
+    }
+
+    /// The descent loop shared by [`seek`](Self::seek) and
+    /// [`seek_from`](Self::seek_from) (Algorithm 1, lines 22–32): from
+    /// `edge`, the edge out of `rec.parent` toward `key` whose positional
+    /// window is `[lo, hi)`, follow routes until a leaf edge, keeping the
+    /// anchor and its bounds current. Returns the routes entered.
+    ///
+    /// # Safety
+    ///
+    /// As [`seek`](Self::seek); `rec.parent` and `edge` come from the
+    /// same descent.
+    #[inline(always)]
+    unsafe fn descend(
+        &self,
+        key: &K,
+        rec: &mut SeekRecord<K, V>,
+        mut edge: Edge<K, V>,
+        mut lo: *const Key<K>,
+        mut hi: *const Key<K>,
+    ) -> u64 {
+        // SAFETY (all derefs in this function): routes were read from
         // live edges under the caller's guard; retired nodes cannot be
         // freed while it is held, and sentinels are never retired.
-        let arena = self.arena();
-        let mut parent_field = unsafe { &(*s).left }.load(arena);
-        rec.leaf = parent_field.ptr();
-        let mut current_field = unsafe { &(*rec.leaf).left }.load(arena);
-        let mut current = current_field.ptr();
-
-        // Descend until a leaf (lines 22–32). The sentinel levels are
-        // behind us (the two hardcoded `.left` loads above), so routing
-        // uses the finite-key fast compare.
+        let arenas = self.arenas();
         let mut depth = 0u64;
-        while !current.is_null() {
-            // An untagged edge into `parent` means `parent` is not being
-            // spliced out: it is a valid anchor for the next splice.
-            if !parent_field.tag() {
+        // Only route edges are followed: the kind bit ends the loop at
+        // the leaf edge without loading the leaf.
+        while !edge.is_leaf() {
+            let node = edge.route();
+            // An untagged edge into `node` means `node` is not being
+            // spliced out: it is a valid anchor for the next splice, and
+            // its positional window is the one accumulated so far.
+            if !edge.tag() {
                 rec.ancestor = rec.parent;
-                rec.successor = rec.leaf;
+                rec.successor = node;
                 rec.lo = lo;
                 rec.hi = hi;
             }
-            if !pend_key.is_null() {
-                if pend_left {
-                    hi = pend_key;
-                } else {
-                    lo = pend_key;
-                }
-            }
-            rec.parent = rec.leaf;
-            rec.leaf = current;
-            parent_field = current_field;
-            let node_key = unsafe { &(*current).key };
+            rec.parent = node;
+            let node_key = unsafe { &(*node).key };
             let go_left = node_key.user_goes_left_fin(key);
-            current_field = unsafe { (*current).child(!go_left) }.load(arena);
-            pend_key = node_key;
-            pend_left = go_left;
-            current = current_field.ptr();
-            // Start fetching the next node (the grandchild edge's target)
-            // while this iteration's tag bookkeeping and the loop test
-            // retire — hides one memory latency per level on cold paths.
-            prefetch(current);
+            if go_left {
+                hi = node_key;
+            } else {
+                lo = node_key;
+            }
+            edge = unsafe { (*node).child(!go_left) }.load(arenas);
+            // Start fetching the next node while this iteration's tag
+            // bookkeeping and the loop test retire — hides one memory
+            // latency per level on cold paths.
+            prefetch(edge);
             depth += 1;
         }
-        self.metrics.note_depth(depth);
+        rec.leaf = edge.leaf();
+        depth
     }
 
     /// Restarts a seek from a previously observed `(anchor → successor)`
@@ -320,10 +311,10 @@ where
     ///
     /// The anchor is revalidated first: its child edge for `key` must
     /// still be the *clean* edge to `successor`. Marks are permanent and
-    /// an internal node gets both of its edges marked before any splice
-    /// can detach it, so observing the clean edge proves `anchor` was
-    /// still in the tree at the moment of the load — descending from it
-    /// is then indistinguishable from the tail of a full root seek that
+    /// a route gets both of its edges marked before any splice can
+    /// detach it, so observing the clean edge proves `anchor` was still
+    /// in the tree at the moment of the load — descending from it is
+    /// then indistinguishable from the tail of a full root seek that
     /// passed through that edge (see DESIGN.md, "Local restart").
     ///
     /// Returns `false` (record contents unspecified) when the anchor
@@ -334,23 +325,23 @@ where
     ///
     /// Same contract as [`seek`](Self::seek); additionally `anchor` and
     /// `successor` must come from a seek record produced under the same
-    /// continuously-held guard, with `successor` an internal node.
+    /// continuously-held guard.
     // Perf: inline for the same reason as `seek` — it is the hot half of
     // every local-restart retry and every finger-anchored batch op.
     #[inline]
     pub(crate) unsafe fn seek_from(
         &self,
-        anchor: *mut Node<K, V>,
-        successor: *mut Node<K, V>,
+        anchor: *mut Route<K>,
+        successor: *mut Route<K>,
         key: &K,
         rec: &mut SeekRecord<K, V>,
     ) -> bool {
         // SAFETY (all derefs): `anchor`/`successor` are guard-protected
         // per the contract; everything below them is read from live
         // edges under the same guard.
-        let arena = self.arena();
-        let edge = unsafe { (*anchor).child_for(key) }.load(arena);
-        if edge != clean_edge(successor) {
+        let arenas = self.arenas();
+        let edge: Edge<K, V> = unsafe { (*anchor).child_for(key) }.load(arenas);
+        if edge != Edge::of_route(successor) {
             return false;
         }
         rec.ancestor = anchor;
@@ -360,65 +351,21 @@ where
         // guarantees `key` routes through the anchor edge (same key as
         // the recorded seek, or a finger hit vetted against these very
         // bounds), so the stored `[lo, hi)` is a valid starting point.
-        let mut lo = rec.lo;
-        let mut hi = rec.hi;
-        // `anchor`/`successor` may be sentinels (R, S), so the first two
-        // routing steps use the general compare. Sentinel keys are safe
-        // as bounds: only `hi` can ever take one (user keys never route
+        // `successor` may be a sentinel (S), whose key is safe as a
+        // bound: only `hi` can ever take one (user keys never route
         // right of an infinite key) and ∞ₓ compares above every user
         // key, same as null.
+        let (mut lo, mut hi) = (rec.lo, rec.hi);
         let s_key = unsafe { &(*successor).key };
-        let go_left = s_key.user_goes_left(key);
-        let mut parent_field = unsafe { (*successor).child(!go_left) }.load(arena);
+        let go_left = s_key.user_goes_left_fin(key);
         if go_left {
             hi = s_key;
         } else {
             lo = s_key;
         }
-        rec.leaf = parent_field.ptr();
-        if rec.leaf.is_null() {
-            // `successor` turned out to be a leaf: no record shape can be
-            // formed below it. Unreachable for records produced by `seek`
-            // (their successor is always internal), kept as a cheap
-            // guard against misuse.
-            return false;
-        }
-        let l_key = unsafe { &(*rec.leaf).key };
-        let go_left = l_key.user_goes_left(key);
-        let mut current_field = unsafe { (*rec.leaf).child(!go_left) }.load(arena);
-        // `rec.leaf`'s decision stays pending (applied one iteration
-        // late), matching `seek`: an anchor snapshot stores the bounds
-        // from strictly above its successor.
-        let mut pend_key: *const Key<K> = l_key;
-        let mut pend_left = go_left;
-        let mut current = current_field.ptr();
-
-        // Identical to the descent loop of `seek`.
-        while !current.is_null() {
-            if !parent_field.tag() {
-                rec.ancestor = rec.parent;
-                rec.successor = rec.leaf;
-                rec.lo = lo;
-                rec.hi = hi;
-            }
-            if !pend_key.is_null() {
-                if pend_left {
-                    hi = pend_key;
-                } else {
-                    lo = pend_key;
-                }
-            }
-            rec.parent = rec.leaf;
-            rec.leaf = current;
-            parent_field = current_field;
-            let node_key = unsafe { &(*current).key };
-            let go_left = node_key.user_goes_left_fin(key);
-            current_field = unsafe { (*current).child(!go_left) }.load(arena);
-            pend_key = node_key;
-            pend_left = go_left;
-            current = current_field.ptr();
-            prefetch(current);
-        }
+        let edge = unsafe { (*successor).child(!go_left) }.load(arenas);
+        // SAFETY: forwarded contract; `edge` leaves `rec.parent`.
+        unsafe { self.descend(key, rec, edge, lo, hi) };
         stats::record_local_restart();
         obs::emit(EventKind::LocalRestart);
         true
@@ -504,8 +451,8 @@ where
     /// would act on it: the anchor edge `ancestor → successor` and the
     /// leaf edge `parent → leaf` both still hold their clean values. A
     /// clean edge proves its source was in the tree when loaded (both
-    /// edges of a node are marked before any splice can detach it), and
-    /// positional windows of routing nodes only widen, so a record that
+    /// edges of a route are marked before any splice can detach it),
+    /// and positional windows of routes only widen, so a record that
     /// holds is one a fresh seek could have produced now — in particular
     /// its leaf is on `key`'s access path. A write that replaced the
     /// leaf, grew the tree at it, or spliced the parent or the anchor
@@ -518,12 +465,12 @@ where
     /// tree that the caller still holds.
     #[inline]
     pub(crate) unsafe fn record_holds(&self, key: &K, rec: &SeekRecord<K, V>) -> bool {
-        let arena = self.arena();
+        let arenas = self.arenas();
         // SAFETY: the record's nodes are protected by the caller's
         // guard.
         unsafe {
-            (*rec.ancestor).child_for(key).load(arena) == clean_edge(rec.successor)
-                && (*rec.parent).child_for(key).load(arena) == clean_edge(rec.leaf)
+            (*rec.ancestor).child_for(key).load(arenas) == Edge::<K, V>::of_route(rec.successor)
+                && (*rec.parent).child_for(key).load(arenas) == Edge::of_leaf(rec.leaf)
         }
     }
 
@@ -536,23 +483,15 @@ where
     /// Same contract as [`seek`](Self::seek).
     // Perf: inline — this is the whole body of `contains`/`get`.
     #[inline]
-    pub(crate) unsafe fn search_leaf(&self, key: &K) -> *mut Node<K, V> {
-        // Sentinel prefix of every access path, hardcoded as in `seek`:
-        // a user key routes left of `S` (∞₁) and left of the ∞₀-keyed
-        // node topping the user area, no comparison needed. Below that,
-        // every routing key is finite and the loop uses the plain
-        // `K: Ord` fast compare.
-        //
+    pub(crate) unsafe fn search_leaf(&self, key: &K) -> *mut Leaf<K, V> {
         // SAFETY: see `seek`.
-        let arena = self.arena();
-        let mut current = unsafe { &(*self.s_node()).left }.load(arena).ptr();
-        let mut next = unsafe { &(*current).left }.load(arena).ptr();
-        while !next.is_null() {
-            current = next;
-            next = unsafe { (*current).child_for_fin(key) }.load(arena).ptr();
-            prefetch(next);
+        let arenas = self.arenas();
+        let mut edge: Edge<K, V> = unsafe { &(*self.s_node()).left }.load(arenas);
+        while !edge.is_leaf() {
+            edge = unsafe { (*edge.route()).child_for(key) }.load(arenas);
+            prefetch(edge);
         }
-        current
+        edge.leaf()
     }
 }
 
@@ -587,8 +526,6 @@ mod tests {
         unsafe {
             map.seek(&25, &mut rec);
             assert!((*rec.leaf).find(&25).is_ok());
-            assert!((*rec.leaf).is_leaf());
-            assert!(!(*rec.parent).is_leaf());
             // No deletes in flight: successor == parent and the ancestor
             // is the parent's parent.
             assert_eq!(rec.successor, rec.parent);
@@ -607,7 +544,6 @@ mod tests {
             // The leaf block reached must contain 15's in-order
             // neighbours (all three keys coalesce into one fat leaf at
             // the default cap, so both sides live in the same block).
-            assert!((*rec.leaf).is_leaf());
             let keys = (*rec.leaf).entry_keys();
             assert!(keys.contains(&10) || keys.contains(&20));
             assert!((*rec.leaf).find(&15).is_err());

@@ -8,7 +8,8 @@
 
 use super::NmTreeMap;
 use crate::key::Key;
-use crate::node::{self, Node};
+use crate::node;
+use crate::packed::Edge;
 use nmbst_reclaim::Reclaim;
 
 /// Shape summary returned by a successful
@@ -17,7 +18,7 @@ use nmbst_reclaim::Reclaim;
 pub struct TreeShape {
     /// Number of user keys (entries summed across all leaf blocks).
     pub user_keys: usize,
-    /// Number of internal (routing) nodes, sentinels included.
+    /// Number of routing (internal) nodes, sentinels included.
     pub internal_nodes: usize,
     /// Number of leaf nodes (blocks and sentinels alike — a block of 8
     /// entries counts once).
@@ -38,13 +39,12 @@ where
     ///
     /// 1. the sentinel scaffolding of Figure 3 is intact,
     /// 2. no reachable edge carries a flag or tag,
-    /// 3. every node is either a leaf (two null children) or internal
-    ///    (two non-null children),
-    /// 4. BST order: left-subtree keys `<` node key `≤` right-subtree
+    /// 3. BST order: left-subtree keys `<` route key `≤` right-subtree
     ///    keys,
-    /// 5. every internal node has exactly two children (external-tree
-    ///    shape),
-    /// 6. leaf-block invariants: entries strictly ascending, occupancy
+    /// 4. external-tree shape: every route has two children (a leaf has
+    ///    none — the node classes make both structural, and the count
+    ///    `routes + 1 = leaves` is checked),
+    /// 5. leaf-block invariants: entries strictly ascending, occupancy
     ///    between 1 and this tree's `leaf_cap` for user blocks and 0 for
     ///    sentinels, the block's routing key equal to its largest entry,
     ///    and every entry inside the key window its position implies
@@ -56,25 +56,23 @@ where
         let leaf_cap = self.leaf_cap;
         // SAFETY: exclusive access throughout.
         unsafe {
-            let arena = &*self.pool;
+            let arenas = &*self.arenas;
             let root = self.root;
             if (*root).key != Key::Inf2 {
                 return Err("root key is not ∞₂".into());
             }
-            let root_right = (*root).right.load_mut(arena);
+            let root_right: Edge<K, V> = (*root).right.load_mut(arenas);
             if root_right.marked() {
                 return Err("edge R→leaf(∞₂) is marked".into());
             }
-            let r_leaf = root_right.ptr();
-            if r_leaf.is_null() || !(*r_leaf).is_leaf() || (*r_leaf).key != Key::Inf2 {
+            if !root_right.is_leaf() || (*root_right.leaf()).key != Key::Inf2 {
                 return Err("right child of R is not the ∞₂ sentinel leaf".into());
             }
-            let root_left = (*root).left.load_mut(arena);
+            let root_left: Edge<K, V> = (*root).left.load_mut(arenas);
             if root_left.marked() {
                 return Err("edge R→S is marked".into());
             }
-            let s = root_left.ptr();
-            if s.is_null() || (*s).key != Key::Inf1 {
+            if root_left.is_leaf() || (*root_left.route()).key != Key::Inf1 {
                 return Err("left child of R is not the sentinel S (∞₁)".into());
             }
 
@@ -84,15 +82,19 @@ where
                 leaf_nodes: 0,
                 max_depth: 0,
             };
-            // Iterative DFS with ordering bounds: (node, lower, upper,
+            // Iterative DFS with ordering bounds: (edge, lower, upper,
             // depth); bounds are exclusive below / inclusive above in the
             // external-BST sense (left < key ≤ right).
             type Bound<'a, K> = Option<&'a Key<K>>;
-            type Frame<'a, K, V> = (*mut Node<K, V>, Bound<'a, K>, Bound<'a, K>, usize);
-            let mut stack: Vec<Frame<'_, K, V>> = vec![(root, None, None, 0)];
-            while let Some((n, low, high, depth)) = stack.pop() {
+            type Frame<'a, K, V> = (Edge<K, V>, Bound<'a, K>, Bound<'a, K>, usize);
+            let mut stack: Vec<Frame<'_, K, V>> = vec![(Edge::of_route(root), None, None, 0)];
+            while let Some((edge, low, high, depth)) = stack.pop() {
                 shape.max_depth = shape.max_depth.max(depth);
-                let key = &(*n).key;
+                let key = if edge.is_leaf() {
+                    &(*edge.leaf()).key
+                } else {
+                    &(*edge.route()).key
+                };
                 if let Some(low) = low {
                     if key < low {
                         return Err(format!("ordering violated: a key sits left of its lower bound at depth {depth}"));
@@ -103,77 +105,67 @@ where
                         return Err(format!("ordering violated: a key sits at/above its upper bound at depth {depth}"));
                     }
                 }
-                let left = (*n).left.load_mut(arena);
-                let right = (*n).right.load_mut(arena);
-                if left.marked() || right.marked() {
-                    return Err(format!(
-                        "marked edge reachable in quiescent tree at depth {depth}"
-                    ));
-                }
-                match (left.ptr().is_null(), right.ptr().is_null()) {
-                    (true, true) => {
-                        shape.leaf_nodes += 1;
-                        let entries = (*n).entry_keys();
-                        match key {
-                            Key::Fin(_) => {
-                                if entries.is_empty() {
-                                    return Err("user leaf block with zero entries".into());
-                                }
-                            }
-                            _ => {
-                                if !entries.is_empty() {
-                                    return Err("sentinel leaf carries entries".into());
-                                }
+                if edge.is_leaf() {
+                    shape.leaf_nodes += 1;
+                    let entries = (*edge.leaf()).entry_keys();
+                    match key {
+                        Key::Fin(_) => {
+                            if entries.is_empty() {
+                                return Err("user leaf block with zero entries".into());
                             }
                         }
-                        if entries.len() > leaf_cap {
-                            return Err(format!(
-                                "block occupancy {} above leaf_cap {leaf_cap}",
-                                entries.len()
-                            ));
-                        }
-                        if entries.windows(2).any(|w| w[0] >= w[1]) {
-                            return Err(format!(
-                                "block entries not strictly ascending at depth {depth}"
-                            ));
-                        }
-                        if let Some(last) = entries.last() {
-                            // Router = max entry, so sibling blocks stay
-                            // disjoint and router-consistent.
-                            if !key.is_user(last) {
-                                return Err(format!(
-                                    "block routing key is not its largest entry at depth {depth}"
-                                ));
-                            }
-                            // Sortedness makes the first/last entries the
-                            // extremes; the router bound check above
-                            // already pinned the router (= max) inside
-                            // [low, high), so only the low side remains.
-                            let first = &entries[0];
-                            if let Some(low) = low {
-                                if low.cmp_user(first) == std::cmp::Ordering::Greater {
-                                    return Err(format!(
-                                        "block entry below its subtree's lower bound at depth {depth}"
-                                    ));
-                                }
+                        _ => {
+                            if !entries.is_empty() {
+                                return Err("sentinel leaf carries entries".into());
                             }
                         }
-                        shape.user_keys += entries.len();
                     }
-                    (false, false) => {
-                        shape.internal_nodes += 1;
-                        if (*n).len() != 0 {
-                            return Err("internal node carries entries".into());
-                        }
-                        // Left strictly below `key`; right at/above it.
-                        stack.push((left.ptr(), low, Some(&(*n).key), depth + 1));
-                        stack.push((right.ptr(), Some(&(*n).key), high, depth + 1));
-                    }
-                    _ => {
+                    if entries.len() > leaf_cap {
                         return Err(format!(
-                            "node with exactly one child at depth {depth} (tree must be external)"
+                            "block occupancy {} above leaf_cap {leaf_cap}",
+                            entries.len()
                         ));
                     }
+                    if entries.windows(2).any(|w| w[0] >= w[1]) {
+                        return Err(format!(
+                            "block entries not strictly ascending at depth {depth}"
+                        ));
+                    }
+                    if let Some(last) = entries.last() {
+                        // Router = max entry, so sibling blocks stay
+                        // disjoint and router-consistent.
+                        if !key.is_user(last) {
+                            return Err(format!(
+                                "block routing key is not its largest entry at depth {depth}"
+                            ));
+                        }
+                        // Sortedness makes the first/last entries the
+                        // extremes; the router bound check above already
+                        // pinned the router (= max) inside [low, high),
+                        // so only the low side remains.
+                        let first = &entries[0];
+                        if let Some(low) = low {
+                            if low.cmp_user(first) == std::cmp::Ordering::Greater {
+                                return Err(format!(
+                                    "block entry below its subtree's lower bound at depth {depth}"
+                                ));
+                            }
+                        }
+                    }
+                    shape.user_keys += entries.len();
+                } else {
+                    shape.internal_nodes += 1;
+                    let route = edge.route();
+                    let left: Edge<K, V> = (*route).left.load_mut(arenas);
+                    let right: Edge<K, V> = (*route).right.load_mut(arenas);
+                    if left.marked() || right.marked() {
+                        return Err(format!(
+                            "marked edge reachable in quiescent tree at depth {depth}"
+                        ));
+                    }
+                    // Left strictly below `key`; right at/above it.
+                    stack.push((left, low, Some(key), depth + 1));
+                    stack.push((right, Some(key), high, depth + 1));
                 }
             }
             // External tree: #internal = #leaves - 1.
@@ -210,9 +202,9 @@ where
     pub fn clear(&mut self) {
         // SAFETY: exclusive access; rebuild from scratch.
         unsafe {
-            node::free_subtree(self.root, &self.pool);
+            node::free_subtree(Edge::<K, V>::of_route(self.root), &self.arenas);
         }
-        self.root = node::sentinel_tree(&mut crate::pool::NodeCache::direct(&self.pool));
+        self.root = node::sentinel_tree::<K, V>(&mut crate::pool::NodeCache::direct(&self.arenas));
     }
 }
 

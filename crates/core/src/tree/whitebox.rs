@@ -218,6 +218,53 @@ mod tests {
     }
 
     #[test]
+    fn hoists_keep_the_kind_bit_of_the_surviving_sibling() {
+        // The splice CAS installs the sibling edge re-marked through
+        // `with_marks` (tag cleared, flag kept). Whatever the marks, the
+        // kind bit must still name the survivor's arena.
+        let leaf_sibling = set_with::<Ebr>(&[10, 20]);
+        let map = leaf_sibling.as_map();
+        // Flag the edge to leaf 20, then delete its sibling 10: the
+        // splice hoists a *flagged leaf* edge into the ∞₀ route.
+        assert!(map.stall_delete_after_injection(&20));
+        assert!(leaf_sibling.remove(&10));
+        let guard = map.pin();
+        let arenas = map.arenas();
+        // SAFETY: pinned; the sentinels and the ∞₀ route are live.
+        unsafe {
+            let top = (*map.s_node()).left.load::<u64, ()>(arenas);
+            assert!(!top.is_leaf(), "the ∞₀ route tops the user area");
+            let hoisted = (*top.route()).left.load::<u64, ()>(arenas);
+            assert!(hoisted.is_leaf(), "a hoisted leaf stays a leaf edge");
+            assert!(hoisted.flag() && !hoisted.tag(), "flag kept, tag cleared");
+            assert_eq!((*hoisted.leaf()).entry_keys(), &[20]);
+        }
+        drop(guard);
+        map.finish_stalled_delete(&20);
+        let mut m = leaf_sibling;
+        assert_eq!(m.check_invariants().unwrap().user_keys, 0);
+
+        // Ascending inserts at cap 1 build R20{10, R30{20, 30}}: deleting
+        // 10 hoists its *route* sibling R30.
+        let route_sibling = set_with::<Ebr>(&[10, 20, 30]);
+        let map = route_sibling.as_map();
+        assert!(route_sibling.remove(&10));
+        let guard = map.pin();
+        // SAFETY: as above.
+        unsafe {
+            let top = (*map.s_node()).left.load::<u64, ()>(map.arenas());
+            let hoisted = (*top.route()).left.load::<u64, ()>(map.arenas());
+            assert!(!hoisted.is_leaf(), "a hoisted route stays a route edge");
+            assert!(!hoisted.marked(), "the tag does not travel");
+            assert_eq!((*hoisted.route()).key, crate::Key::Fin(30));
+        }
+        drop(guard);
+        let mut m = route_sibling;
+        let shape = m.check_invariants().unwrap();
+        assert_eq!((shape.user_keys, shape.internal_nodes), (2, 4));
+    }
+
+    #[test]
     fn stalling_twice_on_same_key_fails_second_time() {
         let set = set_with::<Ebr>(&[5, 3, 8]);
         assert!(set.as_map().stall_delete_after_injection(&3));

@@ -15,8 +15,9 @@
 use super::{NmTreeMap, SeekRecord};
 use crate::chaos::{self, Action, Point};
 use crate::key::Key;
-use crate::node::{self, clean_edge, Node, HINT_NONE};
+use crate::node::{self, Leaf, Route, SplitBlocks, HINT_NONE};
 use crate::obs::{self, EventKind};
+use crate::packed::Edge;
 use crate::pool::{self, NodeCache};
 use crate::stats;
 use nmbst_reclaim::{Reclaim, RetireGuard};
@@ -42,29 +43,26 @@ pub(crate) enum CleanupOutcome {
 /// entry.
 enum Scratch<K, V> {
     /// The paper's two-node subtree: a fresh 1-entry leaf under a fresh
-    /// internal router, next to the existing leaf. Used for sentinel
-    /// leaves and for boundary inserts into a full block.
+    /// route, next to the existing leaf. Used for sentinel leaves and
+    /// for boundary inserts into a full block.
     Classic {
-        leaf: *mut Node<K, V>,
-        internal: *mut Node<K, V>,
+        leaf: *mut Leaf<K, V>,
+        route: *mut Route<K>,
     },
     /// A copy of the target block with the entry added (block not full).
-    Cow { block: *mut Node<K, V>, pos: usize },
-    /// A full block split into two halves under a fresh router.
-    Split {
-        internal: *mut Node<K, V>,
-        holder: *mut Node<K, V>,
-        hpos: usize,
-    },
+    Cow { block: *mut Leaf<K, V>, pos: usize },
+    /// A full block split into two halves under a fresh route.
+    Split(SplitBlocks<K, V>),
 }
 
 impl<K, V> Scratch<K, V> {
-    /// The node the publishing CAS installs.
-    fn top(&self) -> *mut Node<K, V> {
-        match *self {
-            Scratch::Classic { internal, .. } => internal,
-            Scratch::Cow { block, .. } => block,
-            Scratch::Split { internal, .. } => internal,
+    /// The edge the publishing CAS installs: to a route, or (for a
+    /// copy-on-write block) to a leaf.
+    fn top(&self) -> Edge<K, V> {
+        match self {
+            Scratch::Classic { route, .. } => Edge::of_route(*route),
+            Scratch::Cow { block, .. } => Edge::of_leaf(*block),
+            Scratch::Split(split) => Edge::of_route(split.route),
         }
     }
 
@@ -79,44 +77,31 @@ impl<K, V> Scratch<K, V> {
     /// attempted) and built through `cache`'s pool.
     unsafe fn dismantle(self, cache: &mut NodeCache<'_>) -> (K, V) {
         match self {
-            Scratch::Classic { leaf, internal } => {
+            Scratch::Classic { leaf, route } => {
                 // SAFETY: slot 0 holds the pending entry, written once.
-                let kv = unsafe { Node::take_entry(leaf, 0) };
+                let kv = unsafe { Leaf::take_entry(leaf, 0) };
                 // SAFETY: unpublished + exclusively owned per contract.
                 unsafe {
-                    free_scratch(cache, leaf);
-                    free_scratch(cache, internal);
+                    free_leaf_scratch(cache, leaf);
+                    free_route_scratch(cache, route);
                 }
                 kv
             }
             Scratch::Cow { block, pos } => {
                 // SAFETY: `pos` holds the pending entry, written once.
-                let kv = unsafe { Node::take_entry(block, pos) };
+                let kv = unsafe { Leaf::take_entry(block, pos) };
                 // SAFETY: as above.
-                unsafe { free_scratch(cache, block) };
+                unsafe { free_leaf_scratch(cache, block) };
                 kv
             }
-            Scratch::Split {
-                internal,
-                holder,
-                hpos,
-            } => {
-                // SAFETY: the halves are unpublished, so their clean child
-                // edges are exactly what `new_internal_in` stored.
-                let (left, right) = unsafe {
-                    let arena = cache.arena();
-                    (
-                        (*internal).left.load(arena).ptr(),
-                        (*internal).right.load(arena).ptr(),
-                    )
-                };
+            Scratch::Split(split) => {
                 // SAFETY: `(holder, hpos)` locate the pending entry.
-                let kv = unsafe { Node::take_entry(holder, hpos) };
+                let kv = unsafe { Leaf::take_entry(split.holder, split.hpos) };
                 // SAFETY: as above.
                 unsafe {
-                    free_scratch(cache, left);
-                    free_scratch(cache, right);
-                    free_scratch(cache, internal);
+                    free_leaf_scratch(cache, split.left);
+                    free_leaf_scratch(cache, split.right);
+                    free_route_scratch(cache, split.route);
                 }
                 kv
             }
@@ -184,12 +169,12 @@ where
     /// this tree's `leaf_cap`:
     ///
     /// * sentinel leaf, or full block with the key outside its range —
-    ///   classic two-node subtree next to the untouched leaf (2 allocs,
-    ///   nothing retired);
+    ///   classic two-node subtree next to the untouched leaf (a route and
+    ///   a leaf, nothing retired);
     /// * `n < cap` — copy-on-write block with the entry spliced in
-    ///   (1 alloc, old block retired);
+    ///   (1 leaf, old block retired);
     /// * full block, key interior — split into two halves under a fresh
-    ///   router (3 allocs, old block retired).
+    ///   route (a route and two leaves, old block retired).
     ///
     /// All three publish with one CAS on the parent edge. At
     /// `cap = 1` only the first case can occur, reproducing the paper's
@@ -208,7 +193,7 @@ where
         rec: &mut SeekRecord<K, V>,
         cache: &mut NodeCache<'_>,
     ) -> bool {
-        let arena = self.arena();
+        let arenas = self.arenas();
         let cap = self.leaf_cap;
         // The entry travels in and out of scratch nodes across retries.
         let mut pending = Some((key, value));
@@ -259,28 +244,22 @@ where
                         (Key::Fin(key.clone()), false)
                     }
                 };
-                let new_leaf = Node::new_user_leaf_in(cache, key, value);
+                let new_leaf = Leaf::new_user_in(cache, key, value);
                 let (l, r) = if new_on_left {
-                    (new_leaf, leaf)
+                    (Edge::of_leaf(new_leaf), Edge::of_leaf(leaf))
                 } else {
-                    (leaf, new_leaf)
+                    (Edge::of_leaf(leaf), Edge::of_leaf(new_leaf))
                 };
-                let internal = Node::new_internal_in(cache, router, l, r);
+                let route = Route::new_in(cache, router, l, r);
                 Scratch::Classic {
                     leaf: new_leaf,
-                    internal,
+                    route,
                 }
             } else if len < cap {
-                let block = unsafe { Node::block_insert_copy(cache, &*leaf, pos, key, value) };
+                let block = unsafe { Leaf::block_insert_copy(cache, &*leaf, pos, key, value) };
                 Scratch::Cow { block, pos }
             } else {
-                let (internal, holder, hpos) =
-                    unsafe { Node::block_split_insert(cache, &*leaf, pos, key, value) };
-                Scratch::Split {
-                    internal,
-                    holder,
-                    hpos,
-                }
+                Scratch::Split(unsafe { Leaf::block_split_insert(cache, &*leaf, pos, key, value) })
             };
 
             if chaos::hit(Point::InsertPublish) == Action::Abandon {
@@ -289,9 +268,10 @@ where
                 return false;
             }
             // The single publishing CAS (Algorithm 2, line 51).
-            match child_edge.compare_exchange(clean_edge(leaf), clean_edge(scratch.top()), arena) {
+            let expected = Edge::of_leaf(leaf);
+            match child_edge.compare_exchange(expected, scratch.top(), arenas) {
                 Ok(()) => {
-                    if matches!(scratch, Scratch::Cow { .. } | Scratch::Split { .. }) {
+                    if matches!(scratch, Scratch::Cow { .. } | Scratch::Split(_)) {
                         // The old block's entries moved (bitwise) into the
                         // replacement; retire its shell and routing key.
                         if chaos::hit(Point::Retire) == Action::Abandon {
@@ -304,7 +284,7 @@ where
                         // entries.
                         unsafe {
                             (*leaf).set_drop_hint(HINT_NONE);
-                            self.retire_node(leaf, guard);
+                            self.retire_leaf(leaf, guard);
                         }
                     }
                     return true;
@@ -314,7 +294,7 @@ where
                     pending = Some(unsafe { scratch.dismantle(cache) });
                     // Help a conflicting delete if the injection point is
                     // unchanged but marked (lines 55–57), then retry.
-                    if observed.ptr() == leaf && observed.marked() {
+                    if observed.same_head(expected) && observed.marked() {
                         self.metrics.note_help();
                         obs::emit(EventKind::Help);
                         // SAFETY: record still refers to nodes protected
@@ -402,10 +382,10 @@ where
         rec: &mut SeekRecord<K, V>,
         cache: &mut NodeCache<'_>,
     ) -> Option<T> {
-        let arena = self.arena();
+        let arenas = self.arenas();
         let mut read = Some(read);
         let mut injecting = true;
-        let mut target: *mut Node<K, V> = ptr::null_mut();
+        let mut target: *mut Leaf<K, V> = ptr::null_mut();
         let mut result: Option<T> = None;
         let mut retry = false;
 
@@ -444,13 +424,14 @@ where
                     // with one CAS — that CAS is the linearization point.
                     // The block stays in place; no flag/tag/splice.
                     // SAFETY: `pos < len`, `len >= 2`, `leaf` immutable.
-                    let block = unsafe { Node::block_remove_copy(cache, &*leaf, pos) };
+                    let block = unsafe { Leaf::block_remove_copy(cache, &*leaf, pos) };
                     if chaos::hit(Point::DeleteInject) == Action::Abandon {
                         // SAFETY: unpublished; no entry pending inside.
-                        unsafe { free_scratch(cache, block) };
+                        unsafe { free_leaf_scratch(cache, block) };
                         return None; // abandoned before linearizing
                     }
-                    match child_edge.compare_exchange(clean_edge(leaf), clean_edge(block), arena) {
+                    let expected = Edge::of_leaf(leaf);
+                    match child_edge.compare_exchange(expected, Edge::of_leaf(block), arenas) {
                         Ok(()) => {
                             // SAFETY: the old block is unreachable but
                             // guard-protected; entry `pos` still lives
@@ -468,14 +449,14 @@ where
                             // to reclamation.
                             unsafe {
                                 (*leaf).set_drop_hint(pos as u8);
-                                self.retire_node(leaf, guard);
+                                self.retire_leaf(leaf, guard);
                             }
                             return Some(out);
                         }
                         Err(observed) => {
                             // SAFETY: unpublished (the CAS failed).
-                            unsafe { free_scratch(cache, block) };
-                            if observed.ptr() == leaf && observed.marked() {
+                            unsafe { free_leaf_scratch(cache, block) };
+                            if observed.same_head(expected) && observed.marked() {
                                 self.metrics.note_help();
                                 obs::emit(EventKind::Help);
                                 // SAFETY: record protected by `guard`.
@@ -494,8 +475,8 @@ where
                     }
                     // Injection: flag the edge to the victim (line 73).
                     // This is the linearization point.
-                    let clean = clean_edge(leaf);
-                    match child_edge.compare_exchange(clean, clean.flagged(), arena) {
+                    let clean = Edge::of_leaf(leaf);
+                    match child_edge.compare_exchange(clean, clean.flagged(), arenas) {
                         Ok(()) => {
                             obs::emit(EventKind::InjectFlag);
                             // SAFETY: leaf is immutable, guard-protected,
@@ -516,7 +497,7 @@ where
                             }
                         }
                         Err(observed) => {
-                            if observed.ptr() == leaf && observed.marked() {
+                            if observed.same_head(clean) && observed.marked() {
                                 self.metrics.note_help();
                                 obs::emit(EventKind::Help);
                                 // SAFETY: record protected by `guard`.
@@ -547,12 +528,14 @@ where
     /// Invoked by the delete that owns the flag *and* by any operation
     /// helping it.
     ///
-    /// On a won splice the record's `successor` is repointed at the
-    /// hoisted survivor: `(ancestor → survivor)` is exactly the edge our
-    /// CAS just installed, so it is the freshest possible local-restart
-    /// anchor for the retry loops and the batch-op finger (it fails
-    /// revalidation harmlessly if the survivor is a leaf or the edge
-    /// moved again).
+    /// On a won splice whose hoisted survivor is a route, the record's
+    /// `successor` is repointed at it: `(ancestor → survivor)` is exactly
+    /// the edge our CAS just installed, so it is the freshest possible
+    /// local-restart anchor for the retry loops and the batch-op finger
+    /// (it fails revalidation harmlessly if the edge moved again). A
+    /// leaf survivor cannot anchor a descent; the record keeps its
+    /// detached successor, which fails revalidation and sends the next
+    /// seek to the root.
     ///
     /// # Safety
     ///
@@ -564,7 +547,7 @@ where
         guard: &R::Guard<'_>,
     ) -> CleanupOutcome {
         stats::record_cleanup();
-        let arena = self.arena();
+        let arenas = self.arenas();
         let ancestor = rec.ancestor;
         let successor = rec.successor;
         let parent = rec.parent;
@@ -578,7 +561,7 @@ where
         // Lines 103–105: if the edge to our leaf is not flagged, the
         // delete being helped flagged the *other* child; the roles swap
         // and our side is the one to hoist.
-        let child_val = child_edge.load(arena);
+        let child_val: Edge<K, V> = child_edge.load(arenas);
         let sibling_edge = if !child_val.flag() {
             child_edge
         } else {
@@ -601,12 +584,12 @@ where
         // head may itself be a leaf some delete already flagged; the flag
         // must survive the move so that delete can still be helped).
         // `Bug::DropFlagOnSplice` deliberately loses that copy.
-        let sib = sibling_edge.load(arena);
+        let sib: Edge<K, V> = sibling_edge.load(arenas);
         let keep_flag = sib.flag() && !chaos::bug_enabled(chaos::Bug::DropFlagOnSplice);
         match successor_edge.compare_exchange(
-            clean_edge(successor),
+            Edge::of_route(successor),
             sib.with_marks(keep_flag, false),
-            arena,
+            arenas,
         ) {
             Ok(()) => {
                 // We won the splice: everything that hung below
@@ -618,7 +601,7 @@ where
                 obs::emit(EventKind::Retire);
                 // SAFETY: the detached region is frozen (every edge in it
                 // is marked) and unreachable from the root.
-                let chain_len = unsafe { self.retire_chain(successor, sib.ptr(), guard) };
+                let chain_len = unsafe { self.retire_chain(Edge::of_route(successor), sib, guard) };
                 // `Splice` carries the chain length, which is only known
                 // after the detached region has been walked — hence this
                 // delete's `Retire` precedes its `Splice` in the trace.
@@ -632,16 +615,19 @@ where
                 // they bound the *edge position* at `ancestor`, which the
                 // splice did not move — only the subtree hanging there
                 // changed.
-                rec.successor = sib.ptr();
+                if !sib.is_leaf() {
+                    rec.successor = sib.route();
+                }
                 CleanupOutcome::Spliced
             }
             Err(_) => CleanupOutcome::Lost,
         }
     }
 
-    /// Retires the chain a successful splice detached: the subtree rooted
-    /// at `from`, minus the subtree of the hoisted `survivor`. Returns
-    /// the number of nodes retired.
+    /// Retires the chain a successful splice detached: the subtree `from`
+    /// points to, minus the subtree of the hoisted `survivor` (both
+    /// compared as edges, marks aside). Returns the number of nodes
+    /// retired; each goes back to its own class's arena.
     ///
     /// Recursion depth is bounded by the number of concurrent deletes
     /// whose victims lay on this access path (each tagged edge on the
@@ -653,8 +639,8 @@ where
     /// must still hold `guard`.
     unsafe fn retire_chain(
         &self,
-        from: *mut Node<K, V>,
-        survivor: *mut Node<K, V>,
+        from: Edge<K, V>,
+        survivor: Edge<K, V>,
         guard: &R::Guard<'_>,
     ) -> u64 {
         let mut unlinked = 0;
@@ -666,35 +652,40 @@ where
 
     unsafe fn retire_rec(
         &self,
-        node: *mut Node<K, V>,
-        survivor: *mut Node<K, V>,
+        edge: Edge<K, V>,
+        survivor: Edge<K, V>,
         guard: &R::Guard<'_>,
         unlinked: &mut u64,
     ) {
-        if node.is_null() || node == survivor {
+        if edge.same_head(survivor) {
             return;
-        }
-        let arena = self.arena();
-        // SAFETY: nodes in the detached region are frozen; their edges
-        // are immutable and the nodes are guard-protected.
-        let left = unsafe { (*node).left.load(arena) }.ptr();
-        let right = unsafe { (*node).right.load(arena) }.ptr();
-        unsafe {
-            self.retire_rec(left, survivor, guard, unlinked);
-            self.retire_rec(right, survivor, guard, unlinked);
         }
         *unlinked += 1;
         stats::record_retire();
-        // SAFETY: detached by our splice, retired exactly once (only the
-        // splice winner walks this region). Spliced-out leaves keep the
-        // default HINT_ALL: their entries never moved, so reclamation
-        // drops all of them.
-        unsafe { self.retire_node(node, guard) };
+        if edge.is_leaf() {
+            // SAFETY: detached by our splice, retired exactly once (only
+            // the splice winner walks this region). Spliced-out leaves
+            // keep the default HINT_ALL: their entries never moved, so
+            // reclamation drops all of them.
+            unsafe { self.retire_leaf(edge.leaf(), guard) };
+            return;
+        }
+        let route = edge.route();
+        let arenas = self.arenas();
+        // SAFETY: routes in the detached region are frozen; their edges
+        // are immutable and the routes are guard-protected.
+        let (left, right) = unsafe { ((*route).left.load(arenas), (*route).right.load(arenas)) };
+        unsafe {
+            self.retire_rec(left, survivor, guard, unlinked);
+            self.retire_rec(right, survivor, guard, unlinked);
+            // SAFETY: as for a leaf above.
+            self.retire_route(route, guard);
+        }
     }
 
-    /// Hands one unlinked node to the reclaimer as a *recycle* deferral:
-    /// after the grace period, drop whatever entries the node's drop hint
-    /// says it still owns and return the slot to this tree's arena pool.
+    /// Hands one unlinked leaf to the reclaimer as a *recycle* deferral:
+    /// after the grace period, drop whatever entries the leaf's drop hint
+    /// says it still owns and return the slot to the leaf arena.
     /// Non-reclaiming schemes ([`Leaky`](nmbst_reclaim::Leaky)) drop the
     /// deferral uncalled, leaking the contents and leaving the slot
     /// parked in the arena — as those schemes intend.
@@ -706,15 +697,27 @@ where
     /// exactly once, its drop hint already set, and `guard` pins this
     /// tree's reclaimer.
     #[inline]
-    unsafe fn retire_node(&self, node: *mut Node<K, V>, guard: &R::Guard<'_>) {
-        // SAFETY: `recycle_deferred` releases exactly once and the scheme
+    unsafe fn retire_leaf(&self, node: *mut Leaf<K, V>, guard: &R::Guard<'_>) {
+        // SAFETY: the deferral releases exactly once and the scheme
         // proves the grace period before running it; the tree parked the
-        // pool keepalive in the reclaimer at construction.
-        unsafe { guard.retire_deferred(pool::recycle_deferred(node, &self.pool)) }
+        // arenas keepalive in the reclaimer at construction.
+        unsafe { guard.retire_deferred(pool::recycle_leaf_deferred(node, &self.arenas)) }
+    }
+
+    /// [`retire_leaf`](Self::retire_leaf) for a route: its slot goes
+    /// back to the route arena.
+    ///
+    /// # Safety
+    ///
+    /// As [`retire_leaf`](Self::retire_leaf).
+    #[inline]
+    unsafe fn retire_route(&self, node: *mut Route<K>, guard: &R::Guard<'_>) {
+        // SAFETY: as `retire_leaf`.
+        unsafe { guard.retire_deferred(pool::recycle_route_deferred(node, &self.arenas)) }
     }
 }
 
-/// Returns one unpublished scratch node to the cache: drops its routing
+/// Returns one unpublished scratch leaf to the cache: drops its routing
 /// key (every scratch shell owns a fresh clone) but **no entries** — the
 /// caller has either moved them out or left them owned by the still-live
 /// block they were copied from.
@@ -722,15 +725,29 @@ where
 /// # Safety
 ///
 /// `node` must be unpublished (no CAS installed it), built through
-/// `cache`'s pool, and its pending entry (if any) already moved out with
-/// [`Node::take_entry`].
-unsafe fn free_scratch<K, V>(cache: &mut NodeCache<'_>, node: *mut Node<K, V>) {
+/// `cache`'s arenas, and its pending entry (if any) already moved out
+/// with [`Leaf::take_entry`].
+unsafe fn free_leaf_scratch<K, V>(cache: &mut NodeCache<'_>, node: *mut Leaf<K, V>) {
     // SAFETY: exclusively owned; HINT_NONE disowns every entry slot so
     // only the routing key is dropped.
     unsafe {
         (*node).set_drop_hint(HINT_NONE);
-        node::drop_retired_contents(node);
-        cache.free_shell(node);
+        node::drop_leaf_contents(node);
+        cache.free_leaf_shell(node);
+    }
+}
+
+/// Returns one unpublished scratch route to the cache, dropping its
+/// routing key.
+///
+/// # Safety
+///
+/// `node` must be unpublished and built through `cache`'s arenas.
+unsafe fn free_route_scratch<K>(cache: &mut NodeCache<'_>, node: *mut Route<K>) {
+    // SAFETY: exclusively owned per contract.
+    unsafe {
+        node::drop_route_contents(node);
+        cache.free_route_shell(node);
     }
 }
 
@@ -867,9 +884,9 @@ mod tests {
 
     #[test]
     fn cow_paths_work_without_pool_reuse() {
-        // Capacity-0 pool: every free-list push overflows (abandon in
-        // place) and every alloc bump-allocates; the COW churn must still
-        // be correct.
+        // Recycling off: every release abandons its slot in place and
+        // every alloc bump-allocates; the COW churn must still be
+        // correct.
         let map: NmTreeMap<u64, u64, Ebr> =
             NmTreeMap::with_config(TreeConfig::default().with_pool(PoolConfig::disabled()));
         for k in 0..200u64 {

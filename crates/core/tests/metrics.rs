@@ -187,6 +187,9 @@ fn exposition_formats_are_complete_and_consistent() {
         "batch_reseeks",
         "pool_dropped",
         "pool_slots",
+        "pool_route_slots",
+        "pool_leaf_slots",
+        "pool_bytes",
     ] {
         assert!(json.contains(&format!("\"{key}\":")), "json missing {key}");
     }
@@ -215,6 +218,9 @@ fn exposition_formats_are_complete_and_consistent() {
         "nmbst_batch_reseeks_total",
         "nmbst_pool_dropped_total",
         "nmbst_pool_slots",
+        "nmbst_pool_route_slots",
+        "nmbst_pool_leaf_slots",
+        "nmbst_pool_bytes",
     ] {
         assert!(
             prom.contains(&format!("# TYPE {metric} ")),
@@ -429,6 +435,70 @@ fn arena_slots_and_dropped_slots_are_exported() {
     assert!(prom.contains("# TYPE nmbst_pool_slots gauge\nnmbst_pool_slots 30\n"));
     validate_prometheus(&prom).unwrap_or_else(|e| panic!("pool gauges break the validator: {e}"));
     assert!(m.to_string().contains("pool_dropped=7 pool_slots=30"));
+}
+
+/// The two node arenas are visible apart: route and leaf slot counts and
+/// the committed slot bytes ride every exposition format and add on
+/// merge, while `pool` stays the sum over both arenas.
+#[test]
+fn per_class_arena_gauges_are_exported() {
+    // leaf_cap = 1: every insert into a non-empty tree allocates one
+    // route and one leaf (Table 1), both fresh from the bump cursors.
+    let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(TreeConfig::default().with_leaf_cap(1));
+    let empty = set.metrics();
+    // The sentinel scaffolding: two routes (R, S), three leaves.
+    assert_eq!((empty.pool_route_slots, empty.pool_leaf_slots), (2, 3));
+    for k in 1..=100 {
+        set.insert(k);
+    }
+    let m = set.metrics();
+    assert_eq!(
+        m.pool_route_slots,
+        empty.pool_route_slots + 100,
+        "one route per insert"
+    );
+    assert_eq!(
+        m.pool_leaf_slots,
+        empty.pool_leaf_slots + 100,
+        "one leaf per insert"
+    );
+    assert_eq!(
+        m.pool.slots,
+        m.pool_route_slots + m.pool_leaf_slots,
+        "pool is the sum"
+    );
+    // A route of a u64 set is 32 bytes; its leaf (no values) 88.
+    assert_eq!(
+        m.pool_bytes,
+        m.pool_route_slots * 32 + m.pool_leaf_slots * 88
+    );
+
+    let arenas = |routes, leaves, bytes| MetricsSnapshot {
+        pool_route_slots: routes,
+        pool_leaf_slots: leaves,
+        pool_bytes: bytes,
+        ..MetricsSnapshot::default()
+    };
+    let mut m = arenas(3, 5, 100);
+    m.merge(&arenas(4, 6, 200));
+    assert_eq!(
+        (m.pool_route_slots, m.pool_leaf_slots, m.pool_bytes),
+        (7, 11, 300),
+        "all three add on merge"
+    );
+    let json = m.to_json();
+    assert!(
+        json.contains("\"pool_route_slots\":7,\"pool_leaf_slots\":11,\"pool_bytes\":300"),
+        "{json}"
+    );
+    let prom = m.to_prometheus();
+    assert!(prom.contains("# TYPE nmbst_pool_route_slots gauge\nnmbst_pool_route_slots 7\n"));
+    assert!(prom.contains("# TYPE nmbst_pool_leaf_slots gauge\nnmbst_pool_leaf_slots 11\n"));
+    assert!(prom.contains("# TYPE nmbst_pool_bytes gauge\nnmbst_pool_bytes 300\n"));
+    validate_prometheus(&prom).unwrap_or_else(|e| panic!("arena gauges break the validator: {e}"));
+    assert!(m
+        .to_string()
+        .contains("pool_route_slots=7 pool_leaf_slots=11 pool_bytes=300"));
 }
 
 /// Reads record no descent depth, so `depth_sum / modify ops` is a true

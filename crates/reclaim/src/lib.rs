@@ -45,7 +45,7 @@ pub use deferred::Deferred;
 pub use ebr::{Ebr, EbrGuard};
 pub use hazard::{HazardEras, HazardErasGuard};
 pub use leaky::{Leaky, LeakyGuard};
-pub use pool::{NodePool, PoolStats};
+pub use pool::{NodePool, PoolStats, MAX_INDEX};
 
 /// Point-in-time reclamation health gauges (see [`Reclaim::gauges`]).
 ///

@@ -1,25 +1,29 @@
-//! Slab arena node storage with a bounded recycling free list.
+//! Slab arena node storage with an unbounded recycling free list.
 //!
 //! Since PR 7 the pool *is* the node store: trees no longer `Box` their
 //! nodes, they carve fixed-layout slots out of per-tree arena segments
 //! and address them with `u32` indices. That buys two things at once:
 //!
-//! * **Half-width edges.** A child reference inside a tree node is a
-//!   32-bit slot index instead of a 64-bit pointer, so both edges of a
-//!   node fit in one 8-byte word-pair and the mark bits ride in the low
+//! * **Narrow edges.** A child reference inside a tree node is a 32-bit
+//!   slot index instead of a 64-bit pointer, so both edges of a node fit
+//!   in one 8-byte word-pair and the mark and kind bits ride in the low
 //!   bits of a `u32`.
 //! * **A closed allocation loop.** Retired slots flow through the
 //!   reclaimer's grace period back onto the free list (retire → grace
-//!   period → recycle → realloc), exactly as in PR 4 — but now even the
-//!   *miss* path (bump allocation) stays inside the arena, so steady
-//!   state never touches `malloc`.
+//!   period → recycle → realloc) — and even the *miss* path (bump
+//!   allocation) stays inside the arena, so steady state never touches
+//!   `malloc`.
+//!
+//! A tree owns one pool per node class (routing nodes and leaf blocks
+//! have different layouts), so each pool serves exactly one slot size.
 //!
 //! # Geometry
 //!
 //! Slots live in doubling segments: segment `s` holds `2^18 << s`
-//! slots, and 13 segments cover indices up to 2³⁰ (the widest index an
-//! edge word can carry next to its two mark bits). Index 0 is reserved
-//! as the null edge.
+//! slots, and 12 segments cover indices up to 2²⁹ (the widest index an
+//! edge word can carry next to its two mark bits and its kind bit).
+//! Index 0 is reserved. Segment bases are cache-line aligned, so a slot
+//! whose stride divides 64 never straddles a line.
 //!
 //! Segment 0 is allocated *eagerly* and its base is mirrored in a plain
 //! (non-atomic) field: for every index below 2¹⁸ — in practice all of
@@ -41,18 +45,23 @@
 //! The pool never decides *when* a slot may be reused — that is the
 //! reclaimer's job. A recycle deferral fires only after the grace
 //! period, i.e. after no live reference to the slot can exist, so reuse
-//! is ABA-safe by construction (DESIGN.md §11, §14). Unlike the PR 4
-//! pool there is no dealloc fall-through: a slot the free list declines
-//! (capacity, contention) is simply abandoned in place — counted in
-//! [`PoolStats::dropped`] — and its memory returns when the arena drops.
+//! is ABA-safe by construction (DESIGN.md §11, §14). A recycling pool
+//! never abandons a slot: every released index is kept for reuse, so
+//! the arena's high-water mark is bounded by what is live, cached and
+//! awaiting reclamation, not by how many operations ran. Only a pool
+//! built with recycling off abandons released slots in place (counted
+//! in [`PoolStats::dropped`]); their memory returns when the arena
+//! drops.
 //!
 //! # Concurrency
 //!
-//! The free list is a bounded LIFO `Vec<u32>` under a spin lock,
-//! accessed with `try_lock` only: a contended pop reports "empty" (the
-//! caller bump-allocates) and a contended push abandons the slot. The
-//! pool therefore never blocks an operation; the lock is a fast path,
-//! not a serialization point.
+//! The free list is an unbounded LIFO `Vec<u32>` under a spin lock that
+//! backs off by yielding. An empty list is detected without the lock
+//! (the caller bump-allocates at once); a non-empty one is always
+//! popped, waiting for the lock if it is held, so no slot sits free
+//! while the bump cursor advances. Releases wait for the lock the same
+//! way. Both critical sections are a few `Vec` pushes or pops; a thread
+//! only ever waits for another thread's handful of index moves.
 
 use nmbst_sync::SpinLock;
 use std::alloc::Layout;
@@ -64,10 +73,13 @@ const SEG0_BITS: u32 = 18;
 /// Slot count of the eagerly allocated segment 0; indices below this
 /// take `slot_ptr`'s flat fast path.
 const SEG0_SLOTS: usize = 1 << SEG0_BITS;
-/// Number of doubling segments; together they cover indices past 2³⁰.
-const SEGMENTS: usize = 13;
-/// Largest allocatable index: an edge word keeps 2 bits for marks.
-const MAX_INDEX: u32 = (1 << 30) - 1;
+/// Number of doubling segments; together they cover indices past 2²⁹.
+const SEGMENTS: usize = 12;
+/// Largest allocatable index: an edge word keeps 2 bits for marks and
+/// one for the head's node class.
+pub const MAX_INDEX: u32 = (1 << 29) - 1;
+/// Alignment of every segment base: one cache line.
+const SEGMENT_ALIGN: usize = 64;
 
 /// Point-in-time counters of one [`NodePool`]; see [`NodePool::stats`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -75,28 +87,26 @@ pub struct PoolStats {
     /// Allocations served from recycled free-list slots instead of
     /// fresh (bump-allocated) arena space.
     pub hits: u64,
-    /// Allocations the free list could not serve (empty or contended);
-    /// the caller bump-allocated a fresh slot.
+    /// Allocations the free list could not serve (it was empty); the
+    /// caller bump-allocated a fresh slot.
     pub misses: u64,
     /// Slots accepted into the free list (from recycling deferrals and
     /// cache give-backs).
     pub recycled: u64,
-    /// Slots the free list declined (full or contended) and abandoned in
-    /// place; their memory returns when the arena drops.
+    /// Slots a pool with recycling off abandoned in place; their memory
+    /// returns when the arena drops. Always 0 while recycling is on.
     pub dropped: u64,
     /// Slots the bump cursor has handed out. The arena never frees a
     /// slot, so this is its high-water mark.
     pub slots: u64,
     /// Current free-list length (racy snapshot).
     pub len: u64,
-    /// Maximum free-list length.
-    pub capacity: u64,
 }
 
-/// A slab arena of fixed-layout slots addressed by `u32` indices, with a
-/// bounded LIFO free list recycling retired slots.
+/// A slab arena of fixed-layout slots addressed by `u32` indices, with an
+/// unbounded LIFO free list recycling retired slots.
 ///
-/// One pool serves one slot layout (one `Node<K, V>` type). LIFO because
+/// One pool serves one slot layout (one node type). LIFO because
 /// the most recently retired slot is the most likely to still be
 /// cache-hot when the next insert reuses it.
 ///
@@ -110,7 +120,9 @@ pub struct NodePool {
     /// Distance between consecutive slots: the layout padded to its
     /// alignment.
     stride: usize,
-    capacity: usize,
+    /// Whether released slots are kept for reuse (`false`: abandoned in
+    /// place, the pool-off ablation).
+    recycle: bool,
     /// Segment 0's base, duplicated out of `segments[0]` as a plain
     /// field: immutable after construction, so the hot resolution path
     /// reads it without an atomic load (and loop-invariant code motion
@@ -164,37 +176,43 @@ fn segment_slots(seg: usize) -> usize {
 
 /// Allocates the backing memory of segment `seg`. Untouched pages are
 /// only a virtual reservation; the kernel commits them on first write.
-fn alloc_segment(seg: usize, stride: usize, align: usize) -> *mut u8 {
-    let layout =
-        Layout::from_size_align(segment_slots(seg) * stride, align).expect("segment layout");
+fn alloc_segment(seg: usize, stride: usize) -> *mut u8 {
     // SAFETY: non-zero size (stride > 0, slots > 0).
-    let ptr = unsafe { std::alloc::alloc(layout) };
+    let ptr = unsafe { std::alloc::alloc(segment_layout(seg, stride)) };
     assert!(!ptr.is_null(), "arena segment allocation failed");
     ptr
 }
 
+/// The allocation layout of segment `seg`. The cache-line alignment
+/// also satisfies every slot layout whose alignment is at most 64.
+fn segment_layout(seg: usize, stride: usize) -> Layout {
+    Layout::from_size_align(segment_slots(seg) * stride, SEGMENT_ALIGN).expect("segment layout")
+}
+
 impl NodePool {
-    /// Creates an empty arena for slots of `layout`, recycling at most
-    /// `capacity` free slots (`0` disables reuse: every allocation bumps
-    /// fresh space and every release abandons its slot). Zero-size
-    /// layouts are rejected — there is nothing to store.
-    pub fn new(layout: Layout, capacity: usize) -> Self {
+    /// Creates an empty arena for slots of `layout`. With `recycle`
+    /// released slots are kept for reuse; without it every allocation
+    /// bumps fresh space and every release abandons its slot. Zero-size
+    /// layouts and alignments above a cache line are rejected.
+    pub fn new(layout: Layout, recycle: bool) -> Self {
         assert!(layout.size() > 0, "cannot pool zero-sized slots");
+        assert!(
+            layout.align() <= SEGMENT_ALIGN,
+            "slot alignment above a cache line"
+        );
         let stride = layout.pad_to_align().size();
-        let seg0 = alloc_segment(0, stride, layout.align());
+        let seg0 = alloc_segment(0, stride);
         let segments = [const { AtomicPtr::new(std::ptr::null_mut()) }; SEGMENTS];
         segments[0].store(seg0, Ordering::Relaxed);
         NodePool {
             layout,
             stride,
-            capacity,
+            recycle,
             seg0: NonNull::new(seg0).expect("checked non-null above"),
             segments,
             next: AtomicU32::new(1),
             free: SpinLock::new(FreeList {
-                // Reserve up front (bounded for pathological capacities)
-                // so steady-state pushes never grow the Vec.
-                slots: Vec::with_capacity(capacity.min(4096)),
+                slots: Vec::new(),
                 recycled: 0,
             }),
             len: AtomicUsize::new(0),
@@ -210,10 +228,10 @@ impl NodePool {
         self.layout
     }
 
-    /// Maximum number of free slots recycled.
+    /// Distance in bytes between consecutive slots (the slot size).
     #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    pub fn stride(&self) -> usize {
+        self.stride
     }
 
     /// Current free-list length (racy snapshot; exact at quiescence).
@@ -291,7 +309,7 @@ impl NodePool {
         if !base.is_null() {
             return base;
         }
-        let fresh = alloc_segment(seg, self.stride, self.layout.align());
+        let fresh = alloc_segment(seg, self.stride);
         match entry.compare_exchange(
             std::ptr::null_mut(),
             fresh,
@@ -300,11 +318,8 @@ impl NodePool {
         ) {
             Ok(_) => fresh,
             Err(winner) => {
-                let layout =
-                    Layout::from_size_align(segment_slots(seg) * self.stride, self.layout.align())
-                        .expect("segment layout");
                 // SAFETY: `fresh` is ours and was never published.
-                unsafe { std::alloc::dealloc(fresh, layout) };
+                unsafe { std::alloc::dealloc(fresh, segment_layout(seg, self.stride)) };
                 winner
             }
         }
@@ -318,7 +333,7 @@ impl NodePool {
     /// [`note_usage`](Self::note_usage).
     pub fn bump(&self) -> (u32, NonNull<u8>) {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
-        assert!(idx <= MAX_INDEX, "node arena exhausted (2^30 slots)");
+        assert!(idx <= MAX_INDEX, "node arena exhausted (2^29 slots)");
         let (seg, off) = locate(idx);
         let base = self.segment(seg);
         // SAFETY: `off` is within the segment by construction.
@@ -326,8 +341,8 @@ impl NodePool {
         (idx, NonNull::new(ptr).expect("segment base is non-null"))
     }
 
-    /// Pops one recycled slot, or `None` if the free list is empty or
-    /// contended (the caller then bump-allocates). The returned slot is
+    /// Pops one recycled slot, or `None` if the free list is empty (the
+    /// caller then bump-allocates). The returned slot is
     /// uninitialized memory, exclusively owned by the caller.
     ///
     /// Does not count a hit or miss — callers batch accounting through
@@ -347,15 +362,17 @@ impl NodePool {
     /// Pops up to `max` recycled slots, passing each index to `sink`;
     /// returns the number popped. One lock acquisition for the whole
     /// batch — this is what per-thread caches refill through.
+    ///
+    /// A list that looks non-empty is always popped: a held lock is
+    /// waited for (yielding backoff), never answered with "empty", so a
+    /// free slot is never passed over for a fresh bump.
     pub fn acquire_batch(&self, max: usize, mut sink: impl FnMut(u32)) -> usize {
         // Lock-free fast path: an empty pool is the common case in grow-
         // only phases, and it must not pay even an uncontended lock CAS.
         if max == 0 || self.len.load(Ordering::Relaxed) == 0 {
             return 0;
         }
-        let Some(mut free) = self.free.try_lock() else {
-            return 0;
-        };
+        let mut free = self.free.lock();
         let take = free.slots.len().min(max);
         for _ in 0..take {
             let idx = free.slots.pop().expect("len checked");
@@ -365,10 +382,10 @@ impl NodePool {
         take
     }
 
-    /// Gives a dead slot back to the free list. If the list is full (or
-    /// the lock contended), the slot is abandoned in place — counted in
-    /// [`PoolStats::dropped`], reclaimed when the arena drops — so
-    /// release never blocks.
+    /// Gives a dead slot back to the free list, waiting for the lock
+    /// (yielding backoff) if another thread holds it. With recycling off
+    /// the slot is abandoned in place instead — counted in
+    /// [`PoolStats::dropped`], reclaimed when the arena drops.
     ///
     /// # Safety
     ///
@@ -377,22 +394,19 @@ impl NodePool {
     /// the pool.
     #[inline]
     pub unsafe fn release(&self, idx: u32) {
-        if let Some(mut free) = self.free.try_lock() {
-            if free.slots.len() < self.capacity {
-                free.slots.push(idx);
-                free.recycled += 1;
-                self.len.store(free.slots.len(), Ordering::Relaxed);
-                return;
-            }
+        if !self.recycle {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        // Full or contended: abandon the slot (arena memory, freed at
-        // pool drop).
-        self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut free = self.free.lock();
+        free.slots.push(idx);
+        free.recycled += 1;
+        self.len.store(free.slots.len(), Ordering::Relaxed);
     }
 
     /// Gives many dead slots back in one lock acquisition, draining
-    /// `slots`. Slots that do not fit (full or contended) are abandoned
-    /// in place. This is what per-thread caches flush through.
+    /// `slots` (abandoning them all when recycling is off). This is what
+    /// per-thread caches flush through.
     ///
     /// # Safety
     ///
@@ -402,19 +416,16 @@ impl NodePool {
         if slots.is_empty() {
             return;
         }
-        if let Some(mut free) = self.free.try_lock() {
-            while free.slots.len() < self.capacity {
-                let Some(idx) = slots.pop() else { break };
-                free.slots.push(idx);
-                free.recycled += 1;
-            }
-            self.len.store(free.slots.len(), Ordering::Relaxed);
+        if !self.recycle {
+            self.dropped
+                .fetch_add(slots.len() as u64, Ordering::Relaxed);
+            slots.clear();
+            return;
         }
-        let dropped = slots.len() as u64;
-        slots.clear();
-        if dropped > 0 {
-            self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
+        let mut free = self.free.lock();
+        free.recycled += slots.len() as u64;
+        free.slots.append(slots);
+        self.len.store(free.slots.len(), Ordering::Relaxed);
     }
 
     /// Folds a caller's batched hit/miss counts into the pool's stats.
@@ -440,7 +451,6 @@ impl NodePool {
             // overshoot the index space by the failed bumps that panicked.
             slots: u64::from(self.next.load(Ordering::Relaxed).min(MAX_INDEX + 1) - 1),
             len: self.len() as u64,
-            capacity: self.capacity as u64,
         }
     }
 }
@@ -452,13 +462,10 @@ impl Drop for NodePool {
             if base.is_null() {
                 continue;
             }
-            let layout =
-                Layout::from_size_align(segment_slots(seg) * self.stride, self.layout.align())
-                    .expect("segment layout");
             // SAFETY: `base` is an owned allocation of exactly this
             // layout (see `segment`), and `&mut self` proves no other
             // reference to the pool exists.
-            unsafe { std::alloc::dealloc(base, layout) };
+            unsafe { std::alloc::dealloc(base, segment_layout(seg, self.stride)) };
         }
     }
 }
@@ -467,7 +474,7 @@ impl std::fmt::Debug for NodePool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodePool")
             .field("layout", &self.layout)
-            .field("capacity", &self.capacity)
+            .field("recycle", &self.recycle)
             .field("next", &self.next.load(Ordering::Relaxed))
             .field("len", &self.len())
             .finish()
@@ -478,8 +485,8 @@ impl std::fmt::Debug for NodePool {
 mod tests {
     use super::*;
 
-    fn test_pool(capacity: usize) -> NodePool {
-        NodePool::new(Layout::new::<[u64; 4]>(), capacity)
+    fn test_pool(recycle: bool) -> NodePool {
+        NodePool::new(Layout::new::<[u64; 4]>(), recycle)
     }
 
     #[test]
@@ -498,7 +505,7 @@ mod tests {
 
     #[test]
     fn typed_resolution_matches_untyped() {
-        let pool = test_pool(0);
+        let pool = test_pool(false);
         let (idx, ptr) = pool.bump();
         assert_eq!(
             pool.slot_ptr_typed::<[u64; 4]>(idx).cast::<u8>(),
@@ -509,7 +516,7 @@ mod tests {
 
     #[test]
     fn bump_yields_distinct_stable_slots() {
-        let pool = test_pool(4);
+        let pool = test_pool(true);
         let (i1, p1) = pool.bump();
         let (i2, p2) = pool.bump();
         assert_ne!(i1, i2);
@@ -522,7 +529,7 @@ mod tests {
 
     #[test]
     fn bump_crosses_segment_boundaries() {
-        let pool = test_pool(0);
+        let pool = test_pool(false);
         let mut prev = 0u32;
         // Run past segment 0 into the first lazily-grown overflow
         // segment, writing through every slot near the boundary to let
@@ -540,7 +547,7 @@ mod tests {
 
     #[test]
     fn round_trip_returns_same_slot() {
-        let pool = test_pool(4);
+        let pool = test_pool(true);
         assert!(pool.acquire().is_none(), "fresh pool is empty");
         let (idx, ptr) = pool.bump();
         unsafe { pool.release(idx) };
@@ -553,7 +560,7 @@ mod tests {
 
     #[test]
     fn lifo_order() {
-        let pool = test_pool(4);
+        let pool = test_pool(true);
         let (a, _) = pool.bump();
         let (b, _) = pool.bump();
         unsafe {
@@ -565,21 +572,53 @@ mod tests {
     }
 
     #[test]
-    fn overflow_abandons_slots() {
-        let pool = test_pool(2);
-        for _ in 0..5 {
+    fn free_list_is_unbounded() {
+        let pool = test_pool(true);
+        let mut batch = Vec::new();
+        for i in 0..5000 {
             let (idx, _) = pool.bump();
-            unsafe { pool.release(idx) };
+            if i % 2 == 0 {
+                unsafe { pool.release(idx) };
+            } else {
+                batch.push(idx);
+            }
         }
+        unsafe { pool.release_batch(&mut batch) };
+        assert!(batch.is_empty(), "release_batch drains its input");
         let s = pool.stats();
-        assert_eq!(s.recycled, 2, "capacity bounds the free list");
-        assert_eq!(s.dropped, 3, "overflow slots abandoned, not recycled");
-        assert_eq!(pool.len(), 2);
+        assert_eq!(s.recycled, 5000, "every released slot is kept");
+        assert_eq!(s.dropped, 0, "a recycling pool abandons nothing");
+        assert_eq!(pool.len(), 5000);
+        // Reuse comes before the bump cursor moves again.
+        for _ in 0..5000 {
+            assert!(pool.acquire().is_some());
+        }
+        assert_eq!(pool.stats().slots, 5000);
     }
 
     #[test]
-    fn capacity_zero_disables_reuse() {
-        let pool = test_pool(0);
+    fn slot_index_space_is_29_bits() {
+        // Edge words keep three low bits (two marks, one node-class bit).
+        assert_eq!(MAX_INDEX, (1 << 29) - 1);
+        assert_eq!(u32::MAX >> 3, MAX_INDEX);
+    }
+
+    #[test]
+    fn segment_bases_are_cache_line_aligned() {
+        let pool = NodePool::new(Layout::new::<[u64; 4]>(), true);
+        assert_eq!(
+            pool.slot_ptr(1) as usize % 64,
+            32,
+            "slot 1 is one stride past the base"
+        );
+        let pool = NodePool::new(Layout::new::<[u64; 19]>(), true);
+        assert_eq!(pool.stride(), 152);
+        assert_eq!((pool.slot_ptr(1) as usize - 152) % 64, 0);
+    }
+
+    #[test]
+    fn recycling_off_disables_reuse() {
+        let pool = test_pool(false);
         let (idx, _) = pool.bump();
         unsafe { pool.release(idx) };
         assert!(pool.acquire().is_none());
@@ -588,7 +627,7 @@ mod tests {
 
     #[test]
     fn batch_acquire_pops_up_to_max() {
-        let pool = test_pool(8);
+        let pool = test_pool(true);
         for _ in 0..5 {
             let (idx, _) = pool.bump();
             unsafe { pool.release(idx) };
@@ -604,13 +643,12 @@ mod tests {
 
     #[test]
     fn usage_counters_accumulate() {
-        let pool = test_pool(4);
+        let pool = test_pool(true);
         pool.note_usage(3, 1);
         pool.note_usage(0, 2);
         let s = pool.stats();
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 3);
-        assert_eq!(s.capacity, 4);
     }
 
     #[test]
@@ -619,7 +657,7 @@ mod tests {
         // acquire them back; every index must stay unique among live
         // owners (checked by writing a thread tag through the slot and
         // reading it back before release).
-        let pool = std::sync::Arc::new(test_pool(64));
+        let pool = std::sync::Arc::new(test_pool(true));
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let pool = std::sync::Arc::clone(&pool);
@@ -644,6 +682,41 @@ mod tests {
         });
         let s = pool.stats();
         assert_eq!(s.len as usize, pool.len());
-        assert!(s.len <= 64);
+        // Nothing is abandoned: every slot ever bumped is back on the
+        // free list once all owners released it.
+        assert_eq!(s.dropped, 0);
+        assert_eq!(s.len, s.slots, "{s:?}");
+    }
+
+    #[test]
+    fn contended_churn_never_bumps_past_the_working_set() {
+        // Two threads each hold at most 4 slots at a time, releasing and
+        // re-acquiring through the shared list. A contended pop waits for
+        // the lock instead of bumping, so the arena stays near the slots
+        // ever held at once (2 x 4). The empty check is a relaxed load,
+        // so a pop racing a release can see the list empty a moment
+        // before the release lands; each such bump adds a slot that
+        // keeps the list non-empty from then on, so the overshoot stays
+        // a few slots. The try-lock pool this replaced bumped on every
+        // contended pop and grew by thousands here.
+        let pool = std::sync::Arc::new(test_pool(true));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let pool = std::sync::Arc::clone(&pool);
+                s.spawn(move || {
+                    let mut held = Vec::new();
+                    for _ in 0..20_000 {
+                        while held.len() < 4 {
+                            let idx = pool.acquire().map_or_else(|| pool.bump().0, |s| s.0);
+                            held.push(idx);
+                        }
+                        unsafe { pool.release_batch(&mut held) };
+                    }
+                });
+            }
+        });
+        let s = pool.stats();
+        assert!(s.slots <= 16, "arena grew past the working set: {s:?}");
+        assert_eq!(s.len, s.slots, "{s:?}");
     }
 }

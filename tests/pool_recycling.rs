@@ -98,17 +98,20 @@ fn pool_off_is_a_true_ablation() {
     let rounds = 10;
     churn(&map, rounds);
     let stats = map.metrics().pool;
-    // "Disabled" turns off the *free list*, not the arena: every
+    // "Disabled" turns off the *free lists*, not the arenas: every
     // allocation still bump-allocates a slot (a miss), and every
-    // recycle deferral finds a zero-capacity list and abandons its slot
-    // in place (dropped). What must be dead is reuse.
+    // recycle deferral finds recycling off and abandons its slot in
+    // place (dropped). What must be dead is reuse.
     assert_eq!(stats.hits, 0, "no free list, no reuse ({stats:?})");
     assert_eq!(
         stats.recycled, 0,
-        "nothing enters a capacity-0 list ({stats:?})"
+        "nothing enters a disabled list ({stats:?})"
     );
     assert_eq!(stats.len, 0, "{stats:?}");
-    assert_eq!(stats.capacity, 0, "{stats:?}");
+    assert_eq!(
+        stats.slots, stats.misses,
+        "every allocation is a fresh slot ({stats:?})"
+    );
     // Every insert/remove pair costs exactly 2 slots at any leaf_cap
     // dividing KEYS: a block of B keys takes 2 + (B-1) insert-path
     // allocations (one classic two-node subtree, then COW merges) and
