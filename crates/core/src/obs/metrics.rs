@@ -730,15 +730,16 @@ pub struct MetricsSnapshot {
     /// without deferred state, like `Leaky`.
     pub reclaim: ReclaimGauges,
     /// Node-pool hit/recycle stats at snapshot time (see
-    /// [`PoolStats`]), summed over the tree's two arenas (routes and
-    /// leaves). `hits`/`misses` are flushed from handles on re-pin and
+    /// [`PoolStats`]), summed over the tree's arenas (routes and each
+    /// leaf size class). `hits`/`misses` are flushed from handles on re-pin and
     /// drop, so mid-loop snapshots may lag a handle's batched counts.
     pub pool: PoolStats,
     /// Route slots handed out: the route arena's high-water mark.
     pub pool_route_slots: u64,
-    /// Leaf slots handed out: the leaf arena's high-water mark.
+    /// Leaf slots handed out: the leaf arenas' high-water marks, summed
+    /// over the size classes.
     pub pool_leaf_slots: u64,
-    /// Bytes of arena slots handed out across both arenas (each class's
+    /// Bytes of arena slots handed out across all arenas (each class's
     /// slots times its slot size): the node memory the tree has
     /// committed.
     pub pool_bytes: u64,
@@ -1101,14 +1102,14 @@ impl MetricsSnapshot {
             &mut out,
             "nmbst_pool_leaf_slots",
             "gauge",
-            "Leaf-arena slots handed out so far.",
+            "Leaf-arena slots handed out so far, summed over the size classes.",
             self.pool_leaf_slots as i128,
         );
         metric(
             &mut out,
             "nmbst_pool_bytes",
             "gauge",
-            "Bytes of arena slots handed out across both node classes.",
+            "Bytes of arena slots handed out across all node classes.",
             self.pool_bytes as i128,
         );
         metric(

@@ -1,23 +1,24 @@
 //! Packed edge words: a 32-bit child *slot index* with the paper's
-//! `flag` and `tag` bits, plus a *kind* bit, stolen from its low-order
+//! `flag` and `tag` bits, plus a 2-bit *kind*, stolen from its low-order
 //! bits.
 //!
 //! §3.2: "we steal two bits from each child address stored at a node".
 //! Since PR 7 the stolen bits come out of an arena index instead of a
 //! pointer: nodes live in the tree's arena slabs (see `nmbst-reclaim`'s
 //! `NodePool`), and a child reference is the child's `u32` slot index
-//! shifted left by three, with the low bits carrying:
+//! shifted left by four, with the low bits carrying:
 //!
 //! * bit 0 — **flag**: the head (leaf) node of this edge is being
 //!   deleted; both tail and head will leave the tree.
 //! * bit 1 — **tag**: only the tail node of this edge is being removed;
 //!   the head is hoisted to the tail's ancestor.
-//! * bit 2 — **kind**: the head is a [`Leaf`] (set) or a [`Route`]
-//!   (clear). Routes and leaves live in separate arenas with separate
-//!   index spaces of 2²⁹ slots each, and the kind bit names the arena
-//!   an index resolves against. It is fixed when the edge word is
-//!   formed: marking and hoisting (`with_marks`) keep it, so a descent
-//!   can stop at a leaf edge without ever loading the leaf.
+//! * bits 2–3 — **kind**: `0` if the head is a [`Route`], `1 + c` if it
+//!   is a [`Leaf`] of size class `c` (see `node::LEAF_CLASS_CAPS`).
+//!   Routes and each leaf class live in separate arenas with separate
+//!   index spaces of 2²⁸ slots each, and the kind names the arena an
+//!   index resolves against. It is fixed when the edge word is formed:
+//!   marking and hoisting (`with_marks`) keep it, so a descent can stop
+//!   at a leaf edge without ever loading the leaf.
 //!
 //! A whole edge is 4 bytes, and a route's two edges share one 8-byte
 //! pair. Every edge of a route has a head: there are no null edges.
@@ -44,10 +45,13 @@ use std::sync::atomic::{AtomicU32, Ordering};
 const FLAG: u32 = 1 << 0;
 const TAG: u32 = 1 << 1;
 const MARKS: u32 = FLAG | TAG;
-/// The kind bit: set iff the edge's head is a leaf.
-const LEAF: u32 = 1 << 2;
-/// Bits below the slot index: the two marks and the kind bit.
-const INDEX_SHIFT: u32 = 3;
+/// Position of the kind field: `0` for a route head, `1 + class` for a
+/// leaf head.
+const KIND_SHIFT: u32 = 2;
+/// The kind field's bits; nonzero iff the edge's head is a leaf.
+const KIND: u32 = 0b11 << KIND_SHIFT;
+/// Bits below the slot index: the two marks and the kind.
+const INDEX_SHIFT: u32 = 4;
 
 /// How the cleanup routine sets the tag bit (§2: the BTS instruction;
 /// §6: "our algorithm can be easily modified to use only compare-and-swap
@@ -64,23 +68,23 @@ pub enum TagMode {
 }
 
 /// Resolves the index half of an edge word against the arena its kind
-/// bit names. Typed resolution: the stride is the node type's size,
-/// known at compile time, so the offset math is constant arithmetic on
-/// the descent's critical path.
+/// names. Route edges — every level of a descent — resolve with the
+/// route's compile-time stride, so the offset math on the descent's
+/// critical path is constant arithmetic; a leaf edge, reached once per
+/// descent, resolves against its class's arena.
 #[inline(always)]
-fn resolve<K, V>(arenas: &Arenas, word: u32) -> *mut u8 {
+fn resolve<K>(arenas: &Arenas, word: u32) -> *mut u8 {
     let idx = word >> INDEX_SHIFT;
-    if word & LEAF != 0 {
-        arenas.leaves.slot_ptr_typed::<Leaf<K, V>>(idx).cast()
-    } else {
-        arenas.routes.slot_ptr_typed::<Route<K>>(idx).cast()
+    match (word & KIND) >> KIND_SHIFT {
+        0 => arenas.routes.slot_ptr_typed::<Route<K>>(idx).cast(),
+        kind => arenas.leaves[kind as usize - 1].slot_ptr(idx),
     }
 }
 
 /// An immutable snapshot of an edge: the raw word `(flag, tag, kind,
 /// index)` plus the address the index resolved to when the snapshot was
-/// taken. The head is a [`Route<K>`] or a [`Leaf<K, V>`]; the kind bit
-/// says which, and only [`route`](Self::route) /
+/// taken. The head is a [`Route<K>`] or a [`Leaf<K, V>`]; the kind
+/// says which (and, for a leaf, its size class), and only [`route`](Self::route) /
 /// [`leaf`](Self::leaf) turn the address into a typed pointer.
 ///
 /// Equality and CAS compare the *word*; the cached address is derived
@@ -114,30 +118,32 @@ impl<K, V> Edge<K, V> {
     pub(crate) fn of_route(route: *mut Route<K>) -> Self {
         // SAFETY: callers hand in routes they may dereference (guarded
         // or owned); `idx` is immutable after allocation.
-        Self::new(unsafe { (*route).idx }, false, route.cast())
+        Self::new(unsafe { (*route).idx }, 0, route.cast())
     }
 
     /// An unmarked edge to `leaf`, formed from the leaf's own recorded
-    /// slot index.
+    /// slot index and size class.
     #[inline]
     pub(crate) fn of_leaf(leaf: *mut Leaf<K, V>) -> Self {
-        // SAFETY: as `of_route`.
-        Self::new(unsafe { (*leaf).idx }, true, leaf.cast())
+        // SAFETY: as `of_route`; the class is immutable too.
+        let (idx, class) = unsafe { ((*leaf).idx, (*leaf).class()) };
+        Self::new(idx, 1 + class as u32, leaf.cast())
     }
 
     #[inline]
-    fn new(idx: u32, leaf: bool, ptr: *mut u8) -> Self {
+    fn new(idx: u32, kind: u32, ptr: *mut u8) -> Self {
         debug_assert!(idx != 0 && !ptr.is_null());
         debug_assert!(
             idx <= nmbst_reclaim::MAX_INDEX,
             "slot index overflows the edge word"
         );
-        Self::from_parts((idx << INDEX_SHIFT) | (leaf as u32 * LEAF), ptr)
+        debug_assert!(kind <= KIND >> KIND_SHIFT);
+        Self::from_parts((idx << INDEX_SHIFT) | (kind << KIND_SHIFT), ptr)
     }
 
     /// This edge's target with the given marks (used when splicing
     /// copies the flag of the hoisted edge, Algorithm 4 line 108). The
-    /// kind bit is part of the target and survives.
+    /// kind is part of the target and survives.
     #[inline]
     pub(crate) fn with_marks(self, flag: bool, tag: bool) -> Self {
         Self::from_parts(
@@ -148,11 +154,11 @@ impl<K, V> Edge<K, V> {
 
     #[inline(always)]
     fn from_word(arenas: &Arenas, word: u32) -> Self {
-        Self::from_parts(word, resolve::<K, V>(arenas, word))
+        Self::from_parts(word, resolve::<K>(arenas, word))
     }
 
     /// The arena slot this edge points to (marks and kind removed), in
-    /// the arena [`is_leaf`](Self::is_leaf) names.
+    /// the arena the kind names.
     #[cfg(test)]
     pub(crate) fn idx(self) -> u32 {
         self.word >> INDEX_SHIFT
@@ -161,7 +167,15 @@ impl<K, V> Edge<K, V> {
     /// `true` if the head is a leaf, `false` if it is a route.
     #[inline(always)]
     pub(crate) fn is_leaf(self) -> bool {
-        self.word & LEAF != 0
+        self.word & KIND != 0
+    }
+
+    /// The size class of the head leaf. Only meaningful behind a leaf
+    /// edge.
+    #[inline(always)]
+    pub(crate) fn leaf_class(self) -> usize {
+        debug_assert!(self.is_leaf(), "leaf_class() on a route edge");
+        ((self.word & KIND) >> KIND_SHIFT) as usize - 1
     }
 
     /// The head as a route. Only meaningful behind a route edge.
@@ -230,10 +244,13 @@ impl<K, V> std::fmt::Debug for Edge<K, V> {
 }
 
 fn fmt_word(word: u32, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    match (word & KIND) >> KIND_SHIFT {
+        0 => f.write_str("Edge(route")?,
+        kind => write!(f, "Edge(leaf class {}", kind - 1)?,
+    }
     write!(
         f,
-        "Edge({} slot {}, flag={}, tag={})",
-        if word & LEAF != 0 { "leaf" } else { "route" },
+        " slot {}, flag={}, tag={})",
         word >> INDEX_SHIFT,
         word & FLAG != 0,
         word & TAG != 0
@@ -342,28 +359,41 @@ impl std::fmt::Debug for AtomicEdge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::LEAF_CLASSES;
+    use nmbst_reclaim::NodePool;
 
     type E = Edge<u64, u64>;
+
+    /// Every kind: the route arena, then each leaf class.
+    const KINDS: [u32; 1 + LEAF_CLASSES] = [0, 1, 2, 3];
 
     fn arenas() -> Arenas {
         Arenas::new::<u64, u64>(true)
     }
 
-    /// An edge to a fresh (uninitialized) slot of the given class.
-    fn fake_node(arenas: &Arenas, leaf: bool) -> E {
-        let pool = if leaf { &arenas.leaves } else { &arenas.routes };
-        let (idx, ptr) = pool.bump();
-        Edge::new(idx, leaf, ptr.as_ptr())
+    fn pool(arenas: &Arenas, kind: u32) -> &NodePool {
+        match kind {
+            0 => &arenas.routes,
+            k => &arenas.leaves[k as usize - 1],
+        }
+    }
+
+    /// An edge to a fresh (uninitialized) slot of the given kind.
+    fn fake_node(arenas: &Arenas, kind: u32) -> E {
+        let (idx, ptr) = pool(arenas, kind).bump();
+        Edge::new(idx, kind, ptr.as_ptr())
     }
 
     #[test]
     fn clean_edge_roundtrip() {
         let a = arenas();
-        for leaf in [false, true] {
-            let e = fake_node(&a, leaf);
-            assert_eq!(e.is_leaf(), leaf);
-            let pool = if leaf { &a.leaves } else { &a.routes };
-            assert_eq!(pool.slot_ptr(e.idx()), e.addr());
+        for kind in KINDS {
+            let e = fake_node(&a, kind);
+            assert_eq!(e.is_leaf(), kind != 0);
+            if kind != 0 {
+                assert_eq!(e.leaf_class(), kind as usize - 1);
+            }
+            assert_eq!(pool(&a, kind).slot_ptr(e.idx()), e.addr());
             assert_eq!(Edge::<u64, u64>::from_word(&a, e.word), e);
             assert_eq!(Edge::<u64, u64>::from_word(&a, e.word).addr(), e.addr());
             assert!(!e.flag());
@@ -373,29 +403,36 @@ mod tests {
     }
 
     #[test]
-    fn kind_bit_picks_the_arena() {
-        // The same index in both classes names two different slots.
+    fn kind_picks_the_arena() {
+        // The same index in all four arenas names four different slots.
         let a = arenas();
-        let r = fake_node(&a, false);
-        let l = fake_node(&a, true);
-        assert_eq!(r.idx(), l.idx());
-        assert_ne!(r, l);
-        assert!(!r.same_head(l));
-        assert_ne!(r.addr(), l.addr());
-        assert_eq!(r.route().cast::<u8>(), a.routes.slot_ptr(r.idx()));
-        assert_eq!(l.leaf().cast::<u8>(), a.leaves.slot_ptr(l.idx()));
+        let edges = KINDS.map(|kind| fake_node(&a, kind));
+        for (i, x) in edges.iter().enumerate() {
+            assert_eq!(x.idx(), edges[0].idx());
+            assert_eq!(x.addr(), pool(&a, KINDS[i]).slot_ptr(x.idx()));
+            for y in &edges[i + 1..] {
+                assert_ne!(x, y);
+                assert!(!x.same_head(*y));
+                assert_ne!(x.addr(), y.addr());
+            }
+        }
+        assert_eq!(edges[0].route().cast::<u8>(), a.routes.slot_ptr(1));
+        assert_eq!(edges[3].leaf().cast::<u8>(), a.leaves[2].slot_ptr(1));
     }
 
     #[test]
     fn marks_do_not_disturb_address_or_kind() {
         let a = arenas();
-        for leaf in [false, true] {
-            let base = fake_node(&a, leaf);
+        for kind in KINDS {
+            let base = fake_node(&a, kind);
             for (f, t) in [(false, false), (true, false), (false, true), (true, true)] {
                 let e = base.with_marks(f, t);
                 assert_eq!(e.addr(), base.addr());
                 assert_eq!(e.idx(), base.idx());
-                assert_eq!(e.is_leaf(), leaf, "the kind bit survives with_marks");
+                assert_eq!(e.is_leaf(), kind != 0, "the kind survives with_marks");
+                if kind != 0 {
+                    assert_eq!(e.leaf_class(), base.leaf_class(), "both kind bits survive");
+                }
                 assert!(e.same_head(base));
                 assert_eq!(e.flag(), f);
                 assert_eq!(e.tag(), t);
@@ -409,17 +446,19 @@ mod tests {
     #[test]
     fn flagged_sets_only_flag() {
         let a = arenas();
-        let e = fake_node(&a, true).flagged();
-        assert!(e.flag());
-        assert!(!e.tag());
-        assert!(e.is_leaf());
+        for kind in 1..=3 {
+            let e = fake_node(&a, kind).flagged();
+            assert!(e.flag());
+            assert!(!e.tag());
+            assert_eq!(e.leaf_class(), kind as usize - 1);
+        }
     }
 
     #[test]
     fn cas_succeeds_on_expected_value() {
         let a = arenas();
-        let p = fake_node(&a, true);
-        let q = fake_node(&a, false);
+        let p = fake_node(&a, 1);
+        let q = fake_node(&a, 0);
         let edge = AtomicEdge::to(p);
         assert!(edge.compare_exchange(p, q, &a).is_ok());
         let now: E = edge.load(&a);
@@ -431,8 +470,8 @@ mod tests {
     #[test]
     fn cas_fails_on_marked_edge() {
         let a = arenas();
-        let p = fake_node(&a, true);
-        let q = fake_node(&a, true);
+        let p = fake_node(&a, 1);
+        let q = fake_node(&a, 1);
         let edge = AtomicEdge::to(p);
         edge.set_tag(TagMode::FetchOr);
         let err = edge.compare_exchange(p, q, &a).unwrap_err();
@@ -445,7 +484,7 @@ mod tests {
     #[test]
     fn flag_cas_is_the_injection_step() {
         let a = arenas();
-        let p = fake_node(&a, true);
+        let p = fake_node(&a, 2);
         let edge = AtomicEdge::to(p);
         assert!(edge.compare_exchange(p, p.flagged(), &a).is_ok());
         assert!(edge.load::<u64, u64>(&a).flag());
@@ -457,7 +496,7 @@ mod tests {
     fn tag_modes_agree() {
         let a = arenas();
         for mode in [TagMode::FetchOr, TagMode::CasLoop] {
-            let p = fake_node(&a, false);
+            let p = fake_node(&a, 0);
             let edge = AtomicEdge::to(p);
             edge.set_tag(mode);
             let e: E = edge.load(&a);
@@ -473,18 +512,19 @@ mod tests {
     #[test]
     fn tag_preserves_flag() {
         let a = arenas();
-        let p = fake_node(&a, true);
+        let p = fake_node(&a, 3);
         let edge = AtomicEdge::to(p);
         edge.compare_exchange(p, p.flagged(), &a).unwrap();
         edge.set_tag(TagMode::FetchOr);
         let e: E = edge.load(&a);
         assert!(e.flag() && e.tag() && e.is_leaf());
+        assert_eq!(e.leaf_class(), 2);
     }
 
     #[test]
     fn concurrent_taggers_idempotent() {
         let a = arenas();
-        let p = fake_node(&a, true);
+        let p = fake_node(&a, 1);
         let edge = AtomicEdge::to(p);
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -500,5 +540,19 @@ mod tests {
         assert!(e.tag());
         assert!(!e.flag());
         assert_eq!(e.addr(), p.addr());
+    }
+
+    #[test]
+    fn debug_names_the_kind() {
+        let a = arenas();
+        assert_eq!(
+            format!("{:?}", fake_node(&a, 0)),
+            "Edge(route slot 1, flag=false, tag=false)"
+        );
+        let leaf = fake_node(&a, 3).flagged();
+        assert_eq!(
+            format!("{leaf:?}"),
+            "Edge(leaf class 2 slot 1, flag=true, tag=false)"
+        );
     }
 }

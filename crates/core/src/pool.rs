@@ -1,11 +1,12 @@
-//! Pool-aware node allocation over the tree's two arena slabs (PR 4's
-//! recycling layer, re-based onto PR 7's slot storage).
+//! Pool-aware node allocation over the tree's arena slabs: the
+//! recycling layer, built on the arenas' slot storage.
 //!
 //! The shared [`NodePool`]s are not an *optional* free list in front of
 //! `malloc` — they **are** the node store. Every tree owns one arena per
-//! node class ([`Arenas`]): 32-byte routes in one, leaf blocks in the
-//! other, each with its own index space, free list and counters. Every
-//! node the tree ever creates is a `u32` slot in its class's arena:
+//! node class ([`Arenas`]): 32-byte routes in one, and leaf blocks in
+//! one per leaf size class (4, 6 or 8 entries), each with its own index
+//! space, free list and counters. Every node the tree ever creates is a
+//! `u32` slot in its class's arena:
 //!
 //! * **retire → recycle**: the cleanup routine retires detached nodes
 //!   with a *recycle deferral* ([`recycle_route_deferred`],
@@ -14,8 +15,8 @@
 //!   the node still owns (for a leaf, the entries its drop hint names)
 //!   and pushes the slot onto its own class's free list.
 //! * **alloc → reuse**: allocation goes through a [`NodeCache`] — a
-//!   per-handle (or per-call) unsynchronized cache over both pools, one
-//!   stash per class — so hot loops pop recycled slots without touching
+//!   per-handle (or per-call) unsynchronized cache over all the pools,
+//!   one stash per class — so hot loops pop recycled slots without touching
 //!   shared state, and fall through to the arena's bump cursor (never
 //!   `malloc`) only when the shared free list is empty.
 //!
@@ -28,7 +29,7 @@
 //! unpublished.
 
 use crate::chaos::{self, Action, Point};
-use crate::node::{drop_leaf_contents, drop_route_contents, Leaf, Route};
+use crate::node::{drop_leaf_contents, drop_route_contents, Leaf, Route, LEAF_CLASSES};
 use crate::stats;
 use nmbst_reclaim::{Deferred, NodePool, PoolStats};
 use std::alloc::Layout;
@@ -77,20 +78,21 @@ impl Default for PoolConfig {
 pub(crate) struct Arenas {
     /// Slots of [`Route<K>`].
     pub(crate) routes: NodePool,
-    /// Slots of [`Leaf<K, V>`].
-    pub(crate) leaves: NodePool,
+    /// Slots of [`Leaf<K, V>`], one arena per size class (indexed like
+    /// `node::LEAF_CLASS_CAPS`).
+    pub(crate) leaves: [NodePool; LEAF_CLASSES],
 }
 
 /// Point-in-time gauges of a tree's [`Arenas`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ArenaStats {
-    /// Both pools' counters, summed.
+    /// All pools' counters, summed.
     pub(crate) pool: PoolStats,
     /// Route slots handed out (the route arena's high-water mark).
     pub(crate) route_slots: u64,
-    /// Leaf slots handed out (the leaf arena's high-water mark).
+    /// Leaf slots handed out, summed over the size classes.
     pub(crate) leaf_slots: u64,
-    /// Bytes of slots handed out across both arenas.
+    /// Bytes of slots handed out across all arenas.
     pub(crate) bytes: u64,
 }
 
@@ -99,27 +101,33 @@ impl Arenas {
     pub(crate) fn new<K, V>(recycle: bool) -> Self {
         Arenas {
             routes: NodePool::new(Layout::new::<Route<K>>(), recycle),
-            leaves: NodePool::new(Layout::new::<Leaf<K, V>>(), recycle),
+            leaves: std::array::from_fn(|class| {
+                NodePool::new(Leaf::<K, V>::slot_layout(class), recycle)
+            }),
         }
     }
 
-    /// Both pools' counters (summed) and the per-class slot gauges.
+    /// All pools' counters (summed) and the per-kind slot gauges.
     pub(crate) fn stats(&self) -> ArenaStats {
         let r = self.routes.stats();
-        let l = self.leaves.stats();
-        ArenaStats {
-            pool: PoolStats {
-                hits: r.hits + l.hits,
-                misses: r.misses + l.misses,
-                recycled: r.recycled + l.recycled,
-                dropped: r.dropped + l.dropped,
-                slots: r.slots + l.slots,
-                len: r.len + l.len,
-            },
+        let mut stats = ArenaStats {
+            pool: r,
             route_slots: r.slots,
-            leaf_slots: l.slots,
-            bytes: r.slots * self.routes.stride() as u64 + l.slots * self.leaves.stride() as u64,
+            leaf_slots: 0,
+            bytes: r.slots * self.routes.stride() as u64,
+        };
+        for pool in &self.leaves {
+            let l = pool.stats();
+            stats.pool.hits += l.hits;
+            stats.pool.misses += l.misses;
+            stats.pool.recycled += l.recycled;
+            stats.pool.dropped += l.dropped;
+            stats.pool.slots += l.slots;
+            stats.pool.len += l.len;
+            stats.leaf_slots += l.slots;
+            stats.bytes += l.slots * pool.stride() as u64;
         }
+        stats
     }
 }
 
@@ -178,7 +186,7 @@ impl SlotCache {
 }
 
 /// An unsynchronized allocation cache over a tree's [`Arenas`], one
-/// stash per node class.
+/// stash per node class (routes and each leaf size class).
 ///
 /// Handles keep one alive across operations (capacity
 /// [`HANDLE_CACHE_CAP`] per class); the plain API builds a transient
@@ -190,7 +198,7 @@ pub(crate) struct NodeCache<'t> {
     arenas: &'t Arenas,
     local_cap: usize,
     routes: SlotCache,
-    leaves: SlotCache,
+    leaves: [SlotCache; LEAF_CLASSES],
 }
 
 impl<'t> NodeCache<'t> {
@@ -206,7 +214,7 @@ impl<'t> NodeCache<'t> {
             arenas,
             local_cap,
             routes: SlotCache::new(),
-            leaves: SlotCache::new(),
+            leaves: [const { SlotCache::new() }; LEAF_CLASSES],
         }
     }
 
@@ -220,11 +228,13 @@ impl<'t> NodeCache<'t> {
         (idx, ptr.cast())
     }
 
-    /// [`alloc_route`](Self::alloc_route) for a leaf slot.
+    /// [`alloc_route`](Self::alloc_route) for a leaf slot of size class
+    /// `class`; the caller must write the header before anything else.
     #[inline]
-    pub(crate) fn alloc_leaf<K, V>(&mut self) -> (u32, *mut Leaf<K, V>) {
-        debug_assert_eq!(Layout::new::<Leaf<K, V>>(), self.arenas.leaves.layout());
-        let (idx, ptr) = self.leaves.alloc(&self.arenas.leaves);
+    pub(crate) fn alloc_leaf<K, V>(&mut self, class: usize) -> (u32, *mut Leaf<K, V>) {
+        let pool = &self.arenas.leaves[class];
+        debug_assert_eq!(Leaf::<K, V>::slot_layout(class), pool.layout());
+        let (idx, ptr) = self.leaves[class].alloc(pool);
         (idx, ptr.cast())
     }
 
@@ -244,25 +254,28 @@ impl<'t> NodeCache<'t> {
         unsafe { self.routes.free(&self.arenas.routes, idx, self.local_cap) };
     }
 
-    /// [`free_route_shell`](Self::free_route_shell) for a leaf: whatever
-    /// entries and routing key it owned were dropped (or moved out) by
-    /// the caller.
+    /// [`free_route_shell`](Self::free_route_shell) for a leaf, which
+    /// goes back to its own size class: whatever entries it owned were
+    /// dropped (or moved out) by the caller.
     ///
     /// # Safety
     ///
     /// As [`free_route_shell`](Self::free_route_shell), for the leaf
-    /// arena.
+    /// arenas; the header must still be intact.
     pub(crate) unsafe fn free_leaf_shell<K, V>(&mut self, node: *mut Leaf<K, V>) {
+        // SAFETY: as `free_route_shell`; the header is plain data that
+        // outlives the entries.
+        let (idx, class) = unsafe { ((*node).idx, (*node).class()) };
         // SAFETY: as `free_route_shell`.
-        let idx = unsafe { (*node).idx };
-        // SAFETY: as `free_route_shell`.
-        unsafe { self.leaves.free(&self.arenas.leaves, idx, self.local_cap) };
+        unsafe { self.leaves[class].free(&self.arenas.leaves[class], idx, self.local_cap) };
     }
 
     /// Publishes batched hit/miss counts into the shared pools' stats.
     pub(crate) fn flush_counters(&mut self) {
         self.routes.flush_counters(&self.arenas.routes);
-        self.leaves.flush_counters(&self.arenas.leaves);
+        for (cache, pool) in self.leaves.iter_mut().zip(&self.arenas.leaves) {
+            cache.flush_counters(pool);
+        }
     }
 }
 
@@ -285,7 +298,9 @@ impl Drop for NodeCache<'_> {
         // from its class's pool, contents dropped before caching).
         unsafe {
             self.arenas.routes.release_batch(&mut self.routes.local);
-            self.arenas.leaves.release_batch(&mut self.leaves.local);
+            for (cache, pool) in self.leaves.iter_mut().zip(&self.arenas.leaves) {
+                pool.release_batch(&mut cache.local);
+            }
         }
     }
 }
@@ -333,12 +348,12 @@ pub(crate) unsafe fn recycle_route_deferred<K: Send>(
 }
 
 /// [`recycle_route_deferred`] for a leaf: the deferral drops the entries
-/// the leaf's drop hint says it still owns plus its routing key, and
-/// hands the slot back to the leaf pool.
+/// the leaf's drop hint says it still owns and hands the slot back to
+/// the arena of the leaf's own size class.
 ///
 /// # Safety
 ///
-/// As [`recycle_route_deferred`], for a slot of `arenas.leaves` whose
+/// As [`recycle_route_deferred`], for a leaf slot of `arenas` whose
 /// drop hint already describes which entries it still owns.
 pub(crate) unsafe fn recycle_leaf_deferred<K: Send, V: Send>(
     node: *mut Leaf<K, V>,
@@ -353,7 +368,10 @@ pub(crate) unsafe fn recycle_leaf_deferred<K: Send, V: Send>(
         // SAFETY: keepalive and slot provenance per the contract.
         unsafe { give_back(ctx, idx) };
     }
-    let ctx = (&arenas.leaves as *const NodePool).cast_mut().cast();
+    // SAFETY: `node` is a live, unlinked leaf whose header names its
+    // class.
+    let class = unsafe { (*node).class() };
+    let ctx = (&arenas.leaves[class] as *const NodePool).cast_mut().cast();
     // SAFETY: as in `recycle_route_deferred`, with `V: Send` too.
     unsafe { Deferred::from_raw(node.cast(), ctx, recycle::<K, V>) }
 }
@@ -397,7 +415,7 @@ mod tests {
         assert_eq!(a, b, "freed slot is reused LIFO");
         unsafe { free_leaf(&mut cache, b) };
         drop(cache);
-        let s = arenas.leaves.stats();
+        let s = arenas.leaves[0].stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
         assert_eq!(arenas.routes.stats().misses, 0, "no route was allocated");
@@ -416,7 +434,7 @@ mod tests {
             free_leaf(&mut cache, l);
             free_leaf(&mut cache, m);
         }
-        assert_eq!((arenas.routes.len(), arenas.leaves.len()), (1, 2));
+        assert_eq!((arenas.routes.len(), arenas.leaves[0].len()), (1, 2));
         // A route allocation reuses the route slot, never a leaf slot.
         let r2 = Route::new_in(
             &mut cache,
@@ -425,7 +443,7 @@ mod tests {
             Edge::of_leaf(m),
         );
         assert_eq!(r2, r);
-        assert_eq!((arenas.routes.len(), arenas.leaves.len()), (0, 2));
+        assert_eq!((arenas.routes.len(), arenas.leaves[0].len()), (0, 2));
         unsafe {
             drop_route_contents(r2);
             cache.free_route_shell(r2);
@@ -435,7 +453,7 @@ mod tests {
         assert_eq!((s.route_slots, s.leaf_slots), (1, 2));
         assert_eq!(
             s.bytes,
-            32 + 2 * 152,
+            32 + 2 * 72,
             "committed slot bytes per class stride"
         );
         assert_eq!(s.pool.slots, 3, "the summed view adds the classes");
@@ -452,7 +470,7 @@ mod tests {
         assert_ne!(a, b, "no recycling with the pool off");
         unsafe { free_leaf(&mut cache, b) };
         drop(cache);
-        let s = arenas.leaves.stats();
+        let s = arenas.leaves[0].stats();
         assert_eq!(s.hits, 0);
         assert_eq!(s.misses, 2);
         assert_eq!(s.dropped, 2);
@@ -471,14 +489,14 @@ mod tests {
                 unsafe { free_leaf(&mut seed, n) };
             }
         }
-        assert_eq!(arenas.leaves.len(), 6);
+        assert_eq!(arenas.leaves[0].len(), 6);
         let mut cache = NodeCache::with_local(&arenas, 16);
         // One alloc refills a batch: the shared pool drains more than one.
         let n = Leaf::<u64, ()>::new_user_in(&mut cache, 9, ());
-        assert!(arenas.leaves.len() < 6);
+        assert!(arenas.leaves[0].len() < 6);
         unsafe { free_leaf(&mut cache, n) };
         drop(cache); // gives all cached slots back
-        assert_eq!(arenas.leaves.len(), 6);
+        assert_eq!(arenas.leaves[0].len(), 6);
     }
 
     #[test]
@@ -507,32 +525,76 @@ mod tests {
             recycle_leaf_deferred(owned, &arenas).call();
             assert_eq!(drops.load(Ordering::Relaxed), 1);
         }
-        assert_eq!(arenas.leaves.len(), 2, "both slots recycled, not abandoned");
+        assert_eq!(
+            arenas.leaves[0].len(),
+            2,
+            "both slots recycled, not abandoned"
+        );
     }
 
     #[test]
     fn recycle_deferred_returns_each_slot_to_its_class() {
         let arenas = Arc::new(Arenas::new::<u64, u64>(true));
+        let free_lists = |a: &Arenas| (a.routes.len(), a.leaves.each_ref().map(NodePool::len));
         let mut cache = NodeCache::direct(&arenas);
-        let leaf = Leaf::<u64, u64>::new_user_in(&mut cache, 7, 70);
+        // One leaf of each size class: 1, 5 and 7 entries.
+        let mut blocks = vec![Leaf::<u64, u64>::new_user_in(&mut cache, 0, 0)];
+        for k in 1..7u64 {
+            let last = *blocks.last().unwrap();
+            let next = unsafe { Leaf::block_insert_copy(&mut cache, &*last, k as usize, k, k) };
+            blocks.push(next);
+        }
+        let (small, mid, large) = (blocks[0], blocks[4], blocks[6]);
         let sentinel = Leaf::<u64, u64>::new_sentinel_in(&mut cache, Key::Inf0);
         let route = Route::new_in(
             &mut cache,
             Key::Fin(7),
-            Edge::of_leaf(leaf),
+            Edge::of_leaf(large),
             Edge::of_leaf(sentinel),
         );
+        // The blocks in between share their entries with the three kept
+        // ones: free them as replaced shells.
+        for &b in blocks
+            .iter()
+            .filter(|&&b| ![small, mid, large].contains(&b))
+        {
+            unsafe {
+                (*b).set_drop_hint(HINT_NONE);
+                free_leaf(&mut cache, b);
+            }
+        }
         drop(cache);
-        let d = unsafe { recycle_leaf_deferred(leaf, &arenas) };
-        assert_eq!(d.address(), leaf as usize);
-        assert_eq!(arenas.leaves.len(), 0);
+        let before = free_lists(&arenas);
+        unsafe {
+            (*small).set_drop_hint(HINT_NONE);
+            (*mid).set_drop_hint(HINT_NONE);
+        }
+        let d = unsafe { recycle_leaf_deferred(mid, &arenas) };
+        assert_eq!(d.address(), mid as usize);
+        assert_eq!(
+            free_lists(&arenas),
+            before,
+            "nothing moves before the deferral runs"
+        );
         d.call();
-        assert_eq!(arenas.leaves.len(), 1, "leaf slot recycled, not abandoned");
+        let (r, l) = before;
+        assert_eq!(
+            free_lists(&arenas),
+            (r, [l[0], l[1] + 1, l[2]]),
+            "class 6 slot recycled"
+        );
+        unsafe { recycle_leaf_deferred(large, &arenas) }.call();
+        assert_eq!(
+            free_lists(&arenas),
+            (r, [l[0], l[1] + 1, l[2] + 1]),
+            "class 8 slot recycled"
+        );
+        unsafe { recycle_leaf_deferred(small, &arenas) }.call();
         unsafe { recycle_route_deferred(route, &arenas) }.call();
         assert_eq!(
-            (arenas.routes.len(), arenas.leaves.len()),
-            (1, 1),
-            "the route went back to the route arena"
+            free_lists(&arenas),
+            (r + 1, [l[0] + 1, l[1] + 1, l[2] + 1]),
+            "the route went back to the route arena, the leaf to class 4"
         );
         assert_eq!(
             Arc::strong_count(&arenas),
@@ -540,5 +602,6 @@ mod tests {
             "deferrals borrow the pool raw — no refcount traffic"
         );
         unsafe { recycle_leaf_deferred(sentinel, &arenas) }.call();
+        assert_eq!(arenas.leaves[0].len(), l[0] + 2);
     }
 }

@@ -52,27 +52,32 @@ where
             let mut stack = vec![Edge::<K, V>::of_route(self.root)];
             while let Some(edge) = stack.pop() {
                 let id = edge.addr() as usize;
-                let key = if edge.is_leaf() {
-                    &(*edge.leaf()).key
-                } else {
-                    &(*edge.route()).key
-                };
-                let (router, sentinel) = match key {
+                let label = |key: &Key<K>| match key {
                     Key::Fin(k) => (format!("Fin({k:?})"), false),
                     Key::Inf0 => ("inf0".to_string(), true),
                     Key::Inf1 => ("inf1".to_string(), true),
                     Key::Inf2 => ("inf2".to_string(), true),
                 };
-                if edge.is_leaf() && (*edge.leaf()).len() > 0 {
-                    // Fat user leaf: record node, router first, then the
-                    // block's entries in stored (ascending) order.
-                    let mut label = record_escape(&router);
-                    for k in (*edge.leaf()).entry_keys() {
-                        let _ = write!(label, " | {}", record_escape(&format!("{k:?}")));
+                let (router, sentinel) = if edge.is_leaf() {
+                    let leaf = &*edge.leaf();
+                    match (leaf.sentinel(), leaf.entry_keys().last()) {
+                        (Some(sentinel), _) => label(&sentinel),
+                        (None, max) => {
+                            // Fat user leaf: record node, its router (the
+                            // largest entry) first, then the block's
+                            // entries in stored (ascending) order.
+                            let max = max.expect("a user block holds an entry");
+                            let mut label = record_escape(&format!("Fin({max:?})"));
+                            for k in leaf.entry_keys() {
+                                let _ = write!(label, " | {}", record_escape(&format!("{k:?}")));
+                            }
+                            let _ = writeln!(out, "  n{id} [label=\"{label}\" shape=record];");
+                            continue;
+                        }
                     }
-                    let _ = writeln!(out, "  n{id} [label=\"{label}\" shape=record];");
-                    continue;
-                }
+                } else {
+                    label(&(*edge.route()).key)
+                };
                 let _ = writeln!(
                     out,
                     "  n{id} [label=\"{router}\" shape={}{}];",

@@ -133,10 +133,11 @@ impl Default for TreeConfig {
 ///   edge words; there are no operation descriptor objects and helping
 ///   never allocates.
 ///
-/// Nodes live in two per-tree slab arenas addressed by `u32` slot
-/// indices (half-width edges): 32-byte routing nodes in one, leaf blocks
-/// in the other. User keys live in immutable sorted leaf blocks of up to
-/// [`TreeConfig::leaf_cap`] entries.
+/// Nodes live in per-tree slab arenas addressed by `u32` slot indices
+/// (half-width edges): 32-byte routing nodes in one, leaf blocks in one
+/// per size class (4, 6 or 8 entries). User keys live in immutable
+/// sorted leaf blocks of up to [`TreeConfig::leaf_cap`] entries, each in
+/// the smallest class that holds it.
 ///
 /// The tree is generic over the reclamation scheme `R`
 /// ([`Ebr`](nmbst_reclaim::Ebr) by default;

@@ -69,7 +69,7 @@ impl<K, V> TraversalStack<K, V> {
             .copied()
             .or_else(|| self.len.checked_sub(1).map(|i| self.inline[i]));
         match next {
-            Some(edge) if edge.is_leaf() => prefetch_wide(edge.leaf()),
+            Some(edge) if edge.is_leaf() => prefetch_wide(edge),
             Some(edge) => prefetch(edge),
             None => {}
         }

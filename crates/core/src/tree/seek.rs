@@ -272,7 +272,7 @@ where
         // freed while it is held, and sentinels are never retired.
         let arenas = self.arenas();
         let mut depth = 0u64;
-        // Only route edges are followed: the kind bit ends the loop at
+        // Only route edges are followed: the kind ends the loop at
         // the leaf edge without loading the leaf.
         while !edge.is_leaf() {
             let node = edge.route();
@@ -509,7 +509,7 @@ mod tests {
         let mut rec = SeekRecord::empty();
         unsafe {
             map.seek(&42, &mut rec);
-            assert_eq!((*rec.leaf).key, Key::Inf0);
+            assert_eq!((*rec.leaf).sentinel(), Some(Key::Inf0));
             assert_eq!(rec.parent, map.s_node());
             assert_eq!(rec.successor, map.s_node());
             assert_eq!(rec.ancestor, map.root);

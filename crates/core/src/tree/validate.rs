@@ -46,9 +46,11 @@ where
     ///    `routes + 1 = leaves` is checked),
     /// 5. leaf-block invariants: entries strictly ascending, occupancy
     ///    between 1 and this tree's `leaf_cap` for user blocks and 0 for
-    ///    sentinels, the block's routing key equal to its largest entry,
-    ///    and every entry inside the key window its position implies
-    ///    (blocks of neighbouring subtrees are disjoint).
+    ///    sentinels, every block in the smallest size class that holds
+    ///    it (as both its header and its incoming edge say), and every
+    ///    entry inside the key window its position implies (blocks of
+    ///    neighbouring subtrees are disjoint; a block routes by its
+    ///    largest entry).
     ///
     /// Returns the tree's shape on success, a description of the first
     /// violation otherwise.
@@ -65,7 +67,7 @@ where
             if root_right.marked() {
                 return Err("edge R→leaf(∞₂) is marked".into());
             }
-            if !root_right.is_leaf() || (*root_right.leaf()).key != Key::Inf2 {
+            if !root_right.is_leaf() || (*root_right.leaf()).sentinel() != Some(Key::Inf2) {
                 return Err("right child of R is not the ∞₂ sentinel leaf".into());
             }
             let root_left: Edge<K, V> = (*root).left.load_mut(arenas);
@@ -90,36 +92,34 @@ where
             let mut stack: Vec<Frame<'_, K, V>> = vec![(Edge::of_route(root), None, None, 0)];
             while let Some((edge, low, high, depth)) = stack.pop() {
                 shape.max_depth = shape.max_depth.max(depth);
-                let key = if edge.is_leaf() {
-                    &(*edge.leaf()).key
-                } else {
-                    &(*edge.route()).key
-                };
-                if let Some(low) = low {
-                    if key < low {
-                        return Err(format!("ordering violated: a key sits left of its lower bound at depth {depth}"));
-                    }
-                }
-                if let Some(high) = high {
-                    if key >= high {
-                        return Err(format!("ordering violated: a key sits at/above its upper bound at depth {depth}"));
-                    }
-                }
+                let below_low = |k: &Key<K>| low.is_some_and(|low| k < low);
+                let at_or_above_high = |k: &Key<K>| high.is_some_and(|high| k >= high);
                 if edge.is_leaf() {
                     shape.leaf_nodes += 1;
-                    let entries = (*edge.leaf()).entry_keys();
-                    match key {
-                        Key::Fin(_) => {
-                            if entries.is_empty() {
-                                return Err("user leaf block with zero entries".into());
-                            }
-                        }
-                        _ => {
-                            if !entries.is_empty() {
-                                return Err("sentinel leaf carries entries".into());
-                            }
-                        }
+                    let leaf = &*edge.leaf();
+                    let entries = leaf.entry_keys();
+                    if leaf.class() != node::leaf_class(entries.len())
+                        || edge.leaf_class() != leaf.class()
+                    {
+                        return Err(format!(
+                            "block of {} entries not in its size class at depth {depth}",
+                            entries.len()
+                        ));
                     }
+                    if let Some(sentinel) = leaf.sentinel() {
+                        if !entries.is_empty() {
+                            return Err("sentinel leaf carries entries".into());
+                        }
+                        if below_low(&sentinel) || at_or_above_high(&sentinel) {
+                            return Err(format!(
+                                "ordering violated: a sentinel leaf sits outside its bounds at depth {depth}"
+                            ));
+                        }
+                        continue;
+                    }
+                    let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
+                        return Err("user leaf block with zero entries".into());
+                    };
                     if entries.len() > leaf_cap {
                         return Err(format!(
                             "block occupancy {} above leaf_cap {leaf_cap}",
@@ -131,31 +131,30 @@ where
                             "block entries not strictly ascending at depth {depth}"
                         ));
                     }
-                    if let Some(last) = entries.last() {
-                        // Router = max entry, so sibling blocks stay
-                        // disjoint and router-consistent.
-                        if !key.is_user(last) {
-                            return Err(format!(
-                                "block routing key is not its largest entry at depth {depth}"
-                            ));
-                        }
-                        // Sortedness makes the first/last entries the
-                        // extremes; the router bound check above already
-                        // pinned the router (= max) inside [low, high),
-                        // so only the low side remains.
-                        let first = &entries[0];
-                        if let Some(low) = low {
-                            if low.cmp_user(first) == std::cmp::Ordering::Greater {
-                                return Err(format!(
-                                    "block entry below its subtree's lower bound at depth {depth}"
-                                ));
-                            }
-                        }
+                    // The block's router is its largest entry; sortedness
+                    // makes the first and last entries the extremes, so
+                    // both must sit inside [low, high).
+                    if low.is_some_and(|low| low.cmp_user(first) == std::cmp::Ordering::Greater) {
+                        return Err(format!(
+                            "block entry below its subtree's lower bound at depth {depth}"
+                        ));
+                    }
+                    if high.is_some_and(|high| high.cmp_user(last) != std::cmp::Ordering::Greater) {
+                        return Err(format!(
+                            "ordering violated: a block entry sits at/above its upper bound at depth {depth}"
+                        ));
                     }
                     shape.user_keys += entries.len();
                 } else {
                     shape.internal_nodes += 1;
                     let route = edge.route();
+                    let key = &(*route).key;
+                    if below_low(key) {
+                        return Err(format!("ordering violated: a key sits left of its lower bound at depth {depth}"));
+                    }
+                    if at_or_above_high(key) {
+                        return Err(format!("ordering violated: a key sits at/above its upper bound at depth {depth}"));
+                    }
                     let left: Edge<K, V> = (*route).left.load_mut(arenas);
                     let right: Edge<K, V> = (*route).right.load_mut(arenas);
                     if left.marked() || right.marked() {

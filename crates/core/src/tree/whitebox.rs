@@ -218,10 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn hoists_keep_the_kind_bit_of_the_surviving_sibling() {
+    fn hoists_keep_the_kind_bits_of_the_surviving_sibling() {
         // The splice CAS installs the sibling edge re-marked through
         // `with_marks` (tag cleared, flag kept). Whatever the marks, the
-        // kind bit must still name the survivor's arena.
+        // kind must still name the survivor's arena.
         let leaf_sibling = set_with::<Ebr>(&[10, 20]);
         let map = leaf_sibling.as_map();
         // Flag the edge to leaf 20, then delete its sibling 10: the
@@ -262,6 +262,28 @@ mod tests {
         let mut m = route_sibling;
         let shape = m.check_invariants().unwrap();
         assert_eq!((shape.user_keys, shape.internal_nodes), (2, 4));
+
+        // At the default cap, 1..=8 fill one block of the largest class
+        // (kind 3: both kind bits set) and 0 lands beside it as a
+        // one-key leaf; deleting 0 tags that block's edge and hoists it.
+        let big_sibling: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+        for k in (1..=8).chain([0]) {
+            big_sibling.insert(k);
+        }
+        let map = big_sibling.as_map();
+        assert!(big_sibling.remove(&0));
+        let guard = map.pin();
+        // SAFETY: as above.
+        unsafe {
+            let top = (*map.s_node()).left.load::<u64, ()>(map.arenas());
+            let hoisted = (*top.route()).left.load::<u64, ()>(map.arenas());
+            assert!(hoisted.is_leaf() && !hoisted.marked());
+            assert_eq!(hoisted.leaf_class(), 2, "both kind bits survive the hoist");
+            assert_eq!((*hoisted.leaf()).entry_keys(), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        }
+        drop(guard);
+        let mut m = big_sibling;
+        assert_eq!(m.check_invariants().unwrap().user_keys, 8);
     }
 
     #[test]

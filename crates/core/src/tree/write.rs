@@ -67,8 +67,8 @@ impl<K, V> Scratch<K, V> {
     }
 
     /// Tears a losing attempt down: moves the pending `(key, value)` back
-    /// out and returns every shell (and its routing-key clone) to the
-    /// cache. Entries that were bitwise copies of the published block's
+    /// out and returns every shell (a route with its routing-key clone)
+    /// to the cache. Entries that were bitwise copies of the published block's
     /// entries are left untouched — the old block still owns them.
     ///
     /// # Safety
@@ -82,7 +82,7 @@ impl<K, V> Scratch<K, V> {
                 let kv = unsafe { Leaf::take_entry(leaf, 0) };
                 // SAFETY: unpublished + exclusively owned per contract.
                 unsafe {
-                    free_leaf_scratch(cache, leaf);
+                    cache.free_leaf_shell(leaf);
                     free_route_scratch(cache, route);
                 }
                 kv
@@ -91,7 +91,7 @@ impl<K, V> Scratch<K, V> {
                 // SAFETY: `pos` holds the pending entry, written once.
                 let kv = unsafe { Leaf::take_entry(block, pos) };
                 // SAFETY: as above.
-                unsafe { free_leaf_scratch(cache, block) };
+                unsafe { cache.free_leaf_shell(block) };
                 kv
             }
             Scratch::Split(split) => {
@@ -99,8 +99,8 @@ impl<K, V> Scratch<K, V> {
                 let kv = unsafe { Leaf::take_entry(split.holder, split.hpos) };
                 // SAFETY: as above.
                 unsafe {
-                    free_leaf_scratch(cache, split.left);
-                    free_leaf_scratch(cache, split.right);
+                    cache.free_leaf_shell(split.left);
+                    cache.free_leaf_shell(split.right);
                     free_route_scratch(cache, split.route);
                 }
                 kv
@@ -235,9 +235,13 @@ where
                 // sits above: the sentinel's own key when growing at a
                 // sentinel, the block's min when the new key is smaller
                 // than the whole block, the new key when it is larger.
+                // Every sentinel key routes user keys left, so the only
+                // sentinel leaf a seek can reach is ∞₀ (under `S`, or
+                // alone under an emptied user area).
                 let (router, new_on_left) = unsafe {
                     if len == 0 {
-                        ((*leaf).key.clone(), true)
+                        debug_assert!(matches!((*leaf).sentinel(), Some(Key::Inf0)));
+                        (Key::Inf0, true)
                     } else if pos == 0 {
                         (Key::Fin((*leaf).entry_keys()[0].clone()), true)
                     } else {
@@ -273,7 +277,7 @@ where
                 Ok(()) => {
                     if matches!(scratch, Scratch::Cow { .. } | Scratch::Split(_)) {
                         // The old block's entries moved (bitwise) into the
-                        // replacement; retire its shell and routing key.
+                        // replacement; retire its shell.
                         if chaos::hit(Point::Retire) == Action::Abandon {
                             return true; // leak the old block
                         }
@@ -427,7 +431,7 @@ where
                     let block = unsafe { Leaf::block_remove_copy(cache, &*leaf, pos) };
                     if chaos::hit(Point::DeleteInject) == Action::Abandon {
                         // SAFETY: unpublished; no entry pending inside.
-                        unsafe { free_leaf_scratch(cache, block) };
+                        unsafe { cache.free_leaf_shell(block) };
                         return None; // abandoned before linearizing
                     }
                     let expected = Edge::of_leaf(leaf);
@@ -455,7 +459,7 @@ where
                         }
                         Err(observed) => {
                             // SAFETY: unpublished (the CAS failed).
-                            unsafe { free_leaf_scratch(cache, block) };
+                            unsafe { cache.free_leaf_shell(block) };
                             if observed.same_head(expected) && observed.marked() {
                                 self.metrics.note_help();
                                 obs::emit(EventKind::Help);
@@ -685,7 +689,7 @@ where
 
     /// Hands one unlinked leaf to the reclaimer as a *recycle* deferral:
     /// after the grace period, drop whatever entries the leaf's drop hint
-    /// says it still owns and return the slot to the leaf arena.
+    /// says it still owns and return the slot to its size class's arena.
     /// Non-reclaiming schemes ([`Leaky`](nmbst_reclaim::Leaky)) drop the
     /// deferral uncalled, leaking the contents and leaving the slot
     /// parked in the arena — as those schemes intend.
@@ -714,26 +718,6 @@ where
     unsafe fn retire_route(&self, node: *mut Route<K>, guard: &R::Guard<'_>) {
         // SAFETY: as `retire_leaf`.
         unsafe { guard.retire_deferred(pool::recycle_route_deferred(node, &self.arenas)) }
-    }
-}
-
-/// Returns one unpublished scratch leaf to the cache: drops its routing
-/// key (every scratch shell owns a fresh clone) but **no entries** — the
-/// caller has either moved them out or left them owned by the still-live
-/// block they were copied from.
-///
-/// # Safety
-///
-/// `node` must be unpublished (no CAS installed it), built through
-/// `cache`'s arenas, and its pending entry (if any) already moved out
-/// with [`Leaf::take_entry`].
-unsafe fn free_leaf_scratch<K, V>(cache: &mut NodeCache<'_>, node: *mut Leaf<K, V>) {
-    // SAFETY: exclusively owned; HINT_NONE disowns every entry slot so
-    // only the routing key is dropped.
-    unsafe {
-        (*node).set_drop_hint(HINT_NONE);
-        node::drop_leaf_contents(node);
-        cache.free_leaf_shell(node);
     }
 }
 

@@ -1,9 +1,10 @@
-//! The node arenas' memory bounds: routes and leaves live in two slab
-//! arenas whose free lists never abandon a slot, so what a tree holds is
-//! bounded by its live keys, the per-thread allocation caches and the
-//! reclamation backlog — not by how many operations it has served — and
-//! the compact 32-byte routes keep the arena near 35 bytes per `u64`
-//! key at the default leaf capacity.
+//! The node arenas' memory bounds: routes and each leaf size class live
+//! in slab arenas whose free lists never abandon a slot, so what a tree
+//! holds is bounded by its live keys, the per-thread allocation caches
+//! and the reclamation backlog — not by how many operations it has
+//! served — and the compact 32-byte routes and right-sized leaf blocks
+//! keep the arena near 26 bytes per `u64` key at the default leaf
+//! capacity.
 //!
 //! Every workload here has a fixed operation count and a seeded key
 //! stream; nothing depends on the wall clock.
@@ -21,6 +22,8 @@ const SAMPLE_EVERY: u64 = 64;
 /// Free slots a handle's allocation cache keeps per node class, plus
 /// the refill batch it may pull from the shared list at once.
 const CACHE_SLOTS: u64 = 32 + 8;
+/// Leaf size classes: a handle caches up to `CACHE_SLOTS` of each.
+const LEAF_CLASSES: u64 = 3;
 /// Fresh nodes one in-flight insert holds before its publishing CAS: a
 /// block split builds one route and two leaves.
 const SCRATCH: u64 = 3;
@@ -90,39 +93,49 @@ fn drain<R: Reclaim>(map: &NmTreeMap<u64, u64, R>) {
     }
 }
 
-/// The 2-thread churn under EBR: each arena's high-water slot count
-/// (the bump cursor — the arena never frees) stays under the live keys,
-/// both threads' caches and in-flight scratch, and the largest backlog
-/// the reclaimer reported. The backlog is sampled every
-/// `SAMPLE_EVERY` ops per thread, so it can have grown by at most the
-/// retires of the ops between two samples. A free list that abandoned
-/// slots — the try-lock pool this arena replaced dropped ~4% of
-/// releases under exactly this contention — breaks the bound by tens of
-/// thousands of slots.
-#[test]
-fn two_thread_churn_high_water_stays_under_live_plus_caches_plus_backlog() {
-    let mut map: NmTreeMap<u64, u64, Ebr> = NmTreeMap::new();
+/// Churns `map` from two threads, then checks that each kind's
+/// high-water slot count (the bump cursor — the arena never frees)
+/// stays under the live keys, both threads' caches and in-flight
+/// scratch, and the largest backlog the reclaimer reported; and that
+/// after a drain every slot ever bumped is live in the tree or on a
+/// free list. The backlog is sampled every `SAMPLE_EVERY` ops per
+/// thread, so it can have grown by at most the retires of the ops
+/// between two samples. A free list that abandoned slots — the try-lock
+/// pool this arena replaced dropped ~4% of releases under exactly this
+/// contention — breaks the bound by tens of thousands of slots.
+fn churn_stays_under_live_plus_caches_plus_backlog<R: Reclaim>() {
+    let mut map: NmTreeMap<u64, u64, R> = NmTreeMap::new();
     let max_backlog = churn(&map);
     let m = map.metrics();
     let sample_slack = THREADS * SAMPLE_EVERY * RETIRES_PER_OP;
-    let per_thread = THREADS * (CACHE_SLOTS + SCRATCH);
     // Every user leaf holds a live key; routes number leaves - 1; the
-    // sentinels add three leaves and two routes.
-    let bound = KEYS + 3 + per_thread + max_backlog + sample_slack;
-    for (class, slots) in [("route", m.pool_route_slots), ("leaf", m.pool_leaf_slots)] {
+    // sentinels add three leaves and two routes. Leaf slots are summed
+    // over the size classes, each with its own per-handle cache.
+    let bound = |classes: u64| {
+        KEYS + 3 + THREADS * (classes * CACHE_SLOTS + SCRATCH) + max_backlog + sample_slack
+    };
+    for (class, slots, bound) in [
+        ("route", m.pool_route_slots, bound(1)),
+        ("leaf", m.pool_leaf_slots, bound(LEAF_CLASSES)),
+    ] {
         assert!(
             slots <= bound,
-            "{class} arena grew to {slots} slots, bound {bound} \
+            "{class} arenas grew to {slots} slots, bound {bound} \
              (backlog {max_backlog}; {m})"
         );
     }
+    assert!(
+        max_backlog > 0,
+        "the backlog gauge samples real retirees ({m})"
+    );
     assert_eq!(m.pool.dropped, 0, "a recycling pool abandons nothing ({m})");
     // Conservation at quiescence: once reclamation has drained, every
     // slot ever bumped is in the tree or on a free list.
     drain(&map);
     let m = map.metrics();
-    assert_eq!(m.reclaim.retired_backlog, 0, "EBR drains at quiescence");
+    assert_eq!(m.reclaim.retired_backlog, 0, "drained at quiescence ({m})");
     let shape = map.check_invariants().expect("invariants after churn");
+    assert!(m.pool.recycled > 0 && m.pool.hits > 0, "{m}");
     assert_eq!(
         m.pool.slots,
         (shape.internal_nodes + shape.leaf_nodes) as u64 + m.pool.len,
@@ -130,26 +143,16 @@ fn two_thread_churn_high_water_stays_under_live_plus_caches_plus_backlog() {
     );
 }
 
-/// The same churn under hazard eras (whose reclaimer reports no backlog
-/// gauge): no slot is abandoned, and after a drain every slot the arenas
-/// ever handed out is live in the tree or back on a free list.
 #[test]
-fn two_thread_churn_under_hazard_eras_conserves_every_slot() {
-    let mut map: NmTreeMap<u64, u64, HazardEras> = NmTreeMap::new();
-    churn(&map);
-    for _ in 0..16 {
-        map.flush();
-    }
-    let m = map.metrics();
-    assert_eq!(m.pool.dropped, 0, "a recycling pool abandons nothing ({m})");
-    let shape = map.check_invariants().expect("invariants after churn");
-    let live = (shape.internal_nodes + shape.leaf_nodes) as u64;
-    assert!(m.pool.recycled > 0 && m.pool.hits > 0, "{m}");
-    assert_eq!(
-        m.pool.slots,
-        live + m.pool.len,
-        "every slot is live or free ({m})"
-    );
+fn two_thread_churn_high_water_stays_under_live_plus_caches_plus_backlog() {
+    churn_stays_under_live_plus_caches_plus_backlog::<Ebr>();
+}
+
+/// The same bound under hazard eras, whose reclaimer reports its backlog
+/// from every thread's retired list and the orphan stash.
+#[test]
+fn two_thread_churn_under_hazard_eras_stays_under_the_same_bound() {
+    churn_stays_under_live_plus_caches_plus_backlog::<HazardEras>();
 }
 
 /// Under `Leaky` deferrals never run, so retired slots stay parked in
@@ -209,12 +212,14 @@ fn bulk_delete_then_reinsert_adds_no_slots() {
     assert_eq!(after.pool.dropped, 0);
 }
 
-/// The memory the split buys, as a deterministic bound: 2^16 random
-/// inserts at the default configuration commit at most 40 bytes of
-/// arena slots per key (32-byte routes, 152-byte leaves at ~5.3 keys
-/// each come to ~35; one 160-byte slot class for both came to ~60).
+/// The memory the compact nodes buy, as a deterministic bound: 2^16
+/// random inserts at the default configuration commit at most 28 bytes
+/// of arena slots per key. 32-byte routes and leaf blocks in the 72,
+/// 104 and 136-byte size classes come to ~25.7; 152-byte leaves of a
+/// single size came to ~35, and one 160-byte slot class for both node
+/// kinds to ~60.
 #[test]
-fn random_inserts_cost_at_most_40_arena_bytes_per_key() {
+fn random_inserts_cost_at_most_28_arena_bytes_per_key() {
     const N: u64 = 1 << 16;
     let map: NmTreeMap<u64, u64, Ebr> = NmTreeMap::new();
     let mut rng = 0xB17E5;
@@ -227,11 +232,13 @@ fn random_inserts_cost_at_most_40_arena_bytes_per_key() {
     drop(h);
     let m = map.metrics();
     let per_key = m.pool_bytes as f64 / keys as f64;
-    assert!(per_key <= 40.0, "{per_key:.1} arena bytes per key ({m})");
-    // Both classes are accounted for, each at its own slot size.
-    assert_eq!(
-        m.pool_bytes,
-        m.pool_route_slots * 32 + m.pool_leaf_slots * 152,
+    assert!(per_key <= 28.0, "{per_key:.1} arena bytes per key ({m})");
+    // Every kind is accounted for at its own slot size: routes at 32
+    // bytes, leaves from the smallest class up to (and, as blocks are
+    // not all full, below) the largest.
+    let leaf_bytes = m.pool_bytes - m.pool_route_slots * 32;
+    assert!(
+        (m.pool_leaf_slots * 72..m.pool_leaf_slots * 136).contains(&leaf_bytes),
         "{m}"
     );
 }

@@ -439,7 +439,7 @@ fn arena_slots_and_dropped_slots_are_exported() {
 
 /// The two node arenas are visible apart: route and leaf slot counts and
 /// the committed slot bytes ride every exposition format and add on
-/// merge, while `pool` stays the sum over both arenas.
+/// merge, while `pool` stays the sum over all arenas.
 #[test]
 fn per_class_arena_gauges_are_exported() {
     // leaf_cap = 1: every insert into a non-empty tree allocates one
@@ -467,10 +467,11 @@ fn per_class_arena_gauges_are_exported() {
         m.pool_route_slots + m.pool_leaf_slots,
         "pool is the sum"
     );
-    // A route of a u64 set is 32 bytes; its leaf (no values) 88.
+    // A route of a u64 set is 32 bytes; its one-key leaf sits in the
+    // smallest size class (four keys, no values): 40.
     assert_eq!(
         m.pool_bytes,
-        m.pool_route_slots * 32 + m.pool_leaf_slots * 88
+        m.pool_route_slots * 32 + m.pool_leaf_slots * 40
     );
 
     let arenas = |routes, leaves, bytes| MetricsSnapshot {

@@ -5,20 +5,38 @@
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting `#[global_allocator]`, which must not taint the unit-test
-//! binary's measurements.
+//! binary's measurements. The count is per thread: the test harness
+//! runs tests on parallel threads, and each test must see only its own
+//! allocations.
 
 use nmbst::NmTreeMap;
 use nmbst_reclaim::Leaky;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations (and reallocations) made by the current thread. A
+    /// const-initialized `Cell` needs no lazy set-up, so the allocator
+    /// can touch it without allocating itself.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations made while the thread's locals are being
+    // torn down go uncounted instead of panicking.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> usize {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -27,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,12 +65,12 @@ fn range_for_each_allocates_nothing_on_balanced_trees() {
     let mut sink = 0u64;
     map.range_for_each(.., |_, v| sink = sink.wrapping_add(*v));
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     map.range_for_each(100..900, |k, v| {
         sink = sink.wrapping_add(k ^ v);
     });
     map.range_for_each(.., |_, _| {});
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert_eq!(
         after - before,
@@ -74,9 +92,9 @@ fn range_for_each_spill_is_bounded_not_per_node() {
     map.range_for_each(.., |_, _| n += 1); // warm-up
     assert_eq!(n, 300);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     map.range_for_each(.., |_, _| {});
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert!(
         after - before <= 16,
         "spill must grow geometrically, not per node: {} allocations",

@@ -24,7 +24,7 @@
 //! Participation is implicit, like `Ebr`: [`HazardEras`] implements
 //! [`Reclaim`].
 
-use crate::{Deferred, Reclaim, RetireGuard};
+use crate::{Deferred, Reclaim, ReclaimGauges, RetireGuard};
 use nmbst_sync::SpinLock;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
@@ -33,10 +33,16 @@ use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One thread's published state: whether a live thread owns the record,
-/// and the era it announced (0 = unpinned).
+/// the era it announced (0 = unpinned), and how many retirees its
+/// private list holds.
 struct HpRecord {
     active: AtomicBool,
     era: AtomicUsize,
+    /// Length of the owning thread's retired list, mirrored for
+    /// [`Reclaim::gauges`]: the list itself is thread-private. Written
+    /// only by the owner (after each retire and scan, and zeroed when it
+    /// releases the record); a statistic, so every access is relaxed.
+    retired: AtomicUsize,
 }
 
 impl HpRecord {
@@ -44,6 +50,7 @@ impl HpRecord {
         HpRecord {
             active: AtomicBool::new(true),
             era: AtomicUsize::new(0),
+            retired: AtomicUsize::new(0),
         }
     }
 }
@@ -184,6 +191,7 @@ impl ErasLocal {
                 deferred.call();
             }
         }
+        self.record.retired.store(kept.len(), Ordering::Relaxed);
         *self.retired.borrow_mut() = kept;
     }
 }
@@ -197,6 +205,7 @@ impl Drop for ErasLocal {
         if !leftovers.is_empty() {
             self.inner.domain.stash.lock().extend(leftovers);
         }
+        self.record.retired.store(0, Ordering::Relaxed);
         self.record.active.store(false, Ordering::Release);
     }
 }
@@ -311,6 +320,35 @@ impl Reclaim for HazardEras {
     fn hold(&self, token: Box<dyn std::any::Any + Send>) {
         self.inner.domain.keepalive.lock().push(token);
     }
+
+    /// The era clock as the epoch; the lag from the oldest published
+    /// era, which counts the retirements since the oldest live pin began
+    /// (the clock advances once per retirement); the threads with a
+    /// published era; and the backlog of every thread's retired list
+    /// plus the orphan stash.
+    fn gauges(&self) -> ReclaimGauges {
+        let era = self.inner.era.load(Ordering::Acquire) as u64;
+        let mut pinned_threads = 0u64;
+        let mut min_era = None;
+        let mut local_backlog = 0u64;
+        for record in self.inner.domain.records.lock().iter() {
+            let e = record.era.load(Ordering::Relaxed) as u64;
+            if e != 0 {
+                pinned_threads += 1;
+                min_era = Some(min_era.map_or(e, |m: u64| m.min(e)));
+            }
+            local_backlog += record.retired.load(Ordering::Relaxed) as u64;
+        }
+        let stashed = self.inner.domain.stash.lock().len() as u64;
+        ReclaimGauges {
+            epoch: era,
+            // A pin racing this scan can publish an era newer than the
+            // clock value read above; saturate rather than wrap.
+            epoch_lag: min_era.map_or(0, |m| era.saturating_sub(m)),
+            pinned_threads,
+            retired_backlog: local_backlog + stashed,
+        }
+    }
 }
 
 impl Default for HazardEras {
@@ -360,7 +398,12 @@ impl RetireGuard for HazardErasGuard<'_> {
         // era strictly greater than the stamp. Recycle deferrals get the
         // same stamp discipline as plain drops.
         let era = self.local.inner.era.fetch_add(1, Ordering::SeqCst);
-        self.local.retired.borrow_mut().push((era, deferred));
+        let mut retired = self.local.retired.borrow_mut();
+        retired.push((era, deferred));
+        self.local
+            .record
+            .retired
+            .store(retired.len(), Ordering::Relaxed);
     }
 }
 
@@ -505,6 +548,75 @@ mod tests {
         drop(guard);
         assert_eq!(he.era(), e0 + 1);
         drop(he);
+    }
+
+    #[test]
+    fn gauges_track_pin_retire_scan_and_exit() {
+        let drops = Arc::new(Counter::new(0));
+        let he = HazardEras::new();
+        assert_eq!(
+            he.gauges(),
+            ReclaimGauges {
+                epoch: 1,
+                ..ReclaimGauges::default()
+            },
+            "the era clock starts at 1"
+        );
+
+        let guard = he.pin();
+        let g = he.gauges();
+        assert_eq!(
+            (g.pinned_threads, g.epoch_lag, g.retired_backlog),
+            (1, 0, 0)
+        );
+
+        for _ in 0..3 {
+            let ptr = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
+            unsafe { guard.retire(ptr) };
+        }
+        let g = he.gauges();
+        assert_eq!(g.epoch, 4, "one era per retirement");
+        assert_eq!(g.epoch_lag, 3, "three retirements since the pin began");
+        assert_eq!(g.retired_backlog, 3, "the private list is counted");
+
+        // Our own pin covers every retiree: a scan keeps them all.
+        he.flush();
+        assert_eq!(he.gauges().retired_backlog, 3);
+        drop(guard);
+        let g = he.gauges();
+        assert_eq!((g.pinned_threads, g.epoch_lag), (0, 0));
+        he.flush();
+        assert_eq!(he.gauges().retired_backlog, 0, "drained once unpinned");
+        assert_eq!(drops.load(Ordering::Relaxed), 3);
+
+        // A thread that exits while a pin still covers its retiree
+        // stashes it: the stash counts until a scan frees it.
+        let outer = he.pin();
+        std::thread::scope(|s| {
+            s.spawn(|| eras_retire_counter(&he, &drops));
+        });
+        // The exited thread's destructor may trail the join slightly; it
+        // releases its record last, after stashing.
+        let settled = || {
+            let records = he.inner.domain.records.lock();
+            records
+                .iter()
+                .filter(|r| r.active.load(Ordering::Acquire))
+                .count()
+                == 1
+        };
+        for _ in 0..1_000 {
+            if settled() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+        let g = he.gauges();
+        assert_eq!((g.pinned_threads, g.retired_backlog), (1, 1), "{g:?}");
+        drop(outer);
+        he.flush();
+        assert_eq!(he.gauges().retired_backlog, 0);
+        assert_eq!(drops.load(Ordering::Relaxed), 4);
     }
 
     #[test]

@@ -112,8 +112,8 @@ pub trait Reclaim: Send + Sync + 'static {
 
     /// Point-in-time health gauges for this scheme. The default
     /// implementation reports all zeros (appropriate for schemes with no
-    /// deferred state, like [`Leaky`]); [`Ebr`] reports real epoch lag
-    /// and retire-queue backlog. Never blocks operations: implementations
+    /// deferred state, like [`Leaky`]); [`Ebr`] and [`HazardEras`]
+    /// report real epoch (era) lag and retire-queue backlog. Never blocks operations: implementations
     /// only take short diagnostic locks.
     fn gauges(&self) -> ReclaimGauges {
         ReclaimGauges::default()

@@ -14,14 +14,16 @@
 //!   allocation) stays inside the arena, so steady state never touches
 //!   `malloc`.
 //!
-//! A tree owns one pool per node class (routing nodes and leaf blocks
-//! have different layouts), so each pool serves exactly one slot size.
+//! A tree owns one pool per node class (routing nodes and each size
+//! class of leaf blocks have different layouts), so each pool serves
+//! exactly one slot size.
 //!
 //! # Geometry
 //!
 //! Slots live in doubling segments: segment `s` holds `2^18 << s`
-//! slots, and 12 segments cover indices up to 2²⁹ (the widest index an
-//! edge word can carry next to its two mark bits and its kind bit).
+//! slots, and 11 segments cover indices up to 2²⁸ (the widest index an
+//! edge word can carry next to its two mark bits and its two kind
+//! bits).
 //! Index 0 is reserved. Segment bases are cache-line aligned, so a slot
 //! whose stride divides 64 never straddles a line.
 //!
@@ -73,11 +75,11 @@ const SEG0_BITS: u32 = 18;
 /// Slot count of the eagerly allocated segment 0; indices below this
 /// take `slot_ptr`'s flat fast path.
 const SEG0_SLOTS: usize = 1 << SEG0_BITS;
-/// Number of doubling segments; together they cover indices past 2²⁹.
-const SEGMENTS: usize = 12;
+/// Number of doubling segments; together they cover indices past 2²⁸.
+const SEGMENTS: usize = 11;
 /// Largest allocatable index: an edge word keeps 2 bits for marks and
-/// one for the head's node class.
-pub const MAX_INDEX: u32 = (1 << 29) - 1;
+/// 2 for the head's node kind (a route or one of three leaf classes).
+pub const MAX_INDEX: u32 = (1 << 28) - 1;
 /// Alignment of every segment base: one cache line.
 const SEGMENT_ALIGN: usize = 64;
 
@@ -333,7 +335,7 @@ impl NodePool {
     /// [`note_usage`](Self::note_usage).
     pub fn bump(&self) -> (u32, NonNull<u8>) {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
-        assert!(idx <= MAX_INDEX, "node arena exhausted (2^29 slots)");
+        assert!(idx <= MAX_INDEX, "node arena exhausted (2^28 slots)");
         let (seg, off) = locate(idx);
         let base = self.segment(seg);
         // SAFETY: `off` is within the segment by construction.
@@ -597,10 +599,12 @@ mod tests {
     }
 
     #[test]
-    fn slot_index_space_is_29_bits() {
-        // Edge words keep three low bits (two marks, one node-class bit).
-        assert_eq!(MAX_INDEX, (1 << 29) - 1);
-        assert_eq!(u32::MAX >> 3, MAX_INDEX);
+    fn slot_index_space_is_28_bits() {
+        // Edge words keep four low bits (two marks, two node-kind bits).
+        assert_eq!(MAX_INDEX, (1 << 28) - 1);
+        assert_eq!(u32::MAX >> 4, MAX_INDEX);
+        // The last segment is the one the largest index lands in.
+        assert_eq!(locate(MAX_INDEX).0, SEGMENTS - 1);
     }
 
     #[test]
@@ -611,9 +615,9 @@ mod tests {
             32,
             "slot 1 is one stride past the base"
         );
-        let pool = NodePool::new(Layout::new::<[u64; 19]>(), true);
-        assert_eq!(pool.stride(), 152);
-        assert_eq!((pool.slot_ptr(1) as usize - 152) % 64, 0);
+        let pool = NodePool::new(Layout::new::<[u64; 17]>(), true);
+        assert_eq!(pool.stride(), 136);
+        assert_eq!((pool.slot_ptr(1) as usize - 136) % 64, 0);
     }
 
     #[test]
