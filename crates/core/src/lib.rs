@@ -87,7 +87,7 @@ pub use shard::{
     BatchCmd, BatchScratch, BatchVerdict, ShardedMap, ShardedMapHandle, ShardedSet,
     ShardedSetHandle, DEFAULT_SHARD_COUNT,
 };
-pub use tree::{NmTreeMap, RestartPolicy, TreeConfig, TreeShape};
+pub use tree::{NmTreeMap, RestartPolicy, TreeConfig, TreeShape, SEARCH_LANES};
 
 // Re-export the reclamation entry points users need to name the tree's
 // type parameter, plus the pool stats surfaced in metrics snapshots.

@@ -13,6 +13,7 @@ mod write;
 pub use validate::TreeShape;
 
 pub(crate) use read::search_many;
+pub use read::SEARCH_LANES;
 pub(crate) use seek::{seek_many, SeekRecord};
 
 use crate::handle::MapHandle;

@@ -7,12 +7,15 @@ use crate::packed::Edge;
 use crate::pool::Arenas;
 use nmbst_reclaim::Reclaim;
 
-/// Descents an interleaved multi-get keeps in flight (see
-/// [`search_many`]). A descent waits on one cache miss per level, so
-/// `G` of them advanced round-robin overlap up to `G` misses. In the
-/// sweep in EXPERIMENTS.md, 32 beats 16 only on calls of more than 16
-/// keys; the GET runs the server forms average under 10.
-pub(crate) const SEARCH_LANES: usize = 16;
+/// Descents an interleaved multi-get or batch keeps in flight
+/// ([`MapHandle::get_many`](crate::MapHandle::get_many),
+/// [`ShardedMapHandle::execute_batch`](crate::ShardedMapHandle::execute_batch)).
+/// A descent waits on one cache miss per level, so `G` of them advanced
+/// round-robin overlap up to `G` misses. In the sweep in EXPERIMENTS.md,
+/// 32 beats 16 only on calls of more than 16 keys. A caller that
+/// gathers work for one call (the server's chunks) fills every lane
+/// once it holds this many ops.
+pub const SEARCH_LANES: usize = 16;
 
 /// One in-flight descent of [`search_many`].
 struct Lane<'m, K, V> {

@@ -177,7 +177,7 @@ impl Conn {
     }
 
     /// The write buffer alone, for responses not tied to a frame range
-    /// (the engine's pending GET run).
+    /// (the engine's pending chunk).
     pub(crate) fn wbuf(&mut self) -> &mut Vec<u8> {
         &mut self.wbuf
     }

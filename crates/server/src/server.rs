@@ -28,20 +28,21 @@
 //! from keys): every worker owns a pinned handle *per shard*, so any
 //! worker can serve any key at full handle speed, and a connection's
 //! mixed-key traffic never has to hop workers. Key locality is
-//! recovered one level down, per frame: the engine partitions each
-//! BATCH by `RouteHasher` shard, sorts each shard's run, executes the
-//! runs in two phases — interleaved descents, then writes from their
-//! pre-seeked records — through the shards' handles
+//! recovered one level down, per chunk: the engine gathers the ops of
+//! consecutive data frames (GET, INSERT, REMOVE and BATCH) into one
+//! chunk, partitions it by `RouteHasher` shard, sorts each shard's
+//! run, executes the runs in two phases — interleaved descents, then
+//! writes from their pre-seeked records — through the shards' handles
 //! ([`nmbst::ShardedMapHandle::execute_batch`]), and scatters replies
-//! back to request order — so wire batches overlap their descents'
+//! back to request order — so pipelined frames overlap their descents'
 //! cache misses regardless of which worker the connection landed on.
 //!
 //! ## Zero-copy serve path
 //!
 //! A steady-state point or BATCH frame is served without touching the
 //! heap: the frame body is a *range* into the connection's assembly
-//! buffer (never copied out), BATCH ops decode into a reusable
-//! per-reactor scratch, and the response is encoded directly into the
+//! buffer (never copied out), its ops decode into the reusable
+//! per-reactor chunk, and the response is encoded directly into the
 //! connection's write buffer behind a reserved length prefix
 //! (`wire::begin_frame`/`end_frame`) — no staging `Vec`, no
 //! per-response memcpy. SCAN/METRICS/SLOWLOG still build owned
@@ -59,11 +60,15 @@ use crate::sys::{
     set_nonblocking, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::wire::{
-    self, op_name, MetricsFormat, Request, Response, OP_BATCH, OP_COUNT, OP_GET, STATUS_OK,
+    self, op_name, MetricsFormat, Request, Response, OP_BATCH, OP_COUNT, OP_GET, OP_INSERT,
+    OP_REMOVE, STATUS_OK,
 };
 use nmbst::obs::slow::SlowRing;
 use nmbst::obs::{Histogram, ServeGauges, SlowOp, SLOW_EVENTS};
-use nmbst::{BatchCmd, BatchScratch, BatchVerdict, Ebr, ShardedMap, ShardedMapHandle, TreeConfig};
+use nmbst::{
+    BatchCmd, BatchScratch, BatchVerdict, Ebr, ShardedMap, ShardedMapHandle, TreeConfig,
+    SEARCH_LANES,
+};
 use nmbst_sync::CachePadded;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -136,9 +141,10 @@ const TOKEN_LISTENER: u64 = u64::MAX - 1;
 /// tells a slow-frame investigation whether the store or the wire
 /// handling is the problem. Socket flush time is *not* attributed to
 /// individual frames: under pipelining many responses share one write.
-/// A GET frame answered in a run of `n` (see `Engine`) records its own
-/// decode time plus `1/n` of the run's execute and encode time, and
-/// its `wire` is that sum: the server time the frame cost.
+/// A data frame served in a chunk (see `Engine`) records its own
+/// decode time plus a share of the chunk's execute and encode time in
+/// proportion to its ops, and its `wire` is that sum: the server time
+/// the frame cost.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseHists {
     /// Full frame: request assembled → response buffered.
@@ -209,8 +215,9 @@ pub struct ServerStats {
     frames: AtomicU64,
     wire_errors: AtomicU64,
     batch_fused_ops: AtomicU64,
-    get_runs: AtomicU64,
-    get_run_frames: AtomicU64,
+    chunks: AtomicU64,
+    chunk_ops: AtomicU64,
+    mid_pass_flushes: AtomicU64,
     encode_bytes: Box<[AtomicU64]>,
     timing: Box<[Mutex<WorkerTiming>]>,
     serve: Box<[CachePadded<WorkerServe>]>,
@@ -234,8 +241,9 @@ impl ServerStats {
             frames: AtomicU64::new(0),
             wire_errors: AtomicU64::new(0),
             batch_fused_ops: AtomicU64::new(0),
-            get_runs: AtomicU64::new(0),
-            get_run_frames: AtomicU64::new(0),
+            chunks: AtomicU64::new(0),
+            chunk_ops: AtomicU64::new(0),
+            mid_pass_flushes: AtomicU64::new(0),
             encode_bytes: (0..OP_COUNT).map(|_| AtomicU64::new(0)).collect(),
             timing: (0..workers)
                 .map(|_| Mutex::new(WorkerTiming::new()))
@@ -248,23 +256,22 @@ impl ServerStats {
         }
     }
 
-    /// Served frames' timing, all of one opcode: records each frame's
-    /// four phase durations (`[wire, decode, execute, encode]`, keyed by
-    /// the frame's key) into the worker's per-opcode histograms under
-    /// one lock, and deposits a slow-frame record for every frame whose
-    /// wire time crosses the configured threshold.
+    /// Served frames' timing: records each frame's four phase durations
+    /// (`[wire, decode, execute, encode]`) into the worker's histograms
+    /// for the frame's opcode under one lock, and deposits a slow-frame
+    /// record, carrying the frame's opcode and key, for every frame
+    /// whose wire time crosses the configured threshold.
     fn record_frames(
         &self,
         worker: usize,
-        opcode: u8,
-        frames: impl Iterator<Item = (u64, [u64; 4])> + Clone,
+        frames: impl Iterator<Item = (u8, u64, [u64; 4])> + Clone,
     ) {
         {
             let mut t = self.timing[worker]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            let p = &mut t.ops[usize::from(opcode - 1).min(OP_COUNT - 1)];
-            for (_, [wire, decode, execute, encode]) in frames.clone() {
+            for (opcode, _, [wire, decode, execute, encode]) in frames.clone() {
+                let p = &mut t.ops[usize::from(opcode - 1).min(OP_COUNT - 1)];
                 p.wire.record(wire);
                 p.decode.record(decode);
                 p.execute.record(execute);
@@ -274,7 +281,7 @@ impl ServerStats {
         if self.slow_frame_ns == 0 {
             return;
         }
-        for (key, [wire, ..]) in frames {
+        for (opcode, key, [wire, ..]) in frames {
             if wire >= self.slow_frame_ns {
                 self.slow.push(SlowOp {
                     kind: opcode,
@@ -360,24 +367,32 @@ impl ServerStats {
         self.wire_errors.load(Ordering::Relaxed)
     }
 
-    /// BATCH ops executed shard-fused (partition → per-shard sorted runs
-    /// through the two-phase executor → scatter). The fusion gate
-    /// hard-fails if a fused server serves a replay with this at zero.
+    /// Ops of BATCH frames executed shard-fused (partition → per-shard
+    /// sorted runs through the two-phase executor → scatter), as part of
+    /// the engine's chunks. The fusion gate hard-fails if a server
+    /// serves a replay with this at zero.
     pub fn batch_fused_ops(&self) -> u64 {
         self.batch_fused_ops.load(Ordering::Relaxed)
     }
 
-    /// Runs of consecutive pipelined GET frames answered by one
-    /// interleaved multi-get (a lone GET is a run of one).
-    pub fn get_runs(&self) -> u64 {
-        self.get_runs.load(Ordering::Relaxed)
+    /// Chunks run: `execute_batch` calls, each over the ops of one or
+    /// more consecutive data frames of a parse pass.
+    pub fn chunks(&self) -> u64 {
+        self.chunks.load(Ordering::Relaxed)
     }
 
-    /// GET frames answered inside those runs; `get_run_frames /
-    /// get_runs` is the mean run length, which bounds how many descents
-    /// a multi-get can overlap.
-    pub fn get_run_frames(&self) -> u64 {
-        self.get_run_frames.load(Ordering::Relaxed)
+    /// Ops executed in those chunks; `chunk_ops / chunks` is the mean
+    /// chunk size, which bounds how many descents a chunk can overlap
+    /// (at most `nmbst::SEARCH_LANES` at a time).
+    pub fn chunk_ops(&self) -> u64 {
+        self.chunk_ops.load(Ordering::Relaxed)
+    }
+
+    /// Writes the reactors issued in the middle of a parse pass, right
+    /// after a full chunk ran, so its replies reach the client before
+    /// the next chunk runs.
+    pub fn mid_pass_flushes(&self) -> u64 {
+        self.mid_pass_flushes.load(Ordering::Relaxed)
     }
 
     /// Response-frame bytes encoded per opcode (body + 4-byte length
@@ -846,8 +861,9 @@ impl Reactor<'_> {
 
     /// Parses and serves every complete frame buffered on `conn`,
     /// pausing at the backpressure watermark. Returns false when the
-    /// connection is finished. The engine's pending GET run is answered
-    /// before the pass pauses, flushes or returns, so no reply is held
+    /// connection is finished. Each full chunk's replies are written
+    /// before the next frame is parsed, and the engine's pending chunk
+    /// is run before the pass pauses or returns, so no reply is held
     /// back across passes (or leaks to another connection).
     fn process(&mut self, conn: &mut Conn) -> bool {
         let mut open = true;
@@ -855,11 +871,11 @@ impl Reactor<'_> {
             if conn.close_after_flush {
                 break;
             }
-            // The pending run's replies count toward the watermark at
+            // The pending chunk's replies count toward the watermark at
             // their largest size, and are queued before any pause.
-            let pending = self.engine.run_reply_bound();
+            let pending = self.engine.reply_bound();
             if conn.should_pause(self.write_budget.saturating_sub(pending)) {
-                self.engine.answer_gets(conn.wbuf());
+                self.engine.run_chunk(conn.wbuf());
             }
             if conn.should_pause(self.write_budget) {
                 if !conn.read_paused {
@@ -891,18 +907,26 @@ impl Reactor<'_> {
                     // straight into the write buffer — the split borrow
                     // proves the two never alias.
                     let (body, wbuf) = conn.frame_and_wbuf(start, len);
-                    if !self.engine.serve_frame(body, wbuf) {
-                        // Answer sent (an Err frame is already queued);
-                        // after a framing error the stream cannot be
-                        // trusted. Frames already parsed were served;
-                        // frames buffered behind the bad one are
-                        // discarded with it.
-                        conn.close_after_flush = true;
+                    match self.engine.serve_frame(body, wbuf) {
+                        Served::Continue => {}
+                        // The client reads and refills its window while
+                        // the next chunk runs.
+                        Served::Flush => {
+                            self.stats.mid_pass_flushes.fetch_add(1, Ordering::Relaxed);
+                            if conn.flush().is_err() {
+                                return false;
+                            }
+                        }
+                        // An Err frame is queued after every earlier
+                        // reply; after a framing error the stream cannot
+                        // be trusted, so frames buffered behind the bad
+                        // one are discarded with it.
+                        Served::Close => conn.close_after_flush = true,
                     }
                 }
             }
         }
-        self.engine.answer_gets(conn.wbuf());
+        self.engine.run_chunk(conn.wbuf());
         if !open {
             return false;
         }
@@ -954,34 +978,66 @@ impl Reactor<'_> {
     }
 }
 
-/// Most GET frames one interleaved multi-get answers: a longer run of
-/// pipelined GETs is answered in pieces of this size. Bounds the replies
-/// a pass holds back from the write buffer (see `Engine::run_reply_bound`).
-pub const GET_RUN_CAP: usize = 64;
+/// Largest reply bytes one pending frame adds beyond its ops' records:
+/// length prefix, status byte and a BATCH reply's count.
+const REPLY_FRAME_MAX: usize = 4 + 1 + 4;
+/// Largest reply bytes one op adds: a found flag and its value.
+const REPLY_OP_MAX: usize = 1 + 8;
 
-/// Largest GET reply frame: length prefix, status, found flag, value.
-const GET_REPLY_MAX: usize = 4 + 1 + 1 + 8;
+/// What serving one frame leaves for the reactor to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Served {
+    /// Nothing yet: the frame joined the pending chunk, or was answered
+    /// in place.
+    Continue,
+    /// A full chunk ran and its replies are queued: write them before
+    /// parsing the next frame, so the client can refill its window while
+    /// the next chunk runs.
+    Flush,
+    /// The frame was malformed: an Err reply is queued after everything
+    /// before it, and the connection closes once it is flushed.
+    Close,
+}
+
+/// One data frame of the pending chunk.
+#[derive(Debug, Clone, Copy)]
+struct PendingFrame {
+    opcode: u8,
+    /// How many of the chunk's `cmds` are its own: each frame's ops
+    /// follow the previous frame's.
+    ops: u32,
+    /// The key its slow-frame record carries: the first op's, else 0.
+    key: u64,
+    decode_ns: u64,
+}
 
 /// One worker's request-execution engine: the pinned store handle plus
 /// every piece of reusable scratch a frame needs, factored out of the
 /// reactor so tests can drive the exact serving path in-process (see
 /// [`crate::testing`]) without sockets or epoll.
 ///
-/// Steady-state point and BATCH frames run allocation-free: ops decode
-/// into `batch_cmds`, partition into `batch_scratch`, verdicts land in
-/// `batch_out`, and the response is encoded straight into the
-/// connection's write buffer behind a reserved length prefix. All the
-/// scratch vectors keep their capacity across frames.
+/// **Chunks.** Every well-formed GET, INSERT, REMOVE and BATCH frame
+/// decodes into the pending chunk: its ops join `cmds` and the frame
+/// joins `frames`. The chunk runs as one
+/// [`ShardedMapHandle::execute_batch`] and each frame's reply is
+/// encoded in frame order — a point frame's from its one verdict, a
+/// BATCH frame's as its count plus its slice of the verdicts. It runs:
+/// - as soon as it holds [`SEARCH_LANES`] ops (or frames), the number
+///   of descents `execute_batch` keeps in flight, and the reactor then
+///   writes the replies before it parses on ([`Served::Flush`]);
+/// - before any other frame is served, including a malformed one, whose
+///   Err reply then follows the chunk's replies;
+/// - at the end of every parse pass, and before a backpressure pause
+///   ([`Engine::run_chunk`], which the reactor calls).
 ///
-/// **GET runs.** A well-formed GET frame is not answered at once: its
-/// key joins the pending run, and the run is answered by one
-/// interleaved [`ShardedMapHandle::get_many`] — replies encoded in
-/// request order — before anything else can observe it: before any
-/// other frame is served, when the run reaches [`GET_RUN_CAP`], and at
-/// the end of every parse pass ([`Engine::answer_gets`], which the
-/// reactor calls before it flushes or pauses). GETs commute with GETs
-/// and every other frame still runs in FIFO position, so the replies
-/// are exactly those of serving the frames one by one (DESIGN.md §16).
+/// `execute_batch` keeps same-key commands in input order and reorders
+/// only commands on distinct keys, which is the ordering the wire
+/// protocol promises (DESIGN.md §16).
+///
+/// Steady state runs allocation-free: ops decode into `cmds`, partition
+/// into `scratch`, verdicts land in `out`, and replies are encoded
+/// straight into the connection's write buffer behind reserved length
+/// prefixes. All of them keep their capacity across chunks.
 struct Engine<'a> {
     worker: usize,
     store: &'a Store,
@@ -989,14 +1045,10 @@ struct Engine<'a> {
     handle: ShardedMapHandle<'a, u64, u64, Ebr>,
     flush_every: u32,
     ops_since_flush: u32,
-    batch_cmds: Vec<BatchCmd<u64, u64>>,
-    batch_scratch: BatchScratch,
-    batch_out: Vec<BatchVerdict<u64>>,
-    /// The pending GET run: keys and per-frame decode times in request
-    /// order, and the multi-get's answers.
-    run_keys: Vec<u64>,
-    run_decode_ns: Vec<u64>,
-    run_vals: Vec<Option<u64>>,
+    cmds: Vec<BatchCmd<u64, u64>>,
+    frames: Vec<PendingFrame>,
+    scratch: BatchScratch,
+    out: Vec<BatchVerdict<u64>>,
 }
 
 impl<'a> Engine<'a> {
@@ -1013,12 +1065,10 @@ impl<'a> Engine<'a> {
             handle: store.handle(),
             flush_every: flush_every.max(1),
             ops_since_flush: 0,
-            batch_cmds: Vec::new(),
-            batch_scratch: BatchScratch::new(),
-            batch_out: Vec::new(),
-            run_keys: Vec::with_capacity(GET_RUN_CAP),
-            run_decode_ns: Vec::with_capacity(GET_RUN_CAP),
-            run_vals: Vec::with_capacity(GET_RUN_CAP),
+            cmds: Vec::with_capacity(SEARCH_LANES),
+            frames: Vec::with_capacity(SEARCH_LANES),
+            scratch: BatchScratch::new(),
+            out: Vec::with_capacity(SEARCH_LANES),
         }
     }
 
@@ -1030,124 +1080,126 @@ impl<'a> Engine<'a> {
     }
 
     /// Serves one request frame in arrival order (the pipelining
-    /// ordering guarantee): a well-formed GET joins the pending run;
-    /// anything else first answers the run, then is decoded, executed
-    /// through the pinned handle and encoded into `wbuf` behind a
-    /// reserved length prefix. Returns false on a malformed frame — an
-    /// Err reply is queued and the caller must close the connection
-    /// after flushing it.
-    fn serve_frame(&mut self, body: &[u8], wbuf: &mut Vec<u8>) -> bool {
+    /// ordering guarantee): a well-formed data frame joins the pending
+    /// chunk, which runs once it is full; anything else first runs the
+    /// chunk, then is decoded, executed and encoded into `wbuf` behind a
+    /// reserved length prefix.
+    fn serve_frame(&mut self, body: &[u8], wbuf: &mut Vec<u8>) -> Served {
         self.stats.frames.fetch_add(1, Ordering::Relaxed);
-        if body.first() == Some(&OP_GET) {
-            let t0 = Instant::now();
-            if let Some(key) = wire::decode_get(body) {
-                self.run_keys.push(key);
-                self.run_decode_ns.push(t0.elapsed().as_nanos() as u64);
-                if self.run_keys.len() == GET_RUN_CAP {
-                    self.answer_gets(wbuf);
-                }
-                return true;
+        match body.first() {
+            Some(&op @ (OP_GET | OP_INSERT | OP_REMOVE | OP_BATCH)) => {
+                self.join_chunk(op, body, wbuf)
+            }
+            _ => {
+                self.run_chunk(wbuf);
+                self.serve_plain(body, wbuf)
             }
         }
-        self.answer_gets(wbuf);
-        // BATCH frames take the fused fast path before a `Request` is
-        // ever materialised: ops decode straight into reusable scratch,
-        // skipping the per-frame `Vec<BatchOp>` the general path would
-        // allocate.
-        if body.first() == Some(&OP_BATCH) {
-            self.serve_batch(body, wbuf)
+    }
+
+    /// Decodes a data frame into the pending chunk, and runs the chunk
+    /// once it fills every lane.
+    fn join_chunk(&mut self, opcode: u8, body: &[u8], wbuf: &mut Vec<u8>) -> Served {
+        let t0 = Instant::now();
+        let at = self.cmds.len();
+        let cmds = &mut self.cmds;
+        let decoded = wire::decode_data_ops(body, |op| cmds.push(op));
+        let decode_ns = t0.elapsed().as_nanos() as u64;
+        let ops = match decoded {
+            Ok(ops) => ops,
+            Err(e) => {
+                self.cmds.truncate(at);
+                self.run_chunk(wbuf);
+                return self.wire_error(&e, wbuf);
+            }
+        };
+        self.frames.push(PendingFrame {
+            opcode,
+            ops: ops as u32,
+            key: self.cmds.get(at).map_or(0, |c| *c.key()),
+            decode_ns,
+        });
+        if self.cmds.len().max(self.frames.len()) >= SEARCH_LANES {
+            self.run_chunk(wbuf);
+            Served::Flush
         } else {
-            self.serve_plain(body, wbuf)
+            Served::Continue
         }
     }
 
-    /// Upper bound on the bytes the pending GET run's replies will add
-    /// to the write buffer: the reactor counts them toward the
+    /// Upper bound on the bytes the pending chunk's replies will add to
+    /// the write buffer: the reactor counts them toward the
     /// backpressure watermark before they are queued.
-    fn run_reply_bound(&self) -> usize {
-        self.run_keys.len() * GET_REPLY_MAX
+    fn reply_bound(&self) -> usize {
+        self.frames.len() * REPLY_FRAME_MAX + self.cmds.len() * REPLY_OP_MAX
     }
 
-    /// Answers the pending GET run, if any: one interleaved multi-get
-    /// over the run's keys, replies encoded into `wbuf` in request
-    /// order. Each frame is charged its own decode time plus an equal
-    /// share of the run's execute and encode time, so per-phase means
-    /// still add up to the per-frame wire mean.
-    fn answer_gets(&mut self, wbuf: &mut Vec<u8>) {
-        let n = self.run_keys.len();
-        if n == 0 {
+    /// Runs the pending chunk, if any: one `execute_batch` over its ops,
+    /// then each frame's reply encoded into `wbuf` in frame order. Each
+    /// frame is charged its own decode time plus a share of the chunk's
+    /// execute and encode time in proportion to its ops (a frame of no
+    /// ops counts as one), so per-phase means still add up to the
+    /// per-frame wire mean.
+    fn run_chunk(&mut self, wbuf: &mut Vec<u8>) {
+        if self.frames.is_empty() {
             return;
         }
         let t1 = Instant::now();
-        self.handle.get_many(&self.run_keys, &mut self.run_vals);
+        self.handle
+            .execute_batch(&self.cmds, &mut self.scratch, &mut self.out);
         let t2 = Instant::now();
-        let start = wbuf.len();
-        for &v in &self.run_vals {
+        let mut bytes = [0u64; OP_BATCH as usize];
+        let (mut at, mut batch_ops) = (0, 0);
+        for f in &self.frames {
+            let verdicts = &self.out[at..at + f.ops as usize];
+            at += f.ops as usize;
             let mark = wire::begin_frame(wbuf);
-            wire::encode_get_reply(wbuf, v);
-            wire::end_frame(wbuf, mark);
+            if f.opcode == OP_BATCH {
+                batch_ops += u64::from(f.ops);
+                wbuf.push(STATUS_OK);
+                wbuf.extend_from_slice(&f.ops.to_le_bytes());
+                for &v in verdicts {
+                    wire::encode_batch_reply(wbuf, v);
+                }
+            } else {
+                wire::encode_point_reply(wbuf, verdicts[0]);
+            }
+            bytes[usize::from(f.opcode - 1)] += wire::end_frame(wbuf, mark) as u64 + 4;
         }
         let t3 = Instant::now();
-        self.stats.note_encode(OP_GET, (wbuf.len() - start) as u64);
-        self.stats.get_runs.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .get_run_frames
-            .fetch_add(n as u64, Ordering::Relaxed);
-        self.stats.worker_ops[self.worker].fetch_add(n as u64, Ordering::Relaxed);
+        for (i, &b) in bytes.iter().enumerate() {
+            if b != 0 {
+                self.stats.note_encode(i as u8 + 1, b);
+            }
+        }
+
+        let n = self.cmds.len() as u64;
+        self.stats.chunks.fetch_add(1, Ordering::Relaxed);
+        self.stats.chunk_ops.fetch_add(n, Ordering::Relaxed);
+        if batch_ops != 0 {
+            self.stats
+                .batch_fused_ops
+                .fetch_add(batch_ops, Ordering::Relaxed);
+        }
+        self.stats.worker_ops[self.worker].fetch_add(n, Ordering::Relaxed);
         self.ops_since_flush = self.ops_since_flush.saturating_add(n as u32);
-        let execute = (t2 - t1).as_nanos() as u64 / n as u64;
-        let encode = (t3 - t2).as_nanos() as u64 / n as u64;
-        let frames = self
-            .run_keys
-            .iter()
-            .zip(&self.run_decode_ns)
-            .map(|(&key, &decode)| (key, [decode + execute + encode, decode, execute, encode]));
-        self.stats.record_frames(self.worker, OP_GET, frames);
-        self.run_keys.clear();
-        self.run_decode_ns.clear();
+
+        let weight = |f: &PendingFrame| u64::from(f.ops.max(1));
+        let total: u64 = self.frames.iter().map(weight).sum();
+        let (execute, encode) = ((t2 - t1).as_nanos() as u64, (t3 - t2).as_nanos() as u64);
+        let frames = self.frames.iter().map(|f| {
+            let (x, e) = (execute * weight(f) / total, encode * weight(f) / total);
+            (f.opcode, f.key, [f.decode_ns + x + e, f.decode_ns, x, e])
+        });
+        self.stats.record_frames(self.worker, frames);
+        self.cmds.clear();
+        self.frames.clear();
         self.maybe_flush_stats();
     }
 
-    /// The BATCH fast path: decode into scratch, execute shard-fused,
-    /// encode verdicts in request order.
-    fn serve_batch(&mut self, body: &[u8], wbuf: &mut Vec<u8>) -> bool {
-        let t0 = Instant::now();
-        self.batch_cmds.clear();
-        let cmds = &mut self.batch_cmds;
-        let decoded = wire::decode_batch_ops(body, |op| cmds.push(op));
-        let t1 = Instant::now();
-        if let Err(e) = decoded {
-            return self.wire_error(&e, wbuf);
-        }
-        let n_ops = self.batch_cmds.len() as u64;
-        self.stats.worker_ops[self.worker].fetch_add(n_ops, Ordering::Relaxed);
-        self.ops_since_flush = self.ops_since_flush.saturating_add(n_ops as u32);
-        self.handle.execute_batch(
-            &self.batch_cmds,
-            &mut self.batch_scratch,
-            &mut self.batch_out,
-        );
-        self.stats
-            .batch_fused_ops
-            .fetch_add(n_ops, Ordering::Relaxed);
-        let t2 = Instant::now();
-        let mark = wire::begin_frame(wbuf);
-        wbuf.push(STATUS_OK);
-        wbuf.extend_from_slice(&(self.batch_out.len() as u32).to_le_bytes());
-        for &v in &self.batch_out {
-            wire::encode_batch_reply(wbuf, v);
-        }
-        let frame_bytes = wire::end_frame(wbuf, mark) as u64 + 4;
-        self.stats.note_encode(OP_BATCH, frame_bytes);
-        let t3 = Instant::now();
-        let key = self.batch_cmds.first().map_or(0, |c| *c.key());
-        self.record(OP_BATCH, key, t0, t1, t2, t3);
-        true
-    }
-
-    /// Every non-BATCH opcode: the `Request`/`Response` path, with the
+    /// Every non-data opcode: the `Request`/`Response` path, with the
     /// response encoded directly into `wbuf`.
-    fn serve_plain(&mut self, body: &[u8], wbuf: &mut Vec<u8>) -> bool {
+    fn serve_plain(&mut self, body: &[u8], wbuf: &mut Vec<u8>) -> Served {
         let t0 = Instant::now();
         let decoded = Request::decode(body);
         let t1 = Instant::now();
@@ -1155,34 +1207,17 @@ impl<'a> Engine<'a> {
             Ok(req) => req,
             Err(e) => return self.wire_error(&e, wbuf),
         };
-        let ops = op_count(&req);
-        self.stats.worker_ops[self.worker].fetch_add(ops, Ordering::Relaxed);
-        self.ops_since_flush = self.ops_since_flush.saturating_add(ops as u32);
-        let response = execute(&req, &mut self.handle, self.store, self.stats);
+        let response = execute(&req, self.store, self.stats);
         let t2 = Instant::now();
         let mark = wire::begin_frame(wbuf);
         response.encode(wbuf);
         let frame_bytes = wire::end_frame(wbuf, mark) as u64 + 4;
         self.stats.note_encode(req.opcode(), frame_bytes);
         let t3 = Instant::now();
-        self.record(req.opcode(), slow_key(&req), t0, t1, t2, t3);
-        true
-    }
-
-    /// Queues an Err reply for a malformed frame and reports the
-    /// connection unservable. Error bytes are not attributed to an
-    /// opcode — the opcode is what failed to parse.
-    fn wire_error(&mut self, e: &wire::WireError, wbuf: &mut Vec<u8>) -> bool {
-        self.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-        let mark = wire::begin_frame(wbuf);
-        Response::Err(e.to_string()).encode(wbuf);
-        wire::end_frame(wbuf, mark);
-        false
-    }
-
-    /// Frame epilogue: phase timing, slow-frame capture, and the
-    /// sampled stats flush.
-    fn record(&mut self, opcode: u8, key: u64, t0: Instant, t1: Instant, t2: Instant, t3: Instant) {
+        let key = match req {
+            Request::Scan { lo, .. } => lo,
+            _ => 0,
+        };
         let ns = [
             (t3 - t0).as_nanos() as u64,
             (t1 - t0).as_nanos() as u64,
@@ -1190,8 +1225,19 @@ impl<'a> Engine<'a> {
             (t3 - t2).as_nanos() as u64,
         ];
         self.stats
-            .record_frames(self.worker, opcode, std::iter::once((key, ns)));
-        self.maybe_flush_stats();
+            .record_frames(self.worker, std::iter::once((req.opcode(), key, ns)));
+        Served::Continue
+    }
+
+    /// Queues an Err reply for a malformed frame and reports the
+    /// connection unservable. Error bytes are not attributed to an
+    /// opcode — the opcode is what failed to parse.
+    fn wire_error(&mut self, e: &wire::WireError, wbuf: &mut Vec<u8>) -> Served {
+        self.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
+        let mark = wire::begin_frame(wbuf);
+        Response::Err(e.to_string()).encode(wbuf);
+        wire::end_frame(wbuf, mark);
+        Served::Close
     }
 
     /// The sampled stats flush: every `flush_every` ops.
@@ -1202,36 +1248,13 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Tree operations a request served by `Engine::serve_plain` routes
-/// through the worker's handle: one for a point write. SCAN/METRICS/
-/// PING/SLOWLOG read through the store front end, not the pinned handle.
-fn op_count(req: &Request) -> u64 {
-    u64::from(matches!(req, Request::Insert(..) | Request::Remove(_)))
-}
-
-/// The key a slow-frame record carries: the op's target when the
-/// request has one obvious key, else 0. (BATCH frames report their
-/// first op's key from `Engine::serve_batch`, GET frames their own key
-/// from `Engine::answer_gets`.)
-fn slow_key(req: &Request) -> u64 {
+/// Serves a non-data request. SCAN, METRICS, PING and SLOWLOG read
+/// through the store front end, not the worker's pinned handle.
+fn execute(req: &Request, store: &Store, stats: &ServerStats) -> Response {
     match req {
-        Request::Insert(k, _) | Request::Remove(k) => *k,
-        Request::Scan { lo, .. } => *lo,
-        _ => 0,
-    }
-}
-
-fn execute(
-    req: &Request,
-    handle: &mut ShardedMapHandle<'_, u64, u64, Ebr>,
-    store: &Store,
-    stats: &ServerStats,
-) -> Response {
-    match req {
-        Request::Get(_) => unreachable!("GET frames are answered in runs by Engine::answer_gets"),
-        Request::Insert(k, v) => Response::Insert(handle.insert(*k, *v)),
-        Request::Remove(k) => Response::Remove(handle.remove(k)),
-        Request::Batch(_) => unreachable!("BATCH frames are served by Engine::serve_batch"),
+        Request::Get(_) | Request::Insert(..) | Request::Remove(_) | Request::Batch(_) => {
+            unreachable!("data frames join the engine's chunk")
+        }
         Request::Scan { lo, hi, max } => {
             let cap = if *max == 0 { usize::MAX } else { *max as usize };
             // One entry past the cap is enough to tell whether it cut.
@@ -1302,7 +1325,7 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
             format!(
                 "{{\"tree\":{},\"server\":{{\"connections\":{},\"frames\":{},\
                  \"wire_errors\":{},\"batch_fused_ops\":{},\
-                 \"get_runs\":{},\"get_run_frames\":{},\
+                 \"chunks\":{},\"chunk_ops\":{},\"mid_pass_flushes\":{},\
                  \"worker_ops\":[{}],\"encode_bytes\":{{{}}},\"timing\":{{{}}},\
                  \"slow_frames\":{},\"serve\":{{\"open_connections\":[{}],\
                  \"read_paused_connections\":[{}],\"write_buffered_bytes\":[{}],\
@@ -1312,8 +1335,9 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
                 stats.frames(),
                 stats.wire_errors(),
                 stats.batch_fused_ops(),
-                stats.get_runs(),
-                stats.get_run_frames(),
+                stats.chunks(),
+                stats.chunk_ops(),
+                stats.mid_pass_flushes(),
                 ops.join(","),
                 encoded.join(","),
                 timing.join(","),
@@ -1350,24 +1374,26 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
                 "nmbst_server_batch_fused_ops_total {}\n",
                 stats.batch_fused_ops()
             ));
-            out.push_str(
-                "# HELP nmbst_server_get_runs_total Runs of pipelined GET frames answered \
-                 by one interleaved multi-get.\n",
+            let mut counter = |name: &str, help: &str, v: u64| {
+                out.push_str(&format!(
+                    "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
+                ));
+            };
+            counter(
+                "nmbst_server_chunks_total",
+                "Chunks of data-frame ops run by one execute_batch each.",
+                stats.chunks(),
             );
-            out.push_str("# TYPE nmbst_server_get_runs_total counter\n");
-            out.push_str(&format!(
-                "nmbst_server_get_runs_total {}\n",
-                stats.get_runs()
-            ));
-            out.push_str(
-                "# HELP nmbst_server_get_run_frames_total GET frames answered in runs \
-                 (divided by runs: the mean run length).\n",
+            counter(
+                "nmbst_server_chunk_ops_total",
+                "Ops run in chunks (divided by chunks: the mean chunk size).",
+                stats.chunk_ops(),
             );
-            out.push_str("# TYPE nmbst_server_get_run_frames_total counter\n");
-            out.push_str(&format!(
-                "nmbst_server_get_run_frames_total {}\n",
-                stats.get_run_frames()
-            ));
+            counter(
+                "nmbst_server_mid_pass_flushes_total",
+                "Writes issued after a full chunk, before the parse pass went on.",
+                stats.mid_pass_flushes(),
+            );
             // Encode-bytes counters: one labelled series per opcode that
             // has encoded a response; header only when at least one
             // exists (a declared metric with no samples fails
@@ -1474,8 +1500,6 @@ fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> Strin
 pub mod testing {
     use super::*;
 
-    pub use super::GET_RUN_CAP;
-
     /// One worker's `Engine` over a private store, driven directly.
     pub struct LocalEngine<'a> {
         engine: Engine<'a>,
@@ -1488,29 +1512,31 @@ pub mod testing {
         /// Returns false on a wire error (the reactor would close the
         /// connection after flushing the Err frame this queued).
         pub fn serve(&mut self, body: &[u8], out: &mut Vec<u8>) -> bool {
-            let ok = self.engine.serve_frame(body, out);
-            self.engine.answer_gets(out);
-            ok
+            let served = self.engine.serve_frame(body, out);
+            self.engine.run_chunk(out);
+            served != Served::Close
         }
 
         /// Serves a pipelined byte stream of length-prefixed request
         /// frames as one parse pass, through the engine entry points the
         /// reactor's pass uses: every complete frame in order, stopping
-        /// after a malformed one, then the pending GET run. Appends the
-        /// replies to `out`. Returns false when a wire error (or an
-        /// oversized prefix) ended the pass, as it would end the
-        /// connection; a trailing incomplete frame is left unserved.
+        /// after a malformed one, then the pending chunk. Appends the
+        /// replies to `out` (where the reactor writes a full chunk's
+        /// replies to the socket, they simply stay in `out`). Returns
+        /// false when a wire error (or an oversized prefix) ended the
+        /// pass, as it would end the connection; a trailing incomplete
+        /// frame is left unserved.
         pub fn serve_stream(&mut self, mut stream: &[u8], out: &mut Vec<u8>) -> bool {
             let mut ok = true;
             while let wire::FrameSplit::Frame { body_len } = wire::split_frame(stream) {
-                ok = self.engine.serve_frame(&stream[4..4 + body_len], out);
+                ok = self.engine.serve_frame(&stream[4..4 + body_len], out) != Served::Close;
                 stream = &stream[4 + body_len..];
                 if !ok {
                     break;
                 }
             }
             ok &= !matches!(wire::split_frame(stream), wire::FrameSplit::Oversized(_));
-            self.engine.answer_gets(out);
+            self.engine.run_chunk(out);
             ok
         }
 

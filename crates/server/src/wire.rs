@@ -48,6 +48,24 @@
 //! first; `origin` distinguishes tree-deposited records from
 //! server-frame ones, and `kind` is an `OpClass` discriminant for the
 //! former, a wire opcode for the latter.
+//!
+//! ## Ordering
+//!
+//! The protocol carries no request IDs. On one connection:
+//!
+//! - replies come back in request order, one per request frame;
+//! - commands on the same key take effect in request order, whether
+//!   they sit in one BATCH frame or in different frames;
+//! - commands on different keys that are in flight together (pipelined
+//!   frames, or the ops of one BATCH frame) may take effect in any
+//!   order. Each still takes effect between the moment its frame is
+//!   sent and the moment its reply arrives.
+//!
+//! The server serves the GET, INSERT, REMOVE and BATCH frames of a
+//! pipelined stream together, in chunks of about 16 ops, so the last
+//! rule covers pipelined point frames as well as the ops inside a
+//! BATCH. A client that needs one write on key `a` to land before a
+//! read of key `b` waits for the write's reply before sending the read.
 
 use nmbst::obs::{SlowOp, SLOW_EVENTS};
 use std::io::{self, Read, Write};
@@ -381,39 +399,54 @@ fn decode_batch_payload(c: &mut Cur<'_>, visit: &mut dyn FnMut(BatchOp)) -> Resu
 /// Decodes one full BATCH request body (`body[0] == OP_BATCH`,
 /// trailing bytes rejected) without building a `Request`: each op is
 /// handed to `visit` in request order and the op count is returned.
-/// This is the serving tier's scratch-reuse entry point — the visitor
-/// pushes into a reusable per-reactor buffer, so a steady-state BATCH
-/// decode allocates nothing.
-pub fn decode_batch_ops(body: &[u8], mut visit: impl FnMut(BatchOp)) -> Result<usize, WireError> {
-    let mut c = Cur::new(body);
-    match c.u8()? {
-        OP_BATCH => {}
-        op => return Err(WireError(format!("expected BATCH, got opcode {op:#x}"))),
+/// The BATCH-only form of [`decode_data_ops`].
+pub fn decode_batch_ops(body: &[u8], visit: impl FnMut(BatchOp)) -> Result<usize, WireError> {
+    match body.first() {
+        Some(&OP_BATCH) | None => decode_data_ops(body, visit),
+        Some(&op) => Err(WireError(format!("expected BATCH, got opcode {op:#x}"))),
     }
-    let mut n = 0usize;
-    decode_batch_payload(&mut c, &mut |op| {
-        n += 1;
-        visit(op);
-    })?;
+}
+
+/// Decodes one data request body — GET, INSERT, REMOVE or BATCH,
+/// trailing bytes rejected — without building a `Request`: each op is
+/// handed to `visit` in request order (a point frame is one op) and the
+/// op count is returned. This is the serving tier's scratch-reuse entry
+/// point: the visitor pushes into a reusable per-reactor buffer, so a
+/// steady-state decode allocates nothing. It accepts exactly the bodies
+/// [`Request::decode`] reads as one of those four requests. On `Err`,
+/// ops already visited belong to the rejected frame and must be
+/// discarded.
+pub fn decode_data_ops(body: &[u8], mut visit: impl FnMut(BatchOp)) -> Result<usize, WireError> {
+    let mut c = Cur::new(body);
+    let n = match c.u8()? {
+        OP_GET => {
+            visit(BatchOp::Get(c.u64()?));
+            1
+        }
+        OP_INSERT => {
+            visit(BatchOp::Insert(c.u64()?, c.u64()?));
+            1
+        }
+        OP_REMOVE => {
+            visit(BatchOp::Remove(c.u64()?));
+            1
+        }
+        OP_BATCH => {
+            let mut n = 0usize;
+            decode_batch_payload(&mut c, &mut |op| {
+                n += 1;
+                visit(op);
+            })?;
+            n
+        }
+        op => return Err(WireError(format!("expected a data opcode, got {op:#x}"))),
+    };
     c.finish()?;
     Ok(n)
 }
 
-/// The key of a well-formed GET request body, or `None` for any other
-/// body: another opcode, or a GET that [`Request::decode`] rejects
-/// (truncated key, trailing bytes). The server's GET-run fast path; it
-/// agrees with `Request::decode` on every input.
-#[inline]
-pub fn decode_get(body: &[u8]) -> Option<u64> {
-    match body {
-        [OP_GET, key @ ..] => Some(u64::from_le_bytes(key.try_into().ok()?)),
-        _ => None,
-    }
-}
-
 /// Appends a GET reply body (status byte included, no length prefix).
-/// Shared by [`Response::encode`] and the server's GET-run path, which
-/// encodes a run's replies without staging `Response` values.
+/// Shared by [`Response::encode`] and [`encode_point_reply`].
 #[inline]
 pub fn encode_get_reply(out: &mut Vec<u8>, value: Option<u64>) {
     out.push(STATUS_OK);
@@ -423,6 +456,23 @@ pub fn encode_get_reply(out: &mut Vec<u8>, value: Option<u64>) {
             out.extend_from_slice(&v.to_le_bytes());
         }
         None => out.push(0),
+    }
+}
+
+/// Appends the reply body (status byte included, no length prefix) of
+/// a GET, INSERT or REMOVE frame from the op's verdict: the encoding
+/// [`Response::encode`] gives `Get`, `Insert` and `Remove`. The server
+/// encodes a chunk's point replies with it, without staging `Response`
+/// values.
+#[inline]
+pub fn encode_point_reply(out: &mut Vec<u8>, r: BatchReply) {
+    match r {
+        BatchReply::Found(v) => encode_get_reply(out, Some(v)),
+        BatchReply::Missing => encode_get_reply(out, None),
+        BatchReply::Added(b) | BatchReply::Removed(b) => {
+            out.push(STATUS_OK);
+            out.push(b as u8);
+        }
     }
 }
 
@@ -885,10 +935,11 @@ mod tests {
         }
     }
 
-    /// The GET-run fast path decodes exactly the bodies the general
-    /// decoder reads as a GET, whatever the bytes.
+    /// The data-frame decoder reads exactly the bodies the general
+    /// decoder reads as a GET, INSERT, REMOVE or BATCH, into the same
+    /// ops, whatever the bytes.
     #[test]
-    fn decode_get_agrees_with_request_decode() {
+    fn decode_data_ops_agrees_with_request_decode() {
         let mut x = 0x0F1E_2D3C_4B5A_6978u64;
         let mut next = move || {
             x ^= x << 13;
@@ -897,16 +948,49 @@ mod tests {
             x
         };
         for _ in 0..20_000 {
-            let len = (next() % 12) as usize;
+            let len = (next() % 40) as usize;
             let mut bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
             if let Some(b) = bytes.first_mut() {
-                *b = (*b % 3).max(OP_GET); // mostly GETs, some INSERT/REMOVE
+                *b = *b % 5 + OP_GET; // the four data opcodes and SCAN
+            }
+            if bytes.first() == Some(&OP_BATCH) && bytes.len() >= 5 {
+                bytes[1..5].copy_from_slice(&(next() % 4).to_le_bytes()[..4]);
+                for b in bytes.iter_mut().skip(5).step_by(9) {
+                    *b = *b % 3 + OP_GET; // mostly well-formed records
+                }
             }
             let general = match Request::decode(&bytes) {
-                Ok(Request::Get(k)) => Some(k),
+                Ok(Request::Get(k)) => Some(vec![BatchOp::Get(k)]),
+                Ok(Request::Insert(k, v)) => Some(vec![BatchOp::Insert(k, v)]),
+                Ok(Request::Remove(k)) => Some(vec![BatchOp::Remove(k)]),
+                Ok(Request::Batch(ops)) => Some(ops),
                 _ => None,
             };
-            assert_eq!(decode_get(&bytes), general, "{bytes:?}");
+            let mut seen = Vec::new();
+            let fast = decode_data_ops(&bytes, |op| seen.push(op)).ok();
+            assert_eq!(
+                fast.map(|n| (n, seen)),
+                general.map(|g| (g.len(), g)),
+                "{bytes:?}"
+            );
+        }
+    }
+
+    /// Point replies encode as the matching `Response` does.
+    #[test]
+    fn point_replies_match_response_encoding() {
+        for (r, resp) in [
+            (BatchReply::Found(7), Response::Get(Some(7))),
+            (BatchReply::Missing, Response::Get(None)),
+            (BatchReply::Added(true), Response::Insert(true)),
+            (BatchReply::Added(false), Response::Insert(false)),
+            (BatchReply::Removed(true), Response::Remove(true)),
+            (BatchReply::Removed(false), Response::Remove(false)),
+        ] {
+            let (mut fast, mut general) = (Vec::new(), Vec::new());
+            encode_point_reply(&mut fast, r);
+            resp.encode(&mut general);
+            assert_eq!(fast, general, "{r:?}");
         }
     }
 

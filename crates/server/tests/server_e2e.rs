@@ -2,7 +2,9 @@
 //! concurrent clients, metrics exposition, malformed-frame handling,
 //! and clean shutdown.
 
-use nmbst_server::wire::{BatchOp, BatchReply, MetricsFormat};
+use nmbst_server::wire::{
+    BatchOp, BatchReply, MetricsFormat, Request, OP_BATCH, OP_GET, OP_INSERT, OP_REMOVE,
+};
 use nmbst_server::{Client, Server, ServerConfig};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -204,25 +206,33 @@ fn metrics_scrape_is_exact_and_exposition_valid() {
         BatchOp::Remove(100),
     ])
     .unwrap();
+    // A BATCH frame of exactly one chunk's worth of ops.
+    let full: Vec<BatchOp> = (0..nmbst::SEARCH_LANES as u64).map(BatchOp::Get).collect();
+    c.batch(&full).unwrap();
 
-    // 17 frames served so far; the scrape below is frame 18 and counts
+    // 18 frames served so far; the scrape below is frame 19 and counts
     // itself (the frame counter bumps before execution).
     let json = c.metrics(MetricsFormat::Json).unwrap();
     assert!(json.contains("\"connections\":1"), "{json}");
-    assert!(json.contains("\"frames\":18"), "{json}");
+    assert!(json.contains("\"frames\":19"), "{json}");
     assert!(json.contains("\"wire_errors\":0"), "{json}");
-    // 10 inserts + 5 gets + 1 remove + 3 batched ops, all through the
-    // one worker's pinned handle.
-    assert!(json.contains("\"worker_ops\":[19]"), "{json}");
-    // Blocking GETs arrive one per pass: five runs of one frame.
+    // 10 inserts + 5 gets + 1 remove + 3 + 16 batched ops, all through
+    // the one worker's pinned handle.
+    assert!(json.contains("\"worker_ops\":[35]"), "{json}");
+    // Blocking frames arrive one per pass, so each data frame is a
+    // chunk of its own: 17 chunks of one op, one of 3 and one of 16.
+    // Only the 16-op frame fills a chunk, and the reactor writes its
+    // reply in mid-pass.
     assert!(
-        json.contains("\"get_runs\":5,\"get_run_frames\":5"),
+        json.contains(
+            "\"batch_fused_ops\":19,\"chunks\":18,\"chunk_ops\":35,\"mid_pass_flushes\":1"
+        ),
         "{json}"
     );
     // Per-opcode timing: a frame is recorded after its response is
     // flushed and before the worker reads the next request, so on one
     // connection the scrape sees every earlier frame exactly once.
-    for (op, frames) in [("get", 5), ("insert", 10), ("remove", 1), ("batch", 1)] {
+    for (op, frames) in [("get", 5), ("insert", 10), ("remove", 1), ("batch", 2)] {
         assert!(
             json.contains(&format!("\"{op}\":{{\"wire\":{{\"count\":{frames},")),
             "timing for {op} should count {frames} frames: {json}"
@@ -240,7 +250,7 @@ fn metrics_scrape_is_exact_and_exposition_valid() {
     // The stats API agrees with the wire payload.
     let stats = server.stats();
     assert_eq!(stats.wire_hist(nmbst_server::wire::OP_INSERT).len(), 10);
-    assert_eq!(stats.wire_hist(nmbst_server::wire::OP_BATCH).len(), 1);
+    assert_eq!(stats.wire_hist(nmbst_server::wire::OP_BATCH).len(), 2);
     for (op, p) in stats.request_timing() {
         let n = p.wire.len();
         assert_eq!(p.decode.len(), n, "{op}: every phase counts every frame");
@@ -255,23 +265,25 @@ fn metrics_scrape_is_exact_and_exposition_valid() {
     }
 
     let prom = c.metrics(MetricsFormat::Prometheus).unwrap();
-    assert!(prom.contains("nmbst_server_frames_total 19"), "{prom}");
+    assert!(prom.contains("nmbst_server_frames_total 20"), "{prom}");
     assert!(
         prom.contains("nmbst_server_request_ns_count{op=\"insert\",phase=\"wire\"} 10"),
         "{prom}"
     );
     assert!(
         prom.contains(
-            "nmbst_server_request_ns_bucket{op=\"batch\",phase=\"execute\",le=\"+Inf\"} 1"
+            "nmbst_server_request_ns_bucket{op=\"batch\",phase=\"execute\",le=\"+Inf\"} 2"
         ),
         "{prom}"
     );
     assert!(prom.contains("nmbst_server_slow_frames_total"), "{prom}");
-    assert!(prom.contains("nmbst_server_get_runs_total 5\n"), "{prom}");
-    assert!(
-        prom.contains("nmbst_server_get_run_frames_total 5\n"),
-        "{prom}"
-    );
+    for line in [
+        "nmbst_server_chunks_total 18\n",
+        "nmbst_server_chunk_ops_total 35\n",
+        "nmbst_server_mid_pass_flushes_total 1\n",
+    ] {
+        assert!(prom.contains(line), "{line}{prom}");
+    }
     assert!(
         prom.contains("nmbst_server_open_connections{worker=\"0\"} 1"),
         "{prom}"
@@ -341,6 +353,66 @@ fn slowlog_serves_merged_slow_records() {
     let capped = c.slowlog(3).unwrap();
     assert_eq!(capped.len(), 3);
     assert!(capped[0].ns >= log[0].ns, "cap keeps the slowest");
+    drop(c);
+    server.shutdown();
+}
+
+/// Pipelined point and BATCH frames share chunks, yet every frame keeps
+/// its own opcode: each lands in its opcode's phase histograms, and
+/// (with a 1 ns threshold) deposits one slow-frame record of its
+/// opcode carrying its first key.
+#[test]
+fn pipelined_frames_keep_their_opcode_in_timing_and_slow_records() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        slow_frame_ns: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let mut reqs = Vec::new();
+    for i in 0..80u64 {
+        reqs.push(match i % 8 {
+            0 | 2 | 4 => Request::Get(i),
+            1 | 5 => Request::Insert(i, i),
+            3 => Request::Remove(i - 2),
+            6 => Request::Batch((0..(i % 24)).map(|j| BatchOp::Get(i + j)).collect()),
+            _ => Request::Batch(vec![BatchOp::Insert(i, 1), BatchOp::Get(i)]),
+        });
+    }
+    let replies = c.pipeline(&reqs).unwrap();
+    assert_eq!(replies.len(), reqs.len());
+    let log = c.slowlog(0).unwrap();
+
+    let timing = server.stats().request_timing();
+    for (opcode, name) in [
+        (OP_GET, "get"),
+        (OP_INSERT, "insert"),
+        (OP_REMOVE, "remove"),
+        (OP_BATCH, "batch"),
+    ] {
+        let mine: Vec<&Request> = reqs.iter().filter(|r| r.opcode() == opcode).collect();
+        let p = &timing.iter().find(|(op, _)| *op == name).unwrap().1;
+        for (phase, h) in p.by_phase() {
+            assert_eq!(h.len(), mine.len() as u64, "{name} {phase}");
+        }
+        let mut want: Vec<u64> = mine
+            .iter()
+            .map(|r| match r {
+                Request::Get(k) | Request::Insert(k, _) | Request::Remove(k) => *k,
+                Request::Batch(ops) => ops.first().map_or(0, |op| *op.key()),
+                _ => unreachable!(),
+            })
+            .collect();
+        let mut got: Vec<u64> = log
+            .iter()
+            .filter(|r| r.origin == 1 && r.kind == opcode)
+            .map(|r| r.key)
+            .collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "{name} slow-frame records");
+    }
     drop(c);
     server.shutdown();
 }

@@ -1,8 +1,9 @@
-//! Proves the PR 10 zero-copy claim at the allocator: a steady-state
-//! BATCH (or point-op, or pipelined GET run) round trip through the
-//! serving engine performs **zero server-side heap allocations**. Ops decode into reusable
-//! scratch, execute through the pinned handles, and encode straight
-//! into the (warm) write buffer behind a reserved length prefix.
+//! Proves the zero-copy claim at the allocator: a steady-state BATCH
+//! (or point-op, or pipelined mixed pass) round trip through the
+//! serving engine performs **zero server-side heap allocations**. Ops
+//! decode into the reusable chunk, execute through the pinned handles,
+//! and encode straight into the (warm) write buffer behind a reserved
+//! length prefix.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting `#[global_allocator]`, which must not taint other binaries'
@@ -115,24 +116,41 @@ fn steady_state_batch_round_trip_allocates_nothing() {
     });
 }
 
-/// A steady-state pipelined stream of GET frames — answered as runs by
-/// interleaved multi-gets — allocates nothing either: run keys, answers
-/// and replies all land in retained scratch and the warm write buffer.
+/// A steady-state pipelined pass of mixed frames — GET hits and
+/// misses, rejected duplicate INSERTs, REMOVEs of absent keys, BATCH
+/// frames and a PING, served in chunks by `execute_batch` — allocates
+/// nothing either: ops, verdicts and replies all land in retained
+/// scratch and the warm write buffer.
 #[test]
-fn steady_state_pipelined_get_run_allocates_nothing() {
+fn steady_state_mixed_pass_allocates_nothing() {
     with_local_engine(4, |eng| {
         let mut out = Vec::new();
         let fill = (0..512).map(|k| BatchOp::Insert(k * 2, k)).collect();
         assert!(eng.serve(&encode_req(&Request::Batch(fill)), &mut out));
 
-        // 100 GETs (hits and misses in every shard), a PING that ends
-        // the run, then 30 more: runs of the cap, a remainder and a tail.
+        // 131 frames: point ops in every shard, a 24-op BATCH (more
+        // than a chunk) every 20 frames and a 3-op one every 20, and a
+        // PING in mid-chunk.
         let mut stream = Vec::new();
         for i in 0..131u64 {
-            let req = if i == 100 {
-                Request::Ping
-            } else {
-                Request::Get(i * 13 % 1_024)
+            let k = i * 13 % 1_024;
+            let req = match i % 20 {
+                5 => Request::Batch(
+                    (0..24)
+                        .map(|j| match j % 3 {
+                            0 => BatchOp::Get(k + j),
+                            1 => BatchOp::Insert(k & !1, j),
+                            _ => BatchOp::Remove(k | 1),
+                        })
+                        .collect(),
+                ),
+                11 => Request::Batch(vec![BatchOp::Get(k), BatchOp::Get(k), BatchOp::Remove(1)]),
+                _ if i == 100 => Request::Ping,
+                _ => match i % 4 {
+                    0 | 1 => Request::Get(k),
+                    2 => Request::Insert(k & !1, 9),
+                    _ => Request::Remove(k | 1),
+                },
             };
             write_frame(&mut stream, &encode_req(&req)).unwrap();
         }
@@ -140,7 +158,7 @@ fn steady_state_pipelined_get_run_allocates_nothing() {
             out.clear();
             assert!(eng.serve_stream(&stream, &mut out));
         }
-        let runs = eng.stats().get_runs();
+        let chunks = eng.stats().chunks();
 
         let before = ALLOCS.get();
         for _ in 0..32 {
@@ -148,8 +166,11 @@ fn steady_state_pipelined_get_run_allocates_nothing() {
             assert!(eng.serve_stream(&stream, &mut out));
         }
         let allocs = ALLOCS.get() - before;
-        assert_eq!(allocs, 0, "steady-state GET runs allocated {allocs} times");
-        assert!(eng.stats().get_runs() >= runs + 32 * 3, "answered as runs");
+        assert_eq!(
+            allocs, 0,
+            "steady-state mixed passes allocated {allocs} times"
+        );
+        assert!(eng.stats().chunks() >= chunks + 32 * 8, "served in chunks");
     });
 }
 
