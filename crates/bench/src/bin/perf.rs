@@ -25,7 +25,7 @@ use nmbst_bench::cells::{render_slowlog, run_table, Arm, Built, Cell, Cmp, Env, 
 use nmbst_bench::json::{self, Json};
 use nmbst_bench::obj;
 use nmbst_harness::replay::{
-    run_replay, run_replay_churn, ReplayConfig, ReplayReport, SessionOp, SessionTarget,
+    run_replay, run_replay_churn, ReplayConfig, ReplayReport, SessionTarget,
 };
 use nmbst_harness::rng::XorShift64Star;
 use nmbst_harness::workload::OpKind;
@@ -310,8 +310,11 @@ fn bulk_load_pair(n: u64, seed: u64) -> (f64, f64) {
 /// One single-thread sorted-batch throughput measurement: identical
 /// Zipf-clustered ascending runs driven through the handle batch entry
 /// points (`batched = true`) or the same handle one key at a time.
-/// Both sides amortize pinning through the handle, so the delta
-/// isolates the finger anchor (plus per-batch dispatch overhead).
+/// Both sides amortize pinning through the handle. In the batched arm
+/// the writes run finger-anchored (`insert_batch`/`remove_batch`) and
+/// the GETs in `get_many`'s interleaved lanes (`contains_batch`), so
+/// the delta is the finger on writes plus the lanes on reads (plus
+/// per-batch dispatch overhead).
 /// Returns (Mops/s, ops, final metrics snapshot).
 fn sorted_batch_mops(
     batched: bool,
@@ -369,18 +372,14 @@ fn sorted_batch_mops(
 }
 
 /// A replay target that ships each coalesced session bundle as one
-/// BATCH frame on its own blocking connection — the replay engine's
-/// [`SessionOp`]s map 1:1 onto wire [`BatchOp`]s.
+/// BATCH frame on its own blocking connection.
 struct WireTarget {
     client: Client,
-    ops: Vec<BatchOp>,
 }
 
 impl SessionTarget for WireTarget {
-    fn run(&mut self, ops: &[SessionOp]) -> std::io::Result<()> {
-        self.ops.clear();
-        self.ops.extend(ops.iter().copied().map(to_batch_op));
-        self.client.batch(&self.ops).map(drop)
+    fn run(&mut self, ops: &[BatchOp]) -> std::io::Result<()> {
+        self.client.batch(ops).map(drop)
     }
 }
 
@@ -415,7 +414,6 @@ fn serving_replay_run(cfg: &ReplayConfig, workers: usize) -> ServeRun {
     let targets: Vec<WireTarget> = (0..cfg.clients)
         .map(|_| WireTarget {
             client: Client::connect(server.addr()).expect("connect to server"),
-            ops: Vec::new(),
         })
         .collect();
     let report = run_replay(cfg, targets);
@@ -436,14 +434,6 @@ fn serving_replay_run(cfg: &ReplayConfig, workers: usize) -> ServeRun {
     }
 }
 
-fn to_batch_op(op: SessionOp) -> BatchOp {
-    match op {
-        SessionOp::Get(k) => BatchOp::Get(k),
-        SessionOp::Insert(k, v) => BatchOp::Insert(k, v),
-        SessionOp::Remove(k) => BatchOp::Remove(k),
-    }
-}
-
 /// The churn replay's per-connection target: one BATCH frame per
 /// *session* (not per bundle), shipped pipelined — several frames in
 /// flight on the connection, responses drained in order. Dropped and
@@ -455,11 +445,11 @@ struct ChurnTarget {
 }
 
 impl SessionTarget for ChurnTarget {
-    fn run(&mut self, ops: &[SessionOp]) -> std::io::Result<()> {
+    fn run(&mut self, ops: &[BatchOp]) -> std::io::Result<()> {
         self.reqs.clear();
         self.reqs.extend(
             ops.chunks(self.per_session)
-                .map(|chunk| Request::Batch(chunk.iter().copied().map(to_batch_op).collect())),
+                .map(|chunk| Request::Batch(chunk.to_vec())),
         );
         for resp in self.client.pipeline(&self.reqs)? {
             if let Response::Err(msg) = resp {

@@ -257,7 +257,6 @@ struct Rule {
 #[cfg(feature = "chaos")]
 enum Fault {
     Abandon,
-    Yield(u32),
     Stall(StallCell),
 }
 
@@ -279,18 +278,6 @@ impl FaultPlan {
             point,
             skip: n,
             what: Fault::Abandon,
-            spent: false,
-        });
-        self
-    }
-
-    /// Yield the OS scheduler `times` times at the first arrival at
-    /// `point` (a coarse "lose your quantum here" fault).
-    pub fn yield_at(mut self, point: Point, times: u32) -> Self {
-        self.rules.push(Rule {
-            point,
-            skip: 0,
-            what: Fault::Yield(times),
             spent: false,
         });
         self
@@ -326,11 +313,6 @@ impl FaultPlan {
             rule.spent = true;
             match &rule.what {
                 Fault::Abandon => return Action::Abandon,
-                Fault::Yield(times) => {
-                    for _ in 0..*times {
-                        std::thread::yield_now();
-                    }
-                }
                 Fault::Stall(cell) => cell.wait(),
             }
             break;

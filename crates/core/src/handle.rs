@@ -73,8 +73,7 @@ pub struct MapHandle<'t, K, V, R: Reclaim = Ebr> {
     /// counters on re-pin/unpin/drop so the per-op path stays atomic-free.
     pending: PendingOps,
     /// Sampled latency durations batched the same way (flushed into the
-    /// tree's concurrent histograms alongside `pending`). Zero-sized
-    /// when `feature = "obs-latency"` is off.
+    /// tree's concurrent histograms alongside `pending`).
     pending_lat: PendingLat,
     /// `true` while `rec` holds a record produced under the *current*
     /// guard — the validity bit of the batch-op finger. Cleared whenever

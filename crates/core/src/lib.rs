@@ -84,8 +84,7 @@ pub use packed::TagMode;
 pub use pool::PoolConfig;
 pub use set::NmTreeSet;
 pub use shard::{
-    BatchCmd, BatchScratch, BatchVerdict, ShardedMap, ShardedMapHandle, ShardedSet,
-    ShardedSetHandle, DEFAULT_SHARD_COUNT,
+    BatchCmd, BatchScratch, BatchVerdict, ShardedMap, ShardedMapHandle, DEFAULT_SHARD_COUNT,
 };
 pub use tree::{NmTreeMap, RestartPolicy, TreeConfig, TreeShape, SEARCH_LANES};
 

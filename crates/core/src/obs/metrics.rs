@@ -1,6 +1,5 @@
 //! The always-on metrics facade: sharded relaxed counters + gauges,
-//! and (with `feature = "obs-latency"`, default on) sampled per-op-type
-//! latency histograms plus slow-op capture.
+//! sampled per-op-type latency histograms, and slow-op capture.
 //!
 //! Counter writes must not create the cross-core cache-line traffic the
 //! tree itself avoids, so counts live in [`SHARDS`] cache-padded shards;
@@ -32,7 +31,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use super::hist::LatencySnapshot;
 use super::slow::SlowOp;
-#[cfg(feature = "obs-latency")]
 use super::{hist::ConcurrentHistogram, slow::SlowRing, OpClass};
 
 /// Number of counter shards. More than the container's typical core
@@ -55,11 +53,10 @@ fn depth_bucket(depth: u64) -> usize {
 
 /// How latency recording behaves on a tree (`TreeConfig::lat`).
 ///
-/// Runtime knobs, deliberately separate from the `obs-latency` cargo
-/// feature: the feature compiles the recording sites (and the per-tree
-/// histogram memory) out entirely, while this config lets one binary
-/// A/B the cost or retune the threshold without rebuilding — which is
-/// exactly what the perf harness's overhead gate does.
+/// Runtime knobs: [`disabled`](LatencyConfig::disabled) is the one off
+/// switch (every op then pays one field load and a branch), so one
+/// binary can A/B the cost or retune the threshold without rebuilding,
+/// which is exactly what the perf harness's overhead gate does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyConfig {
     /// Master switch. Off: every op pays one field load + branch.
@@ -146,7 +143,6 @@ thread_local! {
     static MY_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
-#[cfg(feature = "obs-latency")]
 thread_local! {
     /// Per-thread sampling tick for latency timers (see
     /// [`LatencyConfig::sample_shift`]). Shared across trees: sampling
@@ -172,9 +168,7 @@ pub(crate) fn my_shard() -> usize {
 }
 
 /// The per-tree latency recording state: one concurrent histogram per
-/// op class plus the slow-op ring. Only compiled (and only allocated)
-/// with `feature = "obs-latency"`.
-#[cfg(feature = "obs-latency")]
+/// op class plus the slow-op ring.
 struct LatencyState {
     config: LatencyConfig,
     /// `2^sample_shift - 1`, cached at construction so the per-op
@@ -186,9 +180,6 @@ struct LatencyState {
 
 /// An armed-or-idle latency timer handed out by [`Metrics::op_timer`] /
 /// [`Metrics::call_timer`] and consumed by the `op_finish` family.
-/// Without `feature = "obs-latency"` it is a zero-sized token and every
-/// method on it is an empty inline.
-#[cfg(feature = "obs-latency")]
 #[derive(Clone, Copy)]
 pub(crate) struct LatTimer {
     t0: Option<std::time::Instant>,
@@ -198,7 +189,6 @@ pub(crate) struct LatTimer {
     mark: u64,
 }
 
-#[cfg(feature = "obs-latency")]
 impl LatTimer {
     #[inline]
     fn idle() -> Self {
@@ -219,18 +209,12 @@ impl LatTimer {
     }
 }
 
-/// See the `obs-latency` variant; this is the compiled-out token.
-#[cfg(not(feature = "obs-latency"))]
-#[derive(Clone, Copy)]
-pub(crate) struct LatTimer;
-
 /// Sampled `(op class, duration)` pairs a handle buffers in plain
 /// fields between guard refreshes, flushed into the shared histograms
 /// on re-pin/unpin/drop — the latency twin of [`PendingOps`]. Fixed
 /// capacity: at the default 1-in-64 sampling and 64-op re-pin budget a
 /// window yields ~1 sample, so 8 slots absorb even a forced
 /// every-op-sampled test loop between organic flushes.
-#[cfg(feature = "obs-latency")]
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct PendingLat {
     buf: [(u8, u64); Self::CAP],
@@ -241,7 +225,6 @@ pub(crate) struct PendingLat {
     tick: u32,
 }
 
-#[cfg(feature = "obs-latency")]
 impl PendingLat {
     const CAP: usize = 8;
 
@@ -258,11 +241,6 @@ impl PendingLat {
     }
 }
 
-/// See the `obs-latency` variant; this is the compiled-out token.
-#[cfg(not(feature = "obs-latency"))]
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct PendingLat;
-
 /// Per-tree metrics state, owned by `NmTreeMap`.
 pub(crate) struct Metrics {
     shards: [CachePadded<Shard>; SHARDS],
@@ -270,18 +248,14 @@ pub(crate) struct Metrics {
     /// edges below the sentinel pair). Racy max: updated with a relaxed
     /// load-then-`fetch_max` only when a new maximum is seen.
     max_depth: AtomicU64,
-    #[cfg(feature = "obs-latency")]
     lat: LatencyState,
 }
 
 impl Metrics {
     pub(crate) fn new(lat: LatencyConfig) -> Self {
-        #[cfg(not(feature = "obs-latency"))]
-        let _ = lat;
         Metrics {
             shards: Default::default(),
             max_depth: AtomicU64::new(0),
-            #[cfg(feature = "obs-latency")]
             lat: LatencyState {
                 config: lat,
                 sample_mask: (1u32 << lat.sample_shift.min(31)) - 1,
@@ -347,7 +321,6 @@ impl Metrics {
     /// Arms a sampled point-op timer: idle unless recording is enabled
     /// and this thread's tick hits the sampling period. The unsampled
     /// path costs one field load, one TLS bump, and a branch.
-    #[cfg(feature = "obs-latency")]
     #[inline]
     pub(crate) fn op_timer(&self) -> LatTimer {
         if !self.lat.config.enabled {
@@ -372,7 +345,6 @@ impl Metrics {
     /// so the unsampled path is a load, an add, and a branch on memory
     /// that's already hot — handles are the throughput-critical front
     /// end, and the ≤3% budget is measured through them.
-    #[cfg(feature = "obs-latency")]
     #[inline]
     pub(crate) fn op_timer_buffered(&self, buf: &mut PendingLat) -> LatTimer {
         if !self.lat.config.enabled {
@@ -388,7 +360,6 @@ impl Metrics {
 
     /// Arms an unsampled timer for whole batch/range calls, where one
     /// clock pair amortizes over many keys.
-    #[cfg(feature = "obs-latency")]
     #[inline]
     pub(crate) fn call_timer(&self) -> LatTimer {
         if self.lat.config.enabled {
@@ -400,7 +371,6 @@ impl Metrics {
 
     /// Finishes a timer directly into the shared histograms (the plain
     /// API path, and batch/range calls).
-    #[cfg(feature = "obs-latency")]
     #[inline]
     pub(crate) fn op_finish(&self, class: OpClass, t: LatTimer) {
         if let Some(t0) = t.t0 {
@@ -414,7 +384,6 @@ impl Metrics {
     /// on re-pin, like the op counters). Slow-op detection still
     /// happens immediately — a 1 ms outlier should not wait for a
     /// flush to become visible.
-    #[cfg(feature = "obs-latency")]
     #[inline]
     pub(crate) fn op_finish_buffered(&self, class: OpClass, t: LatTimer, buf: &mut PendingLat) {
         if let Some(t0) = t.t0 {
@@ -429,7 +398,6 @@ impl Metrics {
 
     /// Drains a handle's buffered latency samples into the shared
     /// histograms.
-    #[cfg(feature = "obs-latency")]
     pub(crate) fn flush_pending_lat(&self, buf: &mut PendingLat) {
         for &(class, ns) in &buf.buf[..usize::from(buf.len)] {
             self.lat.hists[usize::from(class).min(OpClass::COUNT - 1)].record(ns);
@@ -437,7 +405,6 @@ impl Metrics {
         buf.len = 0;
     }
 
-    #[cfg(feature = "obs-latency")]
     #[inline]
     fn check_slow(&self, class: OpClass, ns: u64, t: &LatTimer) {
         let thr = self.lat.config.slow_op_ns;
@@ -448,7 +415,6 @@ impl Metrics {
 
     /// Deposits a slow-op record, attaching the flight-recorder event
     /// chain for the op when a recorder is active on this thread.
-    #[cfg(feature = "obs-latency")]
     #[cold]
     fn push_slow(&self, class: OpClass, ns: u64, t: &LatTimer) {
         #[cfg(feature = "obs")]
@@ -466,49 +432,6 @@ impl Metrics {
             ns,
             events,
         });
-    }
-
-    // Compiled-out latency recording: zero-sized timers, empty inlines.
-    #[cfg(not(feature = "obs-latency"))]
-    #[inline(always)]
-    pub(crate) fn op_timer(&self) -> LatTimer {
-        LatTimer
-    }
-
-    #[cfg(not(feature = "obs-latency"))]
-    #[inline(always)]
-    pub(crate) fn op_timer_buffered(&self, buf: &mut PendingLat) -> LatTimer {
-        let _ = buf;
-        LatTimer
-    }
-
-    #[cfg(not(feature = "obs-latency"))]
-    #[inline(always)]
-    pub(crate) fn call_timer(&self) -> LatTimer {
-        LatTimer
-    }
-
-    #[cfg(not(feature = "obs-latency"))]
-    #[inline(always)]
-    pub(crate) fn op_finish(&self, class: super::OpClass, t: LatTimer) {
-        let _ = (class, t);
-    }
-
-    #[cfg(not(feature = "obs-latency"))]
-    #[inline(always)]
-    pub(crate) fn op_finish_buffered(
-        &self,
-        class: super::OpClass,
-        t: LatTimer,
-        buf: &mut PendingLat,
-    ) {
-        let _ = (class, t, buf);
-    }
-
-    #[cfg(not(feature = "obs-latency"))]
-    #[inline(always)]
-    pub(crate) fn flush_pending_lat(&self, buf: &mut PendingLat) {
-        let _ = buf;
     }
 
     /// Adds a handle's batched counts in one pass (see [`PendingOps`]).
@@ -572,17 +495,14 @@ impl Metrics {
         s.inserts += s.inserted;
         s.removes += s.removed;
         s.size_estimate = s.inserted as i64 - s.removed as i64;
-        #[cfg(feature = "obs-latency")]
-        {
-            s.latency = LatencySnapshot {
-                get: self.lat.hists[OpClass::Get as usize].snapshot(),
-                insert: self.lat.hists[OpClass::Insert as usize].snapshot(),
-                remove: self.lat.hists[OpClass::Remove as usize].snapshot(),
-                batch: self.lat.hists[OpClass::Batch as usize].snapshot(),
-                range: self.lat.hists[OpClass::Range as usize].snapshot(),
-            };
-            s.slow_ops = self.lat.slow.snapshot();
-        }
+        s.latency = LatencySnapshot {
+            get: self.lat.hists[OpClass::Get as usize].snapshot(),
+            insert: self.lat.hists[OpClass::Insert as usize].snapshot(),
+            remove: self.lat.hists[OpClass::Remove as usize].snapshot(),
+            batch: self.lat.hists[OpClass::Batch as usize].snapshot(),
+            range: self.lat.hists[OpClass::Range as usize].snapshot(),
+        };
+        s.slow_ops = self.lat.slow.snapshot();
         s
     }
 }
@@ -719,7 +639,7 @@ pub struct MetricsSnapshot {
     /// from the root counts again).
     pub depth_sum: u64,
     /// Sampled per-op-type latency histograms (all empty when
-    /// `feature = "obs-latency"` is off or recording is disabled).
+    /// recording is disabled).
     pub latency: LatencySnapshot,
     /// The latest window of slow-op records (ops that crossed
     /// [`LatencyConfig::slow_op_ns`]); oldest first from a single tree,
@@ -1060,7 +980,7 @@ impl MetricsSnapshot {
             &mut out,
             "nmbst_pool_misses_total",
             "counter",
-            "Node allocations that fell through to the allocator.",
+            "Node allocations the free list could not serve (a fresh arena slot).",
             self.pool.misses as i128,
         );
         metric(

@@ -27,13 +27,13 @@
 //! trace as a postmortem, so the violating interleaving can be read
 //! without re-running the explorer.
 //!
-//! A third price point sits between the two (`feature = "obs-latency"`,
-//! default on): **latency distributions**. [`hist`] holds the
-//! concurrent log-bucketed histogram; [`slow`] the lock-free ring of
-//! slow-op records; recording follows the metrics cost discipline
-//! (sampled point ops, handle-buffered flush on re-pin — see
-//! [`LatencyConfig`]). Disabling the feature compiles the timers down
-//! to zero-sized tokens and empty inlines.
+//! A third price point sits between the two, always compiled in:
+//! **latency distributions**. [`hist`] holds the concurrent
+//! log-bucketed histogram; [`slow`] the lock-free ring of slow-op
+//! records; recording follows the metrics cost discipline (sampled
+//! point ops, handle-buffered flush on re-pin — see [`LatencyConfig`]).
+//! [`LatencyConfig::disabled`] turns recording off at run time, leaving
+//! one field load and a branch per op.
 
 pub mod hist;
 mod metrics;
@@ -84,18 +84,6 @@ impl OpClass {
             OpClass::Remove => "remove",
             OpClass::Batch => "batch",
             OpClass::Range => "range",
-        }
-    }
-
-    /// The class for a stored discriminant, if in range.
-    pub fn from_u8(v: u8) -> Option<OpClass> {
-        match v {
-            0 => Some(OpClass::Get),
-            1 => Some(OpClass::Insert),
-            2 => Some(OpClass::Remove),
-            3 => Some(OpClass::Batch),
-            4 => Some(OpClass::Range),
-            _ => None,
         }
     }
 }

@@ -143,7 +143,6 @@ pub(crate) fn emit(kind: EventKind) {
 /// recorded so far), or `u64::MAX` when unattached. An armed latency
 /// timer takes this at op start so a slow op can report exactly the
 /// events recorded during it.
-#[cfg(feature = "obs-latency")]
 #[inline]
 pub(crate) fn local_mark() -> u64 {
     CURRENT.with(|current| {
@@ -159,7 +158,6 @@ pub(crate) fn local_mark() -> u64 {
 /// [`SLOW_EVENTS`](super::slow::SLOW_EVENTS) when the op recorded more
 /// (the tail of a retry storm is where the resolution is). Reading our
 /// own ring is safe without validation: the owner is the only writer.
-#[cfg(feature = "obs-latency")]
 pub(crate) fn local_events_since(mark: u64) -> ([u8; super::slow::SLOW_EVENTS], u8) {
     let mut out = [0u8; super::slow::SLOW_EVENTS];
     let mut n = 0u8;

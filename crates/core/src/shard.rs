@@ -32,10 +32,10 @@ use nmbst_reclaim::{Ebr, Reclaim};
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, ControlFlow, RangeBounds};
 
-/// Shard count used by [`ShardedMap::new`] / [`ShardedSet::new`]. Eight
-/// matches the metrics facade's counter striping: enough that a
-/// thread-per-core server on a small box gets one tree per worker,
-/// small enough that merged snapshots stay trivial.
+/// Shard count used by [`ShardedMap::new`]. Eight matches the metrics
+/// facade's counter striping: enough that a thread-per-core server on a
+/// small box gets one tree per worker, small enough that merged
+/// snapshots stay trivial.
 pub const DEFAULT_SHARD_COUNT: usize = 8;
 
 /// FxHash's multiplicative constant (a 64-bit truncation of π's golden
@@ -380,12 +380,6 @@ where
             agg.merge(&tree.metrics());
         }
         agg
-    }
-
-    /// Per-shard snapshots, index-aligned with the router (load-balance
-    /// diagnostics).
-    pub fn metrics_per_shard(&self) -> Vec<MetricsSnapshot> {
-        self.shards.iter().map(|t| t.metrics()).collect()
     }
 
     /// [`NmTreeMap::flush`] on every shard's reclaimer.
@@ -845,214 +839,6 @@ impl<K, V, R: Reclaim> std::fmt::Debug for ShardedMapHandle<'_, K, V, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedMapHandle")
             .field("shards", &self.handles.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// [`ShardedMap`] without values: N independent [`crate::NmTreeSet`]s
-/// behind the same router, with the same aggregation contracts.
-///
-/// # Examples
-///
-/// ```
-/// use nmbst::ShardedSet;
-///
-/// let set: ShardedSet<u64> = ShardedSet::with_shards(4);
-/// set.insert(7);
-/// set.insert(3);
-/// let mut seen = Vec::new();
-/// set.range_for_each(.., |k| seen.push(*k));
-/// assert_eq!(seen, vec![3, 7]);
-/// ```
-pub struct ShardedSet<K, R: Reclaim = Ebr> {
-    inner: ShardedMap<K, (), R>,
-}
-
-impl<K, R> ShardedSet<K, R>
-where
-    K: Ord + Hash + Clone + Send + Sync + 'static,
-    R: Reclaim,
-{
-    /// A sharded set with [`DEFAULT_SHARD_COUNT`] shards.
-    pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARD_COUNT)
-    }
-
-    /// A sharded set with `shards` shards; panics if zero.
-    pub fn with_shards(shards: usize) -> Self {
-        ShardedSet {
-            inner: ShardedMap::with_shards(shards),
-        }
-    }
-
-    /// A sharded set whose every tree runs the given [`TreeConfig`].
-    pub fn with_config(shards: usize, config: TreeConfig) -> Self {
-        ShardedSet {
-            inner: ShardedMap::with_config(shards, config),
-        }
-    }
-
-    /// The number of shards (fixed at construction).
-    pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    /// The shard index `key` routes to.
-    #[inline]
-    pub fn shard_of(&self, key: &K) -> usize {
-        self.inner.shard_of(key)
-    }
-
-    /// A per-worker cursor holding one pinned handle per shard (the
-    /// set-flavored [`ShardedMapHandle`]).
-    pub fn handle(&self) -> ShardedSetHandle<'_, K, R> {
-        ShardedSetHandle {
-            inner: self.inner.handle(),
-        }
-    }
-
-    /// Routed insert; `true` if the key set changed.
-    #[inline]
-    pub fn insert(&self, key: K) -> bool {
-        self.inner.insert(key, ())
-    }
-
-    /// Routed remove; `true` if the key was present.
-    #[inline]
-    pub fn remove(&self, key: &K) -> bool {
-        self.inner.remove(key)
-    }
-
-    /// Routed membership test.
-    #[inline]
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.contains(key)
-    }
-
-    /// Visits every key ascending (merged shard snapshots; see
-    /// [`ShardedMap::range_for_each`]).
-    pub fn for_each(&self, mut f: impl FnMut(&K)) {
-        self.inner.for_each(|k, ()| f(k));
-    }
-
-    /// Visits every key in `range` ascending (merged shard snapshots).
-    pub fn range_for_each<Q: RangeBounds<K>>(&self, range: Q, mut f: impl FnMut(&K)) {
-        self.inner.range_for_each(range, |k, ()| f(k));
-    }
-
-    /// Sums [`crate::NmTreeSet::count`] across shards.
-    pub fn count(&self) -> usize {
-        self.inner.count()
-    }
-
-    /// Whether every shard is empty (racy under writers).
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Exact live-key count (`&mut self` = quiescent).
-    pub fn len(&mut self) -> usize {
-        self.inner.len()
-    }
-
-    /// Every key, ascending (`&mut self` = quiescent).
-    pub fn keys(&mut self) -> Vec<K> {
-        self.inner.keys()
-    }
-
-    /// Empties every shard (`&mut self` = quiescent).
-    pub fn clear(&mut self) {
-        self.inner.clear()
-    }
-
-    /// Per-shard invariant check; see [`ShardedMap::check_invariants`].
-    pub fn check_invariants(&mut self) -> Result<Vec<TreeShape>, String> {
-        self.inner.check_invariants()
-    }
-
-    /// Aggregated metrics; see [`ShardedMap::metrics`].
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics()
-    }
-
-    /// Reclaimer flush on every shard.
-    pub fn flush(&self) {
-        self.inner.flush()
-    }
-}
-
-impl<K, R> Default for ShardedSet<K, R>
-where
-    K: Ord + Hash + Clone + Send + Sync + 'static,
-    R: Reclaim,
-{
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K, R: Reclaim> std::fmt::Debug for ShardedSet<K, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSet")
-            .field("shards", &self.inner.shards.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Per-worker cursor over a [`ShardedSet`]; see [`ShardedMapHandle`].
-pub struct ShardedSetHandle<'t, K, R: Reclaim = Ebr> {
-    inner: ShardedMapHandle<'t, K, (), R>,
-}
-
-impl<K, R> ShardedSetHandle<'_, K, R>
-where
-    K: Ord + Hash + Clone + Send + Sync + 'static,
-    R: Reclaim,
-{
-    /// Routed insert through the shard's pinned handle.
-    #[inline]
-    pub fn insert(&mut self, key: K) -> bool {
-        self.inner.insert(key, ())
-    }
-
-    /// Routed remove through the shard's pinned handle.
-    #[inline]
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.inner.remove(key)
-    }
-
-    /// Routed membership test through the shard's pinned handle.
-    #[inline]
-    pub fn contains(&mut self, key: &K) -> bool {
-        self.inner.contains(key)
-    }
-
-    /// Shard-partitioned batch insert; returns keys newly added.
-    pub fn insert_batch(&mut self, keys: impl IntoIterator<Item = K>) -> usize {
-        self.inner.insert_batch(keys.into_iter().map(|k| (k, ())))
-    }
-
-    /// Shard-partitioned batch remove; returns keys removed.
-    pub fn remove_batch(&mut self, keys: impl IntoIterator<Item = K>) -> usize {
-        self.inner.remove_batch(keys)
-    }
-
-    /// Publishes batched op counts from every shard handle; see
-    /// [`MapHandle::flush_stats`].
-    pub fn flush_stats(&mut self) {
-        self.inner.flush_stats()
-    }
-
-    /// Unpins every shard handle; call before parking the worker.
-    pub fn unpin(&mut self) {
-        self.inner.unpin()
-    }
-}
-
-impl<K, R: Reclaim> std::fmt::Debug for ShardedSetHandle<'_, K, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSetHandle")
-            .field("shards", &self.inner.handles.len())
             .finish_non_exhaustive()
     }
 }

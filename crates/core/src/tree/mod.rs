@@ -70,8 +70,8 @@ pub struct TreeConfig {
     /// exactly (every insert publishes a two-node subtree, every remove
     /// runs flag/tag/splice); the default packs a cache line.
     pub leaf_cap: usize,
-    /// Latency recording behavior: sampling rate and slow-op threshold
-    /// (ignored when compiled without `feature = "obs-latency"`).
+    /// Latency recording behavior: on/off, sampling rate and slow-op
+    /// threshold.
     pub lat: LatencyConfig,
 }
 

@@ -251,8 +251,8 @@ fn exposition_formats_are_complete_and_consistent() {
     assert!(prom.contains("nmbst_descent_depth_count 6\n"));
 
     // Latency histograms ride along in both formats (empty but present
-    // when `obs-latency` is off — the snapshot fields are
-    // unconditional, only recording is gated).
+    // when recording is disabled — the snapshot fields are
+    // unconditional).
     assert!(json.contains("\"latency\":{\"get\":{\"count\":"), "{json}");
     assert!(json.contains("\"slow_ops\":"), "{json}");
     assert!(prom.contains("# TYPE nmbst_op_latency_ns histogram"));
@@ -598,7 +598,6 @@ fn batch_lane_and_reseek_counters_are_exported() {
 /// With `sample_shift = 0` every point op is timed, so the per-op-type
 /// latency histograms count calls exactly — and merging two snapshots
 /// preserves counts and nanosecond sums to the bit.
-#[cfg(feature = "obs-latency")]
 #[test]
 fn latency_histograms_count_exactly_and_merge_exactly() {
     let always = TreeConfig::default().with_latency(LatencyConfig::default().with_sample_shift(0));
@@ -656,6 +655,60 @@ fn latency_histograms_count_exactly_and_merge_exactly() {
     off.insert(1, 1);
     off.contains(&1);
     assert!(off.metrics().latency.is_empty());
+}
+
+/// `LatencyConfig::disabled()` is the one off switch, and it holds on
+/// every timer entry point even with every op sampled and a 1 ns
+/// slow-op threshold: plain and handle point ops, the per-call batch
+/// and range timers, and a sharded `execute_batch` record nothing.
+#[test]
+fn disabled_latency_records_nothing_on_any_timer_path() {
+    let off = TreeConfig::default().with_latency(
+        LatencyConfig::disabled()
+            .with_sample_shift(0)
+            .with_slow_op_ns(1),
+    );
+    let map: NmTreeMap<u64, u64, Ebr> = NmTreeMap::with_config(off);
+    map.insert(1, 1);
+    map.insert(2, 2);
+    assert_eq!(map.get(&1), Some(1));
+    assert!(map.remove(&2));
+    let mut visited = 0;
+    map.range_for_each(.., |_, _| visited += 1);
+    assert_eq!(visited, 1);
+    {
+        let mut h = map.handle();
+        assert!(h.insert(3, 3));
+        assert!(h.contains(&3));
+        assert_eq!(h.get(&1), Some(1));
+        assert!(h.remove(&3));
+        assert_eq!(h.insert_batch((10..20).map(|k| (k, k))), 10);
+        let mut out = Vec::new();
+        h.get_many(&[1, 10, 99], &mut out);
+        assert_eq!(out, vec![Some(1), Some(10), None]);
+        assert_eq!(h.remove_batch(10..20), 10);
+    }
+    let m = map.metrics();
+    assert!(m.latency.is_empty(), "{:?}", m.latency);
+    assert!(m.slow_ops.is_empty(), "{:?}", m.slow_ops);
+
+    let sharded: ShardedMap<u64, u64, Ebr> = ShardedMap::with_config(2, off);
+    {
+        let mut h = sharded.handle();
+        let cmds = [
+            BatchCmd::Insert(1, 1),
+            BatchCmd::Get(1),
+            BatchCmd::Insert(2, 2),
+            BatchCmd::Remove(1),
+        ];
+        let mut out = Vec::new();
+        h.execute_batch(&cmds, &mut BatchScratch::new(), &mut out);
+        assert_eq!(out[1], BatchVerdict::Found(1));
+    }
+    sharded.range_for_each(.., |_, _| {});
+    let m = sharded.metrics();
+    assert!(m.latency.is_empty(), "{:?}", m.latency);
+    assert!(m.slow_ops.is_empty(), "{:?}", m.slow_ops);
 }
 
 /// Reclamation gauges surface through the tree-level snapshot: a pinned

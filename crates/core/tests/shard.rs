@@ -1,9 +1,9 @@
-//! `ShardedMap`/`ShardedSet` against flat models: routing must be a
+//! `ShardedMap` against flat models: routing must be a
 //! pure partition (every key readable back through the same front end),
 //! merged ordered views must match a `BTreeMap`, and aggregated metrics
 //! must add up exactly at quiescence.
 
-use nmbst::{Ebr, ShardedMap, ShardedSet, TreeConfig};
+use nmbst::{Ebr, ShardedMap, TreeConfig};
 use std::collections::BTreeMap;
 use std::sync::Barrier;
 
@@ -188,23 +188,29 @@ fn sharded_flush_stats_makes_live_worker_visible() {
     assert_eq!(map.metrics().inserted, 200, "no double count on drop");
 }
 
+/// A `ShardedMap<_, ()>` is the sharded set: keys only, routed and
+/// merged like any other map.
 #[test]
 fn sharded_set_round_trip_and_merged_order() {
-    let set: ShardedSet<u64, Ebr> = ShardedSet::with_shards(6);
+    let set: ShardedMap<u64, (), Ebr> = ShardedMap::with_shards(6);
     let mut h = set.handle();
     // Insert in descending order to make merged ascending output earn it.
     for k in (0..500).rev() {
-        assert!(h.insert(k));
+        assert!(h.insert(k, ()));
     }
-    assert!(!h.insert(250));
+    assert!(!h.insert(250, ()));
     assert!(h.contains(&499));
     assert!(h.remove(&499));
+    // The handle batch round trip: shard-partitioned batches count only
+    // the keys they changed, and leave the set as it was.
+    assert_eq!(h.insert_batch((495..505).map(|k| (k, ()))), 6);
+    assert_eq!(h.remove_batch(499..505), 6);
     drop(h);
     let mut seen = Vec::new();
-    set.range_for_each(10..20, |k| seen.push(*k));
+    set.range_for_each(10..20, |k, ()| seen.push(*k));
     assert_eq!(seen, (10..20).collect::<Vec<_>>());
     let mut ordered = Vec::new();
-    set.for_each(|k| ordered.push(*k));
+    set.for_each(|k, ()| ordered.push(*k));
     assert_eq!(ordered, (0..499).collect::<Vec<_>>());
     let mut set = set;
     assert_eq!(set.len(), 499);

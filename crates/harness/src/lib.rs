@@ -32,7 +32,7 @@ pub mod zipf;
 
 pub use adapter::ConcurrentSet;
 pub use hist::Histogram;
-pub use replay::{run_replay, ReplayConfig, ReplayReport, SessionOp, SessionTarget};
+pub use replay::{run_replay, ReplayConfig, ReplayReport, SessionTarget};
 pub use runner::{
     mean_mops, prepopulate, run_batch_throughput, run_latency, run_throughput, BenchConfig,
     BenchResult, KeyDist, LatencyResult,

@@ -35,20 +35,10 @@ use crate::hist::Histogram;
 use crate::rng::XorShift64Star;
 use crate::workload::{OpKind, Workload};
 use crate::zipf::ZipfGenerator;
+use nmbst::BatchCmd;
 use std::io;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
-
-/// One operation inside a simulated session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionOp {
-    /// Point lookup.
-    Get(u64),
-    /// Insert key → value.
-    Insert(u64, u64),
-    /// Remove a key.
-    Remove(u64),
-}
 
 /// Where replayed sessions execute: one target per client thread. The
 /// replay engine never sees the transport — a target may be a TCP
@@ -57,11 +47,11 @@ pub enum SessionOp {
 pub trait SessionTarget {
     /// Executes one bundle of session ops (possibly several coalesced
     /// sessions' worth, in session order). An `Err` aborts the replay.
-    fn run(&mut self, ops: &[SessionOp]) -> io::Result<()>;
+    fn run(&mut self, ops: &[BatchCmd<u64, u64>]) -> io::Result<()>;
 }
 
-impl<F: FnMut(&[SessionOp]) -> io::Result<()>> SessionTarget for F {
-    fn run(&mut self, ops: &[SessionOp]) -> io::Result<()> {
+impl<F: FnMut(&[BatchCmd<u64, u64>]) -> io::Result<()>> SessionTarget for F {
+    fn run(&mut self, ops: &[BatchCmd<u64, u64>]) -> io::Result<()> {
         self(ops)
     }
 }
@@ -221,14 +211,19 @@ fn rank_to_key(rank: u64, key_range: u64) -> u64 {
 
 /// Generates session `sid`'s ops — deterministic in `(config.seed,
 /// sid)`, so a replay is reproducible across client fleets and runs.
-pub fn session_ops(cfg: &ReplayConfig, zipf: &ZipfGenerator, sid: u64, out: &mut Vec<SessionOp>) {
+pub fn session_ops(
+    cfg: &ReplayConfig,
+    zipf: &ZipfGenerator,
+    sid: u64,
+    out: &mut Vec<BatchCmd<u64, u64>>,
+) {
     let mut rng = XorShift64Star::from_stream(cfg.seed, sid);
     for _ in 0..cfg.ops_per_session {
         let key = rank_to_key(zipf.next(&mut rng), cfg.key_range);
         out.push(match cfg.workload.pick(&mut rng) {
-            OpKind::Search => SessionOp::Get(key),
-            OpKind::Insert => SessionOp::Insert(key, sid),
-            OpKind::Delete => SessionOp::Remove(key),
+            OpKind::Search => BatchCmd::Get(key),
+            OpKind::Insert => BatchCmd::Insert(key, sid),
+            OpKind::Delete => BatchCmd::Remove(key),
         });
     }
 }
@@ -302,7 +297,7 @@ where
                     let mut conns = 0u64;
                     let mut on_conn = 0u64;
                     let mut target: Option<F::Target> = None;
-                    let mut bundle_ops: Vec<SessionOp> = Vec::new();
+                    let mut bundle_ops: Vec<BatchCmd<u64, u64>> = Vec::new();
                     let mut bundle_arrivals: Vec<u64> = Vec::new();
                     let mut owned = (c as u64..cfg.sessions).step_by(cfg.clients).peekable();
                     start_gate.wait();
@@ -436,7 +431,7 @@ mod tests {
         let targets: Vec<_> = (0..3)
             .map(|_| {
                 let executed = &executed;
-                move |ops: &[SessionOp]| {
+                move |ops: &[BatchCmd<u64, u64>]| {
                     executed.fetch_add(ops.len() as u64, Ordering::Relaxed);
                     Ok(())
                 }
@@ -466,7 +461,7 @@ mod tests {
                 let executed = &executed;
                 move || {
                     connects.fetch_add(1, Ordering::Relaxed);
-                    Ok(move |ops: &[SessionOp]| {
+                    Ok(move |ops: &[BatchCmd<u64, u64>]| {
                         executed.fetch_add(ops.len() as u64, Ordering::Relaxed);
                         Ok(())
                     })
@@ -494,7 +489,7 @@ mod tests {
                 let connects = &connects;
                 move || {
                     connects.fetch_add(1, Ordering::Relaxed);
-                    Ok(|_: &[SessionOp]| Ok(()))
+                    Ok(|_: &[BatchCmd<u64, u64>]| Ok(()))
                 }
             })
             .collect();
@@ -510,10 +505,10 @@ mod tests {
         c.coalesce = 8;
         c.ops_per_session = 2;
         let bundles: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let keys_seen: Mutex<Vec<SessionOp>> = Mutex::new(Vec::new());
+        let keys_seen: Mutex<Vec<BatchCmd<u64, u64>>> = Mutex::new(Vec::new());
         let report = run_replay(
             &c,
-            vec![|ops: &[SessionOp]| {
+            vec![|ops: &[BatchCmd<u64, u64>]| {
                 bundles.lock().unwrap().push(ops.len());
                 keys_seen.lock().unwrap().extend_from_slice(ops);
                 Ok(())
@@ -540,7 +535,7 @@ mod tests {
         let bundles: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let report = run_replay(
             &c,
-            vec![|ops: &[SessionOp]| {
+            vec![|ops: &[BatchCmd<u64, u64>]| {
                 bundles.lock().unwrap().push(ops.len());
                 Ok(())
             }],
@@ -560,7 +555,9 @@ mod tests {
         c.arrival_rate = 20_000.0;
         let report = run_replay(
             &c,
-            (0..2).map(|_| |_: &[SessionOp]| Ok(())).collect::<Vec<_>>(),
+            (0..2)
+                .map(|_| |_: &[BatchCmd<u64, u64>]| Ok(()))
+                .collect::<Vec<_>>(),
         );
         assert!(
             report.elapsed >= Duration::from_millis(95),
@@ -576,6 +573,6 @@ mod tests {
     #[should_panic(expected = "one target per client")]
     fn target_count_must_match() {
         let c = cfg(10, 2);
-        let _ = run_replay(&c, vec![|_: &[SessionOp]| Ok(())]);
+        let _ = run_replay(&c, vec![|_: &[BatchCmd<u64, u64>]| Ok(())]);
     }
 }

@@ -29,7 +29,6 @@ pub struct ZipfGenerator {
     alpha: f64,
     zeta_n: f64,
     eta: f64,
-    zeta_2: f64,
 }
 
 fn zeta(n: u64, theta: f64) -> f64 {
@@ -52,7 +51,6 @@ impl ZipfGenerator {
             alpha,
             zeta_n,
             eta,
-            zeta_2,
         }
     }
 
@@ -78,11 +76,6 @@ impl ZipfGenerator {
     /// The configured skew.
     pub fn theta(&self) -> f64 {
         self.theta
-    }
-
-    /// Exposes the second-order normalizer (diagnostics/tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta_2
     }
 }
 

@@ -2,20 +2,20 @@
 //! *write-dominated* workload (≈50% insert / 50% delete) in application
 //! form, plus ordered traversal for top-of-book queries.
 //!
-//! Each side of the book is a [`ShardedSet<u64>`] of active price
-//! levels (prices in ticks): hash-sharded for write throughput, while
-//! `range_for_each` still merges the shards into one globally ascending
-//! pass for the market-data feed. Matching engines drive their side
-//! through a [`nmbst::ShardedSetHandle`], using the batch entry points
-//! for quote-ladder refreshes — pure insert/delete churn, exactly the
-//! regime where the NM algorithm's single-CAS insert and three-atomic
-//! delete shine (Figure 4, left column).
+//! Each side of the book is a [`ShardedMap<u64, ()>`] of active price
+//! levels (prices in ticks, no values): hash-sharded for write
+//! throughput, while `range_for_each` still merges the shards into one
+//! globally ascending pass for the market-data feed. Matching engines
+//! drive their side through a [`nmbst::ShardedMapHandle`], using the
+//! batch entry points for quote-ladder refreshes — pure insert/delete
+//! churn, exactly the regime where the NM algorithm's single-CAS insert
+//! and three-atomic delete shine (Figure 4, left column).
 //!
 //! ```text
 //! cargo run --release --example order_book
 //! ```
 
-use nmbst::ShardedSet;
+use nmbst::ShardedMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -30,13 +30,13 @@ fn xorshift(x: &mut u64) -> u64 {
 }
 
 fn main() {
-    let bids: ShardedSet<u64> = ShardedSet::with_shards(4);
-    let asks: ShardedSet<u64> = ShardedSet::with_shards(4);
+    let bids: ShardedMap<u64, ()> = ShardedMap::with_shards(4);
+    let asks: ShardedMap<u64, ()> = ShardedMap::with_shards(4);
 
     // Seed a plausible book around the mid price.
     for d in 1..200 {
-        bids.insert(MID - d);
-        asks.insert(MID + d);
+        bids.insert(MID - d, ());
+        asks.insert(MID + d, ());
     }
 
     let stop = AtomicBool::new(false);
@@ -72,7 +72,7 @@ fn main() {
                             let p = MID as i64 + sign * (depth + 3 * i) as i64;
                             (p.clamp(1, TICKS as i64 - 1)) as u64
                         };
-                        ops += side.insert_batch((0..8).map(rung)) as u64;
+                        ops += side.insert_batch((0..8).map(|i| (rung(i), ()))) as u64;
                         ops += side.remove_batch((8..16).map(rung)) as u64;
                     } else {
                         let (side, price) = if r & 1 == 0 {
@@ -81,7 +81,7 @@ fn main() {
                             (&mut ask_h, (MID + depth).min(TICKS - 1))
                         };
                         if r & 2 == 0 {
-                            side.insert(price);
+                            side.insert(price, ());
                         } else {
                             side.remove(&price);
                         }
@@ -103,9 +103,9 @@ fn main() {
                     // ascending order: best bid = last key below the
                     // mid, best ask = first key at/above it.
                     let mut best_bid = None;
-                    bids.range_for_each(1..MID, |p| best_bid = Some(*p));
+                    bids.range_for_each(1..MID, |p, ()| best_bid = Some(*p));
                     let mut best_ask = None;
-                    asks.range_for_each(MID..TICKS, |p| {
+                    asks.range_for_each(MID..TICKS, |p, ()| {
                         if best_ask.is_none() {
                             best_ask = Some(*p);
                         }
@@ -144,12 +144,12 @@ fn main() {
     // Deterministic post-run checks: both sides stay inside the grid,
     // in merged ascending order, and every shard's tree is well-formed.
     let mut last = 0;
-    bids.for_each(|p| {
+    bids.for_each(|p, ()| {
         assert!((1..MID).contains(p));
         assert!(*p > last || last == 0, "merged traversal stays sorted");
         last = *p;
     });
-    asks.for_each(|p| assert!((MID..TICKS).contains(p)));
+    asks.for_each(|p, ()| assert!((MID..TICKS).contains(p)));
     let mut bids = bids;
     bids.check_invariants().expect("bid shards well-formed");
     println!("post-run range + shard invariants: ok");
