@@ -19,20 +19,24 @@
 //! * `NMBST_SLOWLOG_PATH` — where a failing run writes the slow-op
 //!   records of every arm's median run (default `SLOWLOG_DUMP.txt`).
 
+use nmbst::obs::hist::Histogram;
 use nmbst::obs::{MetricsSnapshot, SlowOp};
-use nmbst::{LatencyConfig, NmTreeSet, PoolConfig, RestartPolicy, SetHandle, TagMode, TreeConfig};
+use nmbst::{LatencyConfig, MapHandle, NmTreeMap, RestartPolicy, TagMode, TreeConfig};
 use nmbst_bench::cells::{render_slowlog, run_table, Arm, Built, Cell, Cmp, Env, Gate, Rhs, Run};
 use nmbst_bench::json::{self, Json};
 use nmbst_bench::obj;
+use nmbst_harness::adapter::{NmEbr, NmLeaky};
 use nmbst_harness::replay::{
     run_replay, run_replay_churn, ReplayConfig, ReplayReport, SessionTarget,
 };
 use nmbst_harness::rng::XorShift64Star;
 use nmbst_harness::workload::OpKind;
-use nmbst_harness::{prepopulate, Histogram, SortedBatchGen, Workload};
-use nmbst_reclaim::{Ebr, Leaky, Reclaim};
+use nmbst_harness::{prepopulate, SortedBatchGen, Workload};
+use nmbst_reclaim::Reclaim;
 use nmbst_server::wire::{BatchOp, Request, Response};
 use nmbst_server::{Client, Server, ServerConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -61,7 +65,7 @@ const SERVE_UTIL: f64 = 0.7;
 enum Api {
     /// The plain API: every call pins and unpins the reclaimer.
     PerOpPin,
-    /// A [`SetHandle`] holding its guard across operations.
+    /// A [`MapHandle`] holding its guard across operations.
     Handle,
 }
 
@@ -75,19 +79,19 @@ impl Api {
 }
 
 #[inline]
-fn plain_op<R: Reclaim>(set: &NmTreeSet<u64, R>, op: OpKind, key: u64) -> bool {
+fn plain_op<R: Reclaim>(set: &NmTreeMap<u64, (), R>, op: OpKind, key: u64) -> bool {
     match op {
         OpKind::Search => set.contains(&key),
-        OpKind::Insert => set.insert(key),
+        OpKind::Insert => set.insert(key, ()),
         OpKind::Delete => set.remove(&key),
     }
 }
 
 #[inline]
-fn handle_op<R: Reclaim>(h: &mut SetHandle<'_, u64, R>, op: OpKind, key: u64) -> bool {
+fn handle_op<R: Reclaim>(h: &mut MapHandle<'_, u64, (), R>, op: OpKind, key: u64) -> bool {
     match op {
         OpKind::Search => h.contains(&key),
-        OpKind::Insert => h.insert(key),
+        OpKind::Insert => h.insert(key, ()),
         OpKind::Delete => h.remove(&key),
     }
 }
@@ -102,7 +106,7 @@ fn single_thread_mops(
     secs: f64,
     seed: u64,
 ) -> (f64, u64, MetricsSnapshot) {
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::with_config(config);
+    let set: NmEbr = NmTreeMap::with_config(config);
     prepopulate(&set, key_range, seed);
     let warmup = Duration::from_secs_f64((secs * 0.2).min(0.2));
     let duration = Duration::from_secs_f64(secs);
@@ -144,6 +148,66 @@ fn single_thread_mops(
     (ops as f64 / elapsed.as_secs_f64() / 1e6, ops, set.metrics())
 }
 
+/// Operations per slice of [`interleaved_mops`]: about half a
+/// millisecond of single-thread handle ops, long enough that the two
+/// timer reads per slice cost nothing, short enough that host drift
+/// and interference spikes span many slices of both sides.
+const SLICE_OPS: u64 = 4_096;
+
+/// Single-thread handle throughput of two trees that differ only in
+/// their configs, measured within one run in alternating slices of
+/// [`SLICE_OPS`] operations, so drift and interference land on both
+/// sides alike instead of on whichever side happened to run during
+/// them. Both trees start from the same keys and see the same operation
+/// sequence, and each side runs `secs` of measured slices. Returns
+/// (Mops/s, ops, final metrics snapshot) per side.
+fn interleaved_mops(
+    configs: [TreeConfig; 2],
+    workload: Workload,
+    key_range: u64,
+    secs: f64,
+    seed: u64,
+) -> [(f64, u64, MetricsSnapshot); 2] {
+    let sets = configs.map(|config| {
+        let set: NmEbr = NmTreeMap::with_config(config);
+        prepopulate(&set, key_range, seed);
+        set
+    });
+    let mut handles = [sets[0].handle(), sets[1].handle()];
+    let mut rngs = [(); 2].map(|()| XorShift64Star::from_stream(seed, 1));
+    let mut ops = [0u64; 2];
+    let mut elapsed = [Duration::ZERO; 2];
+
+    let mut phase = |budget: Duration, measured: bool| {
+        let mut spent = [Duration::ZERO; 2];
+        let mut slices = 0u64;
+        while spent[0] + spent[1] < 2 * budget {
+            for (side, (h, rng)) in handles.iter_mut().zip(&mut rngs).enumerate() {
+                let t0 = Instant::now();
+                for _ in 0..SLICE_OPS {
+                    let key = 1 + rng.next_bounded(key_range);
+                    std::hint::black_box(handle_op(h, workload.pick(rng), key));
+                }
+                spent[side] += t0.elapsed();
+            }
+            slices += 1;
+        }
+        if measured {
+            for side in 0..2 {
+                ops[side] += slices * SLICE_OPS;
+                elapsed[side] += spent[side];
+            }
+        }
+    };
+    phase(Duration::from_secs_f64((secs * 0.2).min(0.2)), false);
+    phase(Duration::from_secs_f64(secs), true);
+    drop(handles);
+    [0, 1].map(|side| {
+        let mops = ops[side] as f64 / elapsed[side].as_secs_f64() / 1e6;
+        (mops, ops[side], sets[side].metrics())
+    })
+}
+
 /// A [`MetricsSnapshot`] as a JSON object, via its canonical `to_json`
 /// rendering so the bench file and a live scrape always agree on keys.
 fn snapshot_json(m: &MetricsSnapshot) -> Json {
@@ -159,7 +223,7 @@ fn contended_mops(
     secs: f64,
     seed: u64,
 ) -> (f64, u64, u64, u64) {
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::with_restart_policy(restart);
+    let set: NmEbr = NmTreeMap::with_config(TreeConfig::default().with_restart(restart));
     prepopulate(&set, key_range, seed);
     let workload = Workload::WRITE_DOMINATED;
     let stop = AtomicBool::new(false);
@@ -208,7 +272,7 @@ fn contended_mops(
 
 /// Single-thread per-op latency histogram over `ops` mixed operations.
 fn latency_hist(api: Api, key_range: u64, ops: u64, seed: u64) -> Histogram {
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+    let set: NmEbr = NmTreeMap::new();
     prepopulate(&set, key_range, seed);
     let workload = Workload::MIXED;
     let mut rng = XorShift64Star::from_stream(seed, 2);
@@ -245,7 +309,7 @@ fn table1_counts(api: Api) -> (f64, f64, f64, f64) {
     // leaf_cap = 1: the paper's Table-1 costs are stated for one-key
     // leaves; a fat block COWs (1 alloc, 1 CAS) instead of running the
     // classic 2-alloc insert / flag-tag-splice delete being counted.
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(TreeConfig::default().with_leaf_cap(1));
+    let set: NmLeaky = NmTreeMap::with_config(TreeConfig::default().with_leaf_cap(1));
     let mut h = set.handle();
     let set = &set;
     let mut run = |key: u64, op: OpKind| match api {
@@ -284,7 +348,7 @@ fn table1_counts(api: Api) -> (f64, f64, f64, f64) {
 /// the existing API offers.
 fn bulk_load_pair(n: u64, seed: u64) -> (f64, f64) {
     let t0 = Instant::now();
-    let bulk: NmTreeSet<u64, Ebr> = NmTreeSet::from_sorted_iter(1..=n);
+    let bulk: NmEbr = NmTreeMap::from_sorted_iter((1..=n).map(|k| (k, ())));
     let bulk_secs = t0.elapsed().as_secs_f64();
     assert_eq!(bulk.count(), n as usize, "bulk build lost keys");
     drop(bulk);
@@ -295,11 +359,11 @@ fn bulk_load_pair(n: u64, seed: u64) -> (f64, f64) {
         let j = rng.next_bounded((i + 1) as u64) as usize;
         keys.swap(i, j);
     }
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+    let set: NmEbr = NmTreeMap::new();
     let t1 = Instant::now();
     let mut h = set.handle();
     for &k in &keys {
-        std::hint::black_box(h.insert(k));
+        std::hint::black_box(h.insert(k, ()));
     }
     drop(h);
     let loop_secs = t1.elapsed().as_secs_f64();
@@ -312,7 +376,7 @@ fn bulk_load_pair(n: u64, seed: u64) -> (f64, f64) {
 /// points (`batched = true`) or the same handle one key at a time.
 /// Both sides amortize pinning through the handle. In the batched arm
 /// the writes run finger-anchored (`insert_batch`/`remove_batch`) and
-/// the GETs in `get_many`'s interleaved lanes (`contains_batch`), so
+/// the GETs in `get_many`'s interleaved lanes (`get_batch`), so
 /// the delta is the finger on writes plus the lanes on reads (plus
 /// per-batch dispatch overhead).
 /// Returns (Mops/s, ops, final metrics snapshot).
@@ -323,7 +387,7 @@ fn sorted_batch_mops(
     secs: f64,
     seed: u64,
 ) -> (f64, u64, MetricsSnapshot) {
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+    let set: NmEbr = NmTreeMap::new();
     prepopulate(&set, key_range, seed);
     let gen = SortedBatchGen::new(key_range, batch_len, 0.8);
     let workload = Workload::MIXED;
@@ -344,10 +408,10 @@ fn sorted_batch_mops(
                 if batched {
                     match op {
                         OpKind::Search => {
-                            std::hint::black_box(h.contains_batch(buf.iter().copied()));
+                            std::hint::black_box(h.get_batch(buf.iter().copied()));
                         }
                         OpKind::Insert => {
-                            std::hint::black_box(h.insert_batch(buf.iter().copied()));
+                            std::hint::black_box(h.insert_batch(buf.iter().map(|&k| (k, ()))));
                         }
                         OpKind::Delete => {
                             std::hint::black_box(h.remove_batch(buf.iter().copied()));
@@ -611,17 +675,6 @@ const CELLS: &[Cell] = &[
             Gate::Invariant(1, "delete_atomics", Cmp::Eq, Rhs::Const(3.0)),
         ],
     },
-    // Arms: {write-dominated, mixed} × pool {off, on}. The pool must at
-    // least hold the line on insert-heavy work, and recycle under mixed.
-    Cell {
-        name: "pool_ablation",
-        rank: "mops",
-        build: pool_ablation,
-        gates: &[
-            Gate::Sibling((1, "mops"), (0, "mops"), 0.75),
-            Gate::Invariant(3, "obs.pool_hits", Cmp::Gt, Rhs::Const(0.0)),
-        ],
-    },
     // Arms: {read-dominated, mixed} × leaf_cap {1, LEAF_CAP}. Fat leaves
     // must win the read path, and the thin tree must stay strictly deeper
     // so the delta is attributable to leaf compaction.
@@ -657,7 +710,9 @@ const CELLS: &[Cell] = &[
             Gate::Invariant(1, "obs.finger_hits", Cmp::Gt, Rhs::Const(0.0)),
         ],
     },
-    // Arms: {mixed, read-dominated} × recording {off, on}.
+    // Arms: {mixed, read-dominated} × recording {off, on}. Each
+    // workload's off and on arms share every run: one run alternates
+    // slices of the two trees, so a pair ratio carries no host drift.
     Cell {
         name: "obs_overhead",
         rank: "mops",
@@ -793,19 +848,6 @@ fn handle_config(env: &Env) -> Json {
     tree_config(env, obj! { "api" => Api::Handle.label() })
 }
 
-fn pool_ablation(env: &Env) -> Built {
-    let variants = [
-        ("off", PoolConfig::disabled()),
-        ("on", PoolConfig::default()),
-    ]
-    .map(|(label, pool)| {
-        let labels = obj! { "pool" => label };
-        (labels, Api::Handle, TreeConfig::default().with_pool(pool))
-    });
-    let workloads = [Workload::WRITE_DOMINATED, Workload::MIXED];
-    tree_cell(env, &workloads, &variants, handle_config(env))
-}
-
 fn leaf_ablation(env: &Env) -> Built {
     let variants = [1, nmbst::LEAF_CAP].map(|cap| {
         (
@@ -818,29 +860,44 @@ fn leaf_ablation(env: &Env) -> Built {
     tree_cell(env, &workloads, &variants, handle_config(env))
 }
 
+/// Two arms fed by one measurement of both: whichever of them runs a
+/// repeat first calls `measure`, and the other one's run of that repeat
+/// returns the second half. The runner runs repeat `r` of every arm
+/// before repeat `r + 1` of any, so each call serves one repeat of both.
+fn paired_arms(labels: [Json; 2], measure: impl FnMut() -> [Run; 2] + 'static) -> [Arm; 2] {
+    let shared = Rc::new(RefCell::new((measure, [None, None])));
+    let [first, second] = labels;
+    [(0, first), (1, second)].map(|(mine, labels)| {
+        let shared = Rc::clone(&shared);
+        Arm::new(labels, move |_| {
+            let (measure, halves) = &mut *shared.borrow_mut();
+            if halves[mine].is_none() {
+                *halves = measure().map(Some);
+            }
+            halves[mine].take().expect("filled above")
+        })
+    })
+}
+
 fn obs_overhead(env: &Env) -> Built {
-    let variants = [
-        ("off", LatencyConfig::disabled()),
-        ("on", LatencyConfig::default()),
-    ]
-    .map(|(label, lat)| {
-        (
-            obj! { "recording" => label },
-            Api::Handle,
-            TreeConfig::default().with_latency(lat),
-        )
-    });
+    let secs = env.secs;
+    let configs = [LatencyConfig::disabled(), LatencyConfig::default()]
+        .map(|lat| TreeConfig::default().with_latency(lat));
+    let mut arms = Vec::new();
+    for workload in [Workload::MIXED, Workload::READ_DOMINATED] {
+        let labels =
+            ["off", "on"].map(|rec| obj! { "workload" => workload.name, "recording" => rec });
+        arms.extend(paired_arms(labels, move || {
+            interleaved_mops(configs, workload, KEY_RANGE, secs, SEED)
+                .map(|(mops, ops, snap)| mops_metrics(mops, ops, &snap))
+        }));
+    }
     let shift = u64::from(LatencyConfig::default().sample_shift);
     let config = tree_config(
         env,
-        obj! { "api" => Api::Handle.label(), "sample_shift" => shift },
+        obj! { "api" => Api::Handle.label(), "sample_shift" => shift, "slice_ops" => SLICE_OPS },
     );
-    tree_cell(
-        env,
-        &[Workload::MIXED, Workload::READ_DOMINATED],
-        &variants,
-        config,
-    )
+    (config, arms)
 }
 
 fn sorted_batch(env: &Env) -> Built {
@@ -1182,8 +1239,6 @@ mod tests {
             "table1_exact: arm1.insert_atomics == 1",
             "table1_exact: arm1.delete_allocs == 0",
             "table1_exact: arm1.delete_atomics == 3",
-            "pool_ablation: median(arm1.mops / arm0.mops) >= 0.75",
-            "pool_ablation: arm3.obs.pool_hits > 0",
             "leaf_ablation: median(arm1.mops / arm0.mops) >= 0.85",
             "leaf_ablation: arm0.obs.max_depth > arm1.obs.max_depth",
             "bulk_load: median(arm0.loop_secs / arm0.bulk_secs) >= 2",
@@ -1224,7 +1279,6 @@ mod tests {
         };
         let mixed = Workload::MIXED.name;
         let read = Workload::READ_DOMINATED.name;
-        let write = Workload::WRITE_DOMINATED.name;
         let st = labels(single_thread);
         for (arm, workload, api) in [
             (2, mixed, "per_op_pin"),
@@ -1242,10 +1296,6 @@ mod tests {
             labels(table1_exact),
             [r#"{"api":"per_op_pin"}"#, r#"{"api":"handle"}"#]
         );
-        let pool = labels(pool_ablation);
-        assert!(pool[0].starts_with(&format!(r#"{{"workload":"{write}","pool":"off""#)));
-        assert!(pool[1].starts_with(&format!(r#"{{"workload":"{write}","pool":"on""#)));
-        assert!(pool[3].starts_with(&format!(r#"{{"workload":"{mixed}","pool":"on""#)));
         let leaf = labels(leaf_ablation);
         assert_eq!(leaf[0], format!(r#"{{"workload":"{read}","leaf_cap":1}}"#));
         assert_eq!(

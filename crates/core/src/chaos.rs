@@ -225,10 +225,10 @@ pub(crate) fn bug_enabled(_bug: Bug) -> bool {
 /// ```
 /// # #[cfg(feature = "chaos")] {
 /// use nmbst::chaos::{FaultPlan, Point};
-/// use nmbst::NmTreeSet;
+/// use nmbst::NmTreeMap;
 ///
-/// let set: NmTreeSet<u64> = NmTreeSet::new();
-/// set.insert(7);
+/// let set: NmTreeMap<u64, ()> = NmTreeMap::new();
+/// set.insert(7, ());
 /// // A delete that flags its victim and then stops before cleanup:
 /// let flagged = FaultPlan::new()
 ///     .abandon_at(Point::Tag)

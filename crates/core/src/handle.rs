@@ -572,127 +572,10 @@ where
     }
 }
 
-/// A pin-amortizing cursor over an [`NmTreeSet`](crate::NmTreeSet) —
-/// [`MapHandle`] for the set front end.
-///
-/// Obtained from [`NmTreeSet::handle`](crate::NmTreeSet::handle).
-///
-/// # Examples
-///
-/// ```
-/// use nmbst::NmTreeSet;
-///
-/// let set: NmTreeSet<u64> = NmTreeSet::new();
-/// let mut h = set.handle();
-/// assert!(h.insert(7));
-/// assert!(h.contains(&7));
-/// assert!(h.remove(&7));
-/// ```
-pub struct SetHandle<'t, K, R: Reclaim = Ebr> {
-    inner: MapHandle<'t, K, (), R>,
-}
-
-impl<'t, K, R> SetHandle<'t, K, R>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    R: Reclaim,
-{
-    pub(crate) fn new(map: &'t NmTreeMap<K, (), R>) -> Self {
-        SetHandle {
-            inner: MapHandle::new(map),
-        }
-    }
-
-    /// See [`MapHandle::with_repin_every`].
-    pub fn with_repin_every(mut self, ops: u32) -> Self {
-        self.inner = self.inner.with_repin_every(ops);
-        self
-    }
-
-    /// See [`MapHandle::unpin`].
-    pub fn unpin(&mut self) {
-        self.inner.unpin();
-    }
-
-    /// See [`MapHandle::repin`].
-    pub fn repin(&mut self) {
-        self.inner.repin();
-    }
-
-    /// Publishes batched operation counts into the tree's metrics shards
-    /// now; see [`MapHandle::flush_stats`] for the staleness contract.
-    #[inline]
-    pub fn flush_stats(&mut self) {
-        self.inner.flush_stats();
-    }
-
-    /// The paper's *insert* through this handle's guard.
-    #[inline]
-    pub fn insert(&mut self, key: K) -> bool {
-        self.inner.insert(key, ())
-    }
-
-    /// The paper's *delete* through this handle's guard.
-    #[inline]
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.inner.remove(key)
-    }
-
-    /// The paper's *search* through this handle's guard.
-    #[inline]
-    pub fn contains(&mut self, key: &K) -> bool {
-        self.inner.contains(key)
-    }
-
-    /// Inserts every key of `keys`, finger-anchored; returns how many
-    /// were added. See [`MapHandle::insert_batch`].
-    ///
-    /// ```
-    /// use nmbst::NmTreeSet;
-    ///
-    /// let set: NmTreeSet<u64> = NmTreeSet::new();
-    /// let mut h = set.handle();
-    /// assert_eq!(h.insert_batch(0..64), 64);
-    /// assert_eq!(h.remove_batch((0..64).step_by(2)), 32);
-    /// assert_eq!(h.contains_batch([1, 2, 3]), vec![true, false, true]);
-    /// assert!(set.metrics().finger_hits > 0);
-    /// ```
-    pub fn insert_batch(&mut self, keys: impl IntoIterator<Item = K>) -> usize {
-        self.inner.insert_batch(keys.into_iter().map(|k| (k, ())))
-    }
-
-    /// Removes every key of `keys`, finger-anchored; returns how many
-    /// were present. See [`MapHandle::remove_batch`].
-    pub fn remove_batch(&mut self, keys: impl IntoIterator<Item = K>) -> usize {
-        self.inner.remove_batch(keys)
-    }
-
-    /// Membership of every key of `keys`, **in input order**, the lookups
-    /// descending in interleaved lanes. See [`MapHandle::get_batch`].
-    pub fn contains_batch(&mut self, keys: impl IntoIterator<Item = K>) -> Vec<bool> {
-        self.inner
-            .get_batch(keys)
-            .into_iter()
-            .map(|v| v.is_some())
-            .collect()
-    }
-}
-
-impl<K, R> std::fmt::Debug for SetHandle<'_, K, R>
-where
-    R: Reclaim,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SetHandle")
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::MANY_CHUNK;
-    use crate::{NmTreeMap, NmTreeSet};
+    use crate::NmTreeMap;
     use nmbst_reclaim::{Ebr, Leaky};
 
     #[test]
@@ -797,11 +680,11 @@ mod tests {
     }
 
     #[test]
-    fn set_handle_round_trip() {
-        let set: NmTreeSet<u64, Leaky> = NmTreeSet::new();
+    fn unit_value_handle_round_trip() {
+        let set: NmTreeMap<u64, (), Leaky> = NmTreeMap::new();
         let mut h = set.handle();
         for k in 0..100 {
-            assert!(h.insert(k));
+            assert!(h.insert(k, ()));
         }
         for k in 0..100 {
             assert!(h.contains(&k));

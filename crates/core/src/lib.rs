@@ -21,24 +21,30 @@
 //!
 //! ## Entry points
 //!
-//! * [`NmTreeSet`] — the paper's dictionary ADT (search/insert/delete).
-//! * [`NmTreeMap`] — the same tree carrying a value per key.
+//! * [`NmTreeMap`] — the tree, carrying a value per key. With `V = ()`
+//!   it is exactly the paper's dictionary ADT of unique keys
+//!   (search/insert/delete), and a `()` value takes no space.
+//! * [`MapHandle`] — a pin-amortizing cursor over one tree, for hot
+//!   loops and batches.
+//! * [`ShardedMap`] — independent trees behind one key router.
 //!
-//! Both are generic over the memory-reclamation scheme (this paper
+//! The tree is generic over the memory-reclamation scheme (this paper
 //! assumes a garbage-collected world; we default to the from-scratch
 //! epoch-based reclaimer in [`nmbst_reclaim`]):
 //!
 //! ```
-//! use nmbst::NmTreeSet;
+//! use nmbst::NmTreeMap;
 //! use nmbst_reclaim::Leaky;
 //!
 //! // Production: epoch-reclaimed (default type parameter).
-//! let set: NmTreeSet<u64> = NmTreeSet::new();
-//! set.insert(1);
+//! let set: NmTreeMap<u64, ()> = NmTreeMap::new();
+//! assert!(set.insert(1, ()));
+//! assert!(!set.insert(1, ())); // duplicate: set unchanged
+//! assert!(set.contains(&1));
 //!
 //! // Paper-faithful benchmark mode: leak instead of reclaiming.
-//! let bench_set: NmTreeSet<u64, Leaky> = NmTreeSet::new();
-//! bench_set.insert(1);
+//! let bench_set: NmTreeMap<u64, (), Leaky> = NmTreeMap::new();
+//! bench_set.insert(1, ());
 //! ```
 //!
 //! ## Concurrency guarantees
@@ -71,18 +77,15 @@ mod node;
 pub mod obs;
 mod packed;
 mod pool;
-mod set;
 mod shard;
 pub mod stats;
 mod tree;
 
-pub use handle::{MapHandle, SetHandle, DEFAULT_REPIN_EVERY};
+pub use handle::{MapHandle, DEFAULT_REPIN_EVERY};
 pub use key::Key;
 pub use node::LEAF_CAP;
 pub use obs::{LatencyConfig, OpClass};
 pub use packed::TagMode;
-pub use pool::PoolConfig;
-pub use set::NmTreeSet;
 pub use shard::{
     BatchCmd, BatchScratch, BatchVerdict, ShardedMap, ShardedMapHandle, DEFAULT_SHARD_COUNT,
 };

@@ -801,7 +801,7 @@ mod tests {
     use std::mem::offset_of;
 
     fn arenas_for<K, V>() -> Arenas {
-        Arenas::new::<K, V>(true)
+        Arenas::new::<K, V>()
     }
 
     /// Frees a leaf that was replaced (entries moved on) or dismantled.
@@ -1151,7 +1151,7 @@ mod tests {
     #[test]
     fn free_subtree_handles_degenerate_depth() {
         // A left-spine of 100k routes must not overflow the stack.
-        let arenas = Arenas::new::<u64, ()>(false);
+        let arenas = Arenas::new::<u64, ()>();
         let mut cache = NodeCache::direct(&arenas);
         let mut node = Edge::of_leaf(Leaf::<u64, ()>::new_user_in(&mut cache, 0, ()));
         for i in 1..100_000u64 {

@@ -377,7 +377,7 @@ pub struct LatencySnapshot {
     /// `remove`/`remove_get` calls (sampled).
     pub remove: Histogram,
     /// Whole batch-API calls (`insert_batch`/`remove_batch`/
-    /// `get_batch`/`contains_batch`/`MapHandle::get_many`; one sample
+    /// `get_batch`/`MapHandle::get_many`; one sample
     /// per call, every call).
     pub batch: Histogram,
     /// Whole range-traversal calls (`range_for_each` and everything on
@@ -488,6 +488,29 @@ mod tests {
         assert_eq!(a.sum(), sa + sb, "sum preserved");
         assert_eq!(a.max(), b.max(), "max maxed");
         assert!(a.percentile(99.0) >= 90_000);
+    }
+
+    /// Two populations three decades apart: after a merge the quartiles
+    /// land on either side, the tail stays under the exact max, and the
+    /// summary renders.
+    #[test]
+    fn merged_populations_split_at_the_quartiles() {
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
+        for i in 0..100 {
+            a.record(10 + i);
+            b.record(100_000 + i);
+        }
+        a.merge(&b);
+        assert_eq!(a.len(), 200);
+        assert_eq!(a.max(), 100_099);
+        assert!(a.percentile(25.0) < 1_000);
+        assert!(a.percentile(75.0) > 50_000);
+        let p50 = a.percentile(50.0);
+        let p99 = a.percentile(99.0);
+        assert!(p50 <= p99 && p99 <= a.max());
+        assert!(!a.summary().is_empty());
+        assert_ne!(a.summary(), "no samples");
     }
 
     #[test]

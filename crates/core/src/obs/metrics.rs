@@ -580,11 +580,11 @@ pub struct ServeGauges {
 /// # Examples
 ///
 /// ```
-/// use nmbst::NmTreeSet;
+/// use nmbst::NmTreeMap;
 ///
-/// let set: NmTreeSet<u64> = NmTreeSet::new();
-/// set.insert(1);
-/// set.insert(2);
+/// let set: NmTreeMap<u64, ()> = NmTreeMap::new();
+/// set.insert(1, ());
+/// set.insert(2, ());
 /// set.remove(&1);
 /// let m = set.metrics();
 /// assert_eq!(m.inserts, 2);
@@ -710,7 +710,6 @@ impl MetricsSnapshot {
         self.pool.hits += other.pool.hits;
         self.pool.misses += other.pool.misses;
         self.pool.recycled += other.pool.recycled;
-        self.pool.dropped += other.pool.dropped;
         self.pool.slots += other.pool.slots;
         self.pool.len += other.pool.len;
         self.pool_route_slots += other.pool_route_slots;
@@ -753,8 +752,7 @@ impl MetricsSnapshot {
                 "\"reclaim_epoch\":{},\"reclaim_epoch_lag\":{},",
                 "\"reclaim_pinned_threads\":{},\"reclaim_retired_backlog\":{},",
                 "\"pool_hits\":{},\"pool_misses\":{},",
-                "\"pool_recycled\":{},\"pool_len\":{},",
-                "\"pool_dropped\":{},\"pool_slots\":{},",
+                "\"pool_recycled\":{},\"pool_len\":{},\"pool_slots\":{},",
                 "\"pool_route_slots\":{},\"pool_leaf_slots\":{},\"pool_bytes\":{},",
                 "\"open_connections\":{},\"read_paused_connections\":{},",
                 "\"write_buffered_bytes\":{},\"backpressure_events\":{}}}"
@@ -783,7 +781,6 @@ impl MetricsSnapshot {
             self.pool.misses,
             self.pool.recycled,
             self.pool.len,
-            self.pool.dropped,
             self.pool.slots,
             self.pool_route_slots,
             self.pool_leaf_slots,
@@ -999,13 +996,6 @@ impl MetricsSnapshot {
         );
         metric(
             &mut out,
-            "nmbst_pool_dropped_total",
-            "counter",
-            "Freed nodes abandoned until the arena drops (recycling off).",
-            self.pool.dropped as i128,
-        );
-        metric(
-            &mut out,
             "nmbst_pool_slots",
             "gauge",
             "Arena slots handed out so far (the arena never frees one).",
@@ -1073,7 +1063,7 @@ impl std::fmt::Display for MetricsSnapshot {
              max_depth={} mean_depth≈{:.1} lat_samples={} slow_ops={} \
              epoch={} lag={} pinned={} backlog={} \
              pool_hits={} pool_misses={} pool_recycled={} pool_len={} \
-             pool_dropped={} pool_slots={} pool_route_slots={} \
+             pool_slots={} pool_route_slots={} \
              pool_leaf_slots={} pool_bytes={} \
              conns={} read_paused={} wbuf_bytes={} backpressure={}",
             self.searches,
@@ -1099,7 +1089,6 @@ impl std::fmt::Display for MetricsSnapshot {
             self.pool.misses,
             self.pool.recycled,
             self.pool.len,
-            self.pool.dropped,
             self.pool.slots,
             self.pool_route_slots,
             self.pool_leaf_slots,

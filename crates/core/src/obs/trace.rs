@@ -191,13 +191,13 @@ pub(crate) fn local_events_since(mark: u64) -> ([u8; super::slow::SLOW_EVENTS], 
 ///
 /// ```
 /// use nmbst::obs::FlightRecorder;
-/// use nmbst::NmTreeSet;
+/// use nmbst::NmTreeMap;
 ///
-/// let set: NmTreeSet<u64> = NmTreeSet::new();
+/// let set: NmTreeMap<u64, ()> = NmTreeMap::new();
 /// let rec = FlightRecorder::new();
 /// {
 ///     let _attached = rec.attach(0);
-///     set.insert(7);
+///     set.insert(7, ());
 ///     set.remove(&7);
 /// }
 /// let trace = rec.merged();

@@ -368,7 +368,7 @@ mod tests {
     const KINDS: [u32; 1 + LEAF_CLASSES] = [0, 1, 2, 3];
 
     fn arenas() -> Arenas {
-        Arenas::new::<u64, u64>(true)
+        Arenas::new::<u64, u64>()
     }
 
     fn pool(arenas: &Arenas, kind: u32) -> &NodePool {

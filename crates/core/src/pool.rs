@@ -44,34 +44,6 @@ pub(crate) const HANDLE_CACHE_CAP: usize = 32;
 /// Slots moved from the shared pool into a cache per refill.
 const REFILL_BATCH: usize = 8;
 
-/// The `pool` knob on [`TreeConfig`](crate::TreeConfig): whether retired
-/// nodes are recycled into new inserts. One flag for A/B ablation — see
-/// the perf bin's pool-on/pool-off cells. The arenas themselves always
-/// exist (they are the node store); this knob only governs the
-/// *recycling* free lists, which are unbounded while it is on: no slot
-/// is ever abandoned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Recycle retired nodes through the shared free lists (default
-    /// `true`).
-    pub enabled: bool,
-}
-
-impl PoolConfig {
-    /// Recycling off: every allocation bump-allocates fresh arena space
-    /// and every reclaimed slot is abandoned until the tree drops — the
-    /// pre-PR 4 behaviour, arena-backed.
-    pub fn disabled() -> Self {
-        PoolConfig { enabled: false }
-    }
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig { enabled: true }
-    }
-}
-
 /// A tree's node store: one arena per node class. Shared by `Arc`
 /// between the tree and the keepalive it parks in its reclaimer (see
 /// [`recycle_route_deferred`]).
@@ -97,13 +69,11 @@ pub(crate) struct ArenaStats {
 }
 
 impl Arenas {
-    /// The arenas of a `NmTreeMap<K, V>`, recycling or not.
-    pub(crate) fn new<K, V>(recycle: bool) -> Self {
+    /// The arenas of a `NmTreeMap<K, V>`.
+    pub(crate) fn new<K, V>() -> Self {
         Arenas {
-            routes: NodePool::new(Layout::new::<Route<K>>(), recycle),
-            leaves: std::array::from_fn(|class| {
-                NodePool::new(Leaf::<K, V>::slot_layout(class), recycle)
-            }),
+            routes: NodePool::new(Layout::new::<Route<K>>()),
+            leaves: std::array::from_fn(|class| NodePool::new(Leaf::<K, V>::slot_layout(class))),
         }
     }
 
@@ -121,7 +91,6 @@ impl Arenas {
             stats.pool.hits += l.hits;
             stats.pool.misses += l.misses;
             stats.pool.recycled += l.recycled;
-            stats.pool.dropped += l.dropped;
             stats.pool.slots += l.slots;
             stats.pool.len += l.len;
             stats.leaf_slots += l.slots;
@@ -407,7 +376,7 @@ mod tests {
 
     #[test]
     fn alloc_free_round_trip_reuses_slot() {
-        let arenas = Arenas::new::<u64, u64>(true);
+        let arenas = Arenas::new::<u64, u64>();
         let mut cache = NodeCache::direct(&arenas);
         let a = Leaf::<u64, u64>::new_user_in(&mut cache, 1, 10);
         unsafe { free_leaf(&mut cache, a) };
@@ -423,7 +392,7 @@ mod tests {
 
     #[test]
     fn classes_recycle_into_their_own_arena() {
-        let arenas = Arenas::new::<u64, u64>(true);
+        let arenas = Arenas::new::<u64, u64>();
         let mut cache = NodeCache::direct(&arenas);
         let l = Leaf::<u64, u64>::new_user_in(&mut cache, 1, 10);
         let m = Leaf::<u64, u64>::new_user_in(&mut cache, 2, 20);
@@ -461,24 +430,8 @@ mod tests {
     }
 
     #[test]
-    fn recycling_off_cache_always_bumps() {
-        let arenas = Arenas::new::<u64, ()>(false);
-        let mut cache = NodeCache::direct(&arenas);
-        let a = Leaf::<u64, ()>::new_user_in(&mut cache, 1, ());
-        unsafe { free_leaf(&mut cache, a) };
-        let b = Leaf::<u64, ()>::new_user_in(&mut cache, 2, ());
-        assert_ne!(a, b, "no recycling with the pool off");
-        unsafe { free_leaf(&mut cache, b) };
-        drop(cache);
-        let s = arenas.leaves[0].stats();
-        assert_eq!(s.hits, 0);
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.dropped, 2);
-    }
-
-    #[test]
     fn local_cache_batches_shared_traffic() {
-        let arenas = Arenas::new::<u64, ()>(true);
+        let arenas = Arenas::new::<u64, ()>();
         // Seed the shared pool with a few slots.
         {
             let mut seed = NodeCache::direct(&arenas);
@@ -509,7 +462,7 @@ mod tests {
             }
         }
         let drops = Arc::new(AtomicUsize::new(0));
-        let arenas = Arc::new(Arenas::new::<u64, D>(true));
+        let arenas = Arc::new(Arenas::new::<u64, D>());
         let mut cache = NodeCache::direct(&arenas);
         let moved = Leaf::<u64, D>::new_user_in(&mut cache, 1, D(Arc::clone(&drops)));
         let owned = Leaf::<u64, D>::new_user_in(&mut cache, 2, D(Arc::clone(&drops)));
@@ -534,7 +487,7 @@ mod tests {
 
     #[test]
     fn recycle_deferred_returns_each_slot_to_its_class() {
-        let arenas = Arc::new(Arenas::new::<u64, u64>(true));
+        let arenas = Arc::new(Arenas::new::<u64, u64>());
         let free_lists = |a: &Arenas| (a.routes.len(), a.leaves.each_ref().map(NodePool::len));
         let mut cache = NodeCache::direct(&arenas);
         // One leaf of each size class: 1, 5 and 7 entries.

@@ -593,51 +593,20 @@ where
             .count()
     }
 
-    /// [`Self::get_many`] over owned keys; the values come back in the
-    /// caller's order.
+    /// [`Self::execute_batch`] over one `Get` per key; the values come
+    /// back in the caller's order.
     pub fn get_batch(&mut self, keys: impl IntoIterator<Item = K>) -> Vec<Option<V>>
     where
         V: Clone,
     {
-        let keys: Vec<K> = keys.into_iter().collect();
-        let mut out = Vec::new();
-        self.get_many(&keys, &mut out);
-        out
-    }
-
-    /// Routed [`MapHandle::get_many`] whose descents interleave across
-    /// shards: `out` is cleared and receives one answer per key, in
-    /// input order. Every shard a key routes to is pinned (and charged
-    /// one search per key) first; then up to 16 descents, into whichever
-    /// shards their keys route to, advance round-robin with a prefetch
-    /// per level. Nothing is partitioned, sorted or allocated beyond
-    /// `out`'s capacity — the serving tier answers runs of pipelined GET
-    /// frames with it.
-    pub fn get_many(&mut self, keys: &[K], out: &mut Vec<Option<V>>)
-    where
-        V: Clone,
-    {
-        out.clear();
-        out.resize_with(keys.len(), || None);
-        for chunk in (0..keys.len()).step_by(MANY_CHUNK) {
-            let keys = &keys[chunk..keys.len().min(chunk + MANY_CHUNK)];
-            for key in keys {
-                let idx = self.map.shard_of(key);
-                self.handles[idx].charge_searches(1);
-            }
-            let map = self.map;
-            let out = &mut out[chunk..];
-            // SAFETY: every shard a key of this chunk routes to was just
-            // pinned by its handle's guard, which nothing drops before
-            // the call ends.
-            unsafe {
-                search_many(
-                    keys.len(),
-                    |i| (map.shard(map.shard_of(&keys[i])), &keys[i]),
-                    |i, v| out[i] = v.cloned(),
-                )
-            };
-        }
+        let verdicts = self.execute_owned(keys.into_iter().map(BatchCmd::Get));
+        verdicts
+            .into_iter()
+            .map(|r| match r {
+                BatchVerdict::Found(v) => Some(v),
+                _ => None,
+            })
+            .collect()
     }
 
     /// [`Self::execute_batch`] with call-local buffers, for the

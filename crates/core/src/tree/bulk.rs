@@ -165,7 +165,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use crate::{NmTreeMap, NmTreeSet};
+    use crate::NmTreeMap;
     use nmbst_reclaim::{Ebr, Leaky};
 
     #[test]
@@ -243,15 +243,6 @@ mod tests {
         assert_eq!(map.get(&3), Some(999));
         let shape = map.check_invariants().unwrap();
         assert_eq!(shape.user_keys, 127);
-    }
-
-    #[test]
-    fn set_twin_round_trip() {
-        let set: NmTreeSet<u64, Ebr> = NmTreeSet::from_sorted_iter(0..100);
-        for k in 0..100 {
-            assert!(set.contains(&k));
-        }
-        assert!(!set.contains(&100));
     }
 
     #[test]

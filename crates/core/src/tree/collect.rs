@@ -1,7 +1,6 @@
 //! Standard collection traits and bulk operations.
 
 use super::NmTreeMap;
-use crate::set::NmTreeSet;
 use nmbst_reclaim::Reclaim;
 
 impl<K, V, R> FromIterator<(K, V)> for NmTreeMap<K, V, R>
@@ -41,42 +40,6 @@ where
     }
 }
 
-impl<K, R> FromIterator<K> for NmTreeSet<K, R>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    R: Reclaim,
-{
-    /// Builds a set from keys in any order. Duplicate keys collapse to
-    /// one (first occurrence, matching [`insert`](NmTreeSet::insert)
-    /// semantics), and the result is the O(n) balanced bulk-load.
-    ///
-    /// Routes through the same `bulk_extend` as the map's
-    /// `FromIterator` — *not* through
-    /// [`from_sorted_iter`](NmTreeSet::from_sorted_iter) — so that a
-    /// future sorted-only fast path in `from_sorted_iter` can never
-    /// change what arbitrary-order collection means.
-    fn from_iter<I: IntoIterator<Item = K>>(iter: I) -> Self {
-        let mut set = NmTreeSet::new();
-        set.map_mut()
-            .bulk_extend(iter.into_iter().map(|k| (k, ())).collect());
-        set
-    }
-}
-
-impl<K, R> Extend<K> for NmTreeSet<K, R>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    R: Reclaim,
-{
-    /// Bulk insert: balanced single-publish build when empty,
-    /// finger-anchored sorted batch otherwise (see
-    /// [`Extend` on `NmTreeMap`](NmTreeMap::extend)).
-    fn extend<I: IntoIterator<Item = K>>(&mut self, iter: I) {
-        self.map_mut()
-            .bulk_extend(iter.into_iter().map(|k| (k, ())).collect());
-    }
-}
-
 impl<K, V, R> NmTreeMap<K, V, R>
 where
     K: Ord + Clone + Send + Sync + 'static,
@@ -101,34 +64,18 @@ where
     }
 }
 
-impl<K, R> NmTreeSet<K, R>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    R: Reclaim,
-{
-    /// Removes every key for which `pred` returns `false` (exclusive
-    /// access; see [`NmTreeMap::retain`]).
-    pub fn retain(&mut self, mut pred: impl FnMut(&K) -> bool) {
-        let mut doomed = Vec::new();
-        self.for_each(|k| {
-            if !pred(k) {
-                doomed.push(k.clone());
-            }
-        });
-        for k in &doomed {
-            self.remove(k);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::{NmTreeMap, NmTreeSet};
+    use crate::NmTreeMap;
     use nmbst_reclaim::Ebr;
 
+    fn unit_keys(keys: impl IntoIterator<Item = i32>) -> impl Iterator<Item = (i32, ())> {
+        keys.into_iter().map(|k| (k, ()))
+    }
+
     #[test]
-    fn from_iterator_set() {
-        let mut set: NmTreeSet<i32, Ebr> = (0..10).collect();
+    fn from_iterator_unit_values() {
+        let mut set: NmTreeMap<i32, (), Ebr> = unit_keys(0..10).collect();
         assert_eq!(set.len(), 10);
         assert_eq!(set.keys(), (0..10).collect::<Vec<_>>());
     }
@@ -143,10 +90,10 @@ mod tests {
     }
 
     #[test]
-    fn extend_set_and_map() {
-        let mut set: NmTreeSet<i32, Ebr> = NmTreeSet::new();
-        set.extend(0..5);
-        set.extend(3..8); // overlap is fine
+    fn extend_unit_and_valued_maps() {
+        let mut set: NmTreeMap<i32, (), Ebr> = NmTreeMap::new();
+        set.extend(unit_keys(0..5));
+        set.extend(unit_keys(3..8)); // overlap is fine
         assert_eq!(set.len(), 8);
 
         let mut map: NmTreeMap<i32, i32, Ebr> = NmTreeMap::new();
@@ -155,9 +102,9 @@ mod tests {
     }
 
     #[test]
-    fn retain_set() {
-        let mut set: NmTreeSet<i32, Ebr> = (0..20).collect();
-        set.retain(|k| k % 3 == 0);
+    fn retain_by_key() {
+        let mut set: NmTreeMap<i32, (), Ebr> = unit_keys(0..20).collect();
+        set.retain(|k, _| k % 3 == 0);
         assert_eq!(set.keys(), vec![0, 3, 6, 9, 12, 15, 18]);
         set.check_invariants().unwrap();
     }
@@ -173,10 +120,10 @@ mod tests {
 
     #[test]
     fn retain_everything_and_nothing() {
-        let mut set: NmTreeSet<i32, Ebr> = (0..10).collect();
-        set.retain(|_| true);
+        let mut set: NmTreeMap<i32, (), Ebr> = unit_keys(0..10).collect();
+        set.retain(|_, _| true);
         assert_eq!(set.len(), 10);
-        set.retain(|_| false);
+        set.retain(|_, _| false);
         assert_eq!(set.len(), 0);
         set.check_invariants().unwrap();
     }

@@ -121,7 +121,7 @@ where
 #[cfg(test)]
 mod tests {
     use crate::tree::TreeConfig;
-    use crate::{NmTreeMap, PoolConfig};
+    use crate::NmTreeMap;
     use nmbst_reclaim::Ebr;
 
     #[test]
@@ -152,11 +152,8 @@ mod tests {
     #[test]
     fn leaf_cap_one_renders_singleton_records() {
         // The ablation shape: every user leaf is a 1-entry record.
-        let mut m: NmTreeMap<u32, (), Ebr> = NmTreeMap::with_config(
-            TreeConfig::default()
-                .with_leaf_cap(1)
-                .with_pool(PoolConfig::disabled()),
-        );
+        let mut m: NmTreeMap<u32, (), Ebr> =
+            NmTreeMap::with_config(TreeConfig::default().with_leaf_cap(1));
         for k in [4, 2, 6] {
             m.insert(k, ());
         }

@@ -20,7 +20,7 @@ use crate::handle::MapHandle;
 use crate::node::{self, Leaf, Route, LEAF_CAP};
 use crate::obs::{self, LatencyConfig, MetricsSnapshot};
 use crate::packed::{Edge, TagMode};
-use crate::pool::{Arenas, NodeCache, PoolConfig, HANDLE_CACHE_CAP};
+use crate::pool::{Arenas, NodeCache, HANDLE_CACHE_CAP};
 use nmbst_reclaim::{Ebr, Reclaim};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -49,12 +49,12 @@ pub enum RestartPolicy {
 /// builder-style `with_*` methods override one knob at a time:
 ///
 /// ```
-/// use nmbst::{NmTreeMap, PoolConfig, TreeConfig};
+/// use nmbst::{NmTreeMap, RestartPolicy, TreeConfig};
 ///
-/// let ablation = TreeConfig::default()
-///     .with_pool(PoolConfig::disabled())
-///     .with_leaf_cap(1); // the pre-PR 7 one-key-per-leaf shape
-/// let map: NmTreeMap<u64, u64> = NmTreeMap::with_config(ablation);
+/// let paper = TreeConfig::default()
+///     .with_restart(RestartPolicy::Root)
+///     .with_leaf_cap(1); // the paper's one-key-per-leaf shape
+/// let map: NmTreeMap<u64, u64> = NmTreeMap::with_config(paper);
 /// assert!(map.insert(1, 10));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +63,6 @@ pub struct TreeConfig {
     pub tag_mode: TagMode,
     /// Root vs local restart for modify-path retries.
     pub restart: RestartPolicy,
-    /// Node-recycling pool: on/off.
-    pub pool: PoolConfig,
     /// Maximum entries per leaf block, `1..=LEAF_CAP` (values outside are
     /// clamped). `1` reproduces the classic one-key-per-leaf shape
     /// exactly (every insert publishes a two-node subtree, every remove
@@ -88,12 +86,6 @@ impl TreeConfig {
         self
     }
 
-    /// Overrides the [`PoolConfig`] knob.
-    pub fn with_pool(mut self, pool: PoolConfig) -> Self {
-        self.pool = pool;
-        self
-    }
-
     /// Overrides the leaf-block capacity (clamped to `1..=LEAF_CAP` at
     /// tree construction).
     pub fn with_leaf_cap(mut self, leaf_cap: usize) -> Self {
@@ -113,7 +105,6 @@ impl Default for TreeConfig {
         TreeConfig {
             tag_mode: TagMode::default(),
             restart: RestartPolicy::default(),
-            pool: PoolConfig::default(),
             leaf_cap: LEAF_CAP,
             lat: LatencyConfig::default(),
         }
@@ -196,28 +187,15 @@ where
     V: Send + Sync + 'static,
     R: Reclaim,
 {
-    /// Creates an empty map.
+    /// Creates an empty map with the shipping configuration
+    /// ([`TreeConfig::default`]).
     pub fn new() -> Self {
-        Self::with_tag_mode(TagMode::default())
-    }
-
-    /// Creates an empty map using the given [`TagMode`] for the cleanup
-    /// routine's tag step (BTS vs CAS-only; see §6 and the `ablation_bts`
-    /// bench).
-    pub fn with_tag_mode(tag_mode: TagMode) -> Self {
-        Self::with_config(TreeConfig::default().with_tag_mode(tag_mode))
-    }
-
-    /// Creates an empty map using the given [`RestartPolicy`] for the
-    /// modify-path retry loops (see the `perf` bin's root-vs-local
-    /// restart cells).
-    pub fn with_restart_policy(restart: RestartPolicy) -> Self {
-        Self::with_config(TreeConfig::default().with_restart(restart))
+        Self::with_config(TreeConfig::default())
     }
 
     /// Creates an empty map with every tuning knob explicit.
     pub fn with_config(config: TreeConfig) -> Self {
-        let arenas = Arc::new(Arenas::new::<K, V>(config.pool.enabled));
+        let arenas = Arc::new(Arenas::new::<K, V>());
         let reclaim = R::new();
         // Recycle deferrals reference the pools by raw pointer; this
         // parked clone is what keeps them alive for straggling collector

@@ -238,7 +238,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use crate::{NmTreeMap, NmTreeSet, TreeConfig};
+    use crate::{NmTreeMap, TreeConfig};
     use nmbst_reclaim::Ebr;
 
     fn map_0_to(n: u32) -> NmTreeMap<u32, u32, Ebr> {
@@ -339,16 +339,16 @@ mod tests {
     }
 
     #[test]
-    fn set_range_and_extremes() {
-        let s: NmTreeSet<i64, Ebr> = NmTreeSet::new();
+    fn unit_value_range_and_extremes() {
+        let s: NmTreeMap<i64, (), Ebr> = NmTreeMap::new();
         for k in [-5i64, 0, 5, 10] {
-            s.insert(k);
+            s.insert(k, ());
         }
         let mut got = Vec::new();
-        s.range_for_each(-5..=5, |k| got.push(*k));
+        s.range_for_each(-5..=5, |k, _| got.push(*k));
         assert_eq!(got, vec![-5, 0, 5]);
-        assert_eq!(s.first(), Some(-5));
-        assert_eq!(s.last(), Some(10));
+        assert_eq!(s.first(), Some((-5, ())));
+        assert_eq!(s.last(), Some((10, ())));
     }
 
     #[test]

@@ -63,7 +63,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use crate::{NmTreeMap, NmTreeSet, TreeConfig};
+    use crate::{NmTreeMap, TreeConfig};
     use nmbst_reclaim::{Ebr, HazardEras, Leaky, Reclaim};
 
     /// Every scenario here stages the classic flag/tag/splice protocol,
@@ -74,10 +74,10 @@ mod tests {
         TreeConfig::default().with_leaf_cap(1)
     }
 
-    fn set_with<R: Reclaim>(keys: &[u64]) -> NmTreeSet<u64, R> {
-        let s = NmTreeSet::with_config(cap1());
+    fn set_with<R: Reclaim>(keys: &[u64]) -> NmTreeMap<u64, (), R> {
+        let s = NmTreeMap::with_config(cap1());
         for &k in keys {
-            s.insert(k);
+            s.insert(k, ());
         }
         s
     }
@@ -108,9 +108,9 @@ mod tests {
         // The delete's linearization point is the *splice*, not the flag
         // (§3.3), so a flagged-but-present key is still a member.
         let set = set_with::<Ebr>(&[50, 25, 75]);
-        assert!(set.as_map().stall_delete_after_injection(&25));
+        assert!(set.stall_delete_after_injection(&25));
         assert!(set.contains(&25), "flagged key must still be visible");
-        set.as_map().finish_stalled_delete(&25);
+        set.finish_stalled_delete(&25);
         assert!(!set.contains(&25));
     }
 
@@ -119,8 +119,8 @@ mod tests {
         // Insert(30) seeks to the leaf 25 whose edge is flagged; its CAS
         // fails, it must help the stalled delete finish, then succeed.
         let set = set_with::<Ebr>(&[50, 25, 75]);
-        assert!(set.as_map().stall_delete_after_injection(&25));
-        assert!(set.insert(30), "insert must help and then succeed");
+        assert!(set.stall_delete_after_injection(&25));
+        assert!(set.insert(30, ()), "insert must help and then succeed");
         assert!(set.contains(&30));
         assert!(!set.contains(&25), "helped delete must have completed");
         let mut m = set;
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn second_delete_of_same_key_loses_to_stalled_owner() {
         let set = set_with::<Ebr>(&[50, 25, 75]);
-        assert!(set.as_map().stall_delete_after_injection(&25));
+        assert!(set.stall_delete_after_injection(&25));
         // A competing delete of 25 must help the owner and report false:
         // the key was (logically) claimed by the stalled delete.
         assert!(!set.remove(&25));
@@ -142,11 +142,11 @@ mod tests {
         // sibling's cleanup to interact with the flagged edge (the
         // "flag copied to the new edge" path, Algorithm 4 line 107-108).
         let set = set_with::<R>(&[50, 25, 75, 10, 30]);
-        assert!(set.as_map().stall_delete_after_injection(&30));
+        assert!(set.stall_delete_after_injection(&30));
         assert!(set.remove(&10));
         // Whatever the interleaving, 30 must end up deleted (it was
         // flagged) and the rest intact.
-        set.as_map().finish_stalled_delete(&30);
+        set.finish_stalled_delete(&30);
         assert!(!set.contains(&30));
         for k in [50, 25, 75] {
             assert!(set.contains(&k), "lost {k}");
@@ -166,14 +166,14 @@ mod tests {
         // Finishing any one of them (or any helper) may excise several.
         let set = set_with::<R>(&[10, 20, 30, 40, 50, 60, 70, 80]);
         for k in [30u64, 40, 50] {
-            assert!(set.as_map().stall_delete_after_injection(&k), "stall {k}");
+            assert!(set.stall_delete_after_injection(&k), "stall {k}");
         }
         // All three remain visible (none spliced yet).
         for k in [30u64, 40, 50] {
             assert!(set.contains(&k));
         }
         for k in [30u64, 40, 50] {
-            set.as_map().finish_stalled_delete(&k);
+            set.finish_stalled_delete(&k);
         }
         for k in [30u64, 40, 50] {
             assert!(!set.contains(&k));
@@ -203,14 +203,14 @@ mod tests {
         // its flag copied per Algorithm 4 line 107-108) until its owner
         // resumes.
         let set = set_with::<Ebr>(&[10, 20]);
-        assert!(set.as_map().stall_delete_after_injection(&10));
+        assert!(set.stall_delete_after_injection(&10));
         assert!(set.remove(&20), "sibling delete proceeds independently");
         assert!(
             set.contains(&10),
             "stalled delete was not forced to completion: 10 still visible"
         );
         // The stalled owner resumes and finishes on the hoisted edge.
-        set.as_map().finish_stalled_delete(&10);
+        set.finish_stalled_delete(&10);
         assert!(!set.contains(&10));
         let mut m = set;
         let shape = m.check_invariants().unwrap();
@@ -223,7 +223,7 @@ mod tests {
         // `with_marks` (tag cleared, flag kept). Whatever the marks, the
         // kind must still name the survivor's arena.
         let leaf_sibling = set_with::<Ebr>(&[10, 20]);
-        let map = leaf_sibling.as_map();
+        let map = &leaf_sibling;
         // Flag the edge to leaf 20, then delete its sibling 10: the
         // splice hoists a *flagged leaf* edge into the ∞₀ route.
         assert!(map.stall_delete_after_injection(&20));
@@ -247,7 +247,7 @@ mod tests {
         // Ascending inserts at cap 1 build R20{10, R30{20, 30}}: deleting
         // 10 hoists its *route* sibling R30.
         let route_sibling = set_with::<Ebr>(&[10, 20, 30]);
-        let map = route_sibling.as_map();
+        let map = &route_sibling;
         assert!(route_sibling.remove(&10));
         let guard = map.pin();
         // SAFETY: as above.
@@ -266,11 +266,11 @@ mod tests {
         // At the default cap, 1..=8 fill one block of the largest class
         // (kind 3: both kind bits set) and 0 lands beside it as a
         // one-key leaf; deleting 0 tags that block's edge and hoists it.
-        let big_sibling: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+        let big_sibling: NmTreeMap<u64, (), Ebr> = NmTreeMap::new();
         for k in (1..=8).chain([0]) {
-            big_sibling.insert(k);
+            big_sibling.insert(k, ());
         }
-        let map = big_sibling.as_map();
+        let map = &big_sibling;
         assert!(big_sibling.remove(&0));
         let guard = map.pin();
         // SAFETY: as above.
@@ -289,9 +289,9 @@ mod tests {
     #[test]
     fn stalling_twice_on_same_key_fails_second_time() {
         let set = set_with::<Ebr>(&[5, 3, 8]);
-        assert!(set.as_map().stall_delete_after_injection(&3));
-        assert!(!set.as_map().stall_delete_after_injection(&3));
-        set.as_map().finish_stalled_delete(&3);
+        assert!(set.stall_delete_after_injection(&3));
+        assert!(!set.stall_delete_after_injection(&3));
+        set.finish_stalled_delete(&3);
     }
 
     fn racing_helpers_retire_once<R: Reclaim>() {
@@ -301,11 +301,11 @@ mod tests {
         // crash/corrupt).
         for _trial in 0..40 {
             let set = set_with::<R>(&[50, 25, 75, 10, 30, 60, 90]);
-            assert!(set.as_map().stall_delete_after_injection(&30));
+            assert!(set.stall_delete_after_injection(&30));
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     let set = &set;
-                    s.spawn(move || set.as_map().finish_stalled_delete(&30));
+                    s.spawn(move || set.finish_stalled_delete(&30));
                 }
             });
             assert!(!set.contains(&30));
@@ -330,12 +330,12 @@ mod tests {
         // keys as present throughout.
         let set = set_with::<Ebr>(&[10, 20, 30, 40, 50, 60, 70, 80]);
         for k in [30u64, 40, 50] {
-            assert!(set.as_map().stall_delete_after_injection(&k));
+            assert!(set.stall_delete_after_injection(&k));
         }
         std::thread::scope(|s| {
             for k in [30u64, 40, 50] {
                 let set = &set;
-                s.spawn(move || set.as_map().finish_stalled_delete(&k));
+                s.spawn(move || set.finish_stalled_delete(&k));
             }
             for _ in 0..2 {
                 let set = &set;

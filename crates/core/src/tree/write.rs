@@ -737,7 +737,7 @@ unsafe fn free_route_scratch<K>(cache: &mut NodeCache<'_>, node: *mut Route<K>) 
 
 #[cfg(test)]
 mod tests {
-    use crate::{NmTreeMap, PoolConfig, TreeConfig};
+    use crate::{NmTreeMap, TreeConfig};
     use nmbst_reclaim::{Ebr, Leaky};
 
     #[test]
@@ -863,24 +863,6 @@ mod tests {
             }
             let shape = map.check_invariants().expect("invariants");
             assert_eq!(shape.user_keys, model.len(), "cap {cap}");
-        }
-    }
-
-    #[test]
-    fn cow_paths_work_without_pool_reuse() {
-        // Recycling off: every release abandons its slot in place and
-        // every alloc bump-allocates; the COW churn must still be
-        // correct.
-        let map: NmTreeMap<u64, u64, Ebr> =
-            NmTreeMap::with_config(TreeConfig::default().with_pool(PoolConfig::disabled()));
-        for k in 0..200u64 {
-            assert!(map.insert(k, k * 10));
-        }
-        for k in (0..200u64).step_by(2) {
-            assert_eq!(map.remove_get(&k), Some(k * 10));
-        }
-        for k in 0..200u64 {
-            assert_eq!(map.get(&k), (k % 2 == 1).then_some(k * 10));
         }
     }
 

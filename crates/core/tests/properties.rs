@@ -6,7 +6,7 @@
 //! property-testing crate in this offline build), so runs are identical
 //! everywhere and a failing case index pins the exact sequence.
 
-use nmbst::{Ebr, Key, NmTreeMap, NmTreeSet, TagMode};
+use nmbst::{Ebr, Key, NmTreeMap, TagMode, TreeConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// SplitMix64 (Steele et al.): tiny, full-period, well-mixed.
@@ -53,11 +53,11 @@ fn matches_btreeset_model() {
     for case in 0..128 {
         let ops = gen_ops(&mut rng, 64, 400);
         let mut model = BTreeSet::new();
-        let mut set: NmTreeSet<i32, Ebr> = NmTreeSet::new();
+        let mut set: NmTreeMap<i32, (), Ebr> = NmTreeMap::new();
         for (i, &op) in ops.iter().enumerate() {
             match op {
                 Op::Insert(k) => assert_eq!(
-                    set.insert(k),
+                    set.insert(k, ()),
                     model.insert(k),
                     "case {case}, op {i}: insert({k}) diverged (ops: {ops:?})"
                 ),
@@ -129,11 +129,12 @@ fn cas_only_variant_matches_model() {
     for case in 0..128 {
         let ops = gen_ops(&mut rng, 32, 200);
         let mut model = BTreeSet::new();
-        let mut set: NmTreeSet<i32, Ebr> = NmTreeSet::with_tag_mode(TagMode::CasLoop);
+        let mut set: NmTreeMap<i32, (), Ebr> =
+            NmTreeMap::with_config(TreeConfig::default().with_tag_mode(TagMode::CasLoop));
         for (i, &op) in ops.iter().enumerate() {
             match op {
                 Op::Insert(k) => assert_eq!(
-                    set.insert(k),
+                    set.insert(k, ()),
                     model.insert(k),
                     "case {case}, op {i}: insert({k}) diverged (ops: {ops:?})"
                 ),
@@ -192,19 +193,19 @@ fn interleaved_two_batches_concurrently() {
         // Two threads insert their batches concurrently, then one removes
         // its batch. Since removals of shared keys race with nothing
         // after the join, the final state is keys_a \ keys_b exactly.
-        let mut set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+        let mut set: NmTreeMap<u64, (), Ebr> = NmTreeMap::new();
         std::thread::scope(|s| {
             let set = &set;
             let a = keys_a.clone();
             let b = keys_b.clone();
             s.spawn(move || {
                 for k in a {
-                    set.insert(k);
+                    set.insert(k, ());
                 }
             });
             s.spawn(move || {
                 for k in b {
-                    set.insert(k);
+                    set.insert(k, ());
                 }
             });
         });
@@ -220,10 +221,7 @@ fn interleaved_two_batches_concurrently() {
 
 /// Bulk construction from arbitrary iterators must match `insert`-loop
 /// semantics exactly: any order accepted, duplicate keys keep the
-/// *first* occurrence, and the built tree is structurally valid. Runs
-/// the same seeded cases through the map and set `FromIterator` routes
-/// (which must agree — the set route historically diverged by going
-/// through `from_sorted_iter`).
+/// *first* occurrence, and the built tree is structurally valid.
 #[test]
 fn bulk_construction_from_shuffled_duplicated_streams() {
     let mut rng = Rng(0xB17D_0CAB);
@@ -252,15 +250,6 @@ fn bulk_construction_from_shuffled_duplicated_streams() {
             map.keys(),
             model.keys().copied().collect::<Vec<_>>(),
             "case {case}: key order"
-        );
-
-        let mut set: NmTreeSet<u64, Ebr> = stream.iter().map(|&(k, _)| k).collect();
-        set.check_invariants()
-            .unwrap_or_else(|e| panic!("case {case} (set): {e}"));
-        assert_eq!(
-            set.keys(),
-            model.keys().copied().collect::<Vec<_>>(),
-            "case {case}: set keys"
         );
     }
 }
@@ -299,19 +288,5 @@ fn extend_populated_tree_from_shuffled_duplicated_streams() {
         for (k, v) in &model {
             assert_eq!(map.get(k), Some(*v), "case {case}: map[{k}]");
         }
-
-        // The set twin through Extend.
-        let mut set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
-        for &(k, _) in &pre {
-            set.insert(k);
-        }
-        set.extend(ext.iter().map(|&(k, _)| k));
-        assert_eq!(
-            set.keys(),
-            model.keys().copied().collect::<Vec<_>>(),
-            "case {case}: set keys"
-        );
-        set.check_invariants()
-            .unwrap_or_else(|e| panic!("case {case} (set): {e}"));
     }
 }

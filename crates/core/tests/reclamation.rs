@@ -2,7 +2,7 @@
 //! allocates is freed exactly once — no leaks, no double frees — and
 //! values are dropped exactly once.
 
-use nmbst::{Ebr, NmTreeMap, NmTreeSet};
+use nmbst::{Ebr, NmTreeMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -215,9 +215,9 @@ fn leaky_mode_reads_remain_valid_after_remove() {
     // With the paper's no-reclamation mode, removed nodes stay readable
     // (leaked); this is exactly the §4 benchmark configuration.
     use nmbst::Leaky;
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::new();
+    let set: NmTreeMap<u64, (), Leaky> = NmTreeMap::new();
     for k in 0..100 {
-        set.insert(k);
+        set.insert(k, ());
     }
     for k in 0..100 {
         set.remove(&k);

@@ -83,16 +83,14 @@ fn handle_agrees_with_plain_front_end() {
     assert_eq!(map.len(), 510);
 }
 
-/// The sharded multi-get interleaves descents across shards and answers
-/// in input order, exactly like routed `get`; each key is one search in
-/// its shard's counters.
+/// The sharded `get_batch` answers in input order, exactly like routed
+/// `get`, with keys in every shard, misses and duplicates; each key is
+/// one search in its shard's counters.
 #[test]
-fn get_many_interleaves_across_shards_in_input_order() {
+fn get_batch_answers_across_shards_in_input_order() {
     let map: ShardedMap<u64, u64, Ebr> = ShardedMap::with_shards(4);
     let mut h = map.handle();
-    let mut out = Vec::new();
-    h.get_many(&[5, 6], &mut out);
-    assert_eq!(out, vec![None, None], "empty shards");
+    assert_eq!(h.get_batch([5, 6]), vec![None, None], "empty shards");
     for k in (0..4_000).step_by(3) {
         h.insert(k, k + 1);
     }
@@ -104,16 +102,12 @@ fn get_many_interleaves_across_shards_in_input_order() {
     );
     h.flush_stats();
     let before = map.metrics().searches;
-    h.get_many(&keys, &mut out);
+    let out = h.get_batch(keys.iter().copied());
     h.flush_stats();
     assert_eq!(map.metrics().searches - before, keys.len() as u64);
     let expect: Vec<Option<u64>> = keys.iter().map(|k| map.get(k)).collect();
     assert_eq!(out, expect);
-    assert_eq!(
-        h.get_batch(keys.iter().copied()),
-        expect,
-        "get_batch wraps it"
-    );
+    assert!(out.iter().any(Option::is_none) && out.iter().any(Option::is_some));
 }
 
 #[test]

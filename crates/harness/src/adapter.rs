@@ -2,9 +2,9 @@
 //! every implementation under comparison.
 
 use nmbst::obs::MetricsSnapshot;
-use nmbst::{NmTreeSet, TagMode};
+use nmbst::{NmTreeMap, TagMode, TreeConfig};
 use nmbst_baselines::{bcco::BccoTree, efrb::EfrbTree, hj::HjTree, locked::LockedBTreeSet};
-use nmbst_reclaim::{Ebr, Leaky};
+use nmbst_reclaim::{Ebr, Leaky, Reclaim};
 
 /// The dictionary ADT of §2, as seen by the benchmark harness.
 ///
@@ -59,97 +59,76 @@ pub trait ConcurrentSet: Send + Sync + 'static {
 }
 
 /// NM-BST in the paper's evaluation regime: no memory reclamation.
-pub type NmLeaky = NmTreeSet<u64, Leaky>;
+pub type NmLeaky = NmTreeMap<u64, (), Leaky>;
 /// NM-BST in production regime: epoch-based reclamation.
-pub type NmEbr = NmTreeSet<u64, Ebr>;
+pub type NmEbr = NmTreeMap<u64, (), Ebr>;
 
-impl ConcurrentSet for NmLeaky {
-    fn make() -> Self {
-        NmTreeSet::new()
-    }
-    fn label() -> &'static str {
-        "NM-BST"
-    }
-    #[inline]
-    fn insert(&self, key: u64) -> bool {
-        NmTreeSet::insert(self, key)
-    }
-    #[inline]
-    fn remove(&self, key: u64) -> bool {
-        NmTreeSet::remove(self, &key)
-    }
-    #[inline]
-    fn contains(&self, key: u64) -> bool {
-        NmTreeSet::contains(self, &key)
-    }
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(NmTreeSet::metrics(self))
-    }
-    fn insert_batch(&self, keys: &[u64]) -> usize {
-        self.handle().insert_batch(keys.iter().copied())
-    }
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        self.handle().remove_batch(keys.iter().copied())
-    }
-    fn contains_batch(&self, keys: &[u64]) -> usize {
-        self.handle()
-            .contains_batch(keys.iter().copied())
-            .into_iter()
-            .filter(|&hit| hit)
-            .count()
-    }
+/// A reclamation scheme the harness reports NM-BST under, with the row
+/// label that names it.
+pub trait NmScheme: Reclaim {
+    /// The report label of NM-BST under this scheme.
+    const LABEL: &'static str;
 }
 
-impl ConcurrentSet for NmEbr {
+impl NmScheme for Leaky {
+    const LABEL: &'static str = "NM-BST";
+}
+
+impl NmScheme for Ebr {
+    const LABEL: &'static str = "NM-BST(ebr)";
+}
+
+/// NM-BST as the paper's set: the tree with `()` values, driven through
+/// the plain API for single ops and through a [`MapHandle`](nmbst::MapHandle)
+/// for sorted runs.
+impl<R: NmScheme> ConcurrentSet for NmTreeMap<u64, (), R> {
     fn make() -> Self {
-        NmTreeSet::new()
+        NmTreeMap::new()
     }
     fn label() -> &'static str {
-        "NM-BST(ebr)"
+        R::LABEL
     }
     #[inline]
     fn insert(&self, key: u64) -> bool {
-        NmTreeSet::insert(self, key)
+        NmTreeMap::insert(self, key, ())
     }
     #[inline]
     fn remove(&self, key: u64) -> bool {
-        NmTreeSet::remove(self, &key)
+        NmTreeMap::remove(self, &key)
     }
     #[inline]
     fn contains(&self, key: u64) -> bool {
-        NmTreeSet::contains(self, &key)
+        NmTreeMap::contains(self, &key)
     }
     fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(NmTreeSet::metrics(self))
+        Some(NmTreeMap::metrics(self))
     }
     fn insert_batch(&self, keys: &[u64]) -> usize {
-        self.handle().insert_batch(keys.iter().copied())
+        self.handle().insert_batch(keys.iter().map(|&k| (k, ())))
     }
     fn remove_batch(&self, keys: &[u64]) -> usize {
         self.handle().remove_batch(keys.iter().copied())
     }
     fn contains_batch(&self, keys: &[u64]) -> usize {
-        self.handle()
-            .contains_batch(keys.iter().copied())
-            .into_iter()
-            .filter(|&hit| hit)
-            .count()
+        let found = self.handle().get_batch(keys.iter().copied());
+        found.iter().filter(|hit| hit.is_some()).count()
     }
 }
 
 /// NM-BST with the CAS-only tag variant (§6), for the BTS ablation.
-pub struct NmCasOnly(NmTreeSet<u64, Leaky>);
+pub struct NmCasOnly(NmLeaky);
 
 impl ConcurrentSet for NmCasOnly {
     fn make() -> Self {
-        NmCasOnly(NmTreeSet::with_tag_mode(TagMode::CasLoop))
+        let config = TreeConfig::default().with_tag_mode(TagMode::CasLoop);
+        NmCasOnly(NmTreeMap::with_config(config))
     }
     fn label() -> &'static str {
         "NM-BST(cas-only)"
     }
     #[inline]
     fn insert(&self, key: u64) -> bool {
-        self.0.insert(key)
+        self.0.insert(key, ())
     }
     #[inline]
     fn remove(&self, key: u64) -> bool {

@@ -21,7 +21,6 @@
 
 pub mod adapter;
 pub mod chart;
-pub mod hist;
 pub mod replay;
 pub mod report;
 pub mod rng;
@@ -31,7 +30,6 @@ pub mod workload;
 pub mod zipf;
 
 pub use adapter::ConcurrentSet;
-pub use hist::Histogram;
 pub use replay::{run_replay, ReplayConfig, ReplayReport, SessionTarget};
 pub use runner::{
     mean_mops, prepopulate, run_batch_throughput, run_latency, run_throughput, BenchConfig,

@@ -31,10 +31,10 @@
 //! from `XorShift64Star::from_stream(seed, s)`, independent of which
 //! client executes it or when.
 
-use crate::hist::Histogram;
 use crate::rng::XorShift64Star;
 use crate::workload::{OpKind, Workload};
 use crate::zipf::ZipfGenerator;
+use nmbst::obs::hist::Histogram;
 use nmbst::BatchCmd;
 use std::io;
 use std::sync::Barrier;

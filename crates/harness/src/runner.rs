@@ -6,10 +6,10 @@
 //! duration; the metric is completed operations per second.
 
 use crate::adapter::ConcurrentSet;
-use crate::hist::Histogram;
 use crate::rng::XorShift64Star;
 use crate::workload::{OpKind, SortedBatchGen, Workload};
 use crate::zipf::ZipfGenerator;
+use nmbst::obs::hist::Histogram;
 use nmbst::obs::MetricsSnapshot;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};

@@ -11,7 +11,7 @@
 //! (forwarded by this crate's `instrument` feature); without it all
 //! counts read zero.
 
-use nmbst::{NmTreeSet, PoolConfig, TagMode, TreeConfig};
+use nmbst::{NmTreeMap, TagMode, TreeConfig};
 use nmbst_baselines::{efrb::EfrbTree, hj::HjTree};
 use nmbst_reclaim::Leaky;
 
@@ -44,27 +44,28 @@ fn odd_keys() -> impl Iterator<Item = u64> {
 /// Measures NM-BST (this paper). Expected: insert 2 allocs / 1 CAS,
 /// delete 0 allocs / 3 atomics (1 flag CAS + 1 BTS + 1 splice CAS).
 ///
-/// The node pool is disabled: Table 1 counts the *algorithm's* allocator
-/// traffic, and pool-served nodes would show up as `pool_hits` instead
-/// of `allocs`, measuring the recycling layer rather than the paper.
-/// Likewise `leaf_cap = 1`: the paper's costs are stated for 1-key
-/// leaves, where every insert is the classic two-node subtree and every
-/// delete is a structural flag/tag/splice (fat leaves replace most of
-/// those with cheaper copy-on-write block publishes, which is the PR 7
-/// optimisation, not the paper's row).
+/// The tree runs the shipping node store, recycling included. A slot
+/// served from a free list counts as a `pool_hit`, not an `alloc`, but
+/// none is served here: under `Leaky` retired nodes never return to the
+/// free lists, and an uncontended run never discards insert scratch, so
+/// every node is a fresh slot and `allocs` counts the algorithm's own
+/// allocations exactly. `leaf_cap = 1`: the paper's costs are stated for
+/// 1-key leaves, where every insert is the classic two-node subtree and
+/// every delete is a structural flag/tag/splice (fat leaves replace most
+/// of those with cheaper copy-on-write block publishes, which is this
+/// implementation's optimisation, not the paper's row).
 pub fn measure_nm(tag_mode: TagMode) -> CostRow {
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(
+    let set: NmTreeMap<u64, (), Leaky> = NmTreeMap::with_config(
         TreeConfig::default()
             .with_tag_mode(tag_mode)
-            .with_pool(PoolConfig::disabled())
             .with_leaf_cap(1),
     );
     for k in odd_keys() {
-        set.insert(k);
+        set.insert(k, ());
     }
     let before = nmbst::stats::snapshot();
     for k in even_keys().take(OPS as usize) {
-        assert!(set.insert(k));
+        assert!(set.insert(k, ()));
     }
     let mid = nmbst::stats::snapshot();
     for k in even_keys().take(OPS as usize) {

@@ -31,8 +31,8 @@ use crate::{linearization_witness_ordered, Event, Recorder, SetOp};
 use nmbst::chaos::{self, Action};
 use nmbst::obs::{FlightRecorder, TraceEvent};
 use nmbst::{
-    BatchCmd, BatchScratch, BatchVerdict, Ebr, Leaky, MapHandle, NmTreeMap, PoolConfig, Reclaim,
-    RestartPolicy, ShardedMap, ShardedMapHandle, TreeConfig,
+    BatchCmd, BatchScratch, BatchVerdict, Ebr, Leaky, MapHandle, NmTreeMap, Reclaim, RestartPolicy,
+    ShardedMap, ShardedMapHandle, TreeConfig,
 };
 use nmbst_sync::Backoff;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,16 +83,13 @@ pub struct ExploreConfig {
     /// [`RestartPolicy::Root`] to sweep the paper's root-restart retry
     /// loops with the same seeds.
     pub restart: RestartPolicy,
-    /// Run the tree with its node-recycling pool on, so schedules also
-    /// interleave through the retire → recycle → realloc path (the
-    /// [`chaos::Point::Recycle`] injection point becomes a schedule
-    /// point). Off by default to keep the historical seed corpus stable.
-    pub pool: bool,
-    /// Which reclamation scheme backs the tree under test. Recycling
-    /// needs a scheme that actually runs deferrals, so pair `pool: true`
-    /// with [`ReclaimKind::Ebr`] to sweep real reuse; under
-    /// [`ReclaimKind::Leaky`] the pool only ever reuses discarded insert
-    /// scratch.
+    /// Which reclamation scheme backs the tree under test. The tree
+    /// always recycles its nodes, as it does in production, but only a
+    /// scheme that runs deferrals returns retired ones: under
+    /// [`ReclaimKind::Ebr`] schedules interleave through the retire →
+    /// recycle → realloc path (the [`chaos::Point::Recycle`] injection
+    /// point becomes a schedule point); under [`ReclaimKind::Leaky`] the
+    /// free lists only ever carry discarded insert scratch.
     pub reclaim: ReclaimKind,
     /// Drive every worker through the finger-anchored batch API instead
     /// of the plain one: each tape op becomes a size-1
@@ -134,7 +131,7 @@ pub enum ReclaimKind {
     #[default]
     Leaky,
     /// Epoch-based reclamation: retired nodes really traverse the grace
-    /// period — and, with the pool on, come back through fresh inserts.
+    /// period and come back through fresh inserts.
     Ebr,
 }
 
@@ -148,7 +145,6 @@ impl Default for ExploreConfig {
             max_ops_per_thread: 5,
             inject_drop_flag_bug: false,
             restart: RestartPolicy::default(),
-            pool: false,
             reclaim: ReclaimKind::default(),
             batch: false,
             fused: false,
@@ -458,12 +454,7 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
         1,
         TreeConfig::default()
             .with_restart(cfg.restart)
-            .with_leaf_cap(cfg.leaf_cap)
-            .with_pool(if cfg.pool {
-                PoolConfig::default()
-            } else {
-                PoolConfig::disabled()
-            }),
+            .with_leaf_cap(cfg.leaf_cap),
     );
     let tree = map.shard(0);
     let rec = Recorder::new();
@@ -711,7 +702,6 @@ mod tests {
         // return through the pool.
         let cfg = ExploreConfig {
             batch: true,
-            pool: true,
             reclaim: ReclaimKind::Ebr,
             ..ExploreConfig::default()
         };
@@ -753,7 +743,6 @@ mod tests {
     fn fused_batch_mode_sweeps_ebr_with_pool() {
         let cfg = ExploreConfig {
             fused: true,
-            pool: true,
             reclaim: ReclaimKind::Ebr,
             ..ExploreConfig::default()
         };

@@ -47,13 +47,10 @@
 //! The pool never decides *when* a slot may be reused — that is the
 //! reclaimer's job. A recycle deferral fires only after the grace
 //! period, i.e. after no live reference to the slot can exist, so reuse
-//! is ABA-safe by construction (DESIGN.md §11, §14). A recycling pool
-//! never abandons a slot: every released index is kept for reuse, so
-//! the arena's high-water mark is bounded by what is live, cached and
-//! awaiting reclamation, not by how many operations ran. Only a pool
-//! built with recycling off abandons released slots in place (counted
-//! in [`PoolStats::dropped`]); their memory returns when the arena
-//! drops.
+//! is ABA-safe by construction (DESIGN.md §11, §14). The pool never
+//! abandons a slot: every released index is kept for reuse, so the
+//! arena's high-water mark is bounded by what is live, cached and
+//! awaiting reclamation, not by how many operations ran.
 //!
 //! # Concurrency
 //!
@@ -95,9 +92,6 @@ pub struct PoolStats {
     /// Slots accepted into the free list (from recycling deferrals and
     /// cache give-backs).
     pub recycled: u64,
-    /// Slots a pool with recycling off abandoned in place; their memory
-    /// returns when the arena drops. Always 0 while recycling is on.
-    pub dropped: u64,
     /// Slots the bump cursor has handed out. The arena never frees a
     /// slot, so this is its high-water mark.
     pub slots: u64,
@@ -122,9 +116,6 @@ pub struct NodePool {
     /// Distance between consecutive slots: the layout padded to its
     /// alignment.
     stride: usize,
-    /// Whether released slots are kept for reuse (`false`: abandoned in
-    /// place, the pool-off ablation).
-    recycle: bool,
     /// Segment 0's base, duplicated out of `segments[0]` as a plain
     /// field: immutable after construction, so the hot resolution path
     /// reads it without an atomic load (and loop-invariant code motion
@@ -143,7 +134,6 @@ pub struct NodePool {
     len: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
-    dropped: AtomicU64,
 }
 
 /// The lock-protected half of the pool. `recycled` lives here (not as an
@@ -192,11 +182,9 @@ fn segment_layout(seg: usize, stride: usize) -> Layout {
 }
 
 impl NodePool {
-    /// Creates an empty arena for slots of `layout`. With `recycle`
-    /// released slots are kept for reuse; without it every allocation
-    /// bumps fresh space and every release abandons its slot. Zero-size
-    /// layouts and alignments above a cache line are rejected.
-    pub fn new(layout: Layout, recycle: bool) -> Self {
+    /// Creates an empty arena for slots of `layout`. Zero-size layouts
+    /// and alignments above a cache line are rejected.
+    pub fn new(layout: Layout) -> Self {
         assert!(layout.size() > 0, "cannot pool zero-sized slots");
         assert!(
             layout.align() <= SEGMENT_ALIGN,
@@ -209,7 +197,6 @@ impl NodePool {
         NodePool {
             layout,
             stride,
-            recycle,
             seg0: NonNull::new(seg0).expect("checked non-null above"),
             segments,
             next: AtomicU32::new(1),
@@ -220,7 +207,6 @@ impl NodePool {
             len: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         }
     }
 
@@ -385,9 +371,7 @@ impl NodePool {
     }
 
     /// Gives a dead slot back to the free list, waiting for the lock
-    /// (yielding backoff) if another thread holds it. With recycling off
-    /// the slot is abandoned in place instead — counted in
-    /// [`PoolStats::dropped`], reclaimed when the arena drops.
+    /// (yielding backoff) if another thread holds it.
     ///
     /// # Safety
     ///
@@ -396,10 +380,6 @@ impl NodePool {
     /// the pool.
     #[inline]
     pub unsafe fn release(&self, idx: u32) {
-        if !self.recycle {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         let mut free = self.free.lock();
         free.slots.push(idx);
         free.recycled += 1;
@@ -407,8 +387,7 @@ impl NodePool {
     }
 
     /// Gives many dead slots back in one lock acquisition, draining
-    /// `slots` (abandoning them all when recycling is off). This is what
-    /// per-thread caches flush through.
+    /// `slots`. This is what per-thread caches flush through.
     ///
     /// # Safety
     ///
@@ -416,12 +395,6 @@ impl NodePool {
     /// contract.
     pub unsafe fn release_batch(&self, slots: &mut Vec<u32>) {
         if slots.is_empty() {
-            return;
-        }
-        if !self.recycle {
-            self.dropped
-                .fetch_add(slots.len() as u64, Ordering::Relaxed);
-            slots.clear();
             return;
         }
         let mut free = self.free.lock();
@@ -448,7 +421,6 @@ impl NodePool {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             recycled: self.free.lock().recycled,
-            dropped: self.dropped.load(Ordering::Relaxed),
             // The cursor starts at 1 (index 0 is the null edge) and may
             // overshoot the index space by the failed bumps that panicked.
             slots: u64::from(self.next.load(Ordering::Relaxed).min(MAX_INDEX + 1) - 1),
@@ -476,7 +448,6 @@ impl std::fmt::Debug for NodePool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodePool")
             .field("layout", &self.layout)
-            .field("recycle", &self.recycle)
             .field("next", &self.next.load(Ordering::Relaxed))
             .field("len", &self.len())
             .finish()
@@ -487,8 +458,8 @@ impl std::fmt::Debug for NodePool {
 mod tests {
     use super::*;
 
-    fn test_pool(recycle: bool) -> NodePool {
-        NodePool::new(Layout::new::<[u64; 4]>(), recycle)
+    fn test_pool() -> NodePool {
+        NodePool::new(Layout::new::<[u64; 4]>())
     }
 
     #[test]
@@ -507,7 +478,7 @@ mod tests {
 
     #[test]
     fn typed_resolution_matches_untyped() {
-        let pool = test_pool(false);
+        let pool = test_pool();
         let (idx, ptr) = pool.bump();
         assert_eq!(
             pool.slot_ptr_typed::<[u64; 4]>(idx).cast::<u8>(),
@@ -518,7 +489,7 @@ mod tests {
 
     #[test]
     fn bump_yields_distinct_stable_slots() {
-        let pool = test_pool(true);
+        let pool = test_pool();
         let (i1, p1) = pool.bump();
         let (i2, p2) = pool.bump();
         assert_ne!(i1, i2);
@@ -531,7 +502,7 @@ mod tests {
 
     #[test]
     fn bump_crosses_segment_boundaries() {
-        let pool = test_pool(false);
+        let pool = test_pool();
         let mut prev = 0u32;
         // Run past segment 0 into the first lazily-grown overflow
         // segment, writing through every slot near the boundary to let
@@ -549,7 +520,7 @@ mod tests {
 
     #[test]
     fn round_trip_returns_same_slot() {
-        let pool = test_pool(true);
+        let pool = test_pool();
         assert!(pool.acquire().is_none(), "fresh pool is empty");
         let (idx, ptr) = pool.bump();
         unsafe { pool.release(idx) };
@@ -562,7 +533,7 @@ mod tests {
 
     #[test]
     fn lifo_order() {
-        let pool = test_pool(true);
+        let pool = test_pool();
         let (a, _) = pool.bump();
         let (b, _) = pool.bump();
         unsafe {
@@ -575,7 +546,7 @@ mod tests {
 
     #[test]
     fn free_list_is_unbounded() {
-        let pool = test_pool(true);
+        let pool = test_pool();
         let mut batch = Vec::new();
         for i in 0..5000 {
             let (idx, _) = pool.bump();
@@ -589,7 +560,6 @@ mod tests {
         assert!(batch.is_empty(), "release_batch drains its input");
         let s = pool.stats();
         assert_eq!(s.recycled, 5000, "every released slot is kept");
-        assert_eq!(s.dropped, 0, "a recycling pool abandons nothing");
         assert_eq!(pool.len(), 5000);
         // Reuse comes before the bump cursor moves again.
         for _ in 0..5000 {
@@ -609,29 +579,20 @@ mod tests {
 
     #[test]
     fn segment_bases_are_cache_line_aligned() {
-        let pool = NodePool::new(Layout::new::<[u64; 4]>(), true);
+        let pool = NodePool::new(Layout::new::<[u64; 4]>());
         assert_eq!(
             pool.slot_ptr(1) as usize % 64,
             32,
             "slot 1 is one stride past the base"
         );
-        let pool = NodePool::new(Layout::new::<[u64; 17]>(), true);
+        let pool = NodePool::new(Layout::new::<[u64; 17]>());
         assert_eq!(pool.stride(), 136);
         assert_eq!((pool.slot_ptr(1) as usize - 136) % 64, 0);
     }
 
     #[test]
-    fn recycling_off_disables_reuse() {
-        let pool = test_pool(false);
-        let (idx, _) = pool.bump();
-        unsafe { pool.release(idx) };
-        assert!(pool.acquire().is_none());
-        assert_eq!(pool.stats().dropped, 1);
-    }
-
-    #[test]
     fn batch_acquire_pops_up_to_max() {
-        let pool = test_pool(true);
+        let pool = test_pool();
         for _ in 0..5 {
             let (idx, _) = pool.bump();
             unsafe { pool.release(idx) };
@@ -647,7 +608,7 @@ mod tests {
 
     #[test]
     fn usage_counters_accumulate() {
-        let pool = test_pool(true);
+        let pool = test_pool();
         pool.note_usage(3, 1);
         pool.note_usage(0, 2);
         let s = pool.stats();
@@ -661,7 +622,7 @@ mod tests {
         // acquire them back; every index must stay unique among live
         // owners (checked by writing a thread tag through the slot and
         // reading it back before release).
-        let pool = std::sync::Arc::new(test_pool(true));
+        let pool = std::sync::Arc::new(test_pool());
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let pool = std::sync::Arc::clone(&pool);
@@ -688,7 +649,6 @@ mod tests {
         assert_eq!(s.len as usize, pool.len());
         // Nothing is abandoned: every slot ever bumped is back on the
         // free list once all owners released it.
-        assert_eq!(s.dropped, 0);
         assert_eq!(s.len, s.slots, "{s:?}");
     }
 
@@ -703,7 +663,7 @@ mod tests {
         // keeps the list non-empty from then on, so the overshoot stays
         // a few slots. The try-lock pool this replaced bumped on every
         // contended pop and grew by thousands here.
-        let pool = std::sync::Arc::new(test_pool(true));
+        let pool = std::sync::Arc::new(test_pool());
         std::thread::scope(|s| {
             for _ in 0..2 {
                 let pool = std::sync::Arc::clone(&pool);

@@ -4,14 +4,15 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use nmbst::{NmTreeMap, NmTreeSet, TagMode};
+use nmbst::{NmTreeMap, TagMode, TreeConfig};
 use nmbst_reclaim::Leaky;
 
 fn main() {
     // --- the set (the ADT of §2: search / insert / delete) -----------
-    let set: NmTreeSet<u64> = NmTreeSet::new(); // epoch-reclaimed by default
-    assert!(set.insert(42));
-    assert!(!set.insert(42)); // duplicates rejected
+    // A map with `()` values is the paper's set; the values take no space.
+    let set: NmTreeMap<u64, ()> = NmTreeMap::new(); // epoch-reclaimed by default
+    assert!(set.insert(42, ()));
+    assert!(!set.insert(42, ())); // duplicates rejected
     assert!(set.contains(&42));
     assert!(set.remove(&42));
     assert!(!set.remove(&42));
@@ -28,7 +29,7 @@ fn main() {
                     if i % 3 == 0 {
                         set.remove(&k);
                     } else {
-                        set.insert(k);
+                        set.insert(k, ());
                     }
                 }
             });
@@ -53,12 +54,13 @@ fn main() {
     // `Leaky` reproduces the paper's benchmark regime: retired nodes are
     // never freed. Use it for measurements, never for long-running
     // services.
-    let bench_set: NmTreeSet<u64, Leaky> = NmTreeSet::new();
-    bench_set.insert(1);
+    let bench_set: NmTreeMap<u64, (), Leaky> = NmTreeMap::new();
+    bench_set.insert(1, ());
 
     // --- the CAS-only variant (§6) --------------------------------------
-    let cas_only: NmTreeSet<u64> = NmTreeSet::with_tag_mode(TagMode::CasLoop);
-    cas_only.insert(7);
+    let cas_only: NmTreeMap<u64, ()> =
+        NmTreeMap::with_config(TreeConfig::default().with_tag_mode(TagMode::CasLoop));
+    cas_only.insert(7, ());
     assert!(cas_only.remove(&7));
     println!("CAS-only variant: ok");
 }

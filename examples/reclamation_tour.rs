@@ -9,16 +9,16 @@
 //! cargo run --release --example reclamation_tour
 //! ```
 
-use nmbst::NmTreeSet;
+use nmbst::NmTreeMap;
 use nmbst_reclaim::{Ebr, Leaky, Reclaim, RetireGuard};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn main() {
     // ---------- 1. Leaky: the paper's benchmark regime ----------------
-    let leaky_set: NmTreeSet<u64, Leaky> = NmTreeSet::new();
+    let leaky_set: NmTreeMap<u64, (), Leaky> = NmTreeMap::new();
     for k in 0..10_000 {
-        leaky_set.insert(k);
+        leaky_set.insert(k, ());
     }
     for k in 0..10_000 {
         leaky_set.remove(&k);
@@ -34,7 +34,7 @@ fn main() {
     }
     let freed = Arc::new(AtomicUsize::new(0));
     {
-        let map: nmbst::NmTreeMap<u64, Tracked, Ebr> = nmbst::NmTreeMap::new();
+        let map: NmTreeMap<u64, Tracked, Ebr> = NmTreeMap::new();
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let map = &map;

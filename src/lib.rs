@@ -4,13 +4,14 @@
 //! the workspace-level `examples/` and `tests/`. See the individual
 //! crates for the real content:
 //!
-//! * [`nmbst`] — the paper's lock-free external BST (set + map).
+//! * [`nmbst`] — the paper's lock-free external BST (a map; with `()`
+//!   values, the paper's set).
 //! * [`nmbst_reclaim`] — epoch-based reclamation, hazard eras, leaky.
 //! * [`nmbst_baselines`] — EFRB, HJ, BCCO comparators.
 //! * [`nmbst_harness`] — workload generation and throughput running.
 //! * [`nmbst_lincheck`] — linearizability checking.
 
-pub use nmbst::{Key, NmTreeMap, NmTreeSet, TagMode, TreeShape};
+pub use nmbst::{Key, NmTreeMap, TagMode, TreeShape};
 pub use nmbst_reclaim::{Ebr, Leaky, Reclaim, RetireGuard};
 
 /// The workspace version.
@@ -20,8 +21,8 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 mod tests {
     #[test]
     fn reexports_compile_and_work() {
-        let set: super::NmTreeSet<u64> = super::NmTreeSet::new();
-        assert!(set.insert(1));
+        let set: super::NmTreeMap<u64, ()> = super::NmTreeMap::new();
+        assert!(set.insert(1, ()));
         assert!(!super::VERSION.is_empty());
     }
 }

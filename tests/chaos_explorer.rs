@@ -8,7 +8,7 @@
 //! that the violating seed replays deterministically.
 
 use nmbst::chaos::{self, FaultPlan, Point, StallCell};
-use nmbst::{NmTreeSet, TreeConfig};
+use nmbst::{NmTreeMap, TreeConfig};
 use nmbst_lincheck::explore::{explore_many, explore_seed, ExploreConfig, ReclaimKind};
 
 /// The bounded per-PR seed budget (CI runs exactly this test). The wide
@@ -67,17 +67,15 @@ fn bounded_seed_sweep_is_clean_under_both_restart_policies() {
 
 #[test]
 fn bounded_seed_sweep_is_clean_with_recycling_pool() {
-    // The PR 4 configuration: EBR actually reclaims mid-schedule and the
-    // pool re-issues retired nodes' blocks to later inserts, so these
-    // schedules exercise retire → grace period → recycle → realloc
-    // interleaved with concurrent seeks. Linearizability and tree
-    // invariants must hold exactly as without the pool.
+    // EBR actually reclaims mid-schedule and the pool re-issues retired
+    // nodes' slots to later inserts, so these schedules exercise retire →
+    // grace period → recycle → realloc interleaved with concurrent
+    // seeks. Linearizability and tree invariants must hold throughout.
     let cfg = ExploreConfig {
-        pool: true,
         reclaim: ReclaimKind::Ebr,
         ..Default::default()
     };
-    let stats = explore_many(&cfg, 0..32).unwrap_or_else(|v| panic!("pool+Ebr: {v}"));
+    let stats = explore_many(&cfg, 0..32).unwrap_or_else(|v| panic!("Ebr recycling: {v}"));
     assert_eq!(stats.schedules, 32);
 }
 
@@ -105,11 +103,10 @@ fn bounded_seed_sweep_is_clean_across_leaf_capacities() {
     // entries through retire → grace period → recycle → realloc.
     let cfg = ExploreConfig {
         leaf_cap: 8,
-        pool: true,
         reclaim: ReclaimKind::Ebr,
         ..Default::default()
     };
-    let stats = explore_many(&cfg, 0..16).unwrap_or_else(|v| panic!("leaf_cap 8 + pool: {v}"));
+    let stats = explore_many(&cfg, 0..16).unwrap_or_else(|v| panic!("leaf_cap 8 + Ebr: {v}"));
     assert_eq!(stats.schedules, 16);
 }
 
@@ -119,7 +116,6 @@ fn pool_enabled_exploration_is_deterministic() {
     // advancement, deferral execution, and pool traffic are pure
     // functions of the seed — recycling must not break replayability.
     let cfg = ExploreConfig {
-        pool: true,
         reclaim: ReclaimKind::Ebr,
         ..Default::default()
     };
@@ -135,9 +131,9 @@ fn fault_plan_stalls_a_delete_until_resumed() {
     // operation there for as long as it wants, deterministically.
     // leaf_cap 1 so the remove runs the protocol (a multi-entry block
     // COWs past `Point::Tag` and the plan would never engage).
-    let set: NmTreeSet<u64> = NmTreeSet::with_config(TreeConfig::default().with_leaf_cap(1));
+    let set: NmTreeMap<u64, ()> = NmTreeMap::with_config(TreeConfig::default().with_leaf_cap(1));
     for k in [50, 25, 75] {
-        set.insert(k);
+        set.insert(k, ());
     }
     let cell = StallCell::new();
     std::thread::scope(|s| {
@@ -171,15 +167,15 @@ fn fault_plan_stalls_a_delete_until_resumed() {
 
 #[test]
 fn abandoned_insert_leaves_no_trace() {
-    let set: NmTreeSet<u64> = NmTreeSet::new();
-    set.insert(10);
+    let set: NmTreeMap<u64, ()> = NmTreeMap::new();
+    set.insert(10, ());
     let published = FaultPlan::new()
         .abandon_at(Point::InsertPublish)
-        .run(|| set.insert(20));
+        .run(|| set.insert(20, ()));
     assert!(!published, "abandoned before the publishing CAS");
     assert!(!set.contains(&20));
     // The abandoned op held nothing: a plain retry succeeds.
-    assert!(set.insert(20));
+    assert!(set.insert(20, ()));
     assert!(set.contains(&20));
     let mut m = set;
     assert_eq!(m.check_invariants().unwrap().user_keys, 2);
@@ -187,8 +183,8 @@ fn abandoned_insert_leaves_no_trace() {
 
 #[test]
 fn abandoned_delete_before_injection_is_a_no_op() {
-    let set: NmTreeSet<u64> = NmTreeSet::new();
-    set.insert(5);
+    let set: NmTreeMap<u64, ()> = NmTreeMap::new();
+    set.insert(5, ());
     let removed = FaultPlan::new()
         .abandon_at(Point::DeleteInject)
         .run(|| set.remove(&5));
@@ -204,9 +200,9 @@ fn abandoned_delete_before_injection_is_a_no_op() {
 fn delete_abandoned_after_splice_skips_retire_but_stays_correct() {
     // Abandoning at Retire leaks the detached chain (by design) but the
     // tree itself must be fully consistent.
-    let set: NmTreeSet<u64> = NmTreeSet::new();
+    let set: NmTreeMap<u64, ()> = NmTreeMap::new();
     for k in [8, 4, 12, 2, 6] {
-        set.insert(k);
+        set.insert(k, ());
     }
     let removed = FaultPlan::new()
         .abandon_at(Point::Retire)
@@ -230,9 +226,9 @@ fn flag_copy_on_splice_survives_without_bug_switch() {
     // remove(10) helps the owner's delete and reports false.
     // leaf_cap = 1: the staged state needs singleton leaves so both
     // removes take the structural flag/tag/splice path.
-    let set: NmTreeSet<u64> = NmTreeSet::with_config(TreeConfig::default().with_leaf_cap(1));
+    let set: NmTreeMap<u64, ()> = NmTreeMap::with_config(TreeConfig::default().with_leaf_cap(1));
     for k in [10, 20] {
-        set.insert(k);
+        set.insert(k, ());
     }
     let owner_flagged = FaultPlan::new()
         .abandon_at(Point::Tag)
@@ -256,9 +252,9 @@ fn bug_switch_drops_the_flag_copy() {
     // longer sees an owned edge — it deletes 10 as if it were free,
     // returning true. This inverted result is exactly the class of
     // misbehavior the explorer's checker flags on concurrent schedules.
-    let set: NmTreeSet<u64> = NmTreeSet::with_config(TreeConfig::default().with_leaf_cap(1));
+    let set: NmTreeMap<u64, ()> = NmTreeMap::with_config(TreeConfig::default().with_leaf_cap(1));
     for k in [10, 20] {
-        set.insert(k);
+        set.insert(k, ());
     }
     let owner_flagged = FaultPlan::new()
         .abandon_at(Point::Tag)

@@ -2,7 +2,7 @@
 //! other (and with `BTreeSet`) on identical operation sequences, both
 //! sequentially and at post-concurrency quiescence.
 
-use nmbst::NmTreeSet;
+use nmbst::NmTreeMap;
 use nmbst_baselines::{bcco::BccoTree, efrb::EfrbTree, hj::HjTree, locked::LockedBTreeSet};
 use nmbst_harness::adapter::{ConcurrentSet, NmEbr, NmLeaky};
 use nmbst_reclaim::Ebr;
@@ -103,7 +103,7 @@ fn implementations_converge_to_identical_contents() {
 
 #[test]
 fn nm_structural_invariants_after_cross_thread_churn() {
-    let mut set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
+    let mut set: NmTreeMap<u64, (), Ebr> = NmTreeMap::new();
     std::thread::scope(|s| {
         for t in 0..6u64 {
             let set = &set;
@@ -113,7 +113,7 @@ fn nm_structural_invariants_after_cross_thread_churn() {
                     let r = xorshift(&mut x);
                     let k = r % 200;
                     if r & 4 == 0 {
-                        set.insert(k);
+                        set.insert(k, ());
                     } else {
                         set.remove(&k);
                     }

@@ -5,7 +5,7 @@
 //! sequence order.
 
 use nmbst::obs::{EventKind, FlightRecorder};
-use nmbst::{NmTreeSet, TreeConfig};
+use nmbst::{NmTreeMap, TreeConfig};
 use nmbst_lincheck::explore::{explore_many, explore_seed, ExploreConfig};
 use nmbst_reclaim::Leaky;
 
@@ -98,11 +98,12 @@ fn recorder_captures_tree_operations_directly() {
     // leaf_cap = 1: the remove must take the structural
     // flag/tag/splice path for its protocol events to appear (a fat-leaf
     // COW remove publishes a new block and emits no helping events).
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(TreeConfig::default().with_leaf_cap(1));
+    let set: NmTreeMap<u64, (), Leaky> =
+        NmTreeMap::with_config(TreeConfig::default().with_leaf_cap(1));
     {
         let _attached = flight.attach(0);
         for k in [10, 5, 15, 3, 7] {
-            set.insert(k);
+            set.insert(k, ());
         }
         set.remove(&7);
         set.contains(&5);

@@ -62,7 +62,7 @@ fn zipf_skew_concentrates_load_but_preserves_correctness() {
                 for _ in 0..10_000 {
                     let k = 1 + zipf.next(&mut rng);
                     if rng.next_u64() & 1 == 0 {
-                        if set.insert(k) {
+                        if set.insert(k, ()) {
                             balance[(k - 1) as usize].fetch_add(1, Ordering::Relaxed);
                         }
                     } else if set.remove(&k) {
@@ -106,7 +106,7 @@ fn workload_mix_reaches_the_tree() {
     for _ in 0..5_000 {
         let k = 1 + rng.next_bounded(512);
         let did = if rng.next_u64() & 1 == 0 {
-            set.insert(k)
+            set.insert(k, ())
         } else {
             set.remove(&k)
         };

@@ -6,10 +6,10 @@
 //! maximal contention with exhaustively checkable histories — across
 //! many trials.
 
-use nmbst::NmTreeSet;
+use nmbst::{NmTreeMap, TreeConfig};
 use nmbst_baselines::{bcco::BccoTree, efrb::EfrbTree, hj::HjTree};
 use nmbst_lincheck::{check_linearizable, Event, Recorder, SetOp};
-use nmbst_reclaim::{Ebr, Leaky};
+use nmbst_reclaim::{Ebr, Leaky, Reclaim};
 use std::sync::Mutex;
 
 const THREADS: u64 = 3;
@@ -88,26 +88,37 @@ macro_rules! impl_apply {
     };
 }
 
-impl_apply!(NmTreeSet<u64, Leaky>);
-impl_apply!(NmTreeSet<u64, Ebr>);
+impl<R: Reclaim> ApplyOp for &NmTreeMap<u64, (), R> {
+    fn apply_op(&self, op: &SetOp) -> bool {
+        match *op {
+            SetOp::Insert(k) => self.insert(k, ()),
+            SetOp::Remove(k) => self.remove(&k),
+            SetOp::Contains(k) => self.contains(&k),
+        }
+    }
+}
+
 impl_apply!(EfrbTree);
 impl_apply!(HjTree);
 impl_apply!(BccoTree);
 
 #[test]
 fn nm_bst_leaky_is_linearizable() {
-    check_many(NmTreeSet::<u64, Leaky>::new, "NM-BST (leaky)");
+    check_many(NmTreeMap::<u64, (), Leaky>::new, "NM-BST (leaky)");
 }
 
 #[test]
 fn nm_bst_ebr_is_linearizable() {
-    check_many(NmTreeSet::<u64, Ebr>::new, "NM-BST (ebr)");
+    check_many(NmTreeMap::<u64, (), Ebr>::new, "NM-BST (ebr)");
 }
 
 #[test]
 fn nm_bst_cas_only_is_linearizable() {
     check_many(
-        || NmTreeSet::<u64, Ebr>::with_tag_mode(nmbst::TagMode::CasLoop),
+        || {
+            let config = TreeConfig::default().with_tag_mode(nmbst::TagMode::CasLoop);
+            NmTreeMap::<u64, (), Ebr>::with_config(config)
+        },
         "NM-BST (cas-only)",
     );
 }
@@ -132,9 +143,9 @@ fn checker_rejects_a_seeded_violation() {
     // Sanity check that this test setup has teeth: corrupt one result in
     // an otherwise legal sequential history and expect rejection.
     let rec = Recorder::new();
-    let set = NmTreeSet::<u64, Ebr>::new();
+    let set = NmTreeMap::<u64, (), Ebr>::new();
     let mut history = vec![
-        rec.measure(SetOp::Insert(1), || set.insert(1)),
+        rec.measure(SetOp::Insert(1), || set.insert(1, ())),
         rec.measure(SetOp::Contains(1), || set.contains(&1)),
     ];
     // Flip the contains result.

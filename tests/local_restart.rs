@@ -8,7 +8,7 @@
 //! `[dev-dependencies]`).
 
 use nmbst::chaos::{FaultPlan, Point, StallCell};
-use nmbst::{stats, Leaky, NmTreeSet, RestartPolicy, TreeConfig};
+use nmbst::{stats, Leaky, NmTreeMap, RestartPolicy, TreeConfig};
 
 /// The staged interleavings below reason about the paper's 1-key-leaf
 /// shape (an insert publishes a two-node subtree, a remove splices) —
@@ -23,7 +23,7 @@ fn cap1() -> TreeConfig {
 /// returns the stalled thread's counter deltas (counters are
 /// thread-local, so the delta covers exactly the stalled insert).
 fn race_insert_against(
-    set: &NmTreeSet<u64, Leaky>,
+    set: &NmTreeMap<u64, (), Leaky>,
     key: u64,
     rival: impl FnOnce(),
 ) -> stats::OpStats {
@@ -35,7 +35,7 @@ fn race_insert_against(
                 let before = stats::snapshot();
                 let inserted = FaultPlan::new()
                     .stall_at(Point::InsertPublish, cell)
-                    .run(|| set.insert(key));
+                    .run(|| set.insert(key, ()));
                 assert!(inserted, "the stalled insert must retry and succeed");
                 stats::snapshot().since(&before)
             }
@@ -55,12 +55,12 @@ fn insert_conflict_restarts_from_local_anchor() {
     // leaf. The rival's CAS rewrote only the *parent's* child edge — the
     // record's (ancestor → successor) edge is untouched — so the retry
     // must revalidate the anchor and descend from there, not the root.
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(cap1());
+    let set: NmTreeMap<u64, (), Leaky> = NmTreeMap::with_config(cap1());
     for k in [10, 20] {
-        assert!(set.insert(k));
+        assert!(set.insert(k, ()));
     }
     let delta = race_insert_against(&set, 15, || {
-        assert!(set.insert(12), "rival insert takes the leaf");
+        assert!(set.insert(12, ()), "rival insert takes the leaf");
     });
     assert_eq!(delta.seeks, 1, "only the initial descent hits the root");
     assert_eq!(delta.local_restarts, 1, "the retry reused the anchor");
@@ -78,9 +78,9 @@ fn invalidated_anchor_falls_back_to_root_seek() {
     // leads to the successor. The retry must *reject* the stale anchor
     // and fall back to a full root seek — restarting from a detached
     // node would descend into a frozen region.
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(cap1());
+    let set: NmTreeMap<u64, (), Leaky> = NmTreeMap::with_config(cap1());
     for k in [10, 20] {
-        assert!(set.insert(k));
+        assert!(set.insert(k, ()));
     }
     let delta = race_insert_against(&set, 15, || {
         assert!(set.remove(&20), "rival delete splices at the anchor");
@@ -104,13 +104,13 @@ fn root_policy_never_takes_the_local_path() {
     // The paper-faithful ablation: under `RestartPolicy::Root` the exact
     // interleaving of `insert_conflict_restarts_from_local_anchor` must
     // retry with a second full seek instead.
-    let set: NmTreeSet<u64, Leaky> =
-        NmTreeSet::with_config(cap1().with_restart(RestartPolicy::Root));
+    let set: NmTreeMap<u64, (), Leaky> =
+        NmTreeMap::with_config(cap1().with_restart(RestartPolicy::Root));
     for k in [10, 20] {
-        assert!(set.insert(k));
+        assert!(set.insert(k, ()));
     }
     let delta = race_insert_against(&set, 15, || {
-        assert!(set.insert(12));
+        assert!(set.insert(12, ()));
     });
     assert_eq!(delta.seeks, 2);
     assert_eq!(delta.local_restarts, 0);
@@ -133,7 +133,7 @@ fn local_restart_stress_matches_model() {
     ] {
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 512;
-        let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(
+        let set: NmTreeMap<u64, (), Leaky> = NmTreeMap::with_config(
             TreeConfig::default()
                 .with_restart(restart)
                 .with_leaf_cap(leaf_cap),
@@ -147,7 +147,7 @@ fn local_restart_stress_matches_model() {
                     // (maximal publishing-CAS conflicts); then remove
                     // every other key of the stripe.
                     for i in 0..PER_THREAD {
-                        assert!(set.insert(i * THREADS + t));
+                        assert!(set.insert(i * THREADS + t, ()));
                     }
                     for i in (0..PER_THREAD).step_by(2) {
                         assert!(set.remove(&(i * THREADS + t)));

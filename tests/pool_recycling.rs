@@ -9,7 +9,7 @@
 //! fall-through-to-allocator path).
 
 use nmbst::chaos::{self, Action, FaultPlan, Point, StallCell};
-use nmbst::{Ebr, HazardEras, Leaky, NmTreeMap, PoolConfig, Reclaim, TreeConfig};
+use nmbst::{Ebr, HazardEras, Leaky, NmTreeMap, Reclaim, TreeConfig};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -36,7 +36,7 @@ fn churn<R: Reclaim>(map: &NmTreeMap<u64, u64, R>, rounds: u64) {
 }
 
 fn round_trip<R: Reclaim>() -> nmbst::PoolStats {
-    let map: NmTreeMap<u64, u64, R> = NmTreeMap::new(); // pool on by default
+    let map: NmTreeMap<u64, u64, R> = NmTreeMap::new();
     churn(&map, ROUNDS);
     // Correctness through heavy reuse: final contents and shape hold up.
     let mut map = map;
@@ -88,43 +88,6 @@ fn leaky_never_recycles_retired_nodes() {
     assert!(
         stats.misses > 0,
         "all churn allocs are pool misses ({stats:?})"
-    );
-}
-
-#[test]
-fn pool_off_is_a_true_ablation() {
-    let map: NmTreeMap<u64, u64, Ebr> =
-        NmTreeMap::with_config(TreeConfig::default().with_pool(PoolConfig::disabled()));
-    let rounds = 10;
-    churn(&map, rounds);
-    let stats = map.metrics().pool;
-    // "Disabled" turns off the *free lists*, not the arenas: every
-    // allocation still bump-allocates a slot (a miss), and every
-    // recycle deferral finds recycling off and abandons its slot in
-    // place (dropped). What must be dead is reuse.
-    assert_eq!(stats.hits, 0, "no free list, no reuse ({stats:?})");
-    assert_eq!(
-        stats.recycled, 0,
-        "nothing enters a disabled list ({stats:?})"
-    );
-    assert_eq!(stats.len, 0, "{stats:?}");
-    assert_eq!(
-        stats.slots, stats.misses,
-        "every allocation is a fresh slot ({stats:?})"
-    );
-    // Every insert/remove pair costs exactly 2 slots at any leaf_cap
-    // dividing KEYS: a block of B keys takes 2 + (B-1) insert-path
-    // allocations (one classic two-node subtree, then COW merges) and
-    // B-1 remove-path COW shrinks (the last entry splices, 0 allocs).
-    assert_eq!(
-        stats.misses,
-        2 * KEYS * rounds + SENTINELS,
-        "all allocations bump ({stats:?})"
-    );
-    assert_eq!(
-        stats.dropped,
-        2 * KEYS * rounds,
-        "every retired slot abandoned in place ({stats:?})"
     );
 }
 
@@ -239,7 +202,7 @@ fn recycle_point_abandon_forces_allocator_fall_through() {
     );
     assert_eq!(stats.len, 0, "pool must have stayed empty ({stats:?})");
     assert_eq!(stats.hits, 0, "nothing pooled, nothing reused ({stats:?})");
-    // The tree is indistinguishable from the pool-off configuration.
+    // The abandoned slots stay parked in the arena; the tree is intact.
     let mut map = map;
     assert_eq!(map.check_invariants().expect("invariants").user_keys, 0);
 }
@@ -264,9 +227,12 @@ fn handle_churn_reuses_through_the_local_cache() {
         stats.hits > 0,
         "handle inserts must be served from recycled blocks ({stats:?})"
     );
-    // 2 slots per insert/remove pair (see `pool_off_is_a_true_ablation`
-    // for the per-block arithmetic) plus the construction-time
-    // sentinels: the arena sees every allocation as a hit or a miss.
+    // Every insert/remove pair costs exactly 2 slots at any leaf_cap
+    // dividing KEYS: a block of B keys takes 2 + (B-1) insert-path
+    // allocations (one classic two-node subtree, then COW merges) and
+    // B-1 remove-path COW shrinks (the last entry splices, 0 allocs).
+    // Add the construction-time sentinels: the arena sees every
+    // allocation as a hit or a miss.
     assert_eq!(
         stats.hits + stats.misses,
         2 * KEYS * ROUNDS + SENTINELS,

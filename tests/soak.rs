@@ -7,7 +7,7 @@
 //! These shake out rare interleavings (helping chains, deep splices,
 //! reclamation races) that the second-scale CI tests may miss.
 
-use nmbst::NmTreeSet;
+use nmbst::NmTreeMap;
 use nmbst_baselines::{bcco::BccoTree, efrb::EfrbTree, hj::HjTree};
 use nmbst_reclaim::Ebr;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -65,10 +65,10 @@ macro_rules! soak {
 
 soak!(
     soak_nm_ebr,
-    NmTreeSet::<u64, Ebr>::new(),
-    |s: &NmTreeSet<u64, Ebr>, k| s.insert(k),
-    |s: &NmTreeSet<u64, Ebr>, k: u64| s.remove(&k),
-    |s: &NmTreeSet<u64, Ebr>, k: u64| s.contains(&k)
+    NmTreeMap::<u64, (), Ebr>::new(),
+    |s: &NmTreeMap<u64, (), Ebr>, k| s.insert(k, ()),
+    |s: &NmTreeMap<u64, (), Ebr>, k: u64| s.remove(&k),
+    |s: &NmTreeMap<u64, (), Ebr>, k: u64| s.contains(&k)
 );
 
 soak!(

@@ -11,13 +11,17 @@
 //! | This work        | 2 / 0                 | 1 / 3                 |
 
 use nmbst::stats;
-use nmbst::{NmTreeSet, TagMode, TreeConfig};
+use nmbst::{NmTreeMap, TagMode, TreeConfig};
 use nmbst_harness::table1::{measure_efrb, measure_hj, measure_nm};
 use nmbst_reclaim::Leaky;
 
 #[test]
 fn nm_row_matches_exactly() {
-    let row = measure_nm(TagMode::FetchOr);
+    // The measurement runs the shipping node store, recycling on; under
+    // `Leaky` with no contention no slot ever comes off a free list, so
+    // every counted allocation is one of the algorithm's own.
+    let (row, d) = stats::delta(|| measure_nm(TagMode::FetchOr));
+    assert_eq!(d.pool_hits, 0, "no node of the measurement was recycled");
     assert_eq!(
         row.insert_allocs, 2.0,
         "NM insert must allocate exactly 2 objects"
@@ -66,9 +70,10 @@ fn nm_delete_breakdown_is_one_cas_one_bts_one_cas() {
     // {injection CAS, sibling BTS, splice CAS}. Like `measure_nm`, this
     // pins `leaf_cap = 1` — the paper's costs are stated for one-key
     // leaves; a multi-entry block would COW (1 alloc, 1 CAS) instead.
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::with_config(TreeConfig::default().with_leaf_cap(1));
+    let set: NmTreeMap<u64, (), Leaky> =
+        NmTreeMap::with_config(TreeConfig::default().with_leaf_cap(1));
     for k in [10, 5, 15, 3, 7] {
-        set.insert(k);
+        set.insert(k, ());
     }
     let (removed, d) = stats::delta(|| set.remove(&7));
     assert!(removed);
@@ -81,9 +86,9 @@ fn nm_delete_breakdown_is_one_cas_one_bts_one_cas() {
 
 #[test]
 fn nm_uncontended_search_executes_no_atomics() {
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::new();
+    let set: NmTreeMap<u64, (), Leaky> = NmTreeMap::new();
     for k in 0..64 {
-        set.insert(k);
+        set.insert(k, ());
     }
     let ((), d) = stats::delta(|| {
         for k in 0..128 {
@@ -110,11 +115,11 @@ fn cas_only_variant_uncontended_costs_match_bts_variant() {
 fn failed_modify_operations_allocate_nothing_extra() {
     // Duplicate inserts must not burn allocations beyond the reusable
     // scratch pair, and failed removes allocate nothing at all.
-    let set: NmTreeSet<u64, Leaky> = NmTreeSet::new();
-    set.insert(1);
+    let set: NmTreeMap<u64, (), Leaky> = NmTreeMap::new();
+    set.insert(1, ());
     let ((), d) = stats::delta(|| {
         for _ in 0..10 {
-            assert!(!set.insert(1)); // duplicate: discovered during seek
+            assert!(!set.insert(1, ())); // duplicate: discovered during seek
             assert!(!set.remove(&2)); // absent
         }
     });
