@@ -93,4 +93,4 @@ pub use tree::{NmTreeMap, RestartPolicy, TreeConfig, TreeShape, SEARCH_LANES};
 
 // Re-export the reclamation entry points users need to name the tree's
 // type parameter, plus the pool stats surfaced in metrics snapshots.
-pub use nmbst_reclaim::{Ebr, HazardEras, Leaky, PoolStats, Reclaim};
+pub use nmbst_reclaim::{Ebr, Leaky, PoolStats, Reclaim};

@@ -64,7 +64,7 @@ where
 #[cfg(test)]
 mod tests {
     use crate::{NmTreeMap, TreeConfig};
-    use nmbst_reclaim::{Ebr, HazardEras, Leaky, Reclaim};
+    use nmbst_reclaim::{Ebr, Leaky, Reclaim};
 
     /// Every scenario here stages the classic flag/tag/splice protocol,
     /// which only runs for singleton leaves — so the whole module works
@@ -84,17 +84,13 @@ mod tests {
 
     /// Expands a generic scenario into one `#[test]` per reclaimer, so
     /// the helping paths that *retire* memory (retire-once, chain
-    /// excision) run under every scheme the tree supports — `Ebr`, the
-    /// hazard-record-based `HazardEras`, and the paper-faithful `Leaky`.
+    /// excision) run under every scheme the tree supports — `Ebr` and
+    /// the paper-faithful `Leaky`.
     macro_rules! per_reclaimer {
-        ($scenario:ident: $ebr:ident, $eras:ident, $leaky:ident) => {
+        ($scenario:ident: $ebr:ident, $leaky:ident) => {
             #[test]
             fn $ebr() {
                 $scenario::<Ebr>();
-            }
-            #[test]
-            fn $eras() {
-                $scenario::<HazardEras>();
             }
             #[test]
             fn $leaky() {
@@ -158,7 +154,6 @@ mod tests {
 
     per_reclaimer!(sibling_delete_helps_stalled_delete:
         delete_of_sibling_helps_stalled_delete,
-        delete_of_sibling_helps_stalled_delete_hazard_eras,
         delete_of_sibling_helps_stalled_delete_leaky);
 
     fn stalled_deletes_chain_excision<R: Reclaim>() {
@@ -188,7 +183,6 @@ mod tests {
 
     per_reclaimer!(stalled_deletes_chain_excision:
         multiple_stalled_deletes_form_a_chain_removed_at_once,
-        multiple_stalled_deletes_chain_hazard_eras,
         multiple_stalled_deletes_chain_leaky);
 
     #[test]
@@ -320,7 +314,6 @@ mod tests {
 
     per_reclaimer!(racing_helpers_retire_once:
         racing_helpers_finish_one_stalled_delete_idempotently,
-        racing_helpers_retire_once_hazard_eras,
         racing_helpers_retire_once_leaky);
 
     #[test]

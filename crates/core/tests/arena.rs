@@ -9,7 +9,7 @@
 //! Every workload here has a fixed operation count and a seeded key
 //! stream; nothing depends on the wall clock.
 
-use nmbst::{Ebr, HazardEras, Leaky, NmTreeMap, Reclaim};
+use nmbst::{Ebr, Leaky, NmTreeMap, Reclaim};
 
 /// Key range of the churn workloads.
 const KEYS: u64 = 1024;
@@ -145,13 +145,6 @@ fn churn_stays_under_live_plus_caches_plus_backlog<R: Reclaim>() {
 #[test]
 fn two_thread_churn_high_water_stays_under_live_plus_caches_plus_backlog() {
     churn_stays_under_live_plus_caches_plus_backlog::<Ebr>();
-}
-
-/// The same bound under hazard eras, whose reclaimer reports its backlog
-/// from every thread's retired list and the orphan stash.
-#[test]
-fn two_thread_churn_under_hazard_eras_stays_under_the_same_bound() {
-    churn_stays_under_live_plus_caches_plus_backlog::<HazardEras>();
 }
 
 /// Under `Leaky` deferrals never run, so retired slots stay parked in

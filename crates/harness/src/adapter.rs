@@ -1,7 +1,6 @@
 //! The common interface the benchmark runner drives, and adapters for
 //! every implementation under comparison.
 
-use nmbst::obs::MetricsSnapshot;
 use nmbst::{NmTreeMap, TagMode, TreeConfig};
 use nmbst_baselines::{bcco::BccoTree, efrb::EfrbTree, hj::HjTree, locked::LockedBTreeSet};
 use nmbst_reclaim::{Ebr, Leaky, Reclaim};
@@ -27,35 +26,6 @@ pub trait ConcurrentSet: Send + Sync + 'static {
     fn remove(&self, key: u64) -> bool;
     /// The paper's *search*.
     fn contains(&self, key: u64) -> bool;
-
-    /// A point-in-time metrics snapshot, for implementations that expose
-    /// one (the NM variants). Baselines return `None` and the runner
-    /// skips sampling for them.
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        None
-    }
-
-    /// Applies an ascending run of inserts; returns how many were new.
-    ///
-    /// The default loops over [`ConcurrentSet::insert`], so every
-    /// baseline gets measured on the same sorted-batch cells as NM. The
-    /// NM adapters override this to route through the finger-anchored
-    /// handle batch path.
-    fn insert_batch(&self, keys: &[u64]) -> usize {
-        keys.iter().filter(|&&k| self.insert(k)).count()
-    }
-
-    /// Applies an ascending run of deletes; returns how many were
-    /// present. Default loops [`ConcurrentSet::remove`].
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        keys.iter().filter(|&&k| self.remove(k)).count()
-    }
-
-    /// Applies an ascending run of searches; returns how many were
-    /// present. Default loops [`ConcurrentSet::contains`].
-    fn contains_batch(&self, keys: &[u64]) -> usize {
-        keys.iter().filter(|&&k| self.contains(k)).count()
-    }
 }
 
 /// NM-BST in the paper's evaluation regime: no memory reclamation.
@@ -79,8 +49,7 @@ impl NmScheme for Ebr {
 }
 
 /// NM-BST as the paper's set: the tree with `()` values, driven through
-/// the plain API for single ops and through a [`MapHandle`](nmbst::MapHandle)
-/// for sorted runs.
+/// the plain API.
 impl<R: NmScheme> ConcurrentSet for NmTreeMap<u64, (), R> {
     fn make() -> Self {
         NmTreeMap::new()
@@ -99,19 +68,6 @@ impl<R: NmScheme> ConcurrentSet for NmTreeMap<u64, (), R> {
     #[inline]
     fn contains(&self, key: u64) -> bool {
         NmTreeMap::contains(self, &key)
-    }
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(NmTreeMap::metrics(self))
-    }
-    fn insert_batch(&self, keys: &[u64]) -> usize {
-        self.handle().insert_batch(keys.iter().map(|&k| (k, ())))
-    }
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        self.handle().remove_batch(keys.iter().copied())
-    }
-    fn contains_batch(&self, keys: &[u64]) -> usize {
-        let found = self.handle().get_batch(keys.iter().copied());
-        found.iter().filter(|hit| hit.is_some()).count()
     }
 }
 
@@ -137,9 +93,6 @@ impl ConcurrentSet for NmCasOnly {
     #[inline]
     fn contains(&self, key: u64) -> bool {
         self.0.contains(&key)
-    }
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(self.0.metrics())
     }
 }
 
@@ -252,44 +205,5 @@ mod tests {
         exercise::<HjTree>();
         exercise::<BccoTree>();
         exercise::<LockedBTreeSet>();
-    }
-
-    fn exercise_batch<S: ConcurrentSet>() {
-        let s = S::make();
-        let run: Vec<u64> = (10..20).collect();
-        assert_eq!(s.insert_batch(&run), 10, "{}", S::label());
-        assert_eq!(s.insert_batch(&run), 0, "{}: re-insert", S::label());
-        assert_eq!(s.contains_batch(&run), 10, "{}", S::label());
-        assert_eq!(s.contains_batch(&[1, 15, 99]), 1, "{}", S::label());
-        assert_eq!(s.remove_batch(&[10, 11, 99]), 2, "{}", S::label());
-        assert_eq!(s.contains_batch(&run), 8, "{}", S::label());
-    }
-
-    /// Batch entry points agree with the single-op ones on every
-    /// adapter — the native NM overrides and the default loops alike.
-    #[test]
-    fn batch_entry_points_match_single_op_semantics() {
-        exercise_batch::<NmLeaky>();
-        exercise_batch::<NmEbr>();
-        exercise_batch::<NmCasOnly>();
-        exercise_batch::<EfrbTree>();
-        exercise_batch::<HjTree>();
-        exercise_batch::<BccoTree>();
-        exercise_batch::<LockedBTreeSet>();
-    }
-
-    /// The NM override actually exercises the finger path: a sorted
-    /// sweep through a persistent key run must record finger hits.
-    #[test]
-    fn nm_batch_override_reports_finger_hits() {
-        let s = NmEbr::make();
-        let run: Vec<u64> = (1..=256).collect();
-        assert_eq!(s.insert_batch(&run), 256);
-        assert_eq!(s.contains_batch(&run), 256);
-        let m = ConcurrentSet::metrics(&s).expect("NM exposes metrics");
-        assert!(
-            m.finger_hits > 0,
-            "sorted batches took zero finger-anchored descents"
-        );
     }
 }

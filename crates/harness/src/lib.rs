@@ -5,7 +5,7 @@
 //! * [`adapter`] — the [`adapter::ConcurrentSet`] trait
 //!   and adapters for NM-BST (leaky / EBR / CAS-only), EFRB, HJ, BCCO
 //!   and a coarse-locked reference.
-//! * [`workload`] — the three §4 operation mixes and four key ranges.
+//! * [`workload`] — the three §4 operation mixes.
 //! * [`rng`] — deterministic allocation-free generators for the hot loop.
 //! * [`runner`] — pre-population plus the timed multi-threaded
 //!   throughput measurement of Figure 4.
@@ -32,8 +32,8 @@ pub mod zipf;
 pub use adapter::ConcurrentSet;
 pub use replay::{run_replay, ReplayConfig, ReplayReport, SessionTarget};
 pub use runner::{
-    mean_mops, prepopulate, run_batch_throughput, run_latency, run_throughput, BenchConfig,
-    BenchResult, KeyDist, LatencyResult,
+    mean_mops, prepopulate, run_latency, run_throughput, BenchConfig, BenchResult, KeyDist,
+    LatencyResult,
 };
-pub use workload::{OpKind, SortedBatchGen, Workload, FIGURE4_KEY_RANGES};
+pub use workload::{OpKind, SortedBatchGen, Workload};
 pub use zipf::ZipfGenerator;

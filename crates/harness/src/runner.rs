@@ -7,18 +7,12 @@
 
 use crate::adapter::ConcurrentSet;
 use crate::rng::XorShift64Star;
-use crate::workload::{OpKind, SortedBatchGen, Workload};
+use crate::workload::{OpKind, Workload};
 use crate::zipf::ZipfGenerator;
 use nmbst::obs::hist::Histogram;
-use nmbst::obs::MetricsSnapshot;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
-
-/// How often the runner samples [`ConcurrentSet::metrics`] during a
-/// timed run. Coarse on purpose: sampling sums the counter shards, and
-/// we don't want the driver thread perturbing the measurement.
-const SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
 
 /// How benchmark keys are drawn from the key space.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -45,20 +39,6 @@ pub struct BenchConfig {
     pub seed: u64,
     /// Key distribution (the paper uses uniform).
     pub dist: KeyDist,
-}
-
-impl BenchConfig {
-    /// A small default suitable for quick runs.
-    pub fn quick(threads: usize, key_range: u64, workload: Workload) -> Self {
-        BenchConfig {
-            threads,
-            key_range,
-            workload,
-            duration: Duration::from_millis(500),
-            seed: 0x5EED,
-            dist: KeyDist::Uniform,
-        }
-    }
 }
 
 /// A per-thread key source implementing [`KeyDist`].
@@ -88,18 +68,6 @@ pub struct BenchResult {
     pub elapsed: Duration,
     /// Per-thread completed operations (load-balance diagnostics).
     pub per_thread: Vec<u64>,
-    /// Periodic metrics samples `(elapsed, snapshot)` taken by the
-    /// driver thread during the run, plus one final sample after the
-    /// workers join. Empty for implementations without metrics.
-    pub samples: Vec<(Duration, MetricsSnapshot)>,
-}
-
-impl BenchResult {
-    /// The final metrics snapshot (taken after all workers joined, so
-    /// every handle has flushed), if the implementation exposes one.
-    pub fn final_metrics(&self) -> Option<&MetricsSnapshot> {
-        self.samples.last().map(|(_, m)| m)
-    }
 }
 
 impl BenchResult {
@@ -138,7 +106,6 @@ pub fn run_throughput<S: ConcurrentSet>(cfg: &BenchConfig) -> BenchResult {
     let start_barrier = Barrier::new(cfg.threads + 1);
     let mut per_thread = vec![0u64; cfg.threads];
     let mut elapsed = Duration::ZERO;
-    let mut samples: Vec<(Duration, MetricsSnapshot)> = Vec::new();
 
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(cfg.threads);
@@ -182,19 +149,7 @@ pub fn run_throughput<S: ConcurrentSet>(cfg: &BenchConfig) -> BenchResult {
         }
         start_barrier.wait();
         let t0 = Instant::now();
-        // The driver doubles as a low-rate metrics sampler while the
-        // workers run; for implementations without metrics this is the
-        // same sleep loop with extra wakeups.
-        loop {
-            let remaining = cfg.duration.saturating_sub(t0.elapsed());
-            if remaining.is_zero() {
-                break;
-            }
-            std::thread::sleep(remaining.min(SAMPLE_INTERVAL));
-            if let Some(m) = set.metrics() {
-                samples.push((t0.elapsed(), m));
-            }
-        }
+        std::thread::sleep(cfg.duration);
         stop.store(true, Ordering::Relaxed);
         elapsed = t0.elapsed();
         for (t, h) in handles.into_iter().enumerate() {
@@ -202,112 +157,11 @@ pub fn run_throughput<S: ConcurrentSet>(cfg: &BenchConfig) -> BenchResult {
         }
     });
 
-    // Final sample after the join: every worker has finished, so batched
-    // handle counters (if any) are flushed and the totals are exact.
-    if let Some(m) = set.metrics() {
-        samples.push((elapsed, m));
-    }
-
     BenchResult {
         algorithm: S::label(),
         total_ops: per_thread.iter().sum(),
         elapsed,
         per_thread,
-        samples,
-    }
-}
-
-/// Runs the PR 5 `sorted-batch` cell: like [`run_throughput`], but each
-/// worker draws ascending Zipf-clustered key runs from
-/// [`SortedBatchGen`] and applies whole runs through the adapter's
-/// batch entry points ([`ConcurrentSet::insert_batch`] and friends).
-///
-/// Implementations without a native batch path fall back to the
-/// default loop-of-singles, so NM's finger-anchored batches and every
-/// baseline are measured on identical cells. `total_ops` counts
-/// individual keys, not batches, keeping Mops comparable with
-/// [`run_throughput`]. Cluster skew follows `cfg.dist` when it is
-/// [`KeyDist::Zipf`], else a moderate default of 0.8.
-pub fn run_batch_throughput<S: ConcurrentSet>(cfg: &BenchConfig, batch_len: usize) -> BenchResult {
-    let set = S::make();
-    prepopulate(&set, cfg.key_range, cfg.seed);
-
-    let theta = match cfg.dist {
-        KeyDist::Zipf(t) => t,
-        KeyDist::Uniform => 0.8,
-    };
-    let gen = SortedBatchGen::new(cfg.key_range, batch_len, theta);
-    let stop = AtomicBool::new(false);
-    let start_barrier = Barrier::new(cfg.threads + 1);
-    let mut per_thread = vec![0u64; cfg.threads];
-    let mut elapsed = Duration::ZERO;
-    let mut samples: Vec<(Duration, MetricsSnapshot)> = Vec::new();
-
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(cfg.threads);
-        for t in 0..cfg.threads {
-            let set = &set;
-            let stop = &stop;
-            let start_barrier = &start_barrier;
-            let gen = &gen;
-            let workload = cfg.workload;
-            let seed = cfg.seed;
-            handles.push(s.spawn(move || {
-                let mut rng = XorShift64Star::from_stream(seed, t as u64);
-                let mut buf = Vec::with_capacity(batch_len);
-                let mut ops = 0u64;
-                start_barrier.wait();
-                while !stop.load(Ordering::Relaxed) {
-                    // One stop-flag check per few batches; each batch is
-                    // already tens of ops deep.
-                    for _ in 0..4 {
-                        gen.fill(&mut rng, &mut buf);
-                        match workload.pick(&mut rng) {
-                            OpKind::Search => {
-                                std::hint::black_box(set.contains_batch(&buf));
-                            }
-                            OpKind::Insert => {
-                                std::hint::black_box(set.insert_batch(&buf));
-                            }
-                            OpKind::Delete => {
-                                std::hint::black_box(set.remove_batch(&buf));
-                            }
-                        }
-                        ops += buf.len() as u64;
-                    }
-                }
-                ops
-            }));
-        }
-        start_barrier.wait();
-        let t0 = Instant::now();
-        loop {
-            let remaining = cfg.duration.saturating_sub(t0.elapsed());
-            if remaining.is_zero() {
-                break;
-            }
-            std::thread::sleep(remaining.min(SAMPLE_INTERVAL));
-            if let Some(m) = set.metrics() {
-                samples.push((t0.elapsed(), m));
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        elapsed = t0.elapsed();
-        for (t, h) in handles.into_iter().enumerate() {
-            per_thread[t] = h.join().expect("batch bench worker panicked");
-        }
-    });
-
-    if let Some(m) = set.metrics() {
-        samples.push((elapsed, m));
-    }
-
-    BenchResult {
-        algorithm: S::label(),
-        total_ops: per_thread.iter().sum(),
-        elapsed,
-        per_thread,
-        samples,
     }
 }
 
@@ -429,64 +283,6 @@ mod tests {
         assert!(res.per_thread.iter().all(|&c| c > 0));
         assert!(res.mops() > 0.0);
         assert!(res.elapsed >= Duration::from_millis(50));
-        // NM exposes metrics, so the run carries at least the final
-        // post-join sample, and it accounts for every measured op (plus
-        // pre-population inserts).
-        let m = res.final_metrics().expect("NmEbr has metrics");
-        assert!(m.searches + m.inserts + m.removes >= res.total_ops);
-    }
-
-    #[test]
-    fn metrics_sampling_skips_implementations_without_metrics() {
-        use nmbst_baselines::locked::LockedBTreeSet;
-        let cfg = BenchConfig {
-            threads: 1,
-            key_range: 64,
-            workload: Workload::MIXED,
-            duration: Duration::from_millis(10),
-            seed: 2,
-            dist: crate::runner::KeyDist::Uniform,
-        };
-        let res = run_throughput::<LockedBTreeSet>(&cfg);
-        assert!(res.total_ops > 0);
-        assert!(res.samples.is_empty(), "baselines sample nothing");
-        assert!(res.final_metrics().is_none());
-    }
-
-    #[test]
-    fn batch_run_produces_throughput_and_finger_hits() {
-        let cfg = BenchConfig {
-            threads: 2,
-            key_range: 4_096,
-            workload: Workload::MIXED,
-            duration: Duration::from_millis(50),
-            seed: 9,
-            dist: KeyDist::Uniform,
-        };
-        let res = run_batch_throughput::<NmEbr>(&cfg, 32);
-        assert!(res.total_ops > 0);
-        assert!(res.per_thread.iter().all(|&c| c > 0));
-        let m = res.final_metrics().expect("NmEbr has metrics");
-        assert!(
-            m.finger_hits > 0,
-            "sorted-batch run recorded zero finger hits"
-        );
-    }
-
-    #[test]
-    fn batch_run_works_on_baselines_via_default_loop() {
-        use nmbst_baselines::locked::LockedBTreeSet;
-        let cfg = BenchConfig {
-            threads: 2,
-            key_range: 1_024,
-            workload: Workload::MIXED,
-            duration: Duration::from_millis(20),
-            seed: 4,
-            dist: KeyDist::Zipf(0.9),
-        };
-        let res = run_batch_throughput::<LockedBTreeSet>(&cfg, 16);
-        assert!(res.total_ops > 0);
-        assert!(res.final_metrics().is_none(), "baselines have no metrics");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Workload definitions — §4's three operation mixes and four key-space
-//! sizes, plus the PR 5 `sorted-batch` key generator.
+//! Workload definitions — §4's three operation mixes, plus the
+//! `sorted-batch` key generator.
 
 use crate::rng::XorShift64Star;
 use crate::zipf::ZipfGenerator;
@@ -91,19 +91,14 @@ impl Workload {
     }
 }
 
-/// The paper's four key-space sizes (Figure 4 rows): 1K, 10K, 100K, 1M.
-pub const FIGURE4_KEY_RANGES: [u64; 4] = [1_000, 10_000, 100_000, 1_000_000];
-
-/// The `sorted-batch` key generator (PR 5): each draw yields an
+/// The `sorted-batch` key generator: each draw yields an
 /// ascending, duplicate-free run of keys confined to one Zipf-popular
 /// *cluster* of the key space.
 ///
 /// This models bulk ingest shapes — log replay, sorted file merges,
 /// time-ordered feeds — where consecutive operations land near each
 /// other in key order. It is the best case for NM's finger-anchored
-/// batch descents, and the same runs are replayable against any
-/// [`crate::adapter::ConcurrentSet`] so baselines are measured on
-/// identical cells.
+/// batch descents, which the `perf` bin's sorted-batch cell measures.
 ///
 /// Clusters are `cluster_width`-wide slices of `1..=key_range`; which
 /// cluster a run lands in follows a Zipf draw (rank 0 hottest), and the

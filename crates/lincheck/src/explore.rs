@@ -14,8 +14,8 @@
 //! Each run is validated three ways:
 //!
 //! 1. the recorded concurrent history must be linearizable
-//!    ([`linearization_witness_ordered`]; a batch's same-key commands
-//!    must also linearize in input order),
+//!    ([`check_history_ordered`] against [`SetSpec`]; a batch's
+//!    same-key commands must also linearize in input order),
 //! 2. a sequential probe of every key is appended *after* the workers
 //!    join, so the final physical contents must be consistent with some
 //!    linearization (lost or resurrected keys cannot hide), and
@@ -27,7 +27,7 @@
 //! [`chaos::Bug::DropFlagOnSplice`] — and demonstrates the explorer
 //! finds a violating schedule within a bounded seed budget.
 
-use crate::{linearization_witness_ordered, Event, Recorder, SetOp};
+use crate::{check_history_ordered, GenEvent, Recorder, SetOp, SetSpec};
 use nmbst::chaos::{self, Action};
 use nmbst::obs::{FlightRecorder, TraceEvent};
 use nmbst::{
@@ -168,7 +168,7 @@ pub struct RunReport {
     pub schedule: Vec<usize>,
     /// The recorded history: seeded prepopulation, concurrent phase,
     /// then the sequential probe of every key.
-    pub history: Vec<Event>,
+    pub history: Vec<GenEvent<SetSpec>>,
     /// The merged flight-recorder trace of the run: every structural
     /// event (flag injections, tags, splices, helps, …) each thread
     /// executed, in global sequence order. Workers record under their
@@ -464,7 +464,7 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
     // its sequential phases under label `threads`.
     let flight = FlightRecorder::new();
     let _driver_attached = flight.attach(threads as u32);
-    let mut history: Vec<Event> = Vec::new();
+    let mut history: Vec<GenEvent<SetSpec>> = Vec::new();
 
     // Seeded prepopulation, recorded sequentially so the checker sees
     // the true initial state.
@@ -495,7 +495,7 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
     let sched = Scheduler::new(threads, rng.next());
     // Worker events, plus the pairs `(a, b)` of their indices where `a`
     // must linearize before `b` (same-key commands of one batch).
-    type Collected = (Vec<Event>, Vec<(usize, usize)>);
+    type Collected = (Vec<GenEvent<SetSpec>>, Vec<(usize, usize)>);
     let collected: Mutex<Collected> = Mutex::default();
 
     std::thread::scope(|s| {
@@ -515,7 +515,7 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
                 if inject_bug {
                     chaos::set_bug(chaos::Bug::DropFlagOnSplice, true);
                 }
-                let mut local = Vec::with_capacity(tape.len());
+                let mut local: Vec<GenEvent<SetSpec>> = Vec::with_capacity(tape.len());
                 let mut order = Vec::new();
                 let hook_sched = Arc::clone(&sched);
                 // Batch modes keep one handle for the whole tape (in
@@ -607,7 +607,7 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
     for (a, b) in order {
         preds[base + b] |= 1 << (base + a);
     }
-    if linearization_witness_ordered(&report.history, &preds).is_none() {
+    if check_history_ordered(&SetSpec, &report.history, &preds).is_none() {
         return Err(Box::new(Violation {
             reason: "history (with final sequential probes) is not linearizable".to_string(),
             report,

@@ -1,28 +1,29 @@
 //! Recording concurrent histories with a global logical clock.
 
-use crate::{Event, SetOp};
+use crate::spec::{GenEvent, Spec};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Stamps operations with invocation/response timestamps from a shared
 /// logical clock.
 ///
-/// Each worker thread keeps its own `Vec<Event>`; merge them afterwards
-/// and feed the result to
-/// [`check_linearizable`](crate::check_linearizable).
+/// Each worker thread keeps its own `Vec<GenEvent<S>>`; merge them
+/// afterwards and feed the result to
+/// [`check_history`](crate::check_history).
 ///
 /// # Examples
 ///
 /// ```
-/// use nmbst_lincheck::{Recorder, SetOp, check_linearizable};
+/// use nmbst_lincheck::{check_history, Recorder, SetOp, SetSpec};
 /// use std::collections::BTreeSet;
 /// use std::sync::Mutex;
 ///
 /// let set = Mutex::new(BTreeSet::new());
 /// let rec = Recorder::new();
-/// let mut events = Vec::new();
-/// events.push(rec.measure(SetOp::Insert(5), || set.lock().unwrap().insert(5)));
-/// events.push(rec.measure(SetOp::Contains(5), || set.lock().unwrap().contains(&5)));
-/// assert!(check_linearizable(&events));
+/// let events = vec![
+///     rec.measure::<SetSpec>(SetOp::Insert(5), || set.lock().unwrap().insert(5)),
+///     rec.measure::<SetSpec>(SetOp::Contains(5), || set.lock().unwrap().contains(&5)),
+/// ];
+/// assert!(check_history(&SetSpec, &events).is_some());
 /// ```
 #[derive(Debug, Default)]
 pub struct Recorder {
@@ -44,13 +45,13 @@ impl Recorder {
     /// linearization point the implementation chooses lies inside the
     /// recorded interval, so a history the checker rejects is a genuine
     /// linearizability violation.
-    pub fn measure(&self, op: SetOp, action: impl FnOnce() -> bool) -> Event {
+    pub fn measure<S: Spec>(&self, op: S::Op, action: impl FnOnce() -> S::Ret) -> GenEvent<S> {
         let invoke = self.clock.fetch_add(1, Ordering::AcqRel);
-        let result = action();
+        let ret = action();
         let response = self.clock.fetch_add(1, Ordering::AcqRel);
-        Event {
+        GenEvent {
             op,
-            result,
+            ret,
             invoke,
             response,
         }
@@ -60,7 +61,11 @@ impl Recorder {
     /// ticks: `action` pushes one result per op of `ops`, and each op
     /// becomes an event spanning the whole call — any linearization
     /// point inside the call is admissible for any of them.
-    pub fn measure_all(&self, ops: &[SetOp], action: impl FnOnce(&mut Vec<bool>)) -> Vec<Event> {
+    pub fn measure_all<S: Spec>(
+        &self,
+        ops: &[S::Op],
+        action: impl FnOnce(&mut Vec<S::Ret>),
+    ) -> Vec<GenEvent<S>> {
         let invoke = self.clock.fetch_add(1, Ordering::AcqRel);
         let mut results = Vec::with_capacity(ops.len());
         action(&mut results);
@@ -68,9 +73,9 @@ impl Recorder {
         assert_eq!(results.len(), ops.len(), "one result per op");
         ops.iter()
             .zip(results)
-            .map(|(&op, result)| Event {
-                op,
-                result,
+            .map(|(op, ret)| GenEvent {
+                op: op.clone(),
+                ret,
                 invoke,
                 response,
             })
@@ -81,40 +86,20 @@ impl Recorder {
     pub fn now(&self) -> u64 {
         self.clock.load(Ordering::Acquire)
     }
-
-    /// Generic counterpart of [`measure`](Recorder::measure) for
-    /// histories over any [`Spec`](crate::spec::Spec): runs `action`
-    /// bracketed by clock ticks and stamps a
-    /// [`GenEvent`](crate::spec::GenEvent).
-    pub fn measure_spec<S: crate::spec::Spec>(
-        &self,
-        op: S::Op,
-        action: impl FnOnce() -> S::Ret,
-    ) -> crate::spec::GenEvent<S> {
-        let invoke = self.clock.fetch_add(1, Ordering::AcqRel);
-        let ret = action();
-        let response = self.clock.fetch_add(1, Ordering::AcqRel);
-        crate::spec::GenEvent {
-            op,
-            ret,
-            invoke,
-            response,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check_linearizable;
+    use crate::{check_history, SetOp, SetSpec};
     use std::collections::BTreeSet;
     use std::sync::Mutex;
 
     #[test]
     fn timestamps_are_strictly_bracketing() {
         let rec = Recorder::new();
-        let e1 = rec.measure(SetOp::Insert(1), || true);
-        let e2 = rec.measure(SetOp::Remove(1), || true);
+        let e1 = rec.measure::<SetSpec>(SetOp::Insert(1), || true);
+        let e2 = rec.measure::<SetSpec>(SetOp::Remove(1), || true);
         assert!(e1.invoke < e1.response);
         assert!(e1.response < e2.invoke);
         assert_eq!(rec.now(), 4);
@@ -147,7 +132,7 @@ mod tests {
                                 1 => SetOp::Remove(k),
                                 _ => SetOp::Contains(k),
                             };
-                            local.push(rec.measure(op, || {
+                            local.push(rec.measure::<SetSpec>(op, || {
                                 let mut g = set.lock().unwrap();
                                 match op {
                                     SetOp::Insert(k) => g.insert(k),
@@ -162,24 +147,24 @@ mod tests {
             });
             let events = all.into_inner().unwrap();
             assert!(
-                check_linearizable(&events),
+                check_history(&SetSpec, &events).is_some(),
                 "trial {trial} not linearizable"
             );
         }
     }
 
     #[test]
-    fn measure_spec_records_map_events() {
-        use crate::spec::{check_history, MapOp, MapRet, MapSpec};
+    fn measure_records_map_events() {
+        use crate::{MapOp, MapRet, MapSpec};
         use std::collections::BTreeMap;
         let rec = Recorder::new();
         let map = Mutex::new(BTreeMap::new());
         let h = vec![
-            rec.measure_spec::<MapSpec>(MapOp::Insert(1, 10), || {
+            rec.measure::<MapSpec>(MapOp::Insert(1, 10), || {
                 let mut g = map.lock().unwrap();
                 MapRet::Inserted(g.insert(1, 10).is_none())
             }),
-            rec.measure_spec::<MapSpec>(MapOp::Remove(1), || {
+            rec.measure::<MapSpec>(MapOp::Remove(1), || {
                 MapRet::Removed(map.lock().unwrap().remove(&1))
             }),
         ];
@@ -191,8 +176,8 @@ mod tests {
         // A "set" that always claims success is not linearizable once
         // two non-overlapping inserts of the same key both return true.
         let rec = Recorder::new();
-        let e1 = rec.measure(SetOp::Insert(9), || true);
-        let e2 = rec.measure(SetOp::Insert(9), || true);
-        assert!(!check_linearizable(&[e1, e2]));
+        let e1 = rec.measure::<SetSpec>(SetOp::Insert(9), || true);
+        let e2 = rec.measure::<SetSpec>(SetOp::Insert(9), || true);
+        assert!(check_history(&SetSpec, &[e1, e2]).is_none());
     }
 }

@@ -1,11 +1,12 @@
-//! Generic linearizability checking against any sequential
-//! specification.
+//! Linearizability checking against a sequential specification.
 //!
-//! [`check_linearizable`](crate::check_linearizable) is the fast,
-//! bitmask-memoized checker for the set ADT. This module provides the
-//! same Wing & Gong search for *arbitrary* ADTs: implement [`Spec`]
-//! (a deterministic sequential model) and record [`GenEvent`]s.
+//! Implement [`Spec`] (a deterministic sequential model), record
+//! [`GenEvent`]s, and [`check_history`] searches for a legal
+//! linearization: the Wing & Gong search with the remaining-set ×
+//! abstract-state memoization of Lowe's refinement. [`SetSpec`] is the
+//! paper's set ADT; [`MapSpec`] the map ADT with observable values.
 
+use crate::SetOp;
 use std::collections::HashSet;
 use std::hash::Hash;
 
@@ -28,7 +29,7 @@ pub trait Spec {
 }
 
 /// One completed operation in a history over spec `S`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenEvent<S: Spec> {
     /// What was invoked.
     pub op: S::Op,
@@ -40,19 +41,32 @@ pub struct GenEvent<S: Spec> {
     pub response: u64,
 }
 
-/// Checks a complete history against `spec`; on success returns a
-/// witness linearization (indices into `history`).
+/// Decides whether a complete history is linearizable against `spec`:
+/// is there a total order of the operations, consistent with real time
+/// (an op that responded before another was invoked must come first),
+/// in which every result matches the sequential specification? On
+/// success returns a *witness*: the indices of `history` in one legal
+/// linearization order — when debugging a reported violation, rerun
+/// with the suspect event removed to see which constraint broke.
 ///
-/// Histories are limited to 64 events (a bitmask tracks the remaining
-/// set); keep recorded windows small and check many of them.
+/// Complexity is exponential in the worst case; the memo on
+/// `(remaining-ops bitmask, abstract state)` makes histories of a few
+/// dozen events check in microseconds to milliseconds.
+///
+/// # Panics
+///
+/// Panics if the history has more than 64 events (a bitmask tracks the
+/// remaining set; keep recorded windows small and check many of them)
+/// or an event's `response` does not exceed its `invoke`.
 pub fn check_history<S: Spec>(spec: &S, history: &[GenEvent<S>]) -> Option<Vec<usize>> {
     check_history_ordered(spec, history, &[])
 }
 
-/// [`check_history`] under extra order constraints, as in
-/// [`linearization_witness_ordered`](crate::linearization_witness_ordered):
-/// bit `j` of `preds[i]` says event `j` must be linearized before
-/// event `i`.
+/// [`check_history`] under extra order constraints: bit `j` of
+/// `preds[i]` says event `j` must be linearized before event `i`, an
+/// order real time does not imply — the same-key commands of one batch,
+/// whose contract is input order, share one interval. `preds` may be
+/// shorter than `history` (missing entries constrain nothing).
 pub fn check_history_ordered<S: Spec>(
     spec: &S,
     history: &[GenEvent<S>],
@@ -87,6 +101,8 @@ pub fn check_history_ordered<S: Spec>(
     }
 }
 
+/// DFS: try every minimal remaining operation as the next linearized
+/// one. `remaining` is a bitmask of un-linearized events.
 fn dfs<S: Spec>(
     spec: &S,
     history: &[GenEvent<S>],
@@ -100,8 +116,11 @@ fn dfs<S: Spec>(
         return true;
     }
     if !memo.insert((remaining, state.clone())) {
-        return false;
+        return false; // already explored this configuration: dead end
     }
+    // The earliest response among remaining ops bounds which ops may be
+    // linearized next: an op invoked after some other op responded
+    // cannot precede it.
     let mut min_response = u64::MAX;
     let mut bits = remaining;
     while bits != 0 {
@@ -115,14 +134,14 @@ fn dfs<S: Spec>(
         bits &= bits - 1;
         let e = &history[i];
         if e.invoke > min_response {
-            continue;
+            continue; // some remaining op responded before this began
         }
         if preds.get(i).is_some_and(|p| p & remaining != 0) {
-            continue;
+            continue; // an op ordered before this one is still pending
         }
         let (expected, next) = spec.apply(&e.op, &state);
         if expected != e.ret {
-            continue;
+            continue; // this op cannot be next: result contradicts model
         }
         order.push(i);
         if dfs(
@@ -139,6 +158,35 @@ fn dfs<S: Spec>(
         order.pop();
     }
     false
+}
+
+/// The set ADT of the paper (§2): `insert`/`delete` report whether the
+/// set changed, `search` reports membership. The abstract state is a
+/// bitmask, so set histories must use keys `0..64`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SetSpec;
+
+impl Spec for SetSpec {
+    type Op = SetOp;
+    type Ret = bool;
+    type State = u64;
+
+    fn init(&self) -> u64 {
+        0
+    }
+
+    /// # Panics
+    ///
+    /// Panics if the key is 64 or more.
+    fn apply(&self, op: &SetOp, state: &u64) -> (bool, u64) {
+        assert!(op.key() < 64, "set histories use keys 0..64");
+        let bit = 1u64 << op.key();
+        match op {
+            SetOp::Insert(_) => (state & bit == 0, state | bit),
+            SetOp::Remove(_) => (state & bit != 0, state & !bit),
+            SetOp::Contains(_) => (state & bit != 0, *state),
+        }
+    }
 }
 
 /// The map ADT of [`NmTreeMap`](https://docs.rs/nmbst): insert-once
@@ -302,5 +350,235 @@ mod tests {
     #[test]
     fn empty_history() {
         assert_eq!(check_history(&MapSpec, &[]), Some(vec![]));
+    }
+
+    // The set ADT: every case of the former set-only checker, kept as a
+    // `SetSpec` case of the one search.
+
+    fn set_ev(op: SetOp, ret: bool, invoke: u64, response: u64) -> GenEvent<SetSpec> {
+        GenEvent {
+            op,
+            ret,
+            invoke,
+            response,
+        }
+    }
+
+    fn linearizable(h: &[GenEvent<SetSpec>]) -> bool {
+        check_history(&SetSpec, h).is_some()
+    }
+
+    #[test]
+    fn empty_history_is_linearizable() {
+        assert!(linearizable(&[]));
+    }
+
+    #[test]
+    fn sequential_legal_history() {
+        let h = vec![
+            set_ev(SetOp::Insert(1), true, 0, 1),
+            set_ev(SetOp::Contains(1), true, 2, 3),
+            set_ev(SetOp::Remove(1), true, 4, 5),
+            set_ev(SetOp::Contains(1), false, 6, 7),
+        ];
+        assert!(linearizable(&h));
+    }
+
+    #[test]
+    fn sequential_illegal_history() {
+        // contains(1) = false after insert(1) = true completed: illegal.
+        let h = vec![
+            set_ev(SetOp::Insert(1), true, 0, 1),
+            set_ev(SetOp::Contains(1), false, 2, 3),
+        ];
+        assert!(!linearizable(&h));
+    }
+
+    #[test]
+    fn overlap_allows_reordering() {
+        // contains(1)=false overlaps insert(1)=true: legal, the search
+        // can linearize before the insert.
+        let h = vec![
+            set_ev(SetOp::Insert(1), true, 0, 3),
+            set_ev(SetOp::Contains(1), false, 1, 2),
+        ];
+        assert!(linearizable(&h));
+        // Ordering the insert first (as one batch's input order would)
+        // leaves the search no legal place.
+        assert!(check_history_ordered(&SetSpec, &h, &[0, 0b01]).is_none());
+        assert_eq!(
+            check_history_ordered(&SetSpec, &h, &[0b10]),
+            Some(vec![1, 0])
+        );
+    }
+
+    #[test]
+    fn double_successful_insert_is_illegal() {
+        // Two inserts of the same key both claim to have changed the
+        // set, with no interleaved remove: impossible.
+        let h = vec![
+            set_ev(SetOp::Insert(4), true, 0, 5),
+            set_ev(SetOp::Insert(4), true, 1, 4),
+        ];
+        assert!(!linearizable(&h));
+    }
+
+    #[test]
+    fn insert_remove_race_both_succeed() {
+        // insert(2)=true and remove(2)=true overlapping: legal
+        // (linearize insert first).
+        let h = vec![
+            set_ev(SetOp::Insert(2), true, 0, 5),
+            set_ev(SetOp::Remove(2), true, 1, 4),
+        ];
+        assert!(linearizable(&h));
+    }
+
+    #[test]
+    fn remove_before_insert_non_overlapping_is_illegal() {
+        // remove(2)=true completed before insert(2) even began, on an
+        // initially empty set: illegal.
+        let h = vec![
+            set_ev(SetOp::Remove(2), true, 0, 1),
+            set_ev(SetOp::Insert(2), true, 2, 3),
+        ];
+        assert!(!linearizable(&h));
+    }
+
+    #[test]
+    fn real_time_order_is_respected() {
+        // insert(7)=true completes, THEN contains(7)=false runs alone,
+        // THEN remove(7)=true. The contains cannot be reordered around
+        // the non-overlapping insert: illegal.
+        let h = vec![
+            set_ev(SetOp::Insert(7), true, 0, 1),
+            set_ev(SetOp::Contains(7), false, 2, 3),
+            set_ev(SetOp::Remove(7), true, 4, 5),
+        ];
+        assert!(!linearizable(&h));
+    }
+
+    #[test]
+    fn three_way_overlap_with_one_witness() {
+        // insert(1), remove(1), contains(1) all overlap. contains=true
+        // forces an order insert < contains < remove (or contains after
+        // insert at least): still linearizable.
+        let h = vec![
+            set_ev(SetOp::Insert(1), true, 0, 10),
+            set_ev(SetOp::Remove(1), true, 1, 9),
+            set_ev(SetOp::Contains(1), true, 2, 8),
+        ];
+        assert!(linearizable(&h));
+    }
+
+    #[test]
+    fn contradictory_witnesses_fail() {
+        // Two sequential searches inside one insert/remove pair:
+        // first sees present, second (later) sees present again AFTER a
+        // non-overlapping successful remove completed: illegal.
+        let h = vec![
+            set_ev(SetOp::Insert(3), true, 0, 1),
+            set_ev(SetOp::Remove(3), true, 2, 3),
+            set_ev(SetOp::Contains(3), true, 4, 5),
+        ];
+        assert!(!linearizable(&h));
+    }
+
+    #[test]
+    fn random_sequential_histories_always_pass() {
+        // Any history generated by *running* ops sequentially against a
+        // model is linearizable by construction.
+        let mut state = 0u64;
+        let mut clock = 0u64;
+        let mut h = Vec::new();
+        let mut x = 0x0123_4567_89AB_CDEF_u64;
+        for _ in 0..40 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let k = x % 8;
+            let op = match x % 3 {
+                0 => SetOp::Insert(k),
+                1 => SetOp::Remove(k),
+                _ => SetOp::Contains(k),
+            };
+            let (r, s) = SetSpec.apply(&op, &state);
+            state = s;
+            h.push(set_ev(op, r, clock, clock + 1));
+            clock += 2;
+        }
+        assert!(linearizable(&h));
+    }
+
+    #[test]
+    fn memo_handles_wide_overlap() {
+        // 16 fully-overlapping inserts of distinct keys: hugely many
+        // interleavings, all legal; must terminate fast thanks to memo.
+        let h: Vec<_> = (0..16)
+            .map(|i| set_ev(SetOp::Insert(i), true, 0, 100))
+            .collect();
+        assert!(linearizable(&h));
+    }
+
+    #[test]
+    fn wide_overlap_with_single_flaw_fails() {
+        let mut h: Vec<_> = (0..12)
+            .map(|i| set_ev(SetOp::Insert(i), true, 0, 100))
+            .collect();
+        // A fully-overlapping failed insert of a key nobody else touches:
+        // there is no state in which insert(40) returns false.
+        h.push(set_ev(SetOp::Insert(40), false, 0, 100));
+        assert!(!linearizable(&h));
+    }
+
+    #[test]
+    fn witness_is_a_valid_linearization() {
+        let h = vec![
+            set_ev(SetOp::Insert(1), true, 0, 9),
+            set_ev(SetOp::Remove(1), true, 1, 8),
+            set_ev(SetOp::Contains(1), true, 2, 7),
+            set_ev(SetOp::Contains(1), false, 10, 11),
+        ];
+        let order = check_history(&SetSpec, &h).expect("linearizable");
+        assert_eq!(order.len(), h.len());
+        // Replay the witness: every result must match the model, and
+        // real-time order must hold.
+        let mut state = 0u64;
+        let mut done: Vec<usize> = Vec::new();
+        for &i in &order {
+            for &j in &done {
+                assert!(
+                    h[j].invoke < h[i].response,
+                    "witness violates real time: {j} before {i}"
+                );
+            }
+            let (r, s) = SetSpec.apply(&h[i].op, &state);
+            assert_eq!(r, h[i].ret, "witness result mismatch at {i}");
+            state = s;
+            done.push(i);
+        }
+    }
+
+    #[test]
+    fn witness_absent_for_violation() {
+        let h = vec![
+            set_ev(SetOp::Insert(1), true, 0, 1),
+            set_ev(SetOp::Contains(1), false, 2, 3),
+        ];
+        assert!(check_history(&SetSpec, &h).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "keys 0..64")]
+    fn rejects_large_keys() {
+        let h = vec![set_ev(SetOp::Insert(64), true, 0, 1)];
+        let _ = check_history(&SetSpec, &h);
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed")]
+    fn rejects_malformed_interval() {
+        let h = vec![set_ev(SetOp::Insert(1), true, 5, 5)];
+        let _ = check_history(&SetSpec, &h);
     }
 }

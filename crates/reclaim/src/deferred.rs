@@ -63,7 +63,8 @@ impl Deferred {
         Deferred { data, ctx, call }
     }
 
-    /// The erased address, for membership tests against hazard lists.
+    /// The erased address: the allocation (or slot) this deferral
+    /// releases, so a test can check which target a deferral carries.
     #[inline]
     pub fn address(&self) -> usize {
         self.data as usize

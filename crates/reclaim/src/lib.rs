@@ -8,20 +8,14 @@
 //!
 //! * [`Ebr`] — epoch-based reclamation (global epoch, per-thread
 //!   participant slots, deferred-destruction bags). This is the scheme
-//!   the tree ships with.
-//! * [`HazardEras`] — hazard-pointer record machinery protecting an
-//!   *era* instead of an address. Needs no per-node validation, so the
-//!   tree can (and its whitebox helping-path tests do) run on it.
-//!   Per-address (Michael-style) hazard pointers are not provided: NM-BST
-//!   seeks traverse nodes whose incoming edge is already marked, and a
-//!   plain per-node hazard pointer cannot be validated against such a
-//!   path (the paper waves at hazard pointers; published follow-up work
-//!   restructures the traversal to make them sound — out of scope here,
-//!   documented in `hazard`).
+//!   the tree ships with. Per-address (Michael-style) hazard pointers
+//!   are not provided: NM-BST seeks traverse nodes whose incoming edge
+//!   is already marked, so a per-node hazard pointer cannot be validated
+//!   on such a path (the argument is in DESIGN.md §5).
 //! * [`Leaky`] — the paper-faithful no-op reclaimer used by the benchmark
 //!   harness so that Figure 4 is measured under the paper's conditions.
 //!
-//! All three implement the [`Reclaim`] trait; the tree is generic over it.
+//! Both implement the [`Reclaim`] trait; the tree is generic over it.
 //!
 //! # Progress guarantees
 //!
@@ -37,13 +31,11 @@
 
 mod deferred;
 pub mod ebr;
-pub mod hazard;
 mod leaky;
 mod pool;
 
 pub use deferred::Deferred;
 pub use ebr::{Ebr, EbrGuard};
-pub use hazard::{HazardEras, HazardErasGuard};
 pub use leaky::{Leaky, LeakyGuard};
 pub use pool::{NodePool, PoolStats, MAX_INDEX};
 
@@ -55,7 +47,7 @@ pub use pool::{NodePool, PoolStats, MAX_INDEX};
 /// live-value counts in whitebox tests.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReclaimGauges {
-    /// The scheme's global epoch (or era) counter. `0` for schemes
+    /// The scheme's global epoch counter. `0` for schemes
     /// without one.
     pub epoch: u64,
     /// Distance between the global epoch and the oldest epoch any
@@ -112,9 +104,9 @@ pub trait Reclaim: Send + Sync + 'static {
 
     /// Point-in-time health gauges for this scheme. The default
     /// implementation reports all zeros (appropriate for schemes with no
-    /// deferred state, like [`Leaky`]); [`Ebr`] and [`HazardEras`]
-    /// report real epoch (era) lag and retire-queue backlog. Never blocks operations: implementations
-    /// only take short diagnostic locks.
+    /// deferred state, like [`Leaky`]); [`Ebr`] reports its real epoch
+    /// lag and retire-queue backlog. Never blocks operations:
+    /// implementations only take short diagnostic locks.
     fn gauges(&self) -> ReclaimGauges {
         ReclaimGauges::default()
     }
@@ -129,8 +121,8 @@ pub trait Reclaim: Send + Sync + 'static {
     /// Implementations that execute deferrals **must** therefore keep the
     /// token alive at every site that calls a deferral — including
     /// straggler per-thread state destroyed after the scheme's owner is
-    /// gone. [`Ebr`] and [`HazardEras`] anchor every execution site in
-    /// their `Arc`-shared inner state and park the token there.
+    /// gone. [`Ebr`] anchors every execution site in its `Arc`-shared
+    /// global state and parks the token there.
     ///
     /// The default drops `token` immediately, which is correct exactly
     /// when the scheme never runs deferrals (`RECLAIMS == false`, i.e.

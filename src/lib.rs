@@ -6,7 +6,8 @@
 //!
 //! * [`nmbst`] — the paper's lock-free external BST (a map; with `()`
 //!   values, the paper's set).
-//! * [`nmbst_reclaim`] — epoch-based reclamation, hazard eras, leaky.
+//! * [`nmbst_reclaim`] — epoch-based reclamation and the paper's leaky
+//!   no-op scheme.
 //! * [`nmbst_baselines`] — EFRB, HJ, BCCO comparators.
 //! * [`nmbst_harness`] — workload generation and throughput running.
 //! * [`nmbst_lincheck`] — linearizability checking.

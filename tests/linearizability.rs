@@ -1,5 +1,6 @@
 //! Mechanical linearizability checking of every concurrent tree in the
-//! workspace, using the `nmbst-lincheck` history checker.
+//! workspace, using the `nmbst-lincheck` history checker against its
+//! set specification.
 //!
 //! §3.3 argues linearizability by exhibiting linearization points; here
 //! we *check* it: small key spaces, few threads, short op sequences —
@@ -8,7 +9,7 @@
 
 use nmbst::{NmTreeMap, TreeConfig};
 use nmbst_baselines::{bcco::BccoTree, efrb::EfrbTree, hj::HjTree};
-use nmbst_lincheck::{check_linearizable, Event, Recorder, SetOp};
+use nmbst_lincheck::{check_history, GenEvent, Recorder, SetOp, SetSpec};
 use nmbst_reclaim::{Ebr, Leaky, Reclaim};
 use std::sync::Mutex;
 
@@ -25,9 +26,9 @@ fn xorshift(x: &mut u64) -> u64 {
 }
 
 /// Runs one contended trial against `ops` and returns the history.
-fn run_trial(trial: u64, apply: impl Fn(&SetOp) -> bool + Sync) -> Vec<Event> {
+fn run_trial(trial: u64, apply: impl Fn(&SetOp) -> bool + Sync) -> Vec<GenEvent<SetSpec>> {
     let rec = Recorder::new();
-    let all: Mutex<Vec<Event>> = Mutex::new(Vec::new());
+    let all: Mutex<Vec<GenEvent<SetSpec>>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let rec = &rec;
@@ -44,7 +45,7 @@ fn run_trial(trial: u64, apply: impl Fn(&SetOp) -> bool + Sync) -> Vec<Event> {
                         1 => SetOp::Remove(key),
                         _ => SetOp::Contains(key),
                     };
-                    local.push(rec.measure(op, || apply(&op)));
+                    local.push(rec.measure::<SetSpec>(op, || apply(&op)));
                 }
                 all.lock().unwrap().extend(local);
             });
@@ -63,7 +64,7 @@ where
         let set = make();
         let history = run_trial(trial, |op| (&set).apply_op(op));
         assert!(
-            check_linearizable(&history),
+            check_history(&SetSpec, &history).is_some(),
             "{name}: trial {trial} produced a non-linearizable history:\n{history:#?}"
         );
     }
@@ -145,11 +146,11 @@ fn checker_rejects_a_seeded_violation() {
     let rec = Recorder::new();
     let set = NmTreeMap::<u64, (), Ebr>::new();
     let mut history = vec![
-        rec.measure(SetOp::Insert(1), || set.insert(1, ())),
-        rec.measure(SetOp::Contains(1), || set.contains(&1)),
+        rec.measure::<SetSpec>(SetOp::Insert(1), || set.insert(1, ())),
+        rec.measure::<SetSpec>(SetOp::Contains(1), || set.contains(&1)),
     ];
     // Flip the contains result.
     let last = history.last_mut().unwrap();
-    last.result = !last.result;
-    assert!(!check_linearizable(&history));
+    last.ret = !last.ret;
+    assert!(check_history(&SetSpec, &history).is_none());
 }
