@@ -864,6 +864,12 @@ mod tests {
         assert_eq!(Leaf::<u64, ()>::CLASSES.map(|c| c.size), [40, 56, 72]);
         assert_eq!(Leaf::<u32, u64>::CLASSES.map(|c| c.vals), [24, 32, 40]);
         assert_eq!(LEAF_CLASS_CAPS[LEAF_CLASSES - 1], LEAF_CAP);
+        // The exposition labels name the classes by capacity.
+        let labels = crate::obs::POOL_CLASS_LABELS;
+        assert_eq!(labels[0], "route");
+        for (label, cap) in labels[1..].iter().zip(LEAF_CLASS_CAPS) {
+            assert_eq!(*label, format!("leaf{cap}"));
+        }
     }
 
     #[test]

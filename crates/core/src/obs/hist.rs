@@ -10,14 +10,17 @@
 //! a reported slot value is `1/16 ≈ 6.7%` — tight enough to gate tail
 //! percentiles, small enough that a histogram is 4.6 KiB.
 //!
-//! Recording is allocation-free and branch-light: one `leading_zeros`,
-//! one shift, three counter bumps. The concurrent form stripes its
-//! slots across `LAT_SHARDS` shards indexed by the same thread-local
-//! shard assignment the operation counters use, so a recording thread
-//! bumps lines it already owns; snapshots sum the shards (racy but
-//! monotonic, the usual scrape contract).
+//! Recording is branch-light: one `leading_zeros`, one shift, three
+//! counter bumps. The concurrent form stripes its slots across
+//! `LAT_SHARDS` shards indexed by the same thread-local shard
+//! assignment the operation counters use, so a recording thread bumps
+//! lines it already owns; snapshots sum the shards (racy but monotonic,
+//! the usual scrape contract). A shard's 576-slot cell is committed on
+//! the first sample that lands in it, so memory follows the op classes
+//! and threads that actually record: a write-only handle commits two
+//! cells (insert and remove, on its own shard), not all ten of a tree.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 /// Linear sub-buckets per power-of-two bucket.
 pub const SUBS: usize = 16;
@@ -263,31 +266,94 @@ impl Default for Histogram {
     }
 }
 
-/// One shard of a [`ConcurrentHistogram`]: its own slot array plus
-/// total/sum, all bumped with relaxed `fetch_add`. Boxed so shards are
-/// separate allocations (no inter-shard false sharing to pad away).
+/// The slot counters of one [`HistShard`].
+type SlotCell = [AtomicU64; SLOTS];
+
+/// Bytes one committed shard cell of a [`ConcurrentHistogram`] occupies
+/// (its 576 slot counters).
+pub const CELL_BYTES: usize = std::mem::size_of::<SlotCell>();
+
+/// One shard of a [`ConcurrentHistogram`]: its slot cell plus
+/// total/sum, all bumped with relaxed `fetch_add`. The cell is a
+/// separate allocation (no inter-shard false sharing to pad away),
+/// committed by the first record that lands in this shard.
 struct HistShard {
-    counts: Box<[AtomicU64; SLOTS]>,
+    /// Null until the first record; then a leaked `Box<SlotCell>`, freed in
+    /// `Drop`.
+    cell: AtomicPtr<SlotCell>,
     total: AtomicU64,
     sum: AtomicU64,
 }
 
 impl HistShard {
-    fn new() -> Self {
-        let counts: Box<[AtomicU64]> = (0..SLOTS).map(|_| AtomicU64::new(0)).collect();
+    const fn new() -> Self {
         HistShard {
-            counts: counts.try_into().expect("SLOTS-sized box"),
+            cell: AtomicPtr::new(std::ptr::null_mut()),
             total: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+        }
+    }
+
+    /// The committed cell, or `None` before the first record.
+    #[inline]
+    fn cell(&self) -> Option<&SlotCell> {
+        // Acquire pairs with the publishing CAS in `commit`: the zeroed
+        // counters are visible before the pointer is.
+        // SAFETY: non-null only once published, and freed only in Drop.
+        unsafe { self.cell.load(Ordering::Acquire).as_ref() }
+    }
+
+    /// The cell to record into, committing it on first use.
+    #[inline]
+    fn cell_or_commit(&self) -> &SlotCell {
+        match self.cell() {
+            Some(cell) => cell,
+            None => self.commit(),
+        }
+    }
+
+    /// Allocates a zeroed cell and publishes it by CAS; a racing loser
+    /// frees its own box and adopts the winner's, so no count is lost.
+    #[cold]
+    fn commit(&self) -> &SlotCell {
+        let cell: Box<[AtomicU64]> = (0..SLOTS).map(|_| AtomicU64::new(0)).collect();
+        let cell: Box<SlotCell> = cell.try_into().expect("SLOTS-sized box");
+        let fresh = Box::into_raw(cell);
+        let won = match self.cell.compare_exchange(
+            std::ptr::null_mut(),
+            fresh,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => fresh,
+            Err(winner) => {
+                // SAFETY: `fresh` is ours and was never published.
+                drop(unsafe { Box::from_raw(fresh) });
+                winner
+            }
+        };
+        // SAFETY: published (by us or the winner), freed only in Drop.
+        unsafe { &*won }
+    }
+}
+
+impl Drop for HistShard {
+    fn drop(&mut self) {
+        let cell = *self.cell.get_mut();
+        if !cell.is_null() {
+            // SAFETY: a published cell is a `Box` only this shard owns.
+            drop(unsafe { Box::from_raw(cell) });
         }
     }
 }
 
 /// A concurrent, mergeable, fixed-memory latency histogram: the
 /// [`Histogram`] bucket scheme promoted to sharded relaxed-atomic
-/// counters. Zero allocation per [`record`](ConcurrentHistogram::record);
-/// [`snapshot`](ConcurrentHistogram::snapshot) sums the shards into a
-/// plain [`Histogram`] for percentiles, merging, and exposition.
+/// counters. A shard's cell ([`CELL_BYTES`]) is allocated by the first
+/// [`record`](ConcurrentHistogram::record) that lands in it, and never
+/// again; [`snapshot`](ConcurrentHistogram::snapshot) sums the shards
+/// (an uncommitted cell reads as zeros) into a plain [`Histogram`] for
+/// percentiles, merging, and exposition.
 ///
 /// # Examples
 ///
@@ -314,8 +380,9 @@ pub struct ConcurrentHistogram {
 }
 
 impl ConcurrentHistogram {
-    /// An empty histogram (two shard allocations, ~9 KiB total).
-    pub fn new() -> Self {
+    /// An empty histogram. It allocates nothing: each shard commits
+    /// its [`CELL_BYTES`] cell on the first record that lands in it.
+    pub const fn new() -> Self {
         ConcurrentHistogram {
             shards: [HistShard::new(), HistShard::new()],
             max: AtomicU64::new(0),
@@ -324,11 +391,12 @@ impl ConcurrentHistogram {
 
     /// Records one duration: three relaxed `fetch_add`s on this
     /// thread's shard (assigned by the same round-robin thread-local
-    /// the operation counters use) plus a racy max update.
+    /// the operation counters use) plus a racy max update. The shard's
+    /// first record also commits its cell.
     #[inline]
     pub fn record(&self, ns: u64) {
         let shard = &self.shards[super::metrics::my_shard() % LAT_SHARDS];
-        shard.counts[index(ns)].fetch_add(1, Ordering::Relaxed);
+        shard.cell_or_commit()[index(ns)].fetch_add(1, Ordering::Relaxed);
         shard.total.fetch_add(1, Ordering::Relaxed);
         shard.sum.fetch_add(ns, Ordering::Relaxed);
         if ns > self.max.load(Ordering::Relaxed) {
@@ -341,14 +409,23 @@ impl ConcurrentHistogram {
     pub fn snapshot(&self) -> Histogram {
         let mut h = Histogram::new();
         for shard in &self.shards {
-            for (dst, src) in h.counts.iter_mut().zip(shard.counts.iter()) {
-                *dst += src.load(Ordering::Relaxed);
+            if let Some(cell) = shard.cell() {
+                for (dst, src) in h.counts.iter_mut().zip(cell.iter()) {
+                    *dst += src.load(Ordering::Relaxed);
+                }
             }
             h.total += shard.total.load(Ordering::Relaxed);
             h.sum += u128::from(shard.sum.load(Ordering::Relaxed));
         }
         h.max = self.max.load(Ordering::Relaxed);
         h
+    }
+
+    /// Bytes of slot cells committed so far: [`CELL_BYTES`] per shard
+    /// that has recorded at least once.
+    pub fn cell_bytes(&self) -> u64 {
+        let committed = self.shards.iter().filter(|s| s.cell().is_some()).count();
+        (committed * CELL_BYTES) as u64
     }
 }
 
@@ -542,6 +619,48 @@ mod tests {
         assert_eq!(snap.max(), 8_000);
         let expect_sum: u128 = (1..=8_000u128).sum();
         assert_eq!(snap.sum(), expect_sum, "relaxed shards sum exactly");
+    }
+
+    #[test]
+    fn cells_are_committed_on_first_record() {
+        assert_eq!(CELL_BYTES, SLOTS * 8);
+        let h = ConcurrentHistogram::new();
+        assert_eq!(h.cell_bytes(), 0, "a fresh histogram commits nothing");
+        assert_eq!(h.snapshot(), Histogram::new(), "uncommitted reads as zeros");
+        h.record(1_000);
+        assert_eq!(h.cell_bytes(), CELL_BYTES as u64, "one shard, one cell");
+        h.record(2_000);
+        assert_eq!(h.cell_bytes(), CELL_BYTES as u64, "committed once");
+        let snap = h.snapshot();
+        assert_eq!((snap.len(), snap.max()), (2, 2_000));
+    }
+
+    /// Threads that share a shard race its first record: the CAS loser
+    /// frees its cell and records into the winner's, so no count is
+    /// lost and one cell stays committed per shard.
+    #[test]
+    fn racing_first_records_of_one_cell_lose_no_count() {
+        const THREADS: usize = 4;
+        const PER_THREAD: u64 = 1_000;
+        for _ in 0..50 {
+            let h = ConcurrentHistogram::new();
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        start.wait();
+                        for ns in 1..=PER_THREAD {
+                            h.record(ns);
+                        }
+                    });
+                }
+            });
+            let snap = h.snapshot();
+            assert_eq!(snap.len(), THREADS as u64 * PER_THREAD);
+            assert_eq!(snap.bucket_counts().iter().sum::<u64>(), snap.len());
+            // Four threads over two shards: at least one shard is shared.
+            assert!(h.cell_bytes() <= (LAT_SHARDS * CELL_BYTES) as u64);
+        }
     }
 
     #[test]

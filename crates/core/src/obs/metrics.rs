@@ -22,7 +22,7 @@
 //! record (with the flight-recorder event chain, when `feature = "obs"`
 //! has a recorder attached) into a lock-free [`SlowRing`].
 
-use crate::pool::ArenaStats;
+use crate::pool::{ArenaStats, NODE_CLASSES};
 use nmbst_reclaim::{PoolStats, ReclaimGauges};
 use nmbst_sync::CachePadded;
 use std::cell::Cell;
@@ -37,6 +37,11 @@ use super::{hist::ConcurrentHistogram, slow::SlowRing, OpClass};
 /// count so that threads rarely share a line even under round-robin
 /// assignment; small enough that snapshot sums stay trivial.
 const SHARDS: usize = 8;
+
+/// The node classes' labels in exposition output (`class="..."`), in
+/// [`MetricsSnapshot::pool_classes`] order: routes, then the leaf size
+/// classes by capacity.
+pub const POOL_CLASS_LABELS: [&str; NODE_CLASSES] = ["route", "leaf4", "leaf6", "leaf8"];
 
 /// Buckets in the descent-depth histogram. Power-of-two buckets: bucket
 /// `b` counts descents that touched `2^(b-1) ..= 2^b - 1` nodes (bucket
@@ -466,13 +471,19 @@ impl Metrics {
     /// Sums the shards and folds in the reclaimer's gauges and the node
     /// arenas' stats.
     pub(crate) fn snapshot(&self, reclaim: ReclaimGauges, arenas: ArenaStats) -> MetricsSnapshot {
+        let mut pool = PoolStats::default();
+        for class in arenas.classes {
+            pool += class;
+        }
         let mut s = MetricsSnapshot {
             max_depth: self.max_depth.load(Ordering::Relaxed),
             reclaim,
-            pool: arenas.pool,
-            pool_route_slots: arenas.route_slots,
-            pool_leaf_slots: arenas.leaf_slots,
+            pool,
+            pool_route_slots: arenas.classes[0].slots,
+            pool_leaf_slots: arenas.classes[1..].iter().map(|c| c.slots).sum(),
             pool_bytes: arenas.bytes,
+            pool_classes: arenas.classes,
+            lat_cell_bytes: self.lat.hists.iter().map(|h| h.cell_bytes()).sum(),
             ..MetricsSnapshot::default()
         };
         for shard in &self.shards {
@@ -663,6 +674,19 @@ pub struct MetricsSnapshot {
     /// slots times its slot size): the node memory the tree has
     /// committed.
     pub pool_bytes: u64,
+    /// Each node class's arena on its own, in [`POOL_CLASS_LABELS`]
+    /// order (routes, then leaf classes 4, 6 and 8): the memory
+    /// waterfall. A class's `slots` (its high-water mark) are live
+    /// nodes, `len` free-list slots, `cached` slots in handle caches
+    /// (as each cache last published on flush), and the rest retired
+    /// nodes awaiting their grace period or insert scratch in flight.
+    /// Once handles drop and the backlog drains, `slots` = live blocks
+    /// of the class + `len`.
+    pub pool_classes: [PoolStats; NODE_CLASSES],
+    /// Bytes of latency-histogram cells committed: each per-op-class
+    /// histogram shard commits its cell on its first sample (see
+    /// [`ConcurrentHistogram`]).
+    pub lat_cell_bytes: u64,
     /// Serving-tier connection/backpressure gauges (see
     /// [`ServeGauges`]); all zeros on snapshots taken from a bare tree —
     /// only connection-owning front ends populate them.
@@ -674,7 +698,8 @@ impl MetricsSnapshot {
     /// a sharded front end (e.g. `ShardedMap::metrics`) reports for N
     /// independent trees.
     ///
-    /// Operation counters, `size_estimate`, pool counters, serve gauges
+    /// Operation counters, `size_estimate`, pool counters (summed and
+    /// per class), latency-cell bytes, serve gauges
     /// (workers own disjoint connections), the latency histograms (slot
     /// counts and sums add exactly), and the retired backlog are *sums*; `max_depth`, per-histogram maxima, the
     /// reclaim epoch, and the epoch lag are *maxima* (each shard owns an
@@ -707,14 +732,14 @@ impl MetricsSnapshot {
         self.reclaim.epoch_lag = self.reclaim.epoch_lag.max(other.reclaim.epoch_lag);
         self.reclaim.pinned_threads += other.reclaim.pinned_threads;
         self.reclaim.retired_backlog += other.reclaim.retired_backlog;
-        self.pool.hits += other.pool.hits;
-        self.pool.misses += other.pool.misses;
-        self.pool.recycled += other.pool.recycled;
-        self.pool.slots += other.pool.slots;
-        self.pool.len += other.pool.len;
+        self.pool += other.pool;
         self.pool_route_slots += other.pool_route_slots;
         self.pool_leaf_slots += other.pool_leaf_slots;
         self.pool_bytes += other.pool_bytes;
+        for (dst, src) in self.pool_classes.iter_mut().zip(&other.pool_classes) {
+            *dst += *src;
+        }
+        self.lat_cell_bytes += other.lat_cell_bytes;
         self.serve.open_connections += other.serve.open_connections;
         self.serve.read_paused_connections += other.serve.read_paused_connections;
         self.serve.write_buffered_bytes += other.serve.write_buffered_bytes;
@@ -740,6 +765,17 @@ impl MetricsSnapshot {
             .map(|(label, h)| format!("\"{label}\":{}", h.summary_json()))
             .collect::<Vec<_>>()
             .join(",");
+        let pool_classes = POOL_CLASS_LABELS
+            .iter()
+            .zip(&self.pool_classes)
+            .map(|(label, c)| {
+                format!(
+                    "\"{label}\":{{\"slots\":{},\"free\":{},\"cached\":{}}}",
+                    c.slots, c.len, c.cached
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",");
         format!(
             concat!(
                 "{{\"searches\":{},\"inserts\":{},\"inserted\":{},",
@@ -754,6 +790,7 @@ impl MetricsSnapshot {
                 "\"pool_hits\":{},\"pool_misses\":{},",
                 "\"pool_recycled\":{},\"pool_len\":{},\"pool_slots\":{},",
                 "\"pool_route_slots\":{},\"pool_leaf_slots\":{},\"pool_bytes\":{},",
+                "\"pool_classes\":{{{}}},\"lat_cell_bytes\":{},",
                 "\"open_connections\":{},\"read_paused_connections\":{},",
                 "\"write_buffered_bytes\":{},\"backpressure_events\":{}}}"
             ),
@@ -785,6 +822,8 @@ impl MetricsSnapshot {
             self.pool_route_slots,
             self.pool_leaf_slots,
             self.pool_bytes,
+            pool_classes,
+            self.lat_cell_bytes,
             self.serve.open_connections,
             self.serve.read_paused_connections,
             self.serve.write_buffered_bytes,
@@ -1022,6 +1061,36 @@ impl MetricsSnapshot {
             "Bytes of arena slots handed out across all node classes.",
             self.pool_bytes as i128,
         );
+        // The memory waterfall: one gauge family per quantity, one
+        // `class` series per node class.
+        let mut per_class = |name: &str, help: &str, f: fn(&PoolStats) -> u64| {
+            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} gauge");
+            for (label, class) in POOL_CLASS_LABELS.iter().zip(&self.pool_classes) {
+                let _ = writeln!(out, "{name}{{class=\"{label}\"}} {}", f(class));
+            }
+        };
+        per_class(
+            "nmbst_pool_class_slots",
+            "Arena slots handed out so far, per node class.",
+            |c| c.slots,
+        );
+        per_class(
+            "nmbst_pool_class_free",
+            "Free-list length, per node class.",
+            |c| c.len,
+        );
+        per_class(
+            "nmbst_pool_class_cached",
+            "Free slots held in handle caches as last flushed, per node class.",
+            |c| c.cached,
+        );
+        metric(
+            &mut out,
+            "nmbst_lat_cell_bytes",
+            "gauge",
+            "Bytes of latency-histogram cells committed (on first sample).",
+            self.lat_cell_bytes as i128,
+        );
         metric(
             &mut out,
             "nmbst_serve_open_connections",
@@ -1065,6 +1134,7 @@ impl std::fmt::Display for MetricsSnapshot {
              pool_hits={} pool_misses={} pool_recycled={} pool_len={} \
              pool_slots={} pool_route_slots={} \
              pool_leaf_slots={} pool_bytes={} \
+             class_slots={:?} class_free={:?} class_cached={:?} lat_cell_bytes={} \
              conns={} read_paused={} wbuf_bytes={} backpressure={}",
             self.searches,
             self.inserted,
@@ -1093,6 +1163,10 @@ impl std::fmt::Display for MetricsSnapshot {
             self.pool_route_slots,
             self.pool_leaf_slots,
             self.pool_bytes,
+            self.pool_classes.map(|c| c.slots),
+            self.pool_classes.map(|c| c.len),
+            self.pool_classes.map(|c| c.cached),
+            self.lat_cell_bytes,
             self.serve.open_connections,
             self.serve.read_paused_connections,
             self.serve.write_buffered_bytes,

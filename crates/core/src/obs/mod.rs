@@ -44,7 +44,7 @@ mod trace;
 mod prom;
 
 pub use hist::{ConcurrentHistogram, Histogram, LatencySnapshot};
-pub use metrics::{LatencyConfig, MetricsSnapshot, ServeGauges, DEPTH_BUCKETS};
+pub use metrics::{LatencyConfig, MetricsSnapshot, ServeGauges, DEPTH_BUCKETS, POOL_CLASS_LABELS};
 pub(crate) use metrics::{Metrics, PendingLat, PendingOps};
 pub use prom::validate_prometheus;
 pub use slow::{slow_event_name, SlowOp, SLOW_EVENTS};

@@ -55,15 +55,15 @@ pub(crate) struct Arenas {
     pub(crate) leaves: [NodePool; LEAF_CLASSES],
 }
 
+/// Node classes of a tree, one arena each: routes, then the leaf size
+/// classes in `node::LEAF_CLASS_CAPS` order.
+pub(crate) const NODE_CLASSES: usize = 1 + LEAF_CLASSES;
+
 /// Point-in-time gauges of a tree's [`Arenas`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ArenaStats {
-    /// All pools' counters, summed.
-    pub(crate) pool: PoolStats,
-    /// Route slots handed out (the route arena's high-water mark).
-    pub(crate) route_slots: u64,
-    /// Leaf slots handed out, summed over the size classes.
-    pub(crate) leaf_slots: u64,
+    /// Each arena's counters, in [`NODE_CLASSES`] order.
+    pub(crate) classes: [PoolStats; NODE_CLASSES],
     /// Bytes of slots handed out across all arenas.
     pub(crate) bytes: u64,
 }
@@ -77,26 +77,24 @@ impl Arenas {
         }
     }
 
-    /// All pools' counters (summed) and the per-kind slot gauges.
+    /// The arenas in [`NODE_CLASSES`] order.
+    fn pools(&self) -> [&NodePool; NODE_CLASSES] {
+        std::array::from_fn(|c| match c {
+            0 => &self.routes,
+            c => &self.leaves[c - 1],
+        })
+    }
+
+    /// Every arena's counters and the slot bytes they commit.
     pub(crate) fn stats(&self) -> ArenaStats {
-        let r = self.routes.stats();
-        let mut stats = ArenaStats {
-            pool: r,
-            route_slots: r.slots,
-            leaf_slots: 0,
-            bytes: r.slots * self.routes.stride() as u64,
-        };
-        for pool in &self.leaves {
-            let l = pool.stats();
-            stats.pool.hits += l.hits;
-            stats.pool.misses += l.misses;
-            stats.pool.recycled += l.recycled;
-            stats.pool.slots += l.slots;
-            stats.pool.len += l.len;
-            stats.leaf_slots += l.slots;
-            stats.bytes += l.slots * pool.stride() as u64;
-        }
-        stats
+        let pools = self.pools();
+        let classes = pools.map(NodePool::stats);
+        let bytes = pools
+            .iter()
+            .zip(&classes)
+            .map(|(pool, s)| s.slots * pool.stride() as u64)
+            .sum();
+        ArenaStats { classes, bytes }
     }
 }
 
@@ -106,6 +104,8 @@ struct SlotCache {
     local: Vec<u32>,
     hits: u64,
     misses: u64,
+    /// `local.len()` as last published to the pool's cached gauge.
+    published: usize,
 }
 
 impl SlotCache {
@@ -114,6 +114,7 @@ impl SlotCache {
             local: Vec::new(),
             hits: 0,
             misses: 0,
+            published: 0,
         }
     }
 
@@ -145,11 +146,17 @@ impl SlotCache {
         }
     }
 
+    /// Publishes the batched hit/miss counts and, if it changed, the
+    /// stash size to the pool's cached gauge.
     fn flush_counters(&mut self, pool: &NodePool) {
         if self.hits != 0 || self.misses != 0 {
             pool.note_usage(self.hits, self.misses);
             self.hits = 0;
             self.misses = 0;
+        }
+        if self.local.len() != self.published {
+            pool.note_cached(self.published, self.local.len());
+            self.published = self.local.len();
         }
     }
 }
@@ -239,7 +246,8 @@ impl<'t> NodeCache<'t> {
         unsafe { self.leaves[class].free(&self.arenas.leaves[class], idx, self.local_cap) };
     }
 
-    /// Publishes batched hit/miss counts into the shared pools' stats.
+    /// Publishes batched hit/miss counts and the stash sizes into the
+    /// shared pools' stats.
     pub(crate) fn flush_counters(&mut self) {
         self.routes.flush_counters(&self.arenas.routes);
         for (cache, pool) in self.leaves.iter_mut().zip(&self.arenas.leaves) {
@@ -262,7 +270,6 @@ fn refill(local: &mut Vec<u32>, pool: &NodePool) -> Option<u32> {
 
 impl Drop for NodeCache<'_> {
     fn drop(&mut self) {
-        self.flush_counters();
         // SAFETY: every cached slot satisfies the release contract (came
         // from its class's pool, contents dropped before caching).
         unsafe {
@@ -271,6 +278,8 @@ impl Drop for NodeCache<'_> {
                 pool.release_batch(&mut cache.local);
             }
         }
+        // The stashes are empty now: this takes back the cached share.
+        self.flush_counters();
     }
 }
 
@@ -419,14 +428,46 @@ mod tests {
         }
         drop(cache);
         let s = arenas.stats();
-        assert_eq!((s.route_slots, s.leaf_slots), (1, 2));
+        let slots = s.classes.map(|c| c.slots);
+        assert_eq!(slots, [1, 2, 0, 0], "one route, two class-4 leaves");
         assert_eq!(
             s.bytes,
             32 + 2 * 72,
             "committed slot bytes per class stride"
         );
-        assert_eq!(s.pool.slots, 3, "the summed view adds the classes");
-        assert_eq!((s.pool.hits, s.pool.misses), (1, 3));
+        let (route, leaf) = (s.classes[0], s.classes[1]);
+        assert_eq!((route.hits, route.misses), (1, 1));
+        assert_eq!((leaf.hits, leaf.misses), (0, 2));
+    }
+
+    #[test]
+    fn handle_caches_publish_their_stash_on_flush_and_drop() {
+        let arenas = Arenas::new::<u64, ()>();
+        let cached = |a: &Arenas| a.stats().classes.map(|c| c.cached);
+        let mut cache = NodeCache::with_local(&arenas, 16);
+        let leaves: Vec<_> = (0..5)
+            .map(|i| Leaf::<u64, ()>::new_user_in(&mut cache, i, ()))
+            .collect();
+        for l in leaves {
+            unsafe { free_leaf(&mut cache, l) };
+        }
+        assert_eq!(
+            cached(&arenas),
+            [0; NODE_CLASSES],
+            "published on flush only"
+        );
+        cache.flush_counters();
+        assert_eq!(cached(&arenas), [0, 5, 0, 0]);
+        let _ = Leaf::<u64, ()>::new_user_in(&mut cache, 9, ());
+        cache.flush_counters();
+        assert_eq!(cached(&arenas), [0, 4, 0, 0], "the gauge follows the stash");
+        drop(cache);
+        assert_eq!(
+            cached(&arenas),
+            [0; NODE_CLASSES],
+            "a dropped cache holds nothing"
+        );
+        assert_eq!(arenas.leaves[0].len(), 4, "its stash went to the free list");
     }
 
     #[test]

@@ -23,6 +23,9 @@ pub struct TreeShape {
     /// Number of leaf nodes (blocks and sentinels alike — a block of 8
     /// entries counts once).
     pub leaf_nodes: usize,
+    /// `leaf_nodes` split by leaf size class (4, 6 and 8 entries, the
+    /// sentinels in the first): the live blocks of each leaf arena.
+    pub leaf_class_blocks: [usize; node::LEAF_CLASSES],
     /// Longest root-to-leaf path, in edges. Entries inside a block add
     /// no depth: this is the pointer-chase depth a descent pays, the
     /// same quantity the `max_depth` metrics gauge tracks.
@@ -82,6 +85,7 @@ where
                 user_keys: 0,
                 internal_nodes: 0,
                 leaf_nodes: 0,
+                leaf_class_blocks: [0; node::LEAF_CLASSES],
                 max_depth: 0,
             };
             // Iterative DFS with ordering bounds: (edge, lower, upper,
@@ -97,6 +101,7 @@ where
                 if edge.is_leaf() {
                     shape.leaf_nodes += 1;
                     let leaf = &*edge.leaf();
+                    shape.leaf_class_blocks[leaf.class()] += 1;
                     let entries = leaf.entry_keys();
                     if leaf.class() != node::leaf_class(entries.len())
                         || edge.leaf_class() != leaf.class()
@@ -220,6 +225,7 @@ mod tests {
         let shape = map.check_invariants().unwrap();
         assert_eq!(shape.user_keys, 0);
         assert_eq!(shape.leaf_nodes, 3);
+        assert_eq!(shape.leaf_class_blocks, [3, 0, 0], "sentinels are class 4");
         assert_eq!(shape.internal_nodes, 2);
         assert_eq!(shape.max_depth, 2);
     }
@@ -236,6 +242,9 @@ mod tests {
         // (12 full + one of 4) + 3 sentinel leaves, each block creation
         // having added one internal to the 2 sentinel internals.
         assert_eq!(shape.leaf_nodes, 16);
+        // The full blocks sit in class 8; the block of 4 and the
+        // sentinels in class 4.
+        assert_eq!(shape.leaf_class_blocks, [4, 0, 12]);
         assert_eq!(shape.internal_nodes, 15);
     }
 

@@ -9,7 +9,8 @@
 //! Every workload here has a fixed operation count and a seeded key
 //! stream; nothing depends on the wall clock.
 
-use nmbst::{Ebr, Leaky, NmTreeMap, Reclaim};
+use nmbst::obs::hist::CELL_BYTES;
+use nmbst::{Ebr, Leaky, NmTreeMap, Reclaim, ShardedMap};
 
 /// Key range of the churn workloads.
 const KEYS: u64 = 1024;
@@ -231,4 +232,68 @@ fn random_inserts_cost_at_most_28_arena_bytes_per_key() {
         (m.pool_leaf_slots * 72..m.pool_leaf_slots * 136).contains(&leaf_bytes),
         "{m}"
     );
+}
+
+/// The memory waterfall adds up class by class: after a two-thread
+/// churn, once the handles have dropped (taking their cached slots
+/// back) and the backlog has drained, every slot of the route arena is
+/// a live route or free, and every slot of each leaf class is a live
+/// block of that class or free.
+#[test]
+fn each_class_is_live_plus_free_at_quiescence() {
+    let mut map: NmTreeMap<u64, u64, Ebr> = NmTreeMap::new();
+    churn(&map);
+    drain(&map);
+    let m = map.metrics();
+    assert_eq!(m.reclaim.retired_backlog, 0, "drained at quiescence ({m})");
+    let shape = map.check_invariants().expect("invariants after churn");
+    let mut live = vec![shape.internal_nodes as u64];
+    live.extend(shape.leaf_class_blocks.map(|n| n as u64));
+    for (c, (class, live)) in m.pool_classes.iter().zip(live).enumerate() {
+        assert_eq!(class.cached, 0, "class {c}: every handle dropped ({m})");
+        assert_eq!(
+            class.slots,
+            live + class.len,
+            "class {c}: every slot is live or free ({m})"
+        );
+    }
+    assert_eq!(
+        shape.leaf_class_blocks.iter().sum::<usize>(),
+        shape.leaf_nodes
+    );
+}
+
+/// Latency cells are committed on first record: building a tree or a
+/// sharded store commits none.
+#[test]
+fn fresh_trees_commit_no_latency_cells() {
+    let map: NmTreeMap<u64, u64, Ebr> = NmTreeMap::new();
+    assert_eq!(map.metrics().lat_cell_bytes, 0);
+    let store: ShardedMap<u64, u64> = ShardedMap::with_shards(4);
+    assert_eq!(store.metrics().lat_cell_bytes, 0);
+}
+
+/// A write-only handle records into two op classes (insert and remove)
+/// on its own thread's shard, so it commits exactly two cells, not the
+/// ten a tree has room for.
+#[test]
+fn a_write_only_handle_commits_two_latency_cells() {
+    let map: NmTreeMap<u64, u64, Ebr> = NmTreeMap::new();
+    let mut h = map.handle();
+    // Enough ops of each kind that the default 1-in-64 sampling times
+    // several of both.
+    for k in 0..1_000 {
+        h.insert(k, k);
+    }
+    for k in 0..1_000 {
+        h.remove(&k);
+    }
+    drop(h);
+    let m = map.metrics();
+    assert!(
+        !m.latency.insert.is_empty() && !m.latency.remove.is_empty(),
+        "{m}"
+    );
+    assert_eq!(m.lat_cell_bytes, 2 * CELL_BYTES as u64, "{m}");
+    assert_eq!(CELL_BYTES, 4_608);
 }

@@ -2,7 +2,9 @@
 //! nothing (exact sums, not estimates), handle batching must flush on
 //! drop, and the exposition formats must carry every counter.
 
-use nmbst::obs::{validate_prometheus, MetricsSnapshot, ServeGauges, DEPTH_BUCKETS};
+use nmbst::obs::{
+    validate_prometheus, MetricsSnapshot, ServeGauges, DEPTH_BUCKETS, POOL_CLASS_LABELS,
+};
 use nmbst::{
     BatchCmd, BatchScratch, BatchVerdict, LatencyConfig, NmTreeMap, ShardedMap, TreeConfig,
 };
@@ -188,6 +190,8 @@ fn exposition_formats_are_complete_and_consistent() {
         "pool_route_slots",
         "pool_leaf_slots",
         "pool_bytes",
+        "pool_classes",
+        "lat_cell_bytes",
     ] {
         assert!(json.contains(&format!("\"{key}\":")), "json missing {key}");
     }
@@ -218,6 +222,7 @@ fn exposition_formats_are_complete_and_consistent() {
         "nmbst_pool_route_slots",
         "nmbst_pool_leaf_slots",
         "nmbst_pool_bytes",
+        "nmbst_lat_cell_bytes",
     ] {
         assert!(
             prom.contains(&format!("# TYPE {metric} ")),
@@ -227,6 +232,23 @@ fn exposition_formats_are_complete_and_consistent() {
             prom.contains(&format!("\n{metric} ")),
             "missing sample for {metric}"
         );
+    }
+    // The memory waterfall: one labelled series per node class.
+    for metric in [
+        "nmbst_pool_class_slots",
+        "nmbst_pool_class_free",
+        "nmbst_pool_class_cached",
+    ] {
+        assert!(
+            prom.contains(&format!("# TYPE {metric} gauge\n")),
+            "prometheus missing TYPE for {metric}"
+        );
+        for class in POOL_CLASS_LABELS {
+            assert!(
+                prom.contains(&format!("\n{metric}{{class=\"{class}\"}} ")),
+                "missing {class} sample for {metric}"
+            );
+        }
     }
     assert!(prom.contains("nmbst_inserted_total 5\n"));
     assert!(prom.contains("nmbst_size_estimate 4\n"));
@@ -496,6 +518,68 @@ fn per_class_arena_gauges_are_exported() {
     assert!(m
         .to_string()
         .contains("pool_route_slots=7 pool_leaf_slots=11 pool_bytes=300"));
+}
+
+/// The memory waterfall: each node class's slots, free list and
+/// cached slots, and the committed latency-cell bytes, ride every
+/// exposition format and add on merge.
+#[test]
+fn memory_waterfall_is_exported_per_class() {
+    // leaf_cap = 1 under Leaky: every insert bumps one route and one
+    // class-4 leaf, and nothing is ever freed.
+    let set: NmTreeMap<u64, (), Leaky> =
+        NmTreeMap::with_config(TreeConfig::default().with_leaf_cap(1));
+    for k in 1..=100 {
+        set.insert(k, ());
+    }
+    let m = set.metrics();
+    assert_eq!(m.pool_classes.map(|c| c.slots), [102, 103, 0, 0]);
+    assert_eq!(m.pool_classes.map(|c| c.len), [0; 4]);
+    assert_eq!(m.pool_classes.map(|c| c.cached), [0; 4], "no handle");
+    assert_eq!(m.pool_route_slots, m.pool_classes[0].slots);
+
+    let waterfall = |slots: u64, free: u64, cached: u64, cells: u64| {
+        let mut m = MetricsSnapshot {
+            lat_cell_bytes: cells,
+            ..MetricsSnapshot::default()
+        };
+        for (i, class) in m.pool_classes.iter_mut().enumerate() {
+            let i = i as u64;
+            (class.slots, class.len, class.cached) = (slots + i, free + i, cached + i);
+        }
+        m
+    };
+    let mut m = waterfall(10, 3, 1, 4_608);
+    m.merge(&waterfall(20, 4, 2, 9_216));
+    assert_eq!(m.pool_classes.map(|c| c.slots), [30, 32, 34, 36]);
+    assert_eq!(m.pool_classes.map(|c| c.len), [7, 9, 11, 13]);
+    assert_eq!(m.pool_classes.map(|c| c.cached), [3, 5, 7, 9]);
+    assert_eq!(m.lat_cell_bytes, 13_824, "cell bytes add on merge");
+    let json = m.to_json();
+    assert!(
+        json.contains(concat!(
+            "\"pool_classes\":{\"route\":{\"slots\":30,\"free\":7,\"cached\":3},",
+            "\"leaf4\":{\"slots\":32,\"free\":9,\"cached\":5},",
+            "\"leaf6\":{\"slots\":34,\"free\":11,\"cached\":7},",
+            "\"leaf8\":{\"slots\":36,\"free\":13,\"cached\":9}},",
+            "\"lat_cell_bytes\":13824"
+        )),
+        "{json}"
+    );
+    let prom = m.to_prometheus();
+    for needle in [
+        "nmbst_pool_class_slots{class=\"route\"} 30\n",
+        "nmbst_pool_class_slots{class=\"leaf8\"} 36\n",
+        "nmbst_pool_class_free{class=\"leaf4\"} 9\n",
+        "nmbst_pool_class_cached{class=\"leaf6\"} 7\n",
+        "# TYPE nmbst_lat_cell_bytes gauge\nnmbst_lat_cell_bytes 13824\n",
+    ] {
+        assert!(prom.contains(needle), "prometheus missing {needle}");
+    }
+    validate_prometheus(&prom).unwrap_or_else(|e| panic!("waterfall breaks the validator: {e}"));
+    assert!(m
+        .to_string()
+        .contains("class_slots=[30, 32, 34, 36] class_free=[7, 9, 11, 13]"));
 }
 
 /// Reads record no descent depth, so `depth_sum / modify ops` is a true

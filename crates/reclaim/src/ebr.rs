@@ -28,7 +28,11 @@
 //!
 //! `pin`/`unpin` are wait-free (one store + one fence). Sealing a bag
 //! takes a short spin-locked push to the global queue; collection is
-//! opportunistic (`try_lock`) so it never blocks an operation.
+//! opportunistic (`try_lock`) so it never blocks an operation. A
+//! collection tries up to two advances, each under the same
+//! every-pin-caught-up check, so a participant with no pin behind it
+//! frees the bag it just sealed in the same call: a backlog is the
+//! unsealed bag plus whatever bags a pin still behind holds.
 
 use crate::{Deferred, Reclaim, ReclaimGauges, RetireGuard};
 use nmbst_sync::{CachePadded, SpinLock};
@@ -53,9 +57,10 @@ struct Slot {
     /// Whether a live thread currently owns this slot.
     active: AtomicBool,
     /// Length of the owner's *unsealed* local retire bag. Written only by
-    /// the owning thread (bump on retire, zero on seal); read racily by
-    /// [`Ebr::gauges`] / [`Ebr::per_thread_backlog`]. Diagnostics only —
-    /// never consulted by the reclamation protocol itself.
+    /// the owning thread (plain stores: the bag's length on retire, zero
+    /// on seal); read racily by [`Ebr::gauges`] /
+    /// [`Ebr::per_thread_backlog`]. Diagnostics only — never consulted by
+    /// the reclamation protocol itself.
     retired: AtomicU64,
 }
 
@@ -117,8 +122,18 @@ impl Global {
 
     /// Frees every pending bag at least two epochs old. Opportunistic:
     /// skips entirely if another thread holds the queue.
+    ///
+    /// Tries a second advance whenever the first one moved the epoch
+    /// (ours or a racing thread's CAS), so a bag sealed by a quiescent
+    /// caller with no pin behind it is freed by this same call instead
+    /// of waiting one more seal. Each step is a full `try_advance`: the
+    /// two-epoch proof above holds per advance, whatever their number.
     fn collect(&self) {
-        let epoch = self.try_advance();
+        let before = self.epoch.load(Ordering::Relaxed);
+        let mut epoch = self.try_advance();
+        if epoch != before {
+            epoch = self.try_advance();
+        }
         let mut ready = Vec::new();
         if let Some(mut pending) = self.pending.try_lock() {
             let mut i = 0;
@@ -354,16 +369,16 @@ impl Reclaim for Ebr {
         self.global.collect();
     }
 
-    /// Epoch, epoch lag behind the oldest pinned thread, pinned-thread
-    /// count, and total retired-but-unreclaimed backlog (local bags plus
-    /// sealed bags). Takes the registry and queue spin locks briefly;
-    /// safe to call from any thread at any time, including while pinned.
     /// Parks `token` in the global state, which outlives every deferral
     /// call: stragglers reach `drain_all` through their own `Arc` to it.
     fn hold(&self, token: Box<dyn std::any::Any + Send>) {
         self.global.keepalive.lock().push(token);
     }
 
+    /// Epoch, epoch lag behind the oldest pinned thread, pinned-thread
+    /// count, and total retired-but-unreclaimed backlog (local bags plus
+    /// sealed bags). Takes the registry and queue spin locks briefly;
+    /// safe to call from any thread at any time, including while pinned.
     fn gauges(&self) -> ReclaimGauges {
         let epoch = self.global.epoch.load(Ordering::Acquire);
         let mut pinned_threads = 0u64;
@@ -448,8 +463,13 @@ impl RetireGuard for EbrGuard<'_> {
     unsafe fn retire_deferred(&self, deferred: Deferred) {
         // Recycle deferrals ride the same bags as plain drops: the bag's
         // epoch stamp is the grace-period proof either way.
-        self.local.bag.borrow_mut().push(deferred);
-        self.local.slot.retired.fetch_add(1, Ordering::Relaxed);
+        let mut bag = self.local.bag.borrow_mut();
+        bag.push(deferred);
+        // Only the owner writes its slot's count: a plain store, no RMW.
+        self.local
+            .slot
+            .retired
+            .store(bag.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -677,6 +697,29 @@ mod tests {
         assert_eq!(g.epoch_lag, 1, "parked pin holds the epoch one behind");
         assert!(g.retired_backlog >= 1, "garbage held hostage by the pin");
         drop(parked);
+        drop(ebr);
+    }
+
+    /// A sole participant's full bag is freed by the collect its own
+    /// unpin runs: the two advances it needs both happen in that call,
+    /// so nothing waits for the next seal.
+    #[test]
+    fn sole_participant_frees_its_sealed_bag_before_its_next_pin() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let ebr = Ebr::new();
+        let guard = ebr.pin();
+        for _ in 0..BAG_SEAL_THRESHOLD {
+            let ptr = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
+            unsafe { guard.retire(ptr) };
+        }
+        assert_eq!(drops.load(Ordering::Relaxed), 0, "freed under a pin");
+        drop(guard);
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            BAG_SEAL_THRESHOLD,
+            "every deferral ran before the next pin"
+        );
+        assert_eq!(ebr.gauges().retired_backlog, 0);
         drop(ebr);
     }
 

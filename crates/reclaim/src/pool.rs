@@ -97,6 +97,23 @@ pub struct PoolStats {
     pub slots: u64,
     /// Current free-list length (racy snapshot).
     pub len: u64,
+    /// Free slots held in per-thread allocation caches, as each cache
+    /// last published it on flush (racy gauge; 0 once every cache has
+    /// dropped).
+    pub cached: u64,
+}
+
+impl std::ops::AddAssign for PoolStats {
+    /// Field-wise sum: the view of several pools (a tree's classes, or
+    /// the trees of a sharded store) as one.
+    fn add_assign(&mut self, other: PoolStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.recycled += other.recycled;
+        self.slots += other.slots;
+        self.len += other.len;
+        self.cached += other.cached;
+    }
 }
 
 /// A slab arena of fixed-layout slots addressed by `u32` indices, with an
@@ -134,6 +151,9 @@ pub struct NodePool {
     len: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Slots held in per-thread caches, as last published by each cache
+    /// (see [`note_cached`](Self::note_cached)).
+    cached: AtomicU64,
 }
 
 /// The lock-protected half of the pool. `recycled` lives here (not as an
@@ -207,6 +227,7 @@ impl NodePool {
             len: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            cached: AtomicU64::new(0),
         }
     }
 
@@ -413,6 +434,18 @@ impl NodePool {
         }
     }
 
+    /// Moves a cache's published share of the
+    /// [`cached`](PoolStats::cached) gauge from `old` to `new` slots. A
+    /// cache only ever takes back what it added, so the sum never
+    /// underflows.
+    pub fn note_cached(&self, old: usize, new: usize) {
+        if new > old {
+            self.cached.fetch_add((new - old) as u64, Ordering::Relaxed);
+        } else if old > new {
+            self.cached.fetch_sub((old - new) as u64, Ordering::Relaxed);
+        }
+    }
+
     /// Point-in-time counters (racy snapshots; exact at quiescence).
     /// Briefly takes the free-list lock (for `recycled`); fine for a
     /// gauge scrape, kept off the operation hot paths.
@@ -425,6 +458,7 @@ impl NodePool {
             // overshoot the index space by the failed bumps that panicked.
             slots: u64::from(self.next.load(Ordering::Relaxed).min(MAX_INDEX + 1) - 1),
             len: self.len() as u64,
+            cached: self.cached.load(Ordering::Relaxed),
         }
     }
 }
@@ -614,6 +648,26 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 3);
+    }
+
+    #[test]
+    fn cached_gauge_sums_each_caches_last_published_share() {
+        let pool = test_pool();
+        pool.note_cached(0, 5); // cache A publishes 5
+        pool.note_cached(0, 3); // cache B publishes 3
+        pool.note_cached(5, 2); // A shrinks to 2
+        assert_eq!(pool.stats().cached, 5);
+        pool.note_cached(2, 2); // no change, no traffic
+        pool.note_cached(3, 0); // B drops
+        pool.note_cached(2, 0); // A drops
+        assert_eq!(pool.stats().cached, 0);
+        let mut sum = pool.stats();
+        sum += PoolStats {
+            cached: 4,
+            slots: 1,
+            ..PoolStats::default()
+        };
+        assert_eq!((sum.cached, sum.slots), (4, 1));
     }
 
     #[test]
