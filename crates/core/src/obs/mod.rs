@@ -42,6 +42,7 @@ pub mod slow;
 mod trace;
 
 mod prom;
+pub mod series;
 
 pub use hist::{ConcurrentHistogram, Histogram, LatencySnapshot};
 pub use metrics::{LatencyConfig, MetricsSnapshot, ServeGauges, DEPTH_BUCKETS, POOL_CLASS_LABELS};
