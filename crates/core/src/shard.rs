@@ -373,11 +373,13 @@ where
     /// One [`MetricsSnapshot`] aggregated over all shards with
     /// [`MetricsSnapshot::merge`] — what the server's METRICS verb
     /// serves. Sums are exact at quiescence; each shard is sampled
-    /// independently.
+    /// independently. The aggregate starts from the first shard's
+    /// snapshot, so a minimum never folds in a default zero.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut agg = MetricsSnapshot::default();
-        for tree in self.shards.iter() {
-            agg.merge(&tree.metrics());
+        let mut shards = self.shards.iter().map(|tree| tree.metrics());
+        let mut agg = shards.next().expect("a sharded map has at least one shard");
+        for snap in shards {
+            agg.merge(&snap);
         }
         agg
     }
