@@ -182,6 +182,49 @@ fn sharded_flush_stats_makes_live_worker_visible() {
     assert_eq!(map.metrics().inserted, 200, "no double count on drop");
 }
 
+/// A parked worker's sharded handle holds back reclamation in every
+/// shard it pinned, until it unpins: retirements by another thread pile
+/// up behind the stale pins, and once `unpin` is called the same churn
+/// frees them down to a few sealed bags per participant.
+#[test]
+fn unpinned_sharded_handle_stops_holding_reclamation() {
+    /// `BAG_SEAL_THRESHOLD` in `nmbst_reclaim::ebr`.
+    const BAG: u64 = 32;
+    // Each shard's participants: the parked thread and a churner.
+    const PARTICIPANTS: u64 = 2 * 2;
+    let map: ShardedMap<u64, u64, Ebr> = ShardedMap::with_shards(2);
+    let mut parked = map.handle();
+    for k in 0..64 {
+        parked.insert(k, k);
+    }
+    let churn = || {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut h = map.handle();
+                for r in 0..4096 {
+                    let k = 1_000 + r % 512;
+                    h.insert(k, k);
+                    h.remove(&k);
+                }
+            });
+        });
+        map.flush();
+        map.metrics().reclaim.retired_backlog
+    };
+    let held = churn();
+    assert!(
+        held > 4 * BAG * PARTICIPANTS,
+        "the parked pins held only {held}"
+    );
+    parked.unpin();
+    let freed = churn();
+    assert!(
+        freed <= 4 * BAG * PARTICIPANTS,
+        "{freed} retired nodes still wait after unpin"
+    );
+    drop(parked);
+}
+
 /// A `ShardedMap<_, ()>` is the sharded set: keys only, routed and
 /// merged like any other map.
 #[test]

@@ -566,3 +566,56 @@ fn shutdown_with_idle_connection_joins() {
     );
     assert_eq!(store.get(&5), Some(50), "store survives the server");
 }
+
+/// A worker that served one op and went quiet must not hold
+/// reclamation in the shards it touched. Two workers, two shards: client
+/// A (worker 0, by round-robin assignment) inserts one key and stays
+/// connected and silent; client B (worker 1) churns INSERT/REMOVE pairs
+/// over both shards. Every pair retires nodes, and the backlog of
+/// retired-but-unfreed nodes must stay under four sealed bags per
+/// participant (each shard's participants are the two workers). A
+/// worker that kept its pin across the silence would let the backlog
+/// grow with B's writes instead, and freeze its shard's epoch, which
+/// `reclaim_epoch_min` shows.
+#[test]
+fn quiet_worker_does_not_stall_reclamation() {
+    /// `BAG_SEAL_THRESHOLD` in `nmbst_reclaim::ebr`: retirements per
+    /// sealed bag.
+    const BAG: u64 = 32;
+    const PARTICIPANTS: u64 = 2 * 2;
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        shards: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut quiet = Client::connect(server.addr()).unwrap();
+    assert!(quiet.insert(1 << 40, 1).unwrap());
+    let mut churn = Client::connect(server.addr()).unwrap();
+    let mut epoch_min = 0;
+    for round in 0..4u64 {
+        for chunk in 0..64u64 {
+            let ops: Vec<BatchOp> = (0..32)
+                .flat_map(|i| {
+                    let k = (round * 2048 + chunk * 32 + i) % 4096;
+                    [BatchOp::Insert(k, k), BatchOp::Remove(k)]
+                })
+                .collect();
+            churn.batch(&ops).unwrap();
+        }
+        let m = server.metrics();
+        let backlog = m.reclaim.retired_backlog;
+        assert!(
+            backlog <= 4 * BAG * PARTICIPANTS,
+            "round {round}: {backlog} retired nodes wait for a quiet worker's pin"
+        );
+        let min = m.reclaim_epoch_min.expect("a store snapshot has an epoch");
+        assert!(
+            min > epoch_min,
+            "round {round}: a shard's epoch stopped at {min}"
+        );
+        epoch_min = min;
+    }
+    drop((quiet, churn));
+    server.shutdown();
+}
