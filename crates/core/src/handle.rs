@@ -490,8 +490,9 @@ where
             // SAFETY: `charge_searches` left this tree's reclaimer pinned
             // by `self.guard`, which nothing drops before the call ends.
             unsafe {
-                crate::tree::search_many(
+                crate::tree::descend_many(
                     keys.len(),
+                    &mut [],
                     |i| (tree, &keys[i]),
                     |i, v| out[i] = v.cloned(),
                 )

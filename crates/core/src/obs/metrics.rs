@@ -212,6 +212,13 @@ impl LatTimer {
             mark: super::trace::local_mark(),
         }
     }
+
+    /// Nanoseconds since an armed timer was armed: one clock read.
+    /// `None` for an idle timer.
+    #[inline]
+    pub(crate) fn elapsed_ns(&self) -> Option<u64> {
+        self.t0.map(|t0| t0.elapsed().as_nanos() as u64)
+    }
 }
 
 /// Sampled `(op class, duration)` pairs a handle buffers in plain
@@ -378,11 +385,18 @@ impl Metrics {
     /// API path, and batch/range calls).
     #[inline]
     pub(crate) fn op_finish(&self, class: OpClass, t: LatTimer) {
-        if let Some(t0) = t.t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.lat.hists[class as usize].record(ns);
-            self.check_slow(class, ns, &t);
+        if let Some(ns) = t.elapsed_ns() {
+            self.op_record(class, &t, ns);
         }
+    }
+
+    /// Records `ns`, read once from the armed timer `t`, as one `class`
+    /// sample: [`op_finish`](Metrics::op_finish) for a call that
+    /// records one duration into several trees.
+    #[inline]
+    pub(crate) fn op_record(&self, class: OpClass, t: &LatTimer, ns: u64) {
+        self.lat.hists[class as usize].record(ns);
+        self.check_slow(class, ns, t);
     }
 
     /// Finishes a timer into a handle's [`PendingLat`] buffer (flushed
@@ -391,8 +405,7 @@ impl Metrics {
     /// flush to become visible.
     #[inline]
     pub(crate) fn op_finish_buffered(&self, class: OpClass, t: LatTimer, buf: &mut PendingLat) {
-        if let Some(t0) = t.t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
+        if let Some(ns) = t.elapsed_ns() {
             self.check_slow(class, ns, &t);
             if !buf.push(class as u8, ns) {
                 self.flush_pending_lat(buf);

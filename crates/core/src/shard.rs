@@ -26,7 +26,7 @@
 
 use crate::handle::MANY_CHUNK;
 use crate::obs::{MetricsSnapshot, OpClass};
-use crate::tree::{search_many, seek_many, NmTreeMap, SeekRecord, TreeConfig, TreeShape};
+use crate::tree::{descend_many, NmTreeMap, SeekRecord, TreeConfig, TreeShape};
 use crate::MapHandle;
 use nmbst_reclaim::{Ebr, Reclaim};
 use std::hash::{Hash, Hasher};
@@ -456,7 +456,7 @@ pub struct BatchScratch {
     /// that follows a same-key write of its run carries [`LATE`], one
     /// that follows a same-key Phase-1 GET carries [`DUP`].
     runs: Vec<Vec<u32>>,
-    /// Phase-1 GETs: chunk positions the interleaved search answers.
+    /// Phase-1 GETs: chunk positions the pass's search lanes answer.
     gets: Vec<u32>,
     /// Writes, shard by shard in run order: `writes[i]` acts on the
     /// `i`-th Phase-1 seek record.
@@ -632,13 +632,17 @@ where
     /// another. A chunk is partitioned by shard and each shard's run is
     /// sorted by `(key, input position)`; every run is charged to its
     /// shard handle up front, so one pin covers it through both phases.
+    /// A chunk is timed once: the duration is one `batch` latency sample
+    /// in every shard it touched.
     ///
-    /// * **Phase 1** advances the descents of every run in up to 16
-    ///   interleaved lanes with a prefetch per level (the misses of
-    ///   different keys overlap): each GET with no earlier same-key
-    ///   write in its run is answered right there (one lane per key: a
-    ///   repeated GET copies the first one's verdict), and each write's
-    ///   descent fills a seek record.
+    /// * **Phase 1** advances the descents of every run, GETs and
+    ///   writes, in one pass: up to [`SEARCH_LANES`](crate::SEARCH_LANES)
+    ///   interleaved lanes from one pool, with a prefetch per level, so
+    ///   the misses of different keys overlap, a write's with the GETs'
+    ///   too. Each GET with no earlier same-key write in its run is
+    ///   answered right there (one lane per key: a repeated GET copies
+    ///   the first one's verdict), and each write's descent fills a seek
+    ///   record.
     /// * **Phase 2** walks each run in order, applying its writes, and
     ///   the GETs that follow a same-key write, one at a time. A write
     ///   first checks that its record still holds — its anchor edge and
@@ -734,34 +738,34 @@ where
             handle.note_run(searches, lanes);
         }
 
-        // Phase 1: every lane descent, across shards.
+        // Phase 1: every lane descent, across shards, in one pass.
         let (gets, writes) = (&scratch.gets, &scratch.writes);
-        let tree_of = |pos: u32| {
+        let query = |i: usize| {
+            let pos = if i < gets.len() {
+                gets[i]
+            } else {
+                writes[i - gets.len()]
+            };
             let key = cmds[pos as usize].key();
             (map.shard(map.shard_of(key)), key)
         };
+        self.recs.clear();
+        self.recs.resize_with(writes.len(), SeekRecord::empty);
         // SAFETY: every shard a command of this chunk routes to was
         // charged — hence pinned by its handle's guard — above, and
         // nothing re-pins a handle before its run's Phase 2 ends.
         unsafe {
-            search_many(
-                gets.len(),
-                |i| tree_of(gets[i]),
-                |i, v| {
-                    out[gets[i] as usize] = match v {
-                        Some(v) => BatchVerdict::Found(v.clone()),
-                        None => BatchVerdict::Missing,
-                    }
-                },
-            );
-            self.recs.clear();
-            self.recs.resize_with(writes.len(), SeekRecord::empty);
-            seek_many(&mut self.recs, |i| tree_of(writes[i]));
+            descend_many(gets.len(), &mut self.recs, query, |i, v| {
+                out[gets[i] as usize] = match v {
+                    Some(v) => BatchVerdict::Found(v.clone()),
+                    None => BatchVerdict::Missing,
+                }
+            });
         }
 
         // Phase 2: each run's writes and late GETs, in run order.
         let mut recs = self.recs.iter_mut();
-        for (i, (run, handle)) in scratch.runs.iter().zip(self.handles.iter_mut()).enumerate() {
+        for (run, handle) in scratch.runs.iter().zip(self.handles.iter_mut()) {
             if run.is_empty() {
                 continue;
             }
@@ -784,7 +788,14 @@ where
                     }
                 };
             }
-            map.shards[i].metrics.op_finish(OpClass::Batch, timer);
+        }
+        // One clock read for the call, one sample per shard it touched.
+        if let Some(ns) = timer.elapsed_ns() {
+            for (run, shard) in scratch.runs.iter().zip(map.shards.iter()) {
+                if !run.is_empty() {
+                    shard.metrics.op_record(OpClass::Batch, &timer, ns);
+                }
+            }
         }
     }
 

@@ -12,9 +12,9 @@ mod write;
 
 pub use validate::TreeShape;
 
-pub(crate) use read::search_many;
+pub(crate) use read::descend_many;
 pub use read::SEARCH_LANES;
-pub(crate) use seek::{seek_many, SeekRecord};
+pub(crate) use seek::SeekRecord;
 
 use crate::handle::MapHandle;
 use crate::node::{self, Leaf, Route, LEAF_CAP};

@@ -1,15 +1,18 @@
 //! Read-only operations: search (Algorithm 2, lines 34–39), value access
 //! and weakly consistent traversal.
 
+use super::seek::SeekRecord;
 use super::NmTreeMap;
-use crate::node::prefetch;
+use crate::node::{prefetch, Route};
+use crate::obs::{self, EventKind};
 use crate::packed::Edge;
-use crate::pool::Arenas;
+use crate::stats;
 use nmbst_reclaim::Reclaim;
 
 /// Descents an interleaved multi-get or batch keeps in flight
 /// ([`MapHandle::get_many`](crate::MapHandle::get_many),
-/// [`ShardedMapHandle::execute_batch`](crate::ShardedMapHandle::execute_batch)).
+/// [`ShardedMapHandle::execute_batch`](crate::ShardedMapHandle::execute_batch)):
+/// one pool, which a batch's GET searches and write seeks share.
 /// A descent waits on one cache miss per level, so `G` of them advanced
 /// round-robin overlap up to `G` misses. In the sweep in EXPERIMENTS.md,
 /// 32 beats 16 only on calls of more than 16 keys. A caller that
@@ -17,41 +20,61 @@ use nmbst_reclaim::Reclaim;
 /// once it holds this many ops.
 pub const SEARCH_LANES: usize = 16;
 
-/// One in-flight descent of [`search_many`].
-struct Lane<'m, K, V> {
-    /// The arenas of the tree this descent walks (lanes of one call may
-    /// walk different trees).
-    arenas: &'m Arenas,
+/// One in-flight descent of [`descend_many`]: a GET's search, or a
+/// write's seek with its running Algorithm-1 record.
+struct Lane<'m, K, V, R: Reclaim> {
+    /// The tree this descent walks (lanes of one call may walk
+    /// different trees).
+    tree: &'m NmTreeMap<K, V, R>,
     key: &'m K,
-    /// Position of the key in the caller's query order.
+    /// Position of the query in the caller's order: GETs come first.
     idx: usize,
-    /// The edge to the node this lane reads next, whose head was
-    /// prefetched when the edge was loaded.
+    /// The edge this lane reads next, prefetched when it was loaded:
+    /// into a route or, on a GET's last turn, a leaf. A seek lane
+    /// finishes when it loads a leaf edge.
     edge: Edge<K, V>,
+    /// A seek lane's record so far; a GET lane leaves these alone.
+    ancestor: *mut Route<K>,
+    successor: *mut Route<K>,
+    parent: *mut Route<K>,
+    depth: u64,
 }
 
-/// The paper's search (Algorithm 2, lines 34–39) for `n` keys at once:
-/// up to [`SEARCH_LANES`] root-to-leaf descents advanced round-robin,
-/// one level per turn, each issuing a prefetch for the child it will
-/// read on its next turn (the leaf block included: a lane that reaches
-/// a leaf edge scans the block on its following turn). A lone descent
-/// stalls on every level's miss; interleaved descents keep that many
-/// misses in flight. A search only
-/// loads, so interleaving needs no synchronisation, and each key's
-/// answer is exactly what a lone [`contains`](NmTreeMap::contains)
-/// descent at some instant inside the call would return.
+/// The paper's search (Algorithm 2, lines 34–39) for `gets` keys and
+/// its seek (Algorithm 1) for `recs.len()` more, as one pass: up to
+/// [`SEARCH_LANES`] root-to-leaf descents of either kind advance
+/// round-robin, one level per turn, each issuing a prefetch for the
+/// node it reads on its next turn, so a write's cache misses overlap
+/// the GETs' as well as each other's. A lone descent stalls on every
+/// level's miss; interleaved descents keep that many misses in flight.
+/// A descent only loads, so interleaving needs no synchronisation.
 ///
-/// `query(i)` names the tree and key of query `i` and is called once per
-/// `i`, in order. `found(i, value)` reports each answer, in completion
-/// order; `value` borrows the leaf block and is valid only during the
-/// call.
+/// A GET lane scans its leaf on the turn after it reaches the leaf
+/// edge, and its answer is exactly what a lone
+/// [`contains`](NmTreeMap::contains) descent at some instant inside
+/// the call would return. A seek lane keeps Algorithm 1's
+/// ancestor/successor/parent bookkeeping (an untagged edge into the
+/// next parent advances the anchor) and, when it loads its leaf edge,
+/// writes its record and sums its depth into the modify `depth_sum`,
+/// exactly as a lone [`seek`](NmTreeMap::seek) for that key would have
+/// at that instant. The records carry no positional bounds (`lo`/`hi`
+/// stay null): they feed one write each (and its local-restart
+/// retries), never a finger.
+///
+/// `query(i)` names the tree and key of query `i` and is called once
+/// per `i`, in order: `i < gets` is a GET, and `gets + j` the key of
+/// `recs[j]`. `found(i, value)` reports each GET's answer, in
+/// completion order; `value` borrows the leaf block and is valid only
+/// during the call.
 ///
 /// # Safety
 ///
 /// Every tree `query` returns must have its reclaimer pinned by a guard
-/// held across the whole call.
-pub(crate) unsafe fn search_many<'m, K, V, R>(
-    n: usize,
+/// held across the call and for as long as the records are
+/// dereferenced.
+pub(crate) unsafe fn descend_many<'m, K, V, R>(
+    gets: usize,
+    recs: &mut [SeekRecord<K, V>],
     mut query: impl FnMut(usize) -> (&'m NmTreeMap<K, V, R>, &'m K),
     mut found: impl FnMut(usize, Option<&V>),
 ) where
@@ -60,70 +83,118 @@ pub(crate) unsafe fn search_many<'m, K, V, R>(
     R: Reclaim + 'm,
 {
     let mut next = 0;
-    let mut lanes: [Option<Lane<'m, K, V>>; SEARCH_LANES] = [const { None }; SEARCH_LANES];
+    let mut lanes: [Option<Lane<'m, K, V, R>>; SEARCH_LANES] = [const { None }; SEARCH_LANES];
     let mut live = 0;
     for slot in lanes.iter_mut() {
         // SAFETY: forwarded contract.
-        *slot = unsafe { launch(n, &mut next, &mut query) };
+        *slot = unsafe { launch(gets, recs, &mut next, &mut query) };
         live += usize::from(slot.is_some());
     }
     while live > 0 {
         for slot in lanes.iter_mut() {
             let Some(lane) = slot else { continue };
-            if lane.edge.is_leaf() {
-                // SAFETY: read from a live edge of a pinned tree;
-                // published blocks are immutable.
+            if lane.idx < gets {
+                if !lane.edge.is_leaf() {
+                    // SAFETY: read from a live edge of a pinned tree.
+                    let route = unsafe { &*lane.edge.route() };
+                    lane.edge = route.child_for(lane.key).load(lane.tree.arenas());
+                    prefetch(lane.edge);
+                    continue;
+                }
+                // SAFETY: as above; published blocks are immutable.
                 let leaf = unsafe { &*lane.edge.leaf() };
                 found(
                     lane.idx,
                     leaf.find(lane.key).ok().map(|pos| &leaf.entry_vals()[pos]),
                 );
-                // SAFETY: forwarded contract.
-                *slot = unsafe { launch(n, &mut next, &mut query) };
-                live -= usize::from(slot.is_none());
             } else {
-                // SAFETY: as above.
-                let route = unsafe { &*lane.edge.route() };
-                lane.edge = route.child_for(lane.key).load(lane.arenas);
+                // The body of `seek`'s descent loop, one level of it.
+                let node = lane.edge.route();
+                if !lane.edge.tag() {
+                    lane.ancestor = lane.parent;
+                    lane.successor = node;
+                }
+                lane.parent = node;
+                // SAFETY: `node` was read from a live edge of a pinned tree.
+                lane.edge = unsafe { (*node).child_for(lane.key) }.load(lane.tree.arenas());
+                lane.depth += 1;
+                // The next turn reads the route; the write this record
+                // feeds reads the leaf.
                 prefetch(lane.edge);
+                if !lane.edge.is_leaf() {
+                    continue;
+                }
+                finish_seek(lane, &mut recs[lane.idx - gets]);
             }
+            // SAFETY: forwarded contract.
+            *slot = unsafe { launch(gets, recs, &mut next, &mut query) };
+            live -= usize::from(slot.is_none());
         }
     }
 }
 
-/// Starts the descent of the next unanswered query of [`search_many`]
-/// at the edge out of the sentinel `S`, or returns `None` once all `n`
-/// have started.
+/// Starts the descent of the next query of [`descend_many`] at the
+/// edge out of the sentinel `S` (for a seek, Algorithm 1, lines
+/// 15–21), or returns `None` once all have started. A seek in a tree
+/// whose user area is one sentinel leaf completes its record at once,
+/// and the next query is tried instead.
 ///
 /// # Safety
 ///
-/// As [`search_many`].
+/// As [`descend_many`].
 unsafe fn launch<'m, K, V, R>(
-    n: usize,
+    gets: usize,
+    recs: &mut [SeekRecord<K, V>],
     next: &mut usize,
     query: &mut impl FnMut(usize) -> (&'m NmTreeMap<K, V, R>, &'m K),
-) -> Option<Lane<'m, K, V>>
+) -> Option<Lane<'m, K, V, R>>
 where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
     R: Reclaim + 'm,
 {
-    if *next == n {
-        return None;
+    while *next < gets + recs.len() {
+        let idx = *next;
+        *next += 1;
+        let (tree, key) = query(idx);
+        let s = tree.s_node();
+        // SAFETY: pinned per the contract; `S` is permanent.
+        let edge = unsafe { &(*s).left }.load(tree.arenas());
+        let lane = Lane {
+            tree,
+            key,
+            idx,
+            edge,
+            ancestor: tree.root,
+            successor: s,
+            parent: s,
+            depth: 0,
+        };
+        if idx >= gets {
+            stats::record_seek();
+            obs::emit(EventKind::SeekStart);
+            if edge.is_leaf() {
+                finish_seek(&lane, &mut recs[idx - gets]);
+                continue;
+            }
+        }
+        prefetch(edge);
+        return Some(lane);
     }
-    let idx = *next;
-    *next += 1;
-    let (tree, key) = query(idx);
-    let arenas = tree.arenas();
-    // SAFETY: pinned per the contract; `S` is permanent.
-    let edge = unsafe { &(*tree.s_node()).left }.load(arenas);
-    prefetch(edge);
-    Some(Lane {
-        arenas,
-        key,
-        idx,
-        edge,
-    })
+    None
+}
+
+/// Writes a finished seek lane's record and accounts its depth.
+fn finish_seek<K, V, R: Reclaim>(lane: &Lane<'_, K, V, R>, rec: &mut SeekRecord<K, V>) {
+    *rec = SeekRecord {
+        ancestor: lane.ancestor,
+        successor: lane.successor,
+        parent: lane.parent,
+        leaf: lane.edge.leaf(),
+        lo: std::ptr::null(),
+        hi: std::ptr::null(),
+    };
+    lane.tree.metrics.note_depth(lane.depth);
 }
 
 impl<K, V, R> NmTreeMap<K, V, R>

@@ -14,7 +14,6 @@
 //! `successor` down to `parent` is in the process of being removed, and
 //! the splice at `ancestor` will excise the whole chain at once.
 
-use super::read::SEARCH_LANES;
 use super::{NmTreeMap, RestartPolicy};
 use crate::chaos::{self, Action, Point};
 use crate::key::Key;
@@ -73,145 +72,6 @@ impl<K, V> SeekRecord<K, V> {
             hi: std::ptr::null(),
         }
     }
-}
-
-/// One in-flight descent of [`seek_many`]: the running Algorithm-1
-/// record of its key.
-struct SeekLane<'m, K, V, R: Reclaim> {
-    tree: &'m NmTreeMap<K, V, R>,
-    key: &'m K,
-    /// Position of the key in the caller's query order.
-    idx: usize,
-    ancestor: *mut Route<K>,
-    successor: *mut Route<K>,
-    parent: *mut Route<K>,
-    /// The edge out of `parent` toward the key: a route edge (prefetched
-    /// when loaded) while the lane is live.
-    edge: Edge<K, V>,
-    depth: u64,
-}
-
-/// [`NmTreeMap::seek`] for `recs.len()` keys at once, the record-producing
-/// sibling of [`search_many`](super::search_many): up to
-/// [`SEARCH_LANES`] root-to-leaf descents advance round-robin, one level
-/// per turn, each prefetching the node it reads on its next turn, so the
-/// cache misses of different keys overlap. Each lane keeps Algorithm 1's
-/// ancestor/successor/parent/leaf bookkeeping (an untagged edge into the
-/// next parent advances the anchor) and, when its leaf edge is reached,
-/// writes `recs[i]` and sums its depth into the modify `depth_sum`,
-/// exactly as a lone `seek` for that key would have at that instant.
-///
-/// The records carry no positional bounds (`lo`/`hi` stay null): they
-/// feed one write each (and its local-restart retries), never a finger.
-///
-/// `query(i)` names the tree and key of record `i` and is called once
-/// per `i`, in order.
-///
-/// # Safety
-///
-/// Every tree `query` returns must have its reclaimer pinned by a guard
-/// held across the call and for as long as the records are
-/// dereferenced.
-pub(crate) unsafe fn seek_many<'m, K, V, R>(
-    recs: &mut [SeekRecord<K, V>],
-    mut query: impl FnMut(usize) -> (&'m NmTreeMap<K, V, R>, &'m K),
-) where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim + 'm,
-{
-    let mut next = 0;
-    let mut lanes: [Option<SeekLane<'m, K, V, R>>; SEARCH_LANES] = [const { None }; SEARCH_LANES];
-    let mut live = 0;
-    for slot in lanes.iter_mut() {
-        // SAFETY: forwarded contract.
-        *slot = unsafe { launch_seek(recs, &mut next, &mut query) };
-        live += usize::from(slot.is_some());
-    }
-    while live > 0 {
-        for slot in lanes.iter_mut() {
-            let Some(lane) = slot else { continue };
-            // The body of `seek`'s descent loop, one level of it.
-            let node = lane.edge.route();
-            if !lane.edge.tag() {
-                lane.ancestor = lane.parent;
-                lane.successor = node;
-            }
-            lane.parent = node;
-            // SAFETY: `node` was read from a live edge of a pinned tree.
-            lane.edge = unsafe { (*node).child_for(lane.key) }.load(lane.tree.arenas());
-            lane.depth += 1;
-            // The next turn reads the route; the write this record feeds
-            // reads the leaf.
-            prefetch(lane.edge);
-            if lane.edge.is_leaf() {
-                finish_seek(lane, recs);
-                // SAFETY: forwarded contract.
-                *slot = unsafe { launch_seek(recs, &mut next, &mut query) };
-                live -= usize::from(slot.is_none());
-            }
-        }
-    }
-}
-
-/// Starts the descent of the next query of [`seek_many`] from the
-/// sentinels (Algorithm 1, lines 15–21), or returns `None` once all have
-/// started. A tree whose user area is one sentinel leaf completes its
-/// record at once, and the next query is tried instead.
-///
-/// # Safety
-///
-/// As [`seek_many`].
-unsafe fn launch_seek<'m, K, V, R>(
-    recs: &mut [SeekRecord<K, V>],
-    next: &mut usize,
-    query: &mut impl FnMut(usize) -> (&'m NmTreeMap<K, V, R>, &'m K),
-) -> Option<SeekLane<'m, K, V, R>>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim + 'm,
-{
-    while *next < recs.len() {
-        let idx = *next;
-        *next += 1;
-        let (tree, key) = query(idx);
-        stats::record_seek();
-        obs::emit(EventKind::SeekStart);
-        let s = tree.s_node();
-        // SAFETY: pinned per the contract; `S` is permanent.
-        let edge = unsafe { &(*s).left }.load(tree.arenas());
-        let lane = SeekLane {
-            tree,
-            key,
-            idx,
-            ancestor: tree.root,
-            successor: s,
-            parent: s,
-            edge,
-            depth: 0,
-        };
-        if edge.is_leaf() {
-            finish_seek(&lane, recs);
-            continue;
-        }
-        prefetch(edge);
-        return Some(lane);
-    }
-    None
-}
-
-/// Writes a finished lane's record and accounts its depth.
-fn finish_seek<K, V, R: Reclaim>(lane: &SeekLane<'_, K, V, R>, recs: &mut [SeekRecord<K, V>]) {
-    recs[lane.idx] = SeekRecord {
-        ancestor: lane.ancestor,
-        successor: lane.successor,
-        parent: lane.parent,
-        leaf: lane.edge.leaf(),
-        lo: std::ptr::null(),
-        hi: std::ptr::null(),
-    };
-    lane.tree.metrics.note_depth(lane.depth);
 }
 
 impl<K, V, R> NmTreeMap<K, V, R>

@@ -356,3 +356,162 @@ fn execute_batch_scatters_and_handles_empty() {
     h.execute_batch(&[], &mut scratch, &mut out);
     assert!(out.is_empty(), "empty batch clears the output");
 }
+
+/// A four-shard store of 2^14 keys, inserted in a scattered order so
+/// each shard's tree is balanced-ish and a descent takes enough levels
+/// for lanes to interleave, and the same contents as a `BTreeMap`.
+fn deep_store(leaf_cap: usize) -> (ShardedMap<u64, u64, Ebr>, BTreeMap<u64, u64>) {
+    let map = ShardedMap::with_config(4, TreeConfig::default().with_leaf_cap(leaf_cap));
+    let mut model = BTreeMap::new();
+    for i in 0..1u64 << 14 {
+        // An odd multiplier permutes 0..2^15; the other half stays
+        // absent, so GETs miss and inserts add.
+        let k = i * 40_503 % (1 << 15);
+        map.insert(k, k + 1);
+        model.insert(k, k + 1);
+    }
+    (map, model)
+}
+
+/// Runs `cmds` as one `execute_batch` call and one at a time against
+/// `model`, and asserts the verdicts agree.
+fn batch_against_model(
+    h: &mut nmbst::ShardedMapHandle<'_, u64, u64, Ebr>,
+    model: &mut BTreeMap<u64, u64>,
+    cmds: &[nmbst::BatchCmd<u64, u64>],
+    what: &str,
+) {
+    use nmbst::{BatchCmd, BatchScratch, BatchVerdict};
+    let expect: Vec<BatchVerdict<u64>> = cmds
+        .iter()
+        .map(|cmd| match cmd {
+            BatchCmd::Get(k) => match model.get(k) {
+                Some(&v) => BatchVerdict::Found(v),
+                None => BatchVerdict::Missing,
+            },
+            BatchCmd::Insert(k, v) => BatchVerdict::Added(match model.entry(*k) {
+                std::collections::btree_map::Entry::Vacant(e) => {
+                    e.insert(*v);
+                    true
+                }
+                std::collections::btree_map::Entry::Occupied(_) => false,
+            }),
+            BatchCmd::Remove(k) => BatchVerdict::Removed(model.remove(k).is_some()),
+        })
+        .collect();
+    let mut out = Vec::new();
+    h.execute_batch(cmds, &mut BatchScratch::new(), &mut out);
+    assert_eq!(out, expect, "{what}");
+}
+
+/// The final map state equals the model's.
+fn assert_same_contents(map: &ShardedMap<u64, u64, Ebr>, model: &BTreeMap<u64, u64>) {
+    let mut got = Vec::new();
+    map.for_each(|k, v| got.push((*k, *v)));
+    got.sort_unstable();
+    let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(got, want);
+}
+
+/// A chunk of `len` commands over the store's key range: `get`% GETs,
+/// the rest inserts and removes in equal measure.
+fn random_chunk(rng: &mut Rng, len: usize, get: u64) -> Vec<nmbst::BatchCmd<u64, u64>> {
+    use nmbst::BatchCmd;
+    (0..len)
+        .map(|_| {
+            let r = rng.next();
+            let k = r % (1 << 15);
+            match (r >> 32) % 100 {
+                p if p < get => BatchCmd::Get(k),
+                _ if r >> 63 == 0 => BatchCmd::Insert(k, r >> 40),
+                _ => BatchCmd::Remove(k),
+            }
+        })
+        .collect()
+}
+
+/// GET lanes and seek lanes share one descent pass: on a deep store,
+/// GET-only, write-only and mixed chunks of every size up to a full
+/// chunk, chunks of exactly `SEARCH_LANES` ops in every GET/write
+/// split (every lane busy at launch), and calls of one command more
+/// than the 256-command chunk answer as one-at-a-time execution does
+/// and leave the same contents.
+#[test]
+fn one_pass_batch_chunks_match_model() {
+    use nmbst::SEARCH_LANES;
+    for leaf_cap in [1, 8] {
+        let (map, mut model) = deep_store(leaf_cap);
+        let mut h = map.handle();
+        let mut rng = Rng(0x0DE5 + leaf_cap as u64);
+        for len in 1..=SEARCH_LANES {
+            for (get, kind) in [
+                (100, "GET-only"),
+                (0, "write-only"),
+                (90, "mixed"),
+                (50, "mixed"),
+            ] {
+                let cmds = random_chunk(&mut rng, len, get);
+                let what = format!("cap={leaf_cap} len={len} {kind}");
+                batch_against_model(&mut h, &mut model, &cmds, &what);
+            }
+        }
+        for writes in 0..=SEARCH_LANES {
+            let mut cmds = random_chunk(&mut rng, SEARCH_LANES - writes, 100);
+            cmds.extend(random_chunk(&mut rng, writes, 0));
+            let what = format!("cap={leaf_cap} full chunk, {writes} writes");
+            batch_against_model(&mut h, &mut model, &cmds, &what);
+        }
+        for get in [100, 90, 0] {
+            let cmds = random_chunk(&mut rng, 257, get);
+            let what = format!("cap={leaf_cap} 257 ops, {get}% GETs");
+            batch_against_model(&mut h, &mut model, &cmds, &what);
+        }
+        drop(h);
+        assert_same_contents(&map, &model);
+    }
+}
+
+/// Same-key GETs in one chunk: a GET after a same-key write waits for
+/// Phase 2 (LATE), and a GET after a same-key GET copies its verdict
+/// (DUP), while the chunk's other keys descend in lanes beside them.
+#[test]
+fn one_pass_batch_late_and_dup_gets_match_model() {
+    use nmbst::BatchCmd::{Get, Insert, Remove};
+    let (map, mut model) = deep_store(8);
+    let mut h = map.handle();
+    let (hit, miss) = (0, 1 << 15 | 1);
+    assert!(model.contains_key(&hit) && !model.contains_key(&miss));
+    let cmds = [
+        Get(hit),
+        Get(hit),
+        Get(miss),
+        Remove(hit),
+        Get(hit),
+        Get(hit),
+        Insert(miss, 7),
+        Get(miss),
+        Get(5),
+        Get(miss),
+        Insert(hit, 9),
+        Get(hit),
+        Remove(miss),
+        Get(miss),
+        Get(6),
+        Get(5),
+    ];
+    assert_eq!(cmds.len(), nmbst::SEARCH_LANES);
+    batch_against_model(&mut h, &mut model, &cmds, "late and dup GETs");
+    // Same keys again, with GETs first in input order but not in key
+    // order.
+    let cmds = [
+        Get(miss),
+        Get(hit),
+        Get(miss),
+        Remove(miss),
+        Get(hit),
+        Get(miss),
+    ];
+    batch_against_model(&mut h, &mut model, &cmds, "dup GETs before a write");
+    drop(h);
+    assert_same_contents(&map, &model);
+}

@@ -141,19 +141,21 @@ const TOKEN_LISTENER: u64 = u64::MAX - 1;
 /// time went. `wire` spans request-assembled → response-buffered;
 /// `decode`/`execute`/`encode` partition its interior (encode includes
 /// queuing the frame into the connection's write buffer), so
-/// `wire ≈ decode + execute + encode` per frame — the breakdown that
+/// `wire = decode + execute + encode` per frame — the breakdown that
 /// tells a slow-frame investigation whether the store or the wire
 /// handling is the problem. Socket flush time is *not* attributed to
 /// individual frames: under pipelining many responses share one write.
-/// A data frame served in a chunk (see `Engine`) records its own
-/// decode time plus a share of the chunk's execute and encode time in
-/// proportion to its ops, and its `wire` is that sum: the server time
-/// the frame cost.
+/// A data frame served in a chunk (see `Engine`) is timed through its
+/// chunk: it records a share of the chunk's decode, execute and encode
+/// spans in proportion to its ops, and its `wire` is the sum of the
+/// three: the server time the frame cost.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseHists {
     /// Full frame: request assembled → response buffered.
     pub wire: Histogram,
-    /// `Request::decode` time.
+    /// Decode time: `Request::decode` for a non-data frame; for a data
+    /// frame, its share of the chunk's parse-and-decode span (the
+    /// chunk's first frame's start to its execution).
     pub decode: Histogram,
     /// Store execution time (the tree/batch/scan work).
     pub execute: Histogram,
@@ -1011,7 +1013,6 @@ struct PendingFrame {
     ops: u32,
     /// The key its slow-frame record carries: the first op's, else 0.
     key: u64,
-    decode_ns: u64,
 }
 
 /// One worker's request-execution engine: the pinned store handle plus
@@ -1037,6 +1038,11 @@ struct PendingFrame {
 /// only commands on distinct keys, which is the ordering the wire
 /// protocol promises (DESIGN.md §16).
 ///
+/// **Timing.** The chunk is timed, not its frames (see
+/// [`PhaseHists`]): its first frame stamps its start, and `run_chunk`
+/// shares the parse-and-decode span up to execution, the execute span
+/// and the encode span among its frames by op weight.
+///
 /// Steady state runs allocation-free: ops decode into `cmds`, partition
 /// into `scratch`, verdicts land in `out`, and replies are encoded
 /// straight into the connection's write buffer behind reserved length
@@ -1052,6 +1058,8 @@ struct Engine<'a> {
     ops_since_flush: u32,
     cmds: Vec<BatchCmd<u64, u64>>,
     frames: Vec<PendingFrame>,
+    /// When the pending chunk's first frame began decoding.
+    chunk_start: Instant,
     scratch: BatchScratch,
     out: Vec<BatchVerdict<u64>>,
 }
@@ -1073,6 +1081,7 @@ impl<'a> Engine<'a> {
             ops_since_flush: 0,
             cmds: Vec::with_capacity(SEARCH_LANES),
             frames: Vec::with_capacity(SEARCH_LANES),
+            chunk_start: Instant::now(),
             scratch: BatchScratch::new(),
             out: Vec::with_capacity(SEARCH_LANES),
         }
@@ -1117,11 +1126,12 @@ impl<'a> Engine<'a> {
     /// Decodes a data frame into the pending chunk, and runs the chunk
     /// once it fills every lane.
     fn join_chunk(&mut self, opcode: u8, body: &[u8], wbuf: &mut Vec<u8>) -> Served {
-        let t0 = Instant::now();
+        if self.frames.is_empty() {
+            self.chunk_start = Instant::now();
+        }
         let at = self.cmds.len();
         let cmds = &mut self.cmds;
         let decoded = wire::decode_data_ops(body, |op| cmds.push(op));
-        let decode_ns = t0.elapsed().as_nanos() as u64;
         let ops = match decoded {
             Ok(ops) => ops,
             Err(e) => {
@@ -1134,7 +1144,6 @@ impl<'a> Engine<'a> {
             opcode,
             ops: ops as u32,
             key: self.cmds.get(at).map_or(0, |c| *c.key()),
-            decode_ns,
         });
         if self.cmds.len().max(self.frames.len()) >= SEARCH_LANES {
             self.run_chunk(wbuf);
@@ -1152,11 +1161,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Runs the pending chunk, if any: one `execute_batch` over its ops,
-    /// then each frame's reply encoded into `wbuf` in frame order. Each
-    /// frame is charged its own decode time plus a share of the chunk's
-    /// execute and encode time in proportion to its ops (a frame of no
-    /// ops counts as one), so per-phase means still add up to the
-    /// per-frame wire mean.
+    /// then each frame's reply encoded into `wbuf` in frame order. The
+    /// chunk is timed, not its frames: each frame is charged a share of
+    /// the chunk's decode (its first frame's start to here, parsing
+    /// included), execute and encode time in proportion to its ops (a
+    /// frame of no ops counts as one), and its wire time is the sum of
+    /// its three shares.
     fn run_chunk(&mut self, wbuf: &mut Vec<u8>) {
         if self.frames.is_empty() {
             return;
@@ -1204,10 +1214,10 @@ impl<'a> Engine<'a> {
 
         let weight = |f: &PendingFrame| u64::from(f.ops.max(1));
         let total: u64 = self.frames.iter().map(weight).sum();
-        let (execute, encode) = ((t2 - t1).as_nanos() as u64, (t3 - t2).as_nanos() as u64);
+        let phases = [t1 - self.chunk_start, t2 - t1, t3 - t2].map(|d| d.as_nanos() as u64);
         let frames = self.frames.iter().map(|f| {
-            let (x, e) = (execute * weight(f) / total, encode * weight(f) / total);
-            (f.opcode, f.key, [f.decode_ns + x + e, f.decode_ns, x, e])
+            let [d, x, e] = phases.map(|ns| ns * weight(f) / total);
+            (f.opcode, f.key, [d + x + e, d, x, e])
         });
         self.stats.record_frames(self.worker, frames);
         self.cmds.clear();
@@ -1439,6 +1449,12 @@ pub mod testing {
             ok
         }
 
+        /// Releases the engine's pins, as the reactor does before every
+        /// blocking wait.
+        pub fn unpin(&mut self) {
+            self.engine.unpin();
+        }
+
         /// The engine's server counters.
         pub fn stats(&self) -> &ServerStats {
             self.engine.stats
@@ -1474,7 +1490,7 @@ pub mod testing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{OP_PING, OP_SCAN};
+    use crate::wire::{BatchOp, OP_PING, OP_SCAN};
     use nmbst::LatencyConfig;
 
     /// A store and server counters in a fixed state: a two-shard store
@@ -1560,5 +1576,59 @@ mod tests {
         }
         let prom = metrics_text(&store, &stats, MetricsFormat::Prometheus);
         nmbst::obs::validate_prometheus(&prom).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Chunks are timed, not frames, yet a pipelined pass of point and
+    /// BATCH frames records exactly one sample per frame in every phase
+    /// of its opcode, each frame's wire time is exactly the sum of its
+    /// phase shares, and with a 1 ns threshold every frame deposits one
+    /// slow-frame record keyed by its first op.
+    #[test]
+    fn chunk_timing_records_each_frame_once_per_phase() {
+        let store = Store::with_config(2, TreeConfig::default());
+        let stats = ServerStats::new(1, 1);
+        let mut engine = Engine::new(0, &store, &stats, u32::MAX);
+        let mut want = Vec::new();
+        let mut wbuf = Vec::new();
+        for i in 0..40u64 {
+            let k = 1_000 + i;
+            let req = match i % 8 {
+                0..=2 => Request::Get(k),
+                3 => Request::Insert(k, i),
+                4 => Request::Remove(k),
+                5 => Request::Batch(vec![BatchOp::Get(k), BatchOp::Insert(k + 1, 1)]),
+                // More ops than a chunk holds.
+                6 => Request::Batch((k..k + 20).map(BatchOp::Get).collect()),
+                _ => Request::Batch(Vec::new()),
+            };
+            want.push((req.opcode(), if i % 8 == 7 { 0 } else { k }));
+            let mut body = Vec::new();
+            req.encode(&mut body);
+            engine.serve_frame(&body, &mut wbuf);
+        }
+        engine.run_chunk(&mut wbuf);
+        assert!(stats.chunks() >= 4, "the pass ran in several chunks");
+
+        let timing = stats.request_timing();
+        for (opcode, frames) in [(OP_GET, 15), (OP_INSERT, 5), (OP_REMOVE, 5), (OP_BATCH, 15)] {
+            let (op, p) = &timing[usize::from(opcode - 1)];
+            for (phase, h) in p.by_phase() {
+                assert_eq!(h.len(), frames, "{op} {phase}");
+            }
+            let interior = p.decode.sum() + p.execute.sum() + p.encode.sum();
+            assert_eq!(interior, p.wire.sum(), "{op}: wire is d + x + e");
+        }
+        let mut slow: Vec<(u8, u64)> = stats
+            .slow_frames()
+            .iter()
+            .map(|r| (r.kind, r.key))
+            .collect();
+        slow.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(
+            slow, want,
+            "one slow record per frame, keyed by its first op"
+        );
+        assert_eq!(stats.slow_frames_deposited(), 40);
     }
 }

@@ -699,10 +699,11 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
 /// `Ok(false)` on clean EOF at a frame boundary; mid-frame EOF and
 /// oversized lengths are `Err`.
 ///
-/// Read-timeout contract (the server polls with a timeout so shutdown
-/// can interrupt an idle connection): a timeout *before any byte of a
-/// frame* surfaces as `Err(WouldBlock | TimedOut)` with nothing
-/// consumed — the caller may treat it as an idle tick and call again.
+/// Read-timeout contract (for a caller that polls with a read
+/// timeout, so that it can give up on an idle connection): a timeout
+/// *before any byte of a frame* surfaces as
+/// `Err(WouldBlock | TimedOut)` with nothing consumed — the caller may
+/// treat it as an idle tick and call again.
 /// Once any byte has been consumed, timeouts are retried internally so
 /// a slow writer can never desync the stream.
 pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {

@@ -257,11 +257,7 @@ fn metrics_scrape_is_exact_and_exposition_valid() {
         assert_eq!(p.execute.len(), n, "{op}");
         assert_eq!(p.encode.len(), n, "{op}");
         let interior = p.decode.sum() + p.execute.sum() + p.encode.sum();
-        assert!(
-            interior <= p.wire.sum(),
-            "{op}: phases partition the frame (interior {interior} > wire {})",
-            p.wire.sum()
-        );
+        assert_eq!(interior, p.wire.sum(), "{op}: phases partition the frame");
     }
 
     let prom = c.metrics(MetricsFormat::Prometheus).unwrap();

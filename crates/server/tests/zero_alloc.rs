@@ -11,6 +11,8 @@
 //! hits/misses, duplicate inserts, removes of absent keys) so the
 //! node pool cannot legitimately grow mid-measurement — what's being
 //! measured is the serve path, not the tree's amortized pool growth.
+//! The engine is unpinned between passes, as a reactor worker is
+//! before every blocking wait, so the pin cycle is measured too.
 //!
 //! The same allocator bounds SCAN: a capped scan over a large store
 //! allocates in proportion to the cap, not to the store.
@@ -94,6 +96,7 @@ fn steady_state_batch_round_trip_allocates_nothing() {
             assert!(eng.serve(&batch_frame, &mut out));
             assert!(eng.serve(&get_hit, &mut out));
             assert!(eng.serve(&get_miss, &mut out));
+            eng.unpin();
         }
 
         let before = ALLOCS.get();
@@ -102,6 +105,7 @@ fn steady_state_batch_round_trip_allocates_nothing() {
             assert!(eng.serve(&batch_frame, &mut out));
             assert!(eng.serve(&get_hit, &mut out));
             assert!(eng.serve(&get_miss, &mut out));
+            eng.unpin();
         }
         let after = ALLOCS.get();
 
@@ -157,6 +161,7 @@ fn steady_state_mixed_pass_allocates_nothing() {
         for _ in 0..4 {
             out.clear();
             assert!(eng.serve_stream(&stream, &mut out));
+            eng.unpin();
         }
         let chunks = eng.stats().chunks();
 
@@ -164,6 +169,7 @@ fn steady_state_mixed_pass_allocates_nothing() {
         for _ in 0..32 {
             out.clear();
             assert!(eng.serve_stream(&stream, &mut out));
+            eng.unpin();
         }
         let allocs = ALLOCS.get() - before;
         assert_eq!(
