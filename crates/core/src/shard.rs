@@ -452,6 +452,9 @@ pub enum BatchVerdict<V> {
 /// across calls so a steady-state caller never re-allocates.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
+    /// The shard each chunk position routes to, hashed once by the
+    /// partition and read again by the Phase-1 lanes.
+    shard: Vec<u32>,
     /// Chunk positions per shard, sorted by `(key, position)`; a GET
     /// that follows a same-key write of its run carries [`LATE`], one
     /// that follows a same-key Phase-1 GET carries [`DUP`].
@@ -487,6 +490,7 @@ impl BatchScratch {
         if self.runs.len() < shards {
             self.runs.resize_with(shards, Vec::new);
         }
+        self.shard.clear();
         self.gets.clear();
         self.writes.clear();
     }
@@ -697,7 +701,9 @@ where
         let timer = map.shards[0].metrics.call_timer();
         scratch.reset(self.handles.len());
         for (pos, cmd) in cmds.iter().enumerate() {
-            scratch.runs[map.shard_of(cmd.key())].push(pos as u32);
+            let shard = map.shard_of(cmd.key());
+            scratch.shard.push(shard as u32);
+            scratch.runs[shard].push(pos as u32);
         }
         // Sort, charge and classify each run.
         for (run, handle) in scratch.runs.iter_mut().zip(self.handles.iter_mut()) {
@@ -739,15 +745,14 @@ where
         }
 
         // Phase 1: every lane descent, across shards, in one pass.
-        let (gets, writes) = (&scratch.gets, &scratch.writes);
+        let (gets, writes, shard) = (&scratch.gets, &scratch.writes, &scratch.shard);
         let query = |i: usize| {
             let pos = if i < gets.len() {
                 gets[i]
             } else {
                 writes[i - gets.len()]
-            };
-            let key = cmds[pos as usize].key();
-            (map.shard(map.shard_of(key)), key)
+            } as usize;
+            (map.shard(shard[pos] as usize), cmds[pos].key())
         };
         self.recs.clear();
         self.recs.resize_with(writes.len(), SeekRecord::empty);

@@ -5,10 +5,13 @@
 /// that knows the allocation's real type.
 ///
 /// This is the unit stored in reclamation bags. It is deliberately a bare
-/// (data, ctx, fn) triple rather than `Box<dyn FnOnce>` so that deferring
-/// a destruction performs **zero** additional allocation — reclamation
-/// bookkeeping must not dominate the allocation behaviour being measured
-/// (Table 1 counts objects allocated per operation).
+/// (data, ctx, fn) triple rather than `Box<dyn FnOnce>`, and the bags
+/// that hold it reuse their buffers ([`Ebr`](crate::Ebr) keeps emptied
+/// ones for the next seal), so once those buffers have reached their
+/// working size, deferring a destruction performs **zero** additional
+/// allocation — reclamation bookkeeping must not dominate the
+/// allocation behaviour being measured (Table 1 counts objects
+/// allocated per operation).
 ///
 /// The context word exists for the recycle path: a deferral that returns
 /// the block to a [`NodePool`](crate::NodePool) instead of the global

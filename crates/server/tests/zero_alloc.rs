@@ -7,12 +7,13 @@
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting `#[global_allocator]`, which must not taint other binaries'
-//! measurements. The workload avoids structural tree mutation (get
-//! hits/misses, duplicate inserts, removes of absent keys) so the
-//! node pool cannot legitimately grow mid-measurement — what's being
-//! measured is the serve path, not the tree's amortized pool growth.
-//! The engine is unpinned between passes, as a reactor worker is
-//! before every blocking wait, so the pin cycle is measured too.
+//! measurements. The first two tests mutate nothing (get hits and
+//! misses, duplicate inserts, removes of absent keys); the third adds
+//! and removes keys on every pass, so each write retires nodes and the
+//! measured window covers the node arenas' free lists and the
+//! reclaimer's bags too. The engine is unpinned between passes, as a
+//! reactor worker is before every blocking wait, so the pin cycle is
+//! measured as well.
 //!
 //! The same allocator bounds SCAN: a capped scan over a large store
 //! allocates in proportion to the cap, not to the store.
@@ -177,6 +178,63 @@ fn steady_state_mixed_pass_allocates_nothing() {
             "steady-state mixed passes allocated {allocs} times"
         );
         assert!(eng.stats().chunks() >= chunks + 32 * 8, "served in chunks");
+    });
+}
+
+/// A steady-state pass whose INSERTs add keys and whose REMOVEs remove
+/// them allocates nothing either: every write retires a node, and the
+/// freed slots and the reclamation bags that carry them are reused.
+#[test]
+fn steady_state_mutating_pass_allocates_nothing() {
+    const PASS_KEYS: u64 = 64;
+    const BATCH_PAIRS: u64 = 16;
+    with_local_engine(4, |eng| {
+        let mut out = Vec::new();
+        let fill = (0..1_024).map(|k| BatchOp::Insert(k * 2, k)).collect();
+        assert!(eng.serve(&encode_req(&Request::Batch(fill)), &mut out));
+
+        // Odd keys are absent. The pass adds `PASS_KEYS` of them with
+        // point INSERTs, adds and removes `BATCH_PAIRS` more inside one
+        // BATCH, then removes the first ones with point REMOVEs: every
+        // write changes a tree, and each pass ends where it began.
+        let odd = |k: u64| k * 16 + 1;
+        let mut stream = Vec::new();
+        for k in 0..PASS_KEYS {
+            write_frame(&mut stream, &encode_req(&Request::Insert(odd(k), k))).unwrap();
+        }
+        let pairs = (0..BATCH_PAIRS)
+            .flat_map(|k| [BatchOp::Insert(odd(k) + 2, k), BatchOp::Remove(odd(k) + 2)])
+            .collect();
+        write_frame(&mut stream, &encode_req(&Request::Batch(pairs))).unwrap();
+        for k in 0..PASS_KEYS {
+            write_frame(&mut stream, &encode_req(&Request::Remove(odd(k)))).unwrap();
+        }
+        let pass = |eng: &mut nmbst_server::testing::LocalEngine<'_>, out: &mut Vec<u8>| {
+            out.clear();
+            assert!(eng.serve_stream(&stream, out));
+            eng.unpin();
+        };
+        for _ in 0..64 {
+            pass(eng, &mut out);
+        }
+        let m0 = eng.store().metrics();
+
+        let before = ALLOCS.get();
+        for _ in 0..256 {
+            pass(eng, &mut out);
+        }
+        let allocs = ALLOCS.get() - before;
+        let m1 = eng.store().metrics();
+        let writes = 256 * (PASS_KEYS + BATCH_PAIRS);
+        assert_eq!(
+            (m1.inserted - m0.inserted, m1.removed - m0.removed),
+            (writes, writes),
+            "every write changed the store"
+        );
+        assert_eq!(
+            allocs, 0,
+            "steady-state mutating passes allocated {allocs} times"
+        );
     });
 }
 
