@@ -405,7 +405,10 @@ mod tests {
         let mut cache = NodeCache::direct(&arenas);
         let l = Leaf::<u64, u64>::new_user_in(&mut cache, 1, 10);
         let m = Leaf::<u64, u64>::new_user_in(&mut cache, 2, 20);
-        let r = Route::new_in(&mut cache, Key::Fin(2), Edge::of_leaf(l), Edge::of_leaf(m));
+        // Formed while the leaves live: a free slot's header holds the
+        // free-list link, not its old index.
+        let (el, em) = (Edge::<u64, u64>::of_leaf(l), Edge::of_leaf(m));
+        let r = Route::new_in(&mut cache, Key::Fin(2), el, em);
         unsafe {
             drop_route_contents(r);
             cache.free_route_shell(r);
@@ -414,12 +417,7 @@ mod tests {
         }
         assert_eq!((arenas.routes.len(), arenas.leaves[0].len()), (1, 2));
         // A route allocation reuses the route slot, never a leaf slot.
-        let r2 = Route::new_in(
-            &mut cache,
-            Key::<u64>::Inf0,
-            Edge::<u64, u64>::of_leaf(l),
-            Edge::of_leaf(m),
-        );
+        let r2 = Route::new_in(&mut cache, Key::<u64>::Inf0, el, em);
         assert_eq!(r2, r);
         assert_eq!((arenas.routes.len(), arenas.leaves[0].len()), (0, 2));
         unsafe {
